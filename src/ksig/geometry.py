@@ -61,7 +61,7 @@ class BackgroundField:
         return "conformally-flat" if self.phi is not None else "prescribed-tensor"
 
     def frame_scale(self):
-        """e^{-2 phi} per node, or 1.0 in prescribed (flat) mode."""
+        """e^{-2 phi} per node, or None in prescribed (flat) mode."""
         if self.phi is None:
             return None
         return np.exp(-2.0 * self.phi)

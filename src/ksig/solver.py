@@ -132,65 +132,55 @@ def residual(u, t, background, coeff, config):
     return state.residual
 
 
-def _delta_U_action(state, background, v_jet, v):
-    """Directional derivative of the frame matrix U^t along v (exact)."""
-    grid = background.grid
-    n = grid.dim
-    tau = background.tau
-    eye = np.eye(n)
-    g = state.jet.gradient
-    dv = v_jet.gradient
-    if background.phi is None:
-        hv = v_jet.hessian
-        lapv = v_jet.laplacian
-        scale = None
-    else:
-        pg = background.phi_jet.gradient
-        mixed = pg[..., :, None] * dv[..., None, :]
-        inner = np.einsum("...i,...i->...", pg, dv)
-        hv = v_jet.hessian - mixed - mixed.swapaxes(-1, -2) + inner[..., None, None] * eye
-        lapv = np.trace(hv, axis1=-2, axis2=-1)
-        scale = background.frame_scale()
-    pair = np.einsum("...i,...i->...", g, dv)
-    cross = g[..., :, None] * dv[..., None, :]
-    dU = (
-        hv
-        + ((1.0 - tau) / (n - 2.0)) * lapv[..., None, None] * eye
-        + (2.0 - tau) * pair[..., None, None] * eye
-        - cross
-        - cross.swapaxes(-1, -2)
-    )
-    if scale is not None:
-        dU = scale[..., None, None] * dU
-    return dU
+def _stencil_weights(state, background):
+    """Per-node weights of dF at `state` on compute_jet's stencil.
 
-
-def _linear_action(state, background, v):
-    """Frechet derivative of F at `state`, applied to v."""
-    v_jet = compute_jet(background.grid, v)
-    dU = _delta_U_action(state, background, v_jet, v)
-    first = np.einsum("...ij,...ij->...", state.grad, dU)
-    return first + state.zeroth * v
-
-
-def _preconditioner_diagonal(state, background):
-    """Stencil-center coefficient of the linearization plus its zeroth order.
-
-    Only the Hessian diagonal (-2/h^2 per axis) and the Laplacian trace term
-    touch the center node; first-derivative stencils have zero center weight.
+    dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
+    b = (2-tau) tr(G) grad u - 2 G grad u, c = zeroth, G = G^{ij} and
+    c1 = (1-tau)/(n-2).  Conformally-flat mode adds the Christoffel terms
+    (1 + c1 (n-2)) tr(G) grad phi - 2 G grad phi to b and scales A and b by
+    e^{-2 phi}.  Returns (centre, plus, minus, cross): the weights of v(x)
+    and of v(x +- h e_i) stacked on axis 0, and (i, j, w) for i < j with w
+    the weight of the four-point cross difference.
     """
     grid = background.grid
     n = grid.dim
     h = grid.spacing
-    tau = background.tau
-    trace_g = np.trace(state.grad, axis1=-2, axis2=-1)
-    c1 = (1.0 - tau) / (n - 2.0)
-    diag = (-2.0 / (h * h)) * trace_g * (1.0 + n * c1)
+    c1 = (1.0 - background.tau) / (n - 2.0)
+    # G pairs only with symmetric tensors, so its symmetric part is exact
+    G = 0.5 * (state.grad + state.grad.swapaxes(-1, -2))
+    trace_g = np.trace(G, axis1=-2, axis2=-1)
+    g = state.jet.gradient
+    b = (2.0 - background.tau) * trace_g[..., None] * g - 2.0 * np.einsum("...ij,...j->...i", G, g)
+    scale = 1.0
     if background.phi is not None:
-        diag = diag * background.frame_scale()
-    diag = diag + state.zeroth
-    safe = np.where(np.abs(diag) < 1e-12, 1.0, diag)
-    return safe
+        pg = background.phi_jet.gradient
+        b += (1.0 + c1 * (n - 2.0)) * trace_g[..., None] * pg
+        b -= 2.0 * np.einsum("...ij,...j->...i", G, pg)
+        scale = background.frame_scale()
+    # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
+    diag_g = np.moveaxis(np.diagonal(G, axis1=-2, axis2=-1), -1, 0)
+    axial = (diag_g + c1 * trace_g) * (scale / (h * h))
+    drift = np.moveaxis(b, -1, 0) * (scale / (2.0 * h))
+    centre = state.zeroth - 2.0 * axial.sum(axis=0)
+    cross = [(i, j, G[..., i, j] * (scale / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
+    return centre, axial + drift, axial - drift, cross
+
+
+def _apply_stencil(weights, v):
+    """dF[v] from the weights of _stencil_weights, by periodic shifts of v."""
+    centre, plus, minus, cross = weights
+    out = centre * v
+    diffs = []
+    for i in range(v.ndim):
+        # np.roll(v, -1, i) looks one node in the +i direction: v(x + h e_i)
+        vp = np.roll(v, -1, axis=i)
+        vm = np.roll(v, 1, axis=i)
+        out += plus[i] * vp + minus[i] * vm
+        diffs.append(vp - vm)
+    for i, j, w in cross:
+        out += w * (np.roll(diffs[i], -1, axis=j) - np.roll(diffs[i], 1, axis=j))
+    return out
 
 
 def linearize_apply(u, t, v, background, coeff, config=None):
@@ -199,18 +189,23 @@ def linearize_apply(u, t, v, background, coeff, config=None):
     floor = config.cone_margin if config is not None else 0.0
     if not state.margin.min() > floor:
         raise operator.admissibility_failure(state, floor, f"linearization at t={t}")
-    return _linear_action(state, background, v)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != background.grid.shape:
+        raise ValueError(f"direction shape {v.shape} does not match grid {background.grid.shape}")
+    return _apply_stencil(_stencil_weights(state, background), v)
 
 
 def _solve_linear(state, background, config):
     shape = state.u.shape
     nflat = state.u.size
+    weights = _stencil_weights(state, background)
 
     def matvec(x):
-        return _linear_action(state, background, x.reshape(shape)).ravel()
+        return _apply_stencil(weights, x.reshape(shape)).ravel()
 
     A = LinearOperator((nflat, nflat), matvec=matvec, dtype=np.float64)
-    diag = _preconditioner_diagonal(state, background).ravel()
+    centre = weights[0].ravel()
+    diag = np.where(np.abs(centre) < 1e-12, 1.0, centre)  # Jacobi on the stencil centre
     M = LinearOperator((nflat, nflat), matvec=lambda x: x / diag, dtype=np.float64)
     b = -state.residual.ravel()
     restart = min(50, nflat)

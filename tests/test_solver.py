@@ -5,8 +5,8 @@ and manufactured problems."""
 import numpy as np
 import pytest
 
-from ksig import cones, geometry, solver
-from ksig.grid import PeriodicGrid, l2_norm, sup_norm
+from ksig import cones, geometry, operator, solver
+from ksig.grid import PeriodicGrid, compute_jet, l2_norm, sup_norm
 
 
 def make_grid(n=3, N=8):
@@ -193,6 +193,39 @@ def test_linearize_matches_difference_quotient_conformal_background():
     ) / (2.0 * eps)
     rel = l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd))
     assert rel <= 1e-5
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["minus-identity", "per-node", "conformal"])
+def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
+    # U^t is quadratic in the stencil jet, so the central difference of
+    # assemble_U along v is its exact derivative for any step; contracted
+    # with G^{ij} and joined by the zeroth-order term it is dF[v], which the
+    # stencil weights must reproduce to round-off
+    grid = make_grid(n, 8)
+    x1 = grid.coordinate(0) + np.zeros(grid.shape)
+    t = 0.7
+    if kind == "minus-identity":
+        bg = geometry.flat_background(grid, tau=tau)
+    elif kind == "per-node":
+        bg = geometry.flat_background(grid, tau=tau, B=-(1.0 + 0.2 * np.sin(x1))[..., None, None] * np.eye(n))
+    else:
+        bg = geometry.background_from_phi(grid, 0.1 * np.cos(x1), tau)
+        t = 0.0  # the conformal tensor is inadmissible on a torus; t = 0 drops it
+    coeff = default_coeff(grid, k=n)
+    cfg = solver.SolverConfig(k=n, tau=tau)
+    u = smooth_u(grid)
+    v = np.random.default_rng(n).standard_normal(grid.shape)
+    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
+    dU = 0.5 * (
+        geometry.assemble_U(compute_jet(grid, u + v), bg, t)
+        - geometry.assemble_U(compute_jet(grid, u - v), bg, t)
+    )
+    exact = np.einsum("...ij,...ij->...", state.grad, dU) + state.zeroth * v
+    lin = solver.linearize_apply(u, t, v, bg, coeff, cfg)
+    rel = sup_norm(lin - exact) / sup_norm(exact)
+    assert rel <= 1e-12, f"relative sup error {rel:.3e}"
 
 
 # ---------------------------------------------------------------------------
