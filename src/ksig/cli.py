@@ -12,12 +12,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, cones, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
-from .grid import FieldFormatError, PeriodicGrid, sup_norm, write_field
+from .grid import FieldFormatError, sup_norm, write_field
 from .runconfig import ConfigError
 
 # anything wrong with the inputs lands here; nothing may be written first
@@ -56,7 +55,7 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
     if cfg.output.json:
         summary = {
             "version": __version__,
-            "config": cfg.echo(),
+            "config": asdict(cfg),
             "t_final": state.t,
             "residual_sup": state.residual_norm,
             "newton_iterations": state.newton_iters,
@@ -85,13 +84,19 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
         )
 
 
+def _load_problem(config_path):
+    """The front end of solve and manufacture: load_config -> build_problem
+    -> validate_hypotheses -> resolve_output_dir.  Writes nothing."""
+    cfg = runconfig.load_config(config_path)
+    base = Path(config_path).resolve().parent
+    grid, background, coeff = runconfig.build_problem(cfg, base=base)
+    geometry.validate_hypotheses(background, coeff)
+    return cfg, base, grid, background, coeff, runconfig.resolve_output_dir(cfg)
+
+
 def cmd_solve(args):
     try:
-        cfg = runconfig.load_config(args.config)
-        base = Path(args.config).resolve().parent
-        grid, background, coeff = runconfig.build_problem(cfg, base=base)
-        geometry.validate_hypotheses(background, coeff)
-        outdir = runconfig.resolve_output_dir(cfg)
+        cfg, _, grid, background, coeff, outdir = _load_problem(args.config)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -153,15 +158,10 @@ def cmd_verify(args):
 
 def cmd_manufacture(args):
     try:
-        cfg = runconfig.load_config(args.config)
+        cfg, base, grid, background, coeff, outdir = _load_problem(args.config)
         p = cfg.problem
         if p.u_star is None:
             raise ConfigError("[problem] u_star is required for manufacture")
-        base = Path(args.config).resolve().parent
-        grid = PeriodicGrid(dim=p.n, resolution=p.resolution)
-        background = runconfig.background_from_spec(p.background, grid, p.tau, base=base)
-        parts = runconfig._split_alpha_l(p.alpha_l, p.k)
-        alpha_l = np.stack([runconfig.field_from_spec(s, grid, base=base) for s in parts])
         spec = p.u_star.strip()
         if spec.startswith("file:"):
             u_star = runconfig.field_from_spec(spec, grid, base=base)
@@ -169,8 +169,7 @@ def cmd_manufacture(args):
         else:
             jet = fieldexpr.analytic_jet(spec, grid)
             u_star = jet.value
-        coeff = solver.manufacture_alpha(u_star, alpha_l, background, p.k, jet=jet)
-        outdir = runconfig.resolve_output_dir(cfg)
+        coeff = solver.manufacture_alpha(u_star, background, coeff, jet=jet)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
 

@@ -23,19 +23,12 @@ import numpy as np
 
 __all__ = [
     "InadmissibleStateError",
-    "elementary_symmetric",
     "all_elementary_symmetric",
-    "sigma_of_matrix",
     "sigma_and_transforms",
-    "newton_transform",
     "cone_margin",
-    "in_gamma_cone",
     "matrix_cone_margin",
-    "matrix_in_gamma_cone",
     "QuotientEval",
     "quotient_eval",
-    "operator_G",
-    "grad_G",
     "homotopy_constant",
     "newton_maclaurin_constant",
 ]
@@ -77,13 +70,6 @@ def all_elementary_symmetric(lam):
     return sig
 
 
-def elementary_symmetric(lam, k):
-    """sigma_k of eigenvalue vectors along the last axis; sigma_0 = 1."""
-    lam = np.asarray(lam, dtype=np.float64)
-    _check_order(k, lam.shape[-1])
-    return all_elementary_symmetric(lam)[..., k]
-
-
 def sigma_and_transforms(M, kmax):
     """sigma_0..sigma_kmax and Newton transforms T_0..T_kmax of M.
 
@@ -120,27 +106,6 @@ def sigma_and_transforms(M, kmax):
     return sig, T
 
 
-def sigma_of_matrix(M, k):
-    """sigma_k of the eigenvalues of M, via the trace recursion (no eigensolve)."""
-    M = np.asarray(M, dtype=np.float64)
-    _check_order(k, M.shape[-1])
-    sig, _ = sigma_and_transforms(M, k)
-    return sig[..., k]
-
-
-def newton_transform(M, k):
-    """T_k(M) = sum_{j<=k} (-1)^j sigma_{k-j}(M) M^j, shape (..., n, n).
-
-    trace(T_{k-1} M) = k sigma_k and trace(T_{k-1}) = (n-k+1) sigma_{k-1}.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"Newton transform order k={k} outside [0, {n - 1}]")
-    _, T = sigma_and_transforms(M, k)
-    return T[k]
-
-
 def cone_margin(lam, k):
     """min_{1<=j<=k} sigma_j for eigenvalue vectors: > 0 iff inside Gamma_k."""
     lam = np.asarray(lam, dtype=np.float64)
@@ -151,11 +116,6 @@ def cone_margin(lam, k):
     return sig[..., 1 : k + 1].min(axis=-1)
 
 
-def in_gamma_cone(lam, k, margin=0.0):
-    """Strict Gamma_k test for eigenvalue vectors; margin shrinks the cone."""
-    return cone_margin(lam, k) > margin
-
-
 def matrix_cone_margin(M, k):
     """min_{1<=j<=k} sigma_j(M) via the trace recursion."""
     M = np.asarray(M, dtype=np.float64)
@@ -164,11 +124,6 @@ def matrix_cone_margin(M, k):
         return np.full(M.shape[:-2], np.inf)
     sig, _ = sigma_and_transforms(M, k)
     return sig[..., 1 : k + 1].min(axis=-1)
-
-
-def matrix_in_gamma_cone(M, k, margin=0.0):
-    """Strict Gamma_k test for symmetric matrices."""
-    return matrix_cone_margin(M, k) > margin
 
 
 @dataclass(frozen=True)
@@ -242,19 +197,6 @@ def quotient_eval(M, k, beta=None, want_grad=False, check=True):
         if k >= 2:
             grad -= (num / skm1**2)[..., None, None] * T[k - 2]
     return QuotientEval(sigma=sig, value=value, gl=gl, grad=grad)
-
-
-def operator_G(M, k, beta=None):
-    """G(M) on Gamma_{k-1}: the sigma_k/sigma_{k-1} quotient minus the
-    beta-weighted lower quotients.  Raises InadmissibleStateError outside
-    the cone."""
-    return quotient_eval(M, k, beta, want_grad=False, check=True).value
-
-
-def grad_G(M, k, beta=None):
-    """dG/dM, shape (..., n, n); symmetric positive definite on Gamma_{k-1}
-    whenever beta >= 0."""
-    return quotient_eval(M, k, beta, want_grad=True, check=True).grad
 
 
 def homotopy_constant(n, k):

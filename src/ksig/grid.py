@@ -23,7 +23,6 @@ __all__ = [
     "l2_norm",
     "write_field",
     "read_field",
-    "export_csv",
 ]
 
 _MAGIC = b"KSIG"
@@ -185,15 +184,3 @@ def read_field(path, grid=None):
         )
     return file_grid, values
 
-
-def export_csv(path, grid, values):
-    """Plain-text export, header i1,...,in,value, one node per row (row-major)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    cols = ",".join(f"i{a + 1}" for a in range(grid.dim))
-    lines = [f"{cols},value"]
-    flat = values.ravel()
-    for pos, idx in enumerate(np.ndindex(grid.shape)):
-        lines.append(",".join(str(i) for i in idx) + f",{float(flat[pos])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

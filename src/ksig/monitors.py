@@ -16,13 +16,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import cones, operator, sampling
+from . import cones, sampling
 from .grid import sup_norm
 
 __all__ = [
     "MonitorReport",
     "CSV_HEADER",
-    "snapshot",
     "snapshot_point",
     "write_monitor_csv",
     "read_monitor_csv",
@@ -31,7 +30,6 @@ __all__ = [
     "run_lemma_suite",
     "TraceSummary",
     "estimate_trace_series",
-    "max_point_diagnostic",
 ]
 
 CSV_FIELDS = (
@@ -75,9 +73,7 @@ class MonitorReport:
 
 
 def snapshot_point(state, background, coeff, newton_iters):
-    """Build a MonitorReport from an already-evaluated PointState."""
-    if state.grad is None:
-        state = operator.evaluate(state.u, state.t, background, coeff, want_grad=True)
+    """Build a MonitorReport from a PointState evaluated with want_grad=True."""
     k = coeff.k
     sig = state.sigma
     grad_norm = np.sqrt(np.einsum("...i,...i->...", state.jet.gradient, state.jet.gradient))
@@ -111,19 +107,6 @@ def snapshot_point(state, background, coeff, newton_iters):
         eq33_slack=eq33,
         newton_iters=int(newton_iters),
     )
-
-
-def snapshot(state, background, coeff, newton_iters=None):
-    """MonitorReport for any object exposing .u and .t (or a PointState)."""
-    if isinstance(state, operator.PointState):
-        point = state
-        iters = 0 if newton_iters is None else newton_iters
-    else:
-        point = operator.evaluate(
-            np.asarray(state.u, dtype=np.float64), float(state.t), background, coeff, want_grad=True
-        )
-        iters = newton_iters if newton_iters is not None else getattr(state, "newton_iters", 0)
-    return snapshot_point(point, background, coeff, iters)
 
 
 def _warn_ratio_branch(sig, k, n):
@@ -174,6 +157,11 @@ def read_monitor_csv(path):
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(CSV_FIELDS):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"expected {len(CSV_FIELDS)}"
+                )
             vals = [float(v) for v in row[:-1]]
             reports.append(MonitorReport(*vals, newton_iters=int(row[-1])))
     return reports
@@ -426,7 +414,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# series summaries and the max-point diagnostic
+# series summaries
 
 
 @dataclass(frozen=True)
@@ -477,45 +465,3 @@ def estimate_trace_series(reports):
         maxima=maxima, minima=minima, blow_up=blow_up, warnings=tuple(notes)
     )
 
-
-def max_point_diagnostic(state, background, coeff):
-    """Evaluate the max-point reasoning at the discrete argmax of u.
-
-    At a smooth interior maximum the gradient vanishes and the Hessian is
-    negative semidefinite; a grid argmax only approximates that point, so
-    this reports the observed values and warns (never fails) when they are
-    far from the smooth picture.
-    """
-    if not isinstance(state, operator.PointState):
-        state = operator.evaluate(
-            np.asarray(state.u, dtype=np.float64), float(state.t), background, coeff
-        )
-    node = np.unravel_index(int(np.argmax(state.u)), state.u.shape)
-    node = tuple(int(i) for i in node)
-    grad = state.jet.gradient[node]
-    hess = state.jet.hessian[node]
-    eigs = np.linalg.eigvalsh(hess)
-    info = {
-        "node": node,
-        "u_max": float(state.u[node]),
-        "grad_norm": float(np.sqrt((grad * grad).sum())),
-        "hessian_max_eig": float(eigs[-1]),
-        "cone_margin": float(state.margin[node]),
-    }
-    h = background.grid.spacing
-    if info["hessian_max_eig"] > 1e-8:
-        warnings.warn(
-            "discrete argmax violates the second-derivative test "
-            f"(max Hessian eigenvalue {info['hessian_max_eig']:.3e}); grid maxima "
-            "only approximate the smooth max-point argument",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    elif info["grad_norm"] > 10.0 * h:
-        warnings.warn(
-            f"gradient at the discrete argmax is {info['grad_norm']:.3e}, "
-            "large for a near-critical point at this resolution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return info

@@ -25,7 +25,6 @@ Grammar (all keys optional unless noted):
     csv = true
     json = true
     svg = true
-    seed = 42
 
 Field expressions are sums of terms `coeff * factor * ...` where each factor
 is sin(xJ) or cos(xJ); that closed set covers every built-in problem.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +61,8 @@ class ConfigError(ValueError):
 
 
 _PROBLEM_KEYS = {"n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"}
-_SOLVER_KEYS = {
-    "residual_tol",
-    "max_newton",
-    "dt_init",
-    "dt_min",
-    "damping_shrink",
-    "cone_margin",
-    "linear_rtol",
-    "linear_maxiter",
-}
-_OUTPUT_KEYS = {"directory", "csv", "json", "svg", "seed"}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
+_OUTPUT_KEYS = {"directory", "csv", "json", "svg"}
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,6 @@ class OutputConfig:
     csv: bool
     json: bool
     svg: bool
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -101,38 +90,6 @@ class RunConfig:
     problem: ProblemConfig
     solver: SolverConfig
     output: OutputConfig
-
-    def echo(self):
-        """Plain dict of every setting; sufficient to reproduce the run."""
-        return {
-            "problem": {
-                "n": self.problem.n,
-                "k": self.problem.k,
-                "tau": self.problem.tau,
-                "resolution": self.problem.resolution,
-                "background": self.problem.background,
-                "alpha": self.problem.alpha,
-                "alpha_l": self.problem.alpha_l,
-                "u_star": self.problem.u_star,
-            },
-            "solver": {
-                "residual_tol": self.solver.residual_tol,
-                "max_newton": self.solver.max_newton,
-                "dt_init": self.solver.dt_init,
-                "dt_min": self.solver.dt_min,
-                "damping_shrink": self.solver.damping_shrink,
-                "cone_margin": self.solver.cone_margin,
-                "linear_rtol": self.solver.linear_rtol,
-                "linear_maxiter": self.solver.linear_maxiter,
-            },
-            "output": {
-                "directory": self.output.directory,
-                "csv": self.output.csv,
-                "json": self.output.json,
-                "svg": self.output.svg,
-                "seed": self.output.seed,
-            },
-        }
 
 
 def _check_keys(parser, section, allowed):
@@ -190,24 +147,18 @@ def load_config(path):
         alpha_l=_get(parser, "problem", "alpha_l", str, "1").strip(),
         u_star=_get(parser, "problem", "u_star", str, None),
     )
+    # every SolverConfig field has a default, whose type is the key's type
     solver_cfg = SolverConfig(
-        k=problem.k,
-        tau=problem.tau,
-        residual_tol=_get(parser, "solver", "residual_tol", float, 1e-9),
-        max_newton=_get(parser, "solver", "max_newton", int, 30),
-        dt_init=_get(parser, "solver", "dt_init", float, 0.1),
-        dt_min=_get(parser, "solver", "dt_min", float, 1e-4),
-        damping_shrink=_get(parser, "solver", "damping_shrink", float, 0.5),
-        cone_margin=_get(parser, "solver", "cone_margin", float, 1e-10),
-        linear_rtol=_get(parser, "solver", "linear_rtol", float, 1e-10),
-        linear_maxiter=_get(parser, "solver", "linear_maxiter", int, 400),
+        **{
+            f.name: _get(parser, "solver", f.name, type(f.default), f.default)
+            for f in fields(SolverConfig)
+        }
     )
     output = OutputConfig(
         directory=_get(parser, "output", "directory", str, "ksig-out"),
         csv=_get(parser, "output", "csv", bool, True),
         json=_get(parser, "output", "json", bool, True),
         svg=_get(parser, "output", "svg", bool, True),
-        seed=_get(parser, "output", "seed", int, 42),
     )
     return RunConfig(problem=problem, solver=solver_cfg, output=output)
 
@@ -221,13 +172,7 @@ def field_from_spec(spec, grid, base=None):
             path = Path(base) / path
         _, values = read_field(path, grid)
         return values
-    expr = fieldexpr.parse_field_expr(spec)
-    if expr.max_axis() >= grid.dim:
-        raise ConfigError(
-            f"expression {spec!r} uses x{expr.max_axis() + 1} but the grid has "
-            f"dimension {grid.dim}"
-        )
-    return fieldexpr.evaluate(expr, grid) + np.zeros(grid.shape)
+    return fieldexpr.evaluate(spec, grid)
 
 
 def background_from_spec(spec, grid, tau, base=None):

@@ -11,14 +11,14 @@ inside Gamma_{k-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import cones, operator
-from .geometry import HypothesisViolation, assemble_U, validate_hypotheses
-from .grid import compute_jet, sup_norm
+from .geometry import validate_hypotheses
+from .grid import sup_norm
 
 __all__ = [
     "SolverConfig",
@@ -32,17 +32,17 @@ __all__ = [
     "newton_solve_at_t",
     "continuation_run",
     "manufacture_alpha",
-    "ManufacturedProblem",
-    "manufactured_problem",
 ]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and safeguards for one continuation run."""
+    """Tolerances and safeguards for one continuation run.
 
-    k: int
-    tau: float = 0.0
+    k and tau are not settings here: the solver reads coeff.k and
+    background.tau.
+    """
+
     residual_tol: float = 1e-9
     max_newton: int = 30
     dt_init: float = 0.1
@@ -53,10 +53,6 @@ class SolverConfig:
     linear_maxiter: int = 400
 
     def __post_init__(self):
-        if not self.tau < 1.0:
-            raise HypothesisViolation(
-                f"hypothesis violated: tau < 1 required, got tau={self.tau}"
-            )
         for name in ("residual_tol", "cone_margin", "linear_rtol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -113,15 +109,6 @@ class ContinuationState:
     residual_norm: float
     newton_iters: int
     step_log: list = field(default_factory=list)
-
-
-def _check_coherent(background, coeff, config):
-    if config.k != coeff.k:
-        raise ValueError(f"config k={config.k} disagrees with coefficient k={coeff.k}")
-    if config.tau != background.tau:
-        raise ValueError(
-            f"config tau={config.tau} disagrees with background tau={background.tau}"
-        )
 
 
 def residual(u, t, background, coeff, config):
@@ -280,7 +267,6 @@ def continuation_run(background, coeff, config):
     """
     from . import monitors
 
-    _check_coherent(background, coeff, config)
     validate_hypotheses(background, coeff)
     grid = background.grid
     log = []
@@ -332,75 +318,21 @@ def continuation_run(background, coeff, config):
     return state, reports
 
 
-def _stack_alpha_l(alpha_l, grid, k):
-    """Normalize scalars / lists of scalars-or-fields to shape (k-1, *shape)."""
-    if np.isscalar(alpha_l):
-        return np.full((k - 1,) + grid.shape, float(alpha_l))
-    parts = []
-    for entry in alpha_l:
-        if np.isscalar(entry):
-            parts.append(np.full(grid.shape, float(entry)))
-        else:
-            parts.append(np.asarray(entry, dtype=np.float64))
-    out = np.stack(parts)
-    if out.shape != (k - 1,) + grid.shape:
-        raise ValueError(f"alpha_l must provide k-1={k - 1} fields, got {out.shape}")
-    return out
-
-
-def manufacture_alpha(u_star, alpha_l, background, k, *, jet=None):
+def manufacture_alpha(u_star, background, coeff, *, jet=None):
     """Back-solve the t=1 equation for alpha so u_star is its exact root.
 
         alpha = -e^{-2 u*} [sigma_k/sigma_{k-1}(U*) - sum_l alpha_l e^{2(k-l)u*}
                             sigma_l/sigma_{k-1}(U*)]
 
-    alpha carries no sign constraint.  Pass the analytic `jet` of u_star to
-    manufacture against exact derivatives (convergence studies); otherwise
-    the stencil jet is used and the construction residual is identically
-    zero at this resolution.  Rejects u_star whose U* leaves Gamma_{k-1}.
+    Returns `coeff` with alpha replaced; its alpha_l enter the equation and
+    its own alpha is ignored.  alpha carries no sign constraint.  Pass the
+    analytic `jet` of u_star to manufacture against exact derivatives
+    (convergence studies); otherwise the stencil jet is used and the
+    construction residual is identically zero at this resolution.  Rejects
+    u_star whose U* leaves Gamma_{k-1}.
     """
-    from .geometry import CoefficientData
-
-    grid = background.grid
-    u = np.asarray(u_star, dtype=np.float64)
-    if jet is None:
-        jet = compute_jet(grid, u)
-    al = _stack_alpha_l(alpha_l, grid, k)
-    U = assemble_U(jet, background, 1.0)
-    ls = np.arange(k - 1)
-    beta1 = np.moveaxis(al, 0, -1) * np.exp(2.0 * (k - ls) * u[..., None])
-    ev = cones.quotient_eval(U, k, beta1, check=False)
-    marg = ev.sigma[..., 1:k].min(axis=-1)
-    low = marg.min()
-    if not low > 0.0:
-        node = np.unravel_index(int(np.argmin(marg)), marg.shape)
-        node = tuple(int(i) for i in node)
-        eigs = np.linalg.eigvalsh(U[node])
-        raise cones.InadmissibleStateError(
-            f"u_star rejected: U(u_star) leaves Gamma_{k - 1} at node {node} "
-            f"(margin {low:.3e}, eigenvalues {eigs.tolist()})",
-            sigma=ev.sigma[node],
-            node=node,
-        )
-    alpha = -np.exp(-2.0 * u) * ev.value
-    return CoefficientData(grid=grid, k=k, alpha=alpha, alpha_l=al)
-
-
-@dataclass(frozen=True)
-class ManufacturedProblem:
-    """A chosen exact solution and the coefficient data built around it."""
-
-    u_star: np.ndarray
-    jet: object
-    background: object
-    coeff: object
-
-
-def manufactured_problem(u_star_expr, alpha_l, background, k):
-    """Build a ManufacturedProblem from a field expression, using its
-    analytic jet for the construction."""
-    from .fieldexpr import analytic_jet
-
-    jet = analytic_jet(u_star_expr, background.grid)
-    coeff = manufacture_alpha(jet.value, alpha_l, background, k, jet=jet)
-    return ManufacturedProblem(u_star=jet.value, jet=jet, background=background, coeff=coeff)
+    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly
+    state = operator.evaluate(u_star, 1.0, background, coeff, jet=jet)
+    if not state.margin.min() > 0.0:
+        raise operator.admissibility_failure(state, 0.0, "u_star rejected")
+    return replace(coeff, alpha=-np.exp(-2.0 * state.u) * state.value)

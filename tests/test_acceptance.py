@@ -11,6 +11,7 @@ import pytest
 
 from ksig import cones, geometry, monitors, solver
 from ksig.cli import main
+from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, l2_norm, read_field, sup_norm, write_field
 
 CONE_PAIRS = ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5))
@@ -69,7 +70,7 @@ def test_criterion_2_linearization(capsys):
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     rng = np.random.default_rng(2024)
     eps = 1e-6
     worst_rel = 0.0
@@ -106,19 +107,18 @@ def test_criterion_3_trivial_anchor(capsys):
     grid = make_grid(3, 16)
     wiggle = -(1.0 + 0.2 * np.sin(coordinate_field(grid, 0)))
     backgrounds = [
-        (geometry.flat_background(grid, tau=0.0), 0.0),
-        (geometry.flat_background(grid, tau=0.5), 0.5),
-        (geometry.flat_background(grid, tau=0.2, B=rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T), 0.2),
-        (geometry.flat_background(grid, tau=0.0, B=geometry.spaceform_schouten(-1.0, 3, 0.0)), 0.0),
-        (geometry.flat_background(grid, tau=0.0, B=wiggle[..., None, None] * np.eye(3)), 0.0),
+        geometry.flat_background(grid, tau=0.0),
+        geometry.flat_background(grid, tau=0.5),
+        geometry.flat_background(grid, tau=0.2, B=rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T),
+        geometry.flat_background(grid, tau=0.0, B=geometry.spaceform_schouten(-1.0, 3, 0.0)),
+        geometry.flat_background(grid, tau=0.0, B=wiggle[..., None, None] * np.eye(3)),
     ]
+    cfg = solver.SolverConfig()
     worst_anchor = 0.0
-    for bg, tau in backgrounds:
-        cfg = solver.SolverConfig(k=3, tau=tau)
+    for bg in backgrounds:
         r = solver.residual(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3), cfg)
         worst_anchor = max(worst_anchor, sup_norm(r))
     # perturb off the root and watch Newton walk back
-    cfg = solver.SolverConfig(k=3, tau=0.0)
     bg = geometry.flat_background(grid, tau=0.0)
     res = solver.newton_solve_at_t(
         0.01 * np.sin(coordinate_field(grid, 0)), 0.0, bg, trivial_coeff(grid, 3), cfg
@@ -136,14 +136,18 @@ def test_criterion_3_trivial_anchor(capsys):
 
 def test_criterion_4_manufactured_convergence(capsys):
     t0 = time.perf_counter()
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     errs = {}
     for N in (16, 32):
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
-        prob = solver.manufactured_problem("0.1*sin(x1)*cos(x2)", 1.0, bg, 3)
-        res = solver.newton_solve_at_t(prob.u_star, 1.0, bg, prob.coeff, cfg)
-        errs[N] = sup_norm(res.u - prob.u_star)
+        jet = analytic_jet("0.1*sin(x1)*cos(x2)", grid)
+        coeff = geometry.CoefficientData(
+            grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((2,) + grid.shape)
+        )
+        coeff = solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
+        res = solver.newton_solve_at_t(jet.value, 1.0, bg, coeff, cfg)
+        errs[N] = sup_norm(res.u - jet.value)
     order = float(np.log2(errs[16] / errs[32]))
     elapsed = time.perf_counter() - t0
     ok = 1.8 <= order <= 2.2 and elapsed <= 300.0
@@ -160,7 +164,7 @@ def test_criterion_5_continuation_to_t1(capsys):
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)  # B = -identity
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     state, reports = solver.continuation_run(bg, coeff, cfg)
     elapsed = time.perf_counter() - t0
     # the cone margin is the node-wise minimum over sigma_1..sigma_{k-1},

@@ -7,6 +7,7 @@ from textwrap import dedent
 import pytest
 
 from ksig.cli import main
+from ksig.monitors import CSV_HEADER
 
 BASE_CONFIG = """\
 [problem]
@@ -51,7 +52,23 @@ def test_solve_default_problem(tmp_path, capsys):
     assert summary["t_final"] == 1.0
     assert summary["residual_sup"] <= 1e-9
     assert summary["stalled"] is False
-    assert summary["config"]["problem"]["n"] == 3
+    config = summary["config"]
+    assert config["problem"]["n"] == 3
+    assert set(config) == {"problem", "solver", "output"}
+    assert set(config["problem"]) == {
+        "n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"
+    }
+    assert set(config["solver"]) == {
+        "residual_tol",
+        "max_newton",
+        "dt_init",
+        "dt_min",
+        "damping_shrink",
+        "cone_margin",
+        "linear_rtol",
+        "linear_maxiter",
+    }
+    assert set(config["output"]) == {"directory", "csv", "json", "svg"}
     assert "version" in summary
     assert "reached t=1.0" in capsys.readouterr().out
 
@@ -86,6 +103,7 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"tau = 0.0": "tau = 1.5"}, "tau"),
         ({"alpha_l = 1.0": "alpha_l = 0.0, 1.0"}, "alpha_0"),
         ({"background = hyperbolic-like": "background = spaceform:1.0"}, "Gamma_3"),
+        ({"alpha = 0.2*sin(x1)": "alpha = 0.2*sin(x4)"}, "x4"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -258,6 +276,16 @@ def test_manufacture_rejects_inadmissible_amplitude(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_manufacture_rejects_tau_at_gating(tmp_path, capsys):
+    outdir = tmp_path / "manu"
+    cfg = write_config(
+        tmp_path, MANU_CONFIG.format(outdir=outdir).replace("tau = 0.0", "tau = 1.5")
+    )
+    assert main(["manufacture", str(cfg)]) == 2
+    assert "tau" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_manufacture_requires_u_star(tmp_path, capsys):
     cfg = default_config(tmp_path)
     assert main(["manufacture", str(cfg)]) == 2
@@ -302,6 +330,16 @@ def test_report_malformed_csv(tmp_path, capsys):
     (tmp_path / "monitors.csv").write_text("bogus,header\n1,2\n")
     assert main(["report", str(tmp_path)]) == 2
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row", ["0.0,0.0,0.0,3", ",".join(["0.0"] * 10) + ",3"], ids=["short", "long"]
+)
+def test_report_torn_csv_row(tmp_path, capsys, row):
+    (tmp_path / "monitors.csv").write_text(f"{CSV_HEADER}\n{row}\n")
+    assert main(["report", str(tmp_path)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_report_without_summary_still_renders(tmp_path):

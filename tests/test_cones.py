@@ -24,6 +24,27 @@ def packed_indices(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def sigma(lam, k):
+    return cones.all_elementary_symmetric(lam)[..., k]
+
+
+def matrix_sigma(M, k):
+    return cones.sigma_and_transforms(M, k)[0][..., k]
+
+
+def transform(M, k):
+    """Newton transform T_k(M), the gradient of sigma_{k+1}."""
+    return cones.sigma_and_transforms(M, k)[1][k]
+
+
+def g_value(M, k, beta=None):
+    return cones.quotient_eval(M, k, beta, check=True).value
+
+
+def g_grad(M, k, beta=None):
+    return cones.quotient_eval(M, k, beta, want_grad=True, check=True).grad
+
+
 def perturb(M, i, j, eps):
     out = M.copy()
     out[i, j] += eps
@@ -36,29 +57,31 @@ def perturb(M, i, j, eps):
 
 
 def test_sigma_all_ones():
-    assert cones.elementary_symmetric([1.0, 1.0, 1.0], 2) == 3.0
+    assert sigma([1.0, 1.0, 1.0], 2) == 3.0
 
 
 def test_sigma_constant_two():
-    assert cones.elementary_symmetric([2.0, 2.0, 2.0], 3) == 8.0
+    assert sigma([2.0, 2.0, 2.0], 3) == 8.0
 
 
 def test_sigma_123_against_enumeration():
     lam = [1, 2, 3]
     expected = sigma_enum(lam, 2)
     assert expected == 11
-    assert cones.elementary_symmetric(lam, 2) == expected
+    assert sigma(lam, 2) == expected
 
 
 def test_sigma_zero_convention():
-    assert cones.elementary_symmetric([5.0, -3.0, 2.0], 0) == 1.0
+    assert sigma([5.0, -3.0, 2.0], 0) == 1.0
 
 
 def test_sigma_domain_errors():
     with pytest.raises(ValueError):
-        cones.elementary_symmetric([1.0, 2.0, 3.0], 4)
+        cones.cone_margin([1.0, 2.0, 3.0], 4)
     with pytest.raises(ValueError):
-        cones.elementary_symmetric([1.0, 2.0, 3.0], -1)
+        cones.cone_margin([1.0, 2.0, 3.0], -1)
+    with pytest.raises(ValueError):
+        cones.sigma_and_transforms(np.diag([1.0, 2.0, 3.0]), 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,7 +91,7 @@ def test_sigma_domain_errors():
 )
 def test_sigma_matches_enumeration_exactly_on_integers(lam, data):
     k = data.draw(st.integers(min_value=0, max_value=len(lam)))
-    assert cones.elementary_symmetric(lam, k) == float(sigma_enum(lam, k))
+    assert sigma(lam, k) == float(sigma_enum(lam, k))
 
 
 def test_sigma_batched_shape():
@@ -84,11 +107,11 @@ def test_sigma_batched_shape():
 
 def test_matrix_sigma_diag_123():
     M = np.diag([1.0, 2.0, 3.0])
-    assert cones.sigma_of_matrix(M, 2) == 11.0
+    assert matrix_sigma(M, 2) == 11.0
 
 
 def test_matrix_sigma_identity_n4():
-    assert cones.sigma_of_matrix(np.eye(4), 2) == 6.0
+    assert matrix_sigma(np.eye(4), 2) == 6.0
 
 
 def test_matrix_sigma_rotation_invariance():
@@ -96,8 +119,8 @@ def test_matrix_sigma_rotation_invariance():
     lam = rng.uniform(-2.0, 2.0, size=(64, 4))
     M = sampling.conjugate_by_rotations(rng, lam)
     for k in range(5):
-        want = cones.elementary_symmetric(lam, k)
-        got = cones.sigma_of_matrix(M, k)
+        want = sigma(lam, k)
+        got = matrix_sigma(M, k)
         scale = np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) / scale < 1e-10)
 
@@ -109,8 +132,8 @@ def test_matrix_sigma_vs_eigendecomposition():
         M = 0.5 * (A + A.swapaxes(-1, -2))
         lam = np.linalg.eigvalsh(M)
         for k in range(n + 1):
-            want = cones.elementary_symmetric(lam, k)
-            got = cones.sigma_of_matrix(M, k)
+            want = sigma(lam, k)
+            got = matrix_sigma(M, k)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -122,7 +145,7 @@ def test_matrix_path_distinct_random_relative_1e12():
     M = sampling.conjugate_by_rotations(rng, lam)
     for k in range(6):
         want = np.array([float(sigma_enum(list(v), k)) for v in lam])
-        got = cones.sigma_of_matrix(M, k)
+        got = matrix_sigma(M, k)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
@@ -131,13 +154,13 @@ def test_matrix_path_distinct_random_relative_1e12():
 
 def test_newton_transform_t0_is_identity():
     M = np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
-    assert np.array_equal(cones.newton_transform(M, 0), np.eye(3))
+    assert np.array_equal(transform(M, 0), np.eye(3))
 
 
 def test_newton_transform_identity_matrix():
     for n in (3, 4, 5):
         for k in range(1, n):
-            T = cones.newton_transform(np.eye(n), k)
+            T = transform(np.eye(n), k)
             assert np.allclose(T, math.comb(n - 1, k) * np.eye(n))
 
 
@@ -164,14 +187,17 @@ def test_newton_transform_is_sigma_gradient():
     V = 0.5 * (V + V.T)
     eps = 1e-6
     for k in range(1, n + 1):
-        fd = (cones.sigma_of_matrix(M + eps * V, k) - cones.sigma_of_matrix(M - eps * V, k)) / (2 * eps)
-        want = np.sum(cones.newton_transform(M, k - 1) * V)
+        fd = (matrix_sigma(M + eps * V, k) - matrix_sigma(M - eps * V, k)) / (2 * eps)
+        want = np.sum(transform(M, k - 1) * V)
         assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_newton_transform_order_bounds():
+    # T_n vanishes (Cayley-Hamilton) and orders beyond n are refused
+    _, T = cones.sigma_and_transforms(np.diag([1.0, 2.0, 3.0]), 3)
+    assert np.allclose(T[3], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        cones.newton_transform(np.eye(3), 3)
+        cones.sigma_and_transforms(np.eye(3), 4)
 
 
 # ---------------------------------------------------------------- cones
@@ -180,21 +206,21 @@ def test_newton_transform_order_bounds():
 def test_in_gamma_cone_all_ones():
     lam = np.ones(4)
     for k in range(1, 5):
-        assert cones.in_gamma_cone(lam, k)
+        assert cones.cone_margin(lam, k) > 0
 
 
 def test_in_gamma_cone_mixed_example():
     lam = np.array([-1.0, 5.0, 5.0])
-    assert cones.elementary_symmetric(lam, 1) == 9.0
-    assert cones.elementary_symmetric(lam, 2) == 15.0
-    assert cones.in_gamma_cone(lam, 2)
-    assert not cones.in_gamma_cone(lam, 3)  # sigma_3 = -25
+    assert sigma(lam, 1) == 9.0
+    assert sigma(lam, 2) == 15.0
+    assert cones.cone_margin(lam, 2) > 0
+    assert not cones.cone_margin(lam, 3) > 0  # sigma_3 = -25
 
 
 def test_in_gamma_cone_strictness_at_zero():
     lam = np.zeros(3)
     for k in range(1, 4):
-        assert not cones.in_gamma_cone(lam, k)
+        assert not cones.cone_margin(lam, k) > 0
 
 
 def test_matrix_cone_matches_eigenvalue_cone():
@@ -202,8 +228,8 @@ def test_matrix_cone_matches_eigenvalue_cone():
     lam = rng.uniform(-1.0, 2.0, size=(200, 3))
     M = sampling.conjugate_by_rotations(rng, lam)
     for k in (1, 2, 3):
-        a = cones.in_gamma_cone(lam, k, margin=1e-9)
-        b = cones.matrix_in_gamma_cone(M, k, margin=1e-9)
+        a = cones.cone_margin(lam, k) > 1e-9
+        b = cones.matrix_cone_margin(M, k) > 1e-9
         # near-boundary samples may flip under rotation roundoff; exclude them
         clear = np.abs(cones.cone_margin(lam, k) - 1e-9) > 1e-6
         assert np.array_equal(a[clear], b[clear])
@@ -217,9 +243,9 @@ def test_matrix_cone_matches_eigenvalue_cone():
 def test_cone_nesting(lam, data):
     n = len(lam)
     k = data.draw(st.integers(min_value=2, max_value=n))
-    if cones.in_gamma_cone(lam, k):
+    if cones.cone_margin(lam, k) > 0:
         for j in range(1, k):
-            assert cones.in_gamma_cone(lam, j)
+            assert cones.cone_margin(lam, j) > 0
 
 
 def test_gamma2_pinching():
@@ -227,7 +253,7 @@ def test_gamma2_pinching():
     rng = sampling.generator(77)
     for n in (3, 4, 5):
         lam = sampling.gamma_eigenvalues(rng, 2000, n, 2)
-        assert np.all(np.abs(lam).max(axis=-1) < cones.elementary_symmetric(lam, 1))
+        assert np.all(np.abs(lam).max(axis=-1) < sigma(lam, 1))
 
 
 # ---------------------------------------------------------------- operator G
@@ -237,24 +263,24 @@ def test_operator_G_identity_with_homotopy_weight_is_zero():
     for n, k in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)]:
         c = cones.homotopy_constant(n, k)
         beta = np.full(k - 1, c)
-        val = cones.operator_G(np.eye(n), k, beta)
+        val = g_value(np.eye(n), k, beta)
         assert abs(val) < 1e-14
 
 
 def test_operator_G_identity_beta_zero():
-    assert abs(cones.operator_G(np.eye(3), 3) - 1.0 / 3.0) < 1e-15
+    assert abs(g_value(np.eye(3), 3) - 1.0 / 3.0) < 1e-15
 
 
 def test_operator_G_k2_example():
     M = np.diag([2.0, 1.0, 1.0])
-    val = cones.operator_G(M, 2, np.zeros(1))
+    val = g_value(M, 2, np.zeros(1))
     assert val == pytest.approx(5.0 / 4.0, abs=1e-15)
 
 
 def test_operator_G_cone_violation_carries_sigmas():
     M = np.diag([1.0, 1.0, -1.0])  # sigma_2 = -1
     with pytest.raises(cones.InadmissibleStateError) as info:
-        cones.operator_G(M, 3, np.zeros(2))
+        g_value(M, 3, np.zeros(2))
     assert info.value.sigma is not None
     assert info.value.sigma[2] == pytest.approx(-1.0)
 
@@ -263,8 +289,8 @@ def test_operator_G_batched_beta_fields():
     rng = sampling.generator(3)
     M = sampling.gamma_matrices(rng, 50, 3, 2, margin=1e-3)
     beta = rng.uniform(0.0, 2.0, size=(50, 2))
-    got = cones.operator_G(M, 3, beta)
-    sig = np.stack([cones.sigma_of_matrix(M, j) for j in range(4)], axis=-1)
+    got = g_value(M, 3, beta)
+    sig = np.stack([matrix_sigma(M, j) for j in range(4)], axis=-1)
     want = sig[:, 3] / sig[:, 2] - (beta[:, 0] * sig[:, 0] + beta[:, 1] * sig[:, 1]) / sig[:, 2]
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -274,7 +300,7 @@ def test_operator_G_batched_beta_fields():
 
 def test_grad_G_identity_is_scaled_identity():
     for n, k in [(3, 3), (4, 3), (5, 3), (5, 5)]:
-        g = cones.grad_G(np.eye(n), k)
+        g = g_grad(np.eye(n), k)
         tr = np.trace(g)
         assert np.allclose(g, (tr / n) * np.eye(n), atol=1e-14)
         assert tr >= (n - k + 1) / k - 1e-12
@@ -282,7 +308,7 @@ def test_grad_G_identity_is_scaled_identity():
 
 def test_grad_G_identity_trace_equality_beta_zero():
     # (n-k+1)/k with equality at the identity: arithmetic (3*3 - 1*6)/9 = 1/3
-    g = cones.grad_G(np.eye(3), 3)
+    g = g_grad(np.eye(3), 3)
     assert np.trace(g) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
@@ -291,12 +317,12 @@ def test_grad_G_matches_finite_differences():
     for n, k in [(3, 3), (4, 3), (5, 4)]:
         M = sampling.gamma_matrices(rng, 6, n, k - 1, margin=0.2)
         beta = rng.uniform(0.0, 1.5, size=(6, k - 1))
-        grad = cones.grad_G(M, k, beta)
+        grad = g_grad(M, k, beta)
         eps = 1e-6
         for b in range(6):
             for i, j in packed_indices(n):
-                up = cones.operator_G(perturb(M[b], i, j, eps), k, beta[b])
-                dn = cones.operator_G(perturb(M[b], i, j, -eps), k, beta[b])
+                up = g_value(perturb(M[b], i, j, eps), k, beta[b])
+                dn = g_value(perturb(M[b], i, j, -eps), k, beta[b])
                 fd = (up - dn) / (2 * eps)
                 want = grad[b, i, j] * (1.0 if i == j else 2.0)
                 assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
@@ -307,7 +333,7 @@ def test_grad_G_positive_definite_on_samples():
     for n, k in [(3, 3), (4, 4), (5, 3)]:
         M = sampling.gamma_matrices(rng, 300, n, k - 1, margin=1e-6)
         beta = rng.uniform(0.0, 2.0, size=(300, k - 1))
-        grad = cones.grad_G(M, k, beta)
+        grad = g_grad(M, k, beta)
         assert np.allclose(grad, grad.swapaxes(-1, -2), atol=1e-12)
         eig = np.linalg.eigvalsh(grad)
         scale = np.maximum(1.0, np.abs(eig[..., -1]))
@@ -326,13 +352,13 @@ def test_operator_G_concavity_fd_hessian():
     for b in range(10):
         d = len(idx)
         H = np.zeros((d, d))
-        f0 = cones.operator_G(M[b], k, beta[b])
+        f0 = g_value(M[b], k, beta[b])
         for a, (i1, j1) in enumerate(idx):
             for c, (i2, j2) in enumerate(idx):
-                pp = cones.operator_G(perturb(perturb(M[b], i1, j1, h), i2, j2, h), k, beta[b])
-                pm = cones.operator_G(perturb(perturb(M[b], i1, j1, h), i2, j2, -h), k, beta[b])
-                mp = cones.operator_G(perturb(perturb(M[b], i1, j1, -h), i2, j2, h), k, beta[b])
-                mm = cones.operator_G(perturb(perturb(M[b], i1, j1, -h), i2, j2, -h), k, beta[b])
+                pp = g_value(perturb(perturb(M[b], i1, j1, h), i2, j2, h), k, beta[b])
+                pm = g_value(perturb(perturb(M[b], i1, j1, h), i2, j2, -h), k, beta[b])
+                mp = g_value(perturb(perturb(M[b], i1, j1, -h), i2, j2, h), k, beta[b])
+                mm = g_value(perturb(perturb(M[b], i1, j1, -h), i2, j2, -h), k, beta[b])
                 H[a, c] = (pp - pm - mp + mm) / (4 * h * h)
         H = 0.5 * (H + H.T)
         top = np.linalg.eigvalsh(H)[-1]
@@ -422,10 +448,10 @@ def test_quotient_increases_when_adding_psd():
     B = sampling.gamma_matrices(rng, 400, n, k - 1, margin=1e-6)
     A = sampling.psd_matrices(rng, 400, n, 0.0, 1.0)
     S = A + B
-    ok = cones.matrix_in_gamma_cone(S, k - 1, margin=1e-12)
+    ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
     assert ok.mean() > 0.95  # adding PSD should essentially never leave the cone
-    fB = cones.operator_G(B[ok], k)
-    fS = cones.operator_G(S[ok], k)
+    fB = g_value(B[ok], k)
+    fS = g_value(S[ok], k)
     scale = np.maximum.reduce([np.ones_like(fB), np.abs(fB), np.abs(fS)])
     assert np.all((fB - fS) / scale <= 1e-10)
 
@@ -437,7 +463,7 @@ def test_quotient_powers_increase_when_adding_psd():
     B = sampling.gamma_matrices(rng, 300, n, k - 1, margin=1e-6)
     A = sampling.psd_matrices(rng, 300, n, 0.0, 1.0)
     S = A + B
-    ok = cones.matrix_in_gamma_cone(S, k - 1, margin=1e-12)
+    ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
     sigB = cones.sigma_and_transforms(B[ok], k)[0]
     sigS = cones.sigma_and_transforms(S[ok], k)[0]
     for l in range(k - 1):
@@ -454,10 +480,10 @@ def test_quotient_decreases_when_subtracting_psd():
     B = sampling.gamma_matrices(rng, 600, n, k - 1, margin=1e-4)
     A = -0.25 * sampling.psd_matrices(rng, 600, n, 0.0, 1.0)
     S = A + B
-    ok = cones.matrix_in_gamma_cone(S, k - 1, margin=1e-12)
+    ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
     assert ok.mean() > 0.3
-    fB = cones.operator_G(B[ok], k)
-    fS = cones.operator_G(S[ok], k)
+    fB = g_value(B[ok], k)
+    fS = g_value(S[ok], k)
     scale = np.maximum.reduce([np.ones_like(fB), np.abs(fB), np.abs(fS)])
     assert np.all((fS - fB) / scale <= 1e-10)
 
@@ -467,10 +493,10 @@ def test_quotient_concavity_and_superadditivity():
     n, k = 4, 4
     P = sampling.gamma_matrices(rng, 500, n, k - 1, margin=1e-6)
     Q = sampling.gamma_matrices(rng, 500, n, k - 1, margin=1e-6)
-    fP = cones.operator_G(P, k)
-    fQ = cones.operator_G(Q, k)
-    fM = cones.operator_G(0.5 * (P + Q), k)
-    fS = cones.operator_G(P + Q, k)
+    fP = g_value(P, k)
+    fQ = g_value(Q, k)
+    fM = g_value(0.5 * (P + Q), k)
+    fS = g_value(P + Q, k)
     scale = np.maximum.reduce([np.ones_like(fP), np.abs(fP), np.abs(fQ), np.abs(fS)])
     assert np.all((0.5 * (fP + fQ) - fM) / scale <= 1e-10)
     assert np.all((fP + fQ - fS) / scale <= 1e-10)

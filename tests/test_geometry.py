@@ -64,7 +64,7 @@ def test_spaceform_examples():
     assert np.array_equal(spaceform_schouten(0.0, 4, 0.3), np.zeros((4, 4)))
     assert np.allclose(spaceform_schouten(-1.0, 4, 0.5), -1.0 * np.eye(4))
     lam = np.linalg.eigvalsh(-spaceform_schouten(-1.0, 3, 0.0))
-    assert cones.in_gamma_cone(lam, 3)
+    assert cones.cone_margin(lam, 3) > 0
 
 
 def test_spaceform_linear_in_kappa_affine_in_tau():

@@ -8,7 +8,6 @@ from ksig.grid import (
     FieldFormatError,
     PeriodicGrid,
     compute_jet,
-    export_csv,
     l2_norm,
     read_field,
     sup_norm,
@@ -178,18 +177,6 @@ def test_write_refuses_nan(tmp_path):
     values[0, 0, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         write_field(tmp_path / "f.ksig", grid, values)
-
-
-def test_csv_export(tmp_path):
-    grid = PeriodicGrid(3, 8)
-    values = np.arange(512.0).reshape(grid.shape)
-    p = tmp_path / "f.csv"
-    export_csv(p, grid, values)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "i1,i2,i3,value"
-    assert len(lines) == 1 + grid.node_count
-    assert lines[1] == "0,0,0,0.0"
-    assert lines[-1] == "7,7,7,511.0"
 
 
 # ---------------------------------------------------------------- expressions

@@ -1,8 +1,7 @@
 """Monitor snapshots, the CSV trace format, the randomized lemma suite,
-series summaries, and the max-point diagnostic."""
+and series summaries."""
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,14 +61,6 @@ def test_anchor_snapshot_frozen_values():
     assert rep.newton_iters == 2
 
 
-def test_snapshot_accepts_plain_state_object():
-    grid, bg, coeff = anchor_setup()
-    duck = SimpleNamespace(u=grid.zeros(), t=0.0, newton_iters=7)
-    rep = monitors.snapshot(duck, bg, coeff)
-    assert rep.newton_iters == 7
-    assert rep.cone_margin == 3.0
-
-
 def test_snapshot_no_warning_on_admissible_run():
     grid, bg, coeff = anchor_setup()
     state = operator.evaluate(grid.zeros(), 0.0, bg, coeff, want_grad=True)
@@ -100,7 +91,7 @@ def test_csv_header_is_stable():
 
 def test_monitor_csv_roundtrip(tmp_path):
     grid, bg, coeff = anchor_setup()
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     coeff2 = geometry.CoefficientData(
         grid=grid, k=3, alpha=0.2 * np.sin(x1), alpha_l=np.ones((2,) + grid.shape)
@@ -236,47 +227,3 @@ def test_trace_series_needs_input():
     with pytest.raises(ValueError):
         monitors.estimate_trace_series([])
 
-
-# ---------------------------------------------------------------------------
-# max-point diagnostic
-
-
-def test_max_point_diagnostic_quiet_on_smooth_field():
-    grid, bg, coeff = anchor_setup(N=16)
-    x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    x2 = grid.coordinate(1) + np.zeros(grid.shape)
-    u = 0.05 * np.sin(x1) * np.cos(x2)  # smooth max lands on a grid node
-    state = operator.evaluate(u, 0.0, bg, coeff)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        info = monitors.max_point_diagnostic(state, bg, coeff)
-    assert info["u_max"] == pytest.approx(0.05, abs=1e-12)
-    assert info["grad_norm"] <= 1e-12
-    assert info["hessian_max_eig"] <= 1e-12
-    assert info["cone_margin"] > 0
-
-
-def test_max_point_diagnostic_warns_on_cross_dominated_argmax():
-    # hand-built bump: diagonal second differences nearly flat, cross terms
-    # large, so the Hessian at the argmax has a positive eigenvalue even
-    # though every axis-aligned neighbor sits below the peak
-    grid, bg, coeff = anchor_setup(N=8)
-    eps = 1e-3
-    u = np.zeros(grid.shape)
-    u[0, 0, 0] = eps
-    for node in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]:
-        u[node] = 0.95 * eps
-    u[1, 1, 0] = u[-1, -1, 0] = 0.9 * eps
-    u[1, -1, 0] = u[-1, 1, 0] = -0.9 * eps
-    state = operator.evaluate(u, 0.0, bg, coeff)
-    with pytest.warns(RuntimeWarning, match="second-derivative"):
-        info = monitors.max_point_diagnostic(state, bg, coeff)
-    assert info["node"] == (0, 0, 0)
-    assert info["hessian_max_eig"] > 0
-
-
-def test_max_point_diagnostic_accepts_duck_state():
-    grid, bg, coeff = anchor_setup()
-    duck = SimpleNamespace(u=grid.zeros(), t=0.0)
-    info = monitors.max_point_diagnostic(duck, bg, coeff)
-    assert info["u_max"] == 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ksig import cones, geometry, operator, solver
+from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, compute_jet, l2_norm, sup_norm
 
 
@@ -31,6 +32,17 @@ def default_coeff(grid, k=3, amplitude=0.2):
     )
 
 
+def manufactured(expr, bg, k=3):
+    """u_star from `expr` and coefficients built around it from its analytic
+    jet, with alpha_l = 1."""
+    grid = bg.grid
+    jet = analytic_jet(expr, grid)
+    coeff = geometry.CoefficientData(
+        grid=grid, k=k, alpha=grid.zeros(), alpha_l=np.ones((k - 1,) + grid.shape)
+    )
+    return jet.value, solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
+
+
 def smooth_u(grid, amp=0.05):
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     x2 = grid.coordinate(1) + np.zeros(grid.shape)
@@ -42,29 +54,22 @@ def smooth_u(grid, amp=0.05):
 
 
 def test_config_rejects_tau_one():
+    # tau lives only on the background; the run refuses it before any step
+    grid = make_grid()
+    bg = geometry.flat_background(grid, tau=1.0)
     with pytest.raises(geometry.HypothesisViolation, match="tau"):
-        solver.SolverConfig(k=3, tau=1.0)
+        solver.continuation_run(bg, trivial_coeff(grid, 3), solver.SolverConfig())
 
 
 def test_config_rejects_bad_step_bounds():
     with pytest.raises(ValueError):
-        solver.SolverConfig(k=3, dt_init=0.1, dt_min=0.1)
+        solver.SolverConfig(dt_init=0.1, dt_min=0.1)
     with pytest.raises(ValueError):
-        solver.SolverConfig(k=3, dt_init=1.5)
+        solver.SolverConfig(dt_init=1.5)
     with pytest.raises(ValueError):
-        solver.SolverConfig(k=3, residual_tol=0.0)
+        solver.SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
-        solver.SolverConfig(k=3, damping_shrink=1.0)
-
-
-def test_continuation_checks_config_coherence():
-    grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
-    with pytest.raises(ValueError, match="k="):
-        solver.continuation_run(bg, coeff, solver.SolverConfig(k=4, tau=0.0))
-    with pytest.raises(ValueError, match="tau"):
-        solver.continuation_run(bg, coeff, solver.SolverConfig(k=3, tau=0.5))
+        solver.SolverConfig(damping_shrink=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +83,7 @@ def test_anchor_residual_zero(n, k):
     grid = make_grid(n, 8 if n < 5 else 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, k)
-    cfg = solver.SolverConfig(k=k, tau=0.0)
+    cfg = solver.SolverConfig()
     r = solver.residual(grid.zeros(), 0.0, bg, coeff, cfg)
     assert sup_norm(r) <= 1e-12
 
@@ -89,7 +94,7 @@ def test_anchor_independent_of_background():
     B = rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T
     bg = geometry.flat_background(grid, tau=0.2, B=B)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.2)
+    cfg = solver.SolverConfig()
     assert sup_norm(solver.residual(grid.zeros(), 0.0, bg, coeff, cfg)) <= 1e-12
 
 
@@ -98,7 +103,7 @@ def test_anchor_t1_with_matching_coefficients():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     assert sup_norm(solver.residual(grid.zeros(), 1.0, bg, coeff, cfg)) <= 1e-12
 
 
@@ -106,7 +111,7 @@ def test_residual_rejects_inadmissible_state():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     with pytest.raises(cones.InadmissibleStateError, match="node"):
         solver.residual(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
@@ -124,7 +129,7 @@ def test_linearize_constant_direction_exact_value():
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
         coeff = trivial_coeff(grid, 3)
-        cfg = solver.SolverConfig(k=3, tau=0.0)
+        cfg = solver.SolverConfig()
         out = solver.linearize_apply(grid.zeros(), 0.0, np.ones(grid.shape), bg, coeff, cfg)
         assert np.abs(out + 1.5).max() <= 1e-12
 
@@ -133,7 +138,7 @@ def test_linearize_zero_direction():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     out = solver.linearize_apply(smooth_u(grid), 0.5, np.zeros(grid.shape), bg, coeff, cfg)
     assert np.array_equal(out, np.zeros(grid.shape))
 
@@ -142,7 +147,7 @@ def test_linearize_is_linear_in_direction():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     rng = np.random.default_rng(11)
     u = smooth_u(grid)
     v = rng.standard_normal(grid.shape)
@@ -157,7 +162,7 @@ def test_linearize_matches_difference_quotient():
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     rng = np.random.default_rng(5)
     eps = 1e-6
     for trial in range(6):
@@ -179,7 +184,7 @@ def test_linearize_matches_difference_quotient_conformal_background():
     phi = 0.1 * np.cos(grid.coordinate(0) + np.zeros(grid.shape))
     bg = geometry.background_from_phi(grid, phi, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     rng = np.random.default_rng(6)
     u = smooth_u(grid, amp=0.03)
     v = rng.standard_normal(grid.shape)
@@ -214,7 +219,7 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
         bg = geometry.background_from_phi(grid, 0.1 * np.cos(x1), tau)
         t = 0.0  # the conformal tensor is inadmissible on a torus; t = 0 drops it
     coeff = default_coeff(grid, k=n)
-    cfg = solver.SolverConfig(k=n, tau=tau)
+    cfg = solver.SolverConfig()
     u = smooth_u(grid)
     v = np.random.default_rng(n).standard_normal(grid.shape)
     state = operator.evaluate(u, t, bg, coeff, want_grad=True)
@@ -236,7 +241,7 @@ def test_newton_at_anchor_zero_iterations():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     res = solver.newton_solve_at_t(grid.zeros(), 0.0, bg, coeff, cfg)
     assert res.iterations == 0
     assert res.residual_norm <= 1e-12
@@ -247,7 +252,7 @@ def test_newton_returns_to_zero():
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     u0 = 0.01 * np.sin(grid.coordinate(0) + np.zeros(grid.shape))
     res = solver.newton_solve_at_t(u0, 0.0, bg, coeff, cfg)
     assert sup_norm(res.u) <= 1e-8
@@ -258,7 +263,7 @@ def test_newton_quadratic_tail():
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     u0 = 0.01 * np.sin(grid.coordinate(0) + np.zeros(grid.shape))
     res = solver.newton_solve_at_t(u0, 0.0, bg, coeff, cfg)
     rs = res.history
@@ -273,7 +278,7 @@ def test_newton_rejects_inadmissible_start():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     with pytest.raises(cones.InadmissibleStateError, match="initial guess"):
         solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
@@ -283,7 +288,7 @@ def test_newton_iteration_limit_reported():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0, max_newton=1)
+    cfg = solver.SolverConfig(max_newton=1)
     with pytest.raises(solver.NewtonFailure, match="limit") as err:
         solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, cfg)
     assert err.value.residual is not None and err.value.residual > 0
@@ -297,7 +302,7 @@ def test_continuation_stationary_path_stays_at_zero():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     state, reports = solver.continuation_run(bg, coeff, cfg)
     assert state.t == 1.0
     assert np.array_equal(state.u, np.zeros(grid.shape))
@@ -309,7 +314,7 @@ def test_continuation_default_problem():
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     state, reports = solver.continuation_run(bg, coeff, cfg)
     assert state.t == 1.0
     assert state.residual_norm <= 1e-9
@@ -329,7 +334,7 @@ def test_continuation_validates_hypotheses_first():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0, B=np.eye(3))  # -B negative definite
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     with pytest.raises(geometry.HypothesisViolation, match="Gamma_3"):
         solver.continuation_run(bg, coeff, cfg)
 
@@ -340,7 +345,7 @@ def test_continuation_stall_carries_last_state():
     coeff = default_coeff(grid)
     # one Newton iteration is never enough at dt=0.2, and dt_min forbids
     # halving below 0.15, so the very first step stalls the march
-    cfg = solver.SolverConfig(k=3, tau=0.0, max_newton=1, dt_init=0.2, dt_min=0.15)
+    cfg = solver.SolverConfig(max_newton=1, dt_init=0.2, dt_min=0.15)
     with pytest.raises(solver.ContinuationStall) as err:
         solver.continuation_run(bg, coeff, cfg)
     stall = err.value
@@ -356,7 +361,7 @@ def test_continuation_is_deterministic():
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     runs = []
     for _ in range(2):
         state, reports = solver.continuation_run(bg, coeff, cfg)
@@ -377,8 +382,7 @@ def test_continuation_is_deterministic():
 def test_manufacture_trivial_field_gives_zero_alpha():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
-    c = cones.homotopy_constant(3, 3)
-    coeff = solver.manufacture_alpha(grid.zeros(), c, bg, 3)
+    coeff = solver.manufacture_alpha(grid.zeros(), bg, trivial_coeff(grid, 3))
     assert np.array_equal(coeff.alpha, np.zeros(grid.shape))
 
 
@@ -389,9 +393,9 @@ def test_manufactured_residual_is_stencil_sized():
     for N in (8, 16):
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
-        prob = solver.manufactured_problem("0.1*sin(x1)*cos(x2)", 1.0, bg, 3)
-        cfg = solver.SolverConfig(k=3, tau=0.0)
-        sups[N] = sup_norm(solver.residual(prob.u_star, 1.0, bg, prob.coeff, cfg))
+        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
+        cfg = solver.SolverConfig()
+        sups[N] = sup_norm(solver.residual(u_star, 1.0, bg, coeff, cfg))
     assert 1e-6 < sups[16] < sups[8] < 1e-1
     assert 2.0 < sups[8] / sups[16] < 8.0  # about 4x per halving of h
 
@@ -401,11 +405,9 @@ def test_manufacture_with_stencil_jet_is_exact_at_grid_level():
     # exact discrete root and Newton has nothing to do
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
-    from ksig.fieldexpr import analytic_jet
-
     u_star = analytic_jet("0.1*sin(x1)*cos(x2)", grid).value
-    coeff = solver.manufacture_alpha(u_star, 1.0, bg, 3)  # jet defaults to stencil
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    coeff = solver.manufacture_alpha(u_star, bg, default_coeff(grid))  # jet defaults to stencil
+    cfg = solver.SolverConfig()
     assert sup_norm(solver.residual(u_star, 1.0, bg, coeff, cfg)) <= 1e-12
 
 
@@ -413,37 +415,42 @@ def test_manufacture_rejects_large_amplitude():
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
     with pytest.raises(cones.InadmissibleStateError, match="node"):
-        solver.manufactured_problem("5*sin(x1)*cos(x2)", 1.0, bg, 3)
+        manufactured("5*sin(x1)*cos(x2)", bg)
 
 
 def test_manufacture_checks_alpha_l_shape():
+    # manufacture takes its alpha_l from CoefficientData, which refuses a
+    # stack of the wrong length
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     with pytest.raises(ValueError, match="k-1"):
-        solver.manufacture_alpha(grid.zeros(), [1.0, 1.0, 1.0], bg, 3)
+        bad = geometry.CoefficientData(
+            grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((3,) + grid.shape)
+        )
+        solver.manufacture_alpha(grid.zeros(), bg, bad)
 
 
 def test_manufactured_newton_from_interpolant():
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
-    prob = solver.manufactured_problem("0.1*sin(x1)*cos(x2)", 1.0, bg, 3)
-    cfg = solver.SolverConfig(k=3, tau=0.0)
-    res = solver.newton_solve_at_t(prob.u_star, 1.0, bg, prob.coeff, cfg)
+    u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
+    cfg = solver.SolverConfig()
+    res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
     assert res.residual_norm <= cfg.residual_tol
     assert res.iterations <= 6
-    assert sup_norm(res.u - prob.u_star) < 5e-3  # discrete root lies O(h^2) away
+    assert sup_norm(res.u - u_star) < 5e-3  # discrete root lies O(h^2) away
 
 
 def test_manufactured_convergence_order_coarse():
     # the acceptance run measures N=16 -> 32; this coarser 8 -> 16 version
     # keeps unit runtime low, with a window widened for pre-asymptotic h
     errs = {}
-    cfg = solver.SolverConfig(k=3, tau=0.0)
+    cfg = solver.SolverConfig()
     for N in (8, 16):
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
-        prob = solver.manufactured_problem("0.1*sin(x1)*cos(x2)", 1.0, bg, 3)
-        res = solver.newton_solve_at_t(prob.u_star, 1.0, bg, prob.coeff, cfg)
-        errs[N] = sup_norm(res.u - prob.u_star)
+        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
+        res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
+        errs[N] = sup_norm(res.u - u_star)
     order = np.log2(errs[8] / errs[16])
     assert 1.6 <= order <= 2.4, f"order {order:.3f} from errors {errs}"
