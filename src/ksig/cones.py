@@ -6,6 +6,16 @@ Matrix invariants sigma_k are computed with the Faddeev-LeVerrier trace
 recursion rather than eigendecomposition, so repeated eigenvalues need no
 special treatment and the gradient tensors fall out of the same recursion.
 
+The recursion runs in one private kernel on component planes: the input is
+copied once into a contiguous (n, n, ...) array, so entry (a, b) of every
+matrix in the batch is one contiguous plane and each step is a handful of
+whole-plane operations.  Three products of the textbook recursion are
+skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and only
+its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of n^3) and
+then mirrored.  M T_0 = M needs no product.  T_k is never formed when only
+sigma_k is wanted: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  Callers outside
+this module see (..., n, n) arrays only.
+
 Conventions:
     sigma_0 = 1 exactly.
     Gamma_k = {lambda : sigma_j(lambda) > 0 for all 1 <= j <= k} (strict).
@@ -25,6 +35,7 @@ __all__ = [
     "InadmissibleStateError",
     "all_elementary_symmetric",
     "sigma_and_transforms",
+    "matrix_sigmas",
     "cone_margin",
     "matrix_cone_margin",
     "QuotientEval",
@@ -53,6 +64,13 @@ def _check_order(k, n):
         raise ValueError(f"symmetric polynomial order k={k} outside [0, {n}]")
 
 
+def _square(M):
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise ValueError("expected square matrices in the trailing two axes")
+    return M
+
+
 def all_elementary_symmetric(lam):
     """All sigma_0..sigma_n of the last axis of `lam`, shape (..., n+1).
 
@@ -70,12 +88,72 @@ def all_elementary_symmetric(lam):
     return sig
 
 
-def sigma_and_transforms(M, kmax):
-    """sigma_0..sigma_kmax and Newton transforms T_0..T_kmax of M.
+def _planes(M):
+    """Component planes (n, n, ...) of the matrices M (..., n, n), in a new
+    contiguous array that never shares memory with M."""
+    return np.moveaxis(M, (-2, -1), (0, 1)).copy()
 
-    Faddeev-LeVerrier recursion:
+
+def _mirror(P):
+    """Copy the upper triangle of the planes P onto the lower one, in place."""
+    for a in range(1, P.shape[0]):
+        P[a, :a] = P[:a, a]
+
+
+def _product(P, T, out):
+    """Upper triangle of the planes of M T into `out`; T is None for T_0 = I.
+
+    T is a polynomial in M, so M T is symmetric and its upper triangle,
+    row a being sum_c M_ac T_c[a:], is all of it.
+    """
+    if T is None:
+        out[...] = P
+        return
+    for a in range(P.shape[0]):
+        np.einsum("c...,cb...->b...", P[a], T[:, a:], out=out[a, a:])
+
+
+def _transform(out, sj):
+    """T_j = sigma_j I - M T_{j-1} from the upper triangle of M T_{j-1} in `out`."""
+    for a in range(out.shape[0]):
+        row = out[a, a:]
+        np.negative(row, out=row)
+        row[0] += sj
+    _mirror(out)
+
+
+def _recursion(P, kmax, T=None):
+    """Faddeev-LeVerrier on the component planes P of symmetric M.
 
         T_0 = I,   sigma_j = trace(M T_{j-1}) / j,   T_j = sigma_j I - M T_{j-1}.
+
+    Returns sigma_0..sigma_kmax, shape (kmax+1, ...).  T_j for 1 <= j < kmax
+    is formed in T[j-1] when a stack T is given, else in two buffers that
+    take turns.  M T_0 = M needs no product, and T_kmax is never formed:
+    sigma_kmax = sum_ab M_ab (T_{kmax-1})_ab / kmax.
+    """
+    sig = np.empty((kmax + 1,) + P.shape[2:])
+    sig[0] = 1.0
+    prev = spare = None  # T_{j-1} (None for T_0 = I) and a free buffer
+    for j in range(1, kmax):
+        if T is not None:
+            out = T[j - 1]
+        elif spare is not None:
+            out = spare
+        else:
+            out = np.empty_like(P)
+        _product(P, prev, out)
+        sig[j] = np.einsum("aa...->...", out) / j
+        _transform(out, sig[j])
+        prev, spare = out, prev
+    if kmax:
+        last = np.einsum("aa...->...", P) if prev is None else np.einsum("ab...,ab...->...", P, prev)
+        sig[kmax] = last / kmax
+    return sig
+
+
+def sigma_and_transforms(M, kmax):
+    """sigma_0..sigma_kmax and Newton transforms T_0..T_kmax of symmetric M.
 
     Parameters
     ----------
@@ -87,23 +165,25 @@ def sigma_and_transforms(M, kmax):
     sig : array (..., kmax+1)
     T : array (kmax+1, ..., n, n); T[j] is the gradient of sigma_{j+1} wrt M
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = _square(M)
     n = M.shape[-1]
-    if M.ndim < 2 or M.shape[-2] != n:
-        raise ValueError("expected square matrices in the trailing two axes")
     _check_order(kmax, n)
-    batch = M.shape[:-2]
-    eye = np.eye(n)
-    sig = np.zeros(batch + (kmax + 1,))
-    T = np.zeros((kmax + 1,) + batch + (n, n))
-    sig[..., 0] = 1.0
-    T[0] = eye
-    for j in range(1, kmax + 1):
-        MT = M @ T[j - 1]
-        sj = np.trace(MT, axis1=-2, axis2=-1) / j
-        sig[..., j] = sj
-        T[j] = sj[..., None, None] * eye - MT
-    return sig, T
+    P = _planes(M)
+    T = np.zeros((kmax + 1,) + P.shape)
+    for a in range(n):
+        T[0, a, a] = 1.0
+    sig = _recursion(P, kmax, T[1:])
+    if kmax:
+        _product(P, T[kmax - 1], T[kmax])
+        _transform(T[kmax], sig[kmax])
+    return np.moveaxis(sig, 0, -1), np.moveaxis(T, (1, 2), (-2, -1))
+
+
+def matrix_sigmas(M, kmax):
+    """sigma_0..sigma_kmax of symmetric M, shape (..., kmax+1)."""
+    M = _square(M)
+    _check_order(kmax, M.shape[-1])
+    return np.moveaxis(_recursion(_planes(M), kmax), 0, -1)
 
 
 def cone_margin(lam, k):
@@ -118,12 +198,11 @@ def cone_margin(lam, k):
 
 def matrix_cone_margin(M, k):
     """min_{1<=j<=k} sigma_j(M) via the trace recursion."""
-    M = np.asarray(M, dtype=np.float64)
+    M = _square(M)
     _check_order(k, M.shape[-1])
     if k == 0:
         return np.full(M.shape[:-2], np.inf)
-    sig, _ = sigma_and_transforms(M, k)
-    return sig[..., 1 : k + 1].min(axis=-1)
+    return _recursion(_planes(M), k)[1:].min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -168,35 +247,47 @@ def quotient_eval(M, k, beta=None, want_grad=False, check=True):
 
         d(sigma_a/sigma_{k-1}) = [T_{a-1} sigma_{k-1} - sigma_a T_{k-2}] / sigma_{k-1}^2
 
-    with T_{-1} = 0, assembled once for the weighted numerator.
+    with T_{-1} = 0, assembled once for the weighted numerator as one sum over
+    T_0..T_{k-1} on the upper triangle of the component planes, then mirrored,
+    so it is exactly symmetric.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"quotient order k={k} outside [1, {n}]")
-    sig, T = sigma_and_transforms(M, k)
+    P = _planes(M)
+    T = np.empty((k - 1,) + P.shape) if want_grad else None  # T_1..T_{k-1}
+    sig = _recursion(P, k, T)
+    sigma = np.moveaxis(sig, 0, -1)
     if check and k >= 2:
-        worst = sig[..., 1:k].min(axis=-1).min()
+        worst = sig[1:k].min()
         if not worst > 0.0:
-            _raise_inadmissible(sig, k, "quotient evaluation")
-    skm1 = sig[..., k - 1]
-    gl = -sig[..., : k - 1] / skm1[..., None]
+            _raise_inadmissible(sigma, k, "quotient evaluation")
+    skm1 = sig[k - 1]
+    gl = np.moveaxis(-sig[: k - 1] / skm1, 0, -1)
     if beta is None:
-        num = sig[..., k]
+        num = sig[k]
     else:
         beta = np.asarray(beta, dtype=np.float64)
-        num = sig[..., k] - np.sum(beta * sig[..., : k - 1], axis=-1)
+        num = sig[k] - sum(beta[..., l] * sig[l] for l in range(k - 1))
     value = num / skm1
     grad = None
     if want_grad:
-        grad_num = T[k - 1].copy()
+        # grad = sum_j coef_j T_j over j = 0..k-1, written over the planes of M
+        coef = np.zeros_like(sig[:k])
+        coef[k - 1] = 1.0 / skm1
+        if k >= 2:
+            coef[k - 2] = -num / skm1**2
         if beta is not None:
             for l in range(1, k - 1):
-                grad_num -= beta[..., l, None, None] * T[l - 1]
-        grad = grad_num / skm1[..., None, None]
-        if k >= 2:
-            grad -= (num / skm1**2)[..., None, None] * T[k - 2]
-    return QuotientEval(sigma=sig, value=value, gl=gl, grad=grad)
+                coef[l - 1] = -beta[..., l] / skm1
+        for a in range(n):
+            row = P[a, a:]
+            np.einsum("j...,jb...->b...", coef[1:], T[:, a, a:], out=row)
+            row[0] += coef[0]
+        _mirror(P)
+        grad = np.moveaxis(P, (0, 1), (-2, -1))
+    return QuotientEval(sigma=sigma, value=value, gl=gl, grad=grad)
 
 
 def homotopy_constant(n, k):

@@ -81,10 +81,8 @@ def snapshot_point(state, background, coeff, newton_iters):
     eigs = np.linalg.eigvalsh(state.grad)
     min_eig = float(eigs[..., 0].min())
 
-    quot = cones.quotient_eval(state.U, k, None, want_grad=True, check=False)
-    qtrace = np.trace(quot.grad, axis1=-2, axis2=-1)
-    bound = (background.grid.dim - k + 1) / k
-    trace_slack = float((qtrace - bound).min())
+    n = background.grid.dim
+    trace_slack = float((_quotient_trace(sig, n, k) - (n - k + 1) / k).min())
 
     ratios = sig[..., :k - 1] / sig[..., k - 1:k]
     max_ratio = float(ratios.max())
@@ -93,7 +91,7 @@ def snapshot_point(state, background, coeff, newton_iters):
     forcing = state.t * coeff.alpha * np.exp(2.0 * state.u)
     eq33 = float((contraction + forcing).min())
 
-    _warn_ratio_branch(sig, k, background.grid.dim)
+    _warn_ratio_branch(sig, k, n)
 
     return MonitorReport(
         t=float(state.t),
@@ -107,6 +105,16 @@ def snapshot_point(state, background, coeff, newton_iters):
         eq33_slack=eq33,
         newton_iters=int(newton_iters),
     )
+
+
+def _quotient_trace(sig, n, k):
+    """tr d(sigma_k/sigma_{k-1})/dM from sigma_{k-2}, sigma_{k-1}, sigma_k.
+
+    With tr T_j = (n-j) sigma_j the quotient rule gives
+    [(n-k+1) sigma_{k-1}^2 - (n-k+2) sigma_k sigma_{k-2}] / sigma_{k-1}^2.
+    """
+    skm1 = sig[..., k - 1]
+    return ((n - k + 1) * skm1**2 - (n - k + 2) * sig[..., k] * sig[..., k - 2]) / skm1**2
 
 
 def _warn_ratio_branch(sig, k, n):
@@ -211,7 +219,7 @@ def _norm_scale(*arrays):
 
 
 def _quotient_values(mats, k):
-    sig, _ = cones.sigma_and_transforms(mats, k)
+    sig = cones.matrix_sigmas(mats, k)
     return sig[..., k] / sig[..., k - 1], sig
 
 
@@ -228,14 +236,12 @@ def _shrink_until_admissible(base, probe, k, floor=1e-12, rounds=60):
     s = np.ones(base.shape[0])
     for _ in range(rounds):
         trial = base - s[:, None, None] * probe
-        sig, _ = cones.sigma_and_transforms(trial, k)
-        bad = sig[..., 1:k + 1].min(axis=-1) <= floor
+        bad = cones.matrix_cone_margin(trial, k) <= floor
         if not bad.any():
             break
         s = np.where(bad, 0.5 * s, s)
     trial = base - s[:, None, None] * probe
-    sig, _ = cones.sigma_and_transforms(trial, k)
-    keep = sig[..., 1:k + 1].min(axis=-1) > floor
+    keep = cones.matrix_cone_margin(trial, k) > floor
     return trial, keep
 
 
@@ -270,7 +276,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     # --- sigma recursion vs subset enumeration, through rotations
     lam = rng.uniform(-2.0, 2.0, size=(samples, n))
     mats = sampling.conjugate_by_rotations(rng, lam)
-    sig_mat, _ = cones.sigma_and_transforms(mats, n)
+    sig_mat = cones.matrix_sigmas(mats, n)
     sig_enum = np.zeros((samples, n + 1))
     sig_enum[:, 0] = 1.0
     from itertools import combinations

@@ -134,8 +134,7 @@ def _stencil_weights(state, background):
     n = grid.dim
     h = grid.spacing
     c1 = (1.0 - background.tau) / (n - 2.0)
-    # G pairs only with symmetric tensors, so its symmetric part is exact
-    G = 0.5 * (state.grad + state.grad.swapaxes(-1, -2))
+    G = state.grad  # exactly symmetric: quotient_eval mirrors its upper triangle
     trace_g = np.trace(G, axis1=-2, axis2=-1)
     g = state.jet.gradient
     b = (2.0 - background.tau) * trace_g[..., None] * g - 2.0 * np.einsum("...ij,...j->...i", G, g)

@@ -392,6 +392,141 @@ def test_euler_homogeneity_per_gl():
         assert np.all(np.abs(contraction - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
+# ---------------------------------------------------------------- plane kernel vs M @ T
+
+
+def reference_sigma_and_transforms(M, kmax):
+    """The textbook M @ T Faddeev-LeVerrier recursion, one matmul per order."""
+    M = np.asarray(M, dtype=np.float64)
+    n = M.shape[-1]
+    batch = M.shape[:-2]
+    eye = np.eye(n)
+    sig = np.zeros(batch + (kmax + 1,))
+    T = np.zeros((kmax + 1,) + batch + (n, n))
+    sig[..., 0] = 1.0
+    T[0] = eye
+    for j in range(1, kmax + 1):
+        MT = M @ T[j - 1]
+        sj = np.trace(MT, axis1=-2, axis2=-1) / j
+        sig[..., j] = sj
+        T[j] = sj[..., None, None] * eye - MT
+    return sig, T
+
+
+def reference_quotient(M, k, beta):
+    """(sigma, value, gl, grad) of G from the reference recursion and the quotient rule."""
+    sig, T = reference_sigma_and_transforms(M, k)
+    skm1 = sig[..., k - 1]
+    gl = -sig[..., : k - 1] / skm1[..., None]
+    num = sig[..., k]
+    grad_num = T[k - 1].copy()
+    if beta is not None:
+        num = num - np.sum(beta * sig[..., : k - 1], axis=-1)
+        for l in range(1, k - 1):
+            grad_num -= beta[..., l, None, None] * T[l - 1]
+    grad = grad_num / skm1[..., None, None]
+    if k >= 2:
+        grad -= (num / skm1**2)[..., None, None] * T[k - 2]
+    return sig, num / skm1, gl, grad
+
+
+def assert_oracle_close(got, want, rtol=1e-13):
+    """Sup-norm error at most rtol times the reference's sup-norm (or 1)."""
+    got = np.asarray(got)
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
+
+
+ORACLE_BATCHES = [(), (7,), (4, 4, 4)]
+
+
+def symmetric_batch(rng, batch, n):
+    A = rng.standard_normal(batch + (n, n))
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def admissible_batch(rng, batch, n, k):
+    """Matrices in Gamma_{k-1} with sigma_1..sigma_{k-1} > 0.1."""
+    count = math.prod(batch)
+    return sampling.gamma_matrices(rng, count, n, k - 1, margin=0.1).reshape(batch + (n, n))
+
+
+def check_sigma_and_transforms(M, kmax):
+    sig, T = cones.sigma_and_transforms(M, kmax)
+    want_sig, want_T = reference_sigma_and_transforms(M, kmax)
+    assert sig.shape == want_sig.shape and T.shape == want_T.shape
+    for j in range(kmax + 1):
+        assert_oracle_close(sig[..., j], want_sig[..., j])
+    # one scale for the whole stack: T_n is round-off around zero (Cayley-Hamilton)
+    assert_oracle_close(T, want_T)
+
+
+def check_quotient(M, k, beta):
+    before = M.copy()
+    ev = cones.quotient_eval(M, k, beta, want_grad=True, check=True)
+    assert np.array_equal(M, before)  # the gradient is built in a copy
+    sig, value, gl, grad = reference_quotient(M, k, beta)
+    for j in range(k + 1):
+        assert_oracle_close(ev.sigma[..., j], sig[..., j])
+    assert_oracle_close(ev.value, value)
+    assert_oracle_close(ev.gl, gl)
+    assert_oracle_close(ev.grad, grad)
+    plain = cones.quotient_eval(M, k, beta, check=True)
+    assert plain.grad is None
+    assert np.array_equal(plain.sigma, ev.sigma) and np.array_equal(plain.value, ev.value)
+
+
+@pytest.mark.parametrize("batch", ORACLE_BATCHES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sigma_and_transforms_match_reference_recursion(n, batch):
+    rng = sampling.generator(500 + n)
+    M = symmetric_batch(rng, batch, n)
+    for kmax in range(n + 1):
+        check_sigma_and_transforms(M, kmax)
+        assert_oracle_close(cones.matrix_sigmas(M, kmax), reference_sigma_and_transforms(M, kmax)[0])
+
+
+@pytest.mark.parametrize("batch", ORACLE_BATCHES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_eval_matches_reference_recursion(n, batch):
+    rng = sampling.generator(600 + n)
+    for k in range(1, n + 1):
+        M = admissible_batch(rng, batch, n, k)
+        check_quotient(M, k, None)
+        check_quotient(M, k, rng.uniform(0.0, 2.0, size=k - 1))
+        check_quotient(M, k, rng.uniform(0.0, 2.0, size=batch + (k - 1,)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plane_kernel_reads_noncontiguous_inputs(n):
+    rng = sampling.generator(700 + n)
+    M = admissible_batch(rng, (12,), n, n)
+    beta = rng.uniform(0.0, 2.0, size=(12, n - 1))
+    # a view with batch axis in the middle of memory, the transposed view,
+    # and every other matrix of the batch
+    moved = np.ascontiguousarray(M.swapaxes(0, 1)).swapaxes(0, 1)
+    views = [(moved, beta), (M.swapaxes(-1, -2), beta), (M[::2], beta[::2])]
+    for view, b in views:
+        assert not view.flags.c_contiguous
+        for kmax in range(n + 1):
+            check_sigma_and_transforms(view, kmax)
+        for k in range(1, n + 1):
+            check_quotient(view, k, b[..., : k - 1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_quotient_gradient_is_exactly_symmetric(n):
+    rng = sampling.generator(800 + n)
+    for k in range(3, n + 1):
+        M = sampling.gamma_matrices(rng, 500, n, k - 1, margin=1e-3)
+        beta = rng.uniform(0.0, 2.0, size=(500, k - 1))
+        grad = cones.quotient_eval(M, k, beta, want_grad=True).grad
+        assert np.array_equal(grad, grad.swapaxes(-1, -2))
+        assert np.any(grad != np.diagonal(grad, axis1=-2, axis2=-1)[..., None] * np.eye(n))
+
+
 # ---------------------------------------------------------------- constants
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ksig import cones, geometry, monitors, operator, solver
+from ksig import cones, geometry, monitors, operator, sampling, solver
 from ksig.grid import PeriodicGrid
 
 EXPECTED_CHECKS = {
@@ -75,6 +75,17 @@ def test_ratio_branch_warning_fires_on_violation():
     sig = np.array([[1.0, 10.0, 1.0, 5.0]])
     with pytest.warns(RuntimeWarning, match="Newton-MacLaurin"):
         monitors._warn_ratio_branch(sig, k=3, n=3)
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)])
+def test_quotient_trace_identity_matches_explicit_gradient(n, k):
+    # tr T_j = (n-j) sigma_j turns the trace of the quotient gradient into sigmas
+    rng = sampling.generator(900 + 10 * n + k)
+    M = sampling.gamma_matrices(rng, 2000, n, k - 1, margin=1e-6)
+    ev = cones.quotient_eval(M, k, None, want_grad=True)
+    explicit = np.trace(ev.grad, axis1=-2, axis2=-1)
+    got = monitors._quotient_trace(ev.sigma, n, k)
+    assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))
 
 
 # ---------------------------------------------------------------------------
