@@ -169,8 +169,12 @@ def cmd_manufacture(args):
         else:
             jet = fieldexpr.analytic_jet(spec, grid)
             u_star = jet.value
-        coeff = solver.manufacture_alpha(u_star, background, coeff, jet=jet)
     except _VALIDATION_ERRORS as exc:
+        return _fail(exc)
+    # outside the catch above: a plain ValueError from here is a bug, not bad input
+    try:
+        coeff = solver.manufacture_alpha(u_star, background, coeff, jet=jet)
+    except cones.InadmissibleStateError as exc:
         return _fail(exc)
 
     outdir.mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,11 @@ whole-plane operations.  Three products of the textbook recursion are
 skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and only
 its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of n^3) and
 then mirrored.  M T_0 = M needs no product.  T_k is never formed when only
-sigma_k is wanted: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  Callers outside
-this module see (..., n, n) arrays only.
+sigma_k is wanted: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
+functions take and return (..., n, n) arrays.  On the evaluate path the input
+U is already a view of contiguous planes (geometry.assemble_U), so the copy
+is a straight memory copy with no transpose, and quotient_eval's gradient is
+likewise a (..., n, n) view of planes.
 
 Conventions:
     sigma_0 = 1 exactly.

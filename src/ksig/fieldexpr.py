@@ -148,7 +148,8 @@ def evaluate(expr, grid):
 
 
 def analytic_jet(expr, grid):
-    """Exact value/gradient/Hessian/Laplacian of the expression at the nodes.
+    """Exact value/gradient/Hessian/Laplacian of the expression at the nodes,
+    in the component-plane layout of grid.JetField.
 
     Product rule over the factors of each term; factors touching the same
     axis are handled by the general pairwise expansion, so repeated-axis
@@ -159,8 +160,8 @@ def analytic_jet(expr, grid):
     _check_axes(expr, grid)
     n = grid.dim
     value = np.zeros(grid.shape)
-    grad = np.zeros(grid.shape + (n,))
-    hess = np.zeros(grid.shape + (n, n))
+    grad = np.zeros((n,) + grid.shape)
+    hess = np.zeros((n, n) + grid.shape)
     for term in expr.terms:
         tables = [_factor_tables(f, grid) for f in term.factors]
         axes = [f[1] for f in term.factors]
@@ -177,12 +178,12 @@ def analytic_jet(expr, grid):
         value += product_except(())
         for a in range(m):
             d1 = tables[a][1] * product_except((a,))
-            grad[..., axes[a]] += d1
-            hess[..., axes[a], axes[a]] += tables[a][2] * product_except((a,))
+            grad[axes[a]] += d1
+            hess[axes[a], axes[a]] += tables[a][2] * product_except((a,))
             for b in range(m):
                 if b == a:
                     continue
                 cross = tables[a][1] * tables[b][1] * product_except((a, b))
-                hess[..., axes[a], axes[b]] += cross
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    return JetField(value=value, gradient=grad, hessian=hess, laplacian=lap)
+                hess[axes[a], axes[b]] += cross
+    lap = np.trace(hess)
+    return JetField(value=value, grad_planes=grad, hess_planes=hess, laplacian=lap)

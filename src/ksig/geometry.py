@@ -12,7 +12,9 @@ Two background modes:
 All cone tests and sigma evaluations act on g0^{-1} U represented in an
 orthonormal frame of g0, so downstream code only ever sees plain symmetric
 matrices (in conformally-flat mode that is e^{-2 phi} times the coordinate
-matrix).
+matrix).  Per-node tensors (B, U) are stored as contiguous component planes
+(n, n, *grid.shape), entry (i, j) of every node in one plane, and handed out
+as zero-copy (*grid.shape, n, n) views.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
-from .grid import PeriodicGrid, compute_jet
+from .grid import PeriodicGrid, compute_jet, dot_planes
 
 __all__ = [
     "HypothesisViolation",
@@ -45,20 +47,26 @@ class HypothesisViolation(ValueError):
 class BackgroundField:
     """Reference geometry: tau, the tensor B per node, optional conformal phi.
 
-    B is stored in flat-chart coordinates with shape (*grid.shape, n, n).
-    phi_jet holds the flat-chart jet of phi in conformally-flat mode (None
-    in prescribed mode), and scale = e^{-2 phi} is the frame factor.
+    B is stored in flat-chart coordinates as exactly symmetric contiguous
+    component planes B_planes[i, j], shape (n, n, *grid.shape); B is the
+    zero-copy (*grid.shape, n, n) view of them.  phi_jet holds the
+    flat-chart jet of phi in conformally-flat mode (None in prescribed
+    mode), and scale = e^{-2 phi} is the frame factor.
     """
 
     grid: PeriodicGrid
     tau: float
-    B: np.ndarray
+    B_planes: np.ndarray
     phi: np.ndarray | None = None
     phi_jet: object | None = None
 
     @property
     def mode(self):
         return "conformally-flat" if self.phi is not None else "prescribed-tensor"
+
+    @property
+    def B(self):
+        return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
     def frame_scale(self):
         """e^{-2 phi} per node, or None in prescribed (flat) mode."""
@@ -70,7 +78,7 @@ class BackgroundField:
         """B as seen by the orthonormal frame of g0: e^{-2 phi} B."""
         if self.phi is None:
             return self.B
-        return self.frame_scale()[..., None, None] * self.B
+        return np.moveaxis(self.frame_scale() * self.B_planes, (0, 1), (-2, -1))
 
 
 def spaceform_schouten(kappa, n, tau):
@@ -87,17 +95,46 @@ def flat_background(grid, tau=0.0, B=None):
     """Prescribed-tensor background on the flat torus chart.
 
     B may be None (hyperbolic-like default -I), a constant (n, n) matrix, or
-    a full per-node field (*shape, n, n).
+    a full per-node field (*shape, n, n).  Only its symmetric part
+    (B + B^T)/2 is kept, which is B itself, bit for bit, when B is symmetric.
     """
     n = grid.dim
     if B is None:
         B = -np.eye(n)
     B = np.asarray(B, dtype=np.float64)
     if B.shape == (n, n):
-        B = np.broadcast_to(B, grid.shape + (n, n)).copy()
+        B = np.broadcast_to(B, grid.shape + (n, n))
     if B.shape != grid.shape + (n, n):
         raise ValueError(f"background tensor shape {B.shape} does not match grid")
-    return BackgroundField(grid=grid, tau=float(tau), B=B)
+    P = np.moveaxis(B, (-2, -1), (0, 1))
+    planes = np.empty((n, n) + grid.shape)
+    np.add(P, P.swapaxes(0, 1), out=planes)
+    planes *= 0.5
+    return BackgroundField(grid=grid, tau=float(tau), B_planes=planes)
+
+
+def _mirror(P):
+    """Copy the upper triangle of the planes P onto the lower one, in place."""
+    for a in range(1, P.shape[0]):
+        P[a, :a] = P[:a, a]
+
+
+def _core(hess, lap, g, tau, out):
+    """Upper triangle of Hess + c1 Lap I + c2 |grad|^2 I - grad (x) grad, with
+    c1 = (1-tau)/(n-2) and c2 = (2-tau)/2, on component planes into `out`.
+
+    `hess` may be `out` itself.  The scalar terms touch the diagonal only.
+    """
+    n = len(g)
+    c1_lap = ((1.0 - tau) / (n - 2.0)) * lap
+    c2_g2 = 0.5 * (2.0 - tau) * dot_planes(g, g)
+    for a in range(n):
+        diag = out[a, a]
+        np.add(hess[a, a], c1_lap, out=diag)
+        diag += c2_g2
+        diag -= g[a] * g[a]
+        for b in range(a + 1, n):
+            np.subtract(hess[a, b], g[a] * g[b], out=out[a, b])
 
 
 def background_from_phi(grid, phi, tau):
@@ -116,15 +153,11 @@ def background_from_phi(grid, phi, tau):
         raise ValueError(f"phi shape {phi.shape} does not match grid {grid.shape}")
     n = grid.dim
     jet = compute_jet(grid, phi)
-    eye = np.eye(n)
-    g2 = np.einsum("...i,...i->...", jet.gradient, jet.gradient)
-    B = -(
-        jet.hessian
-        + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
-        + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
-        - jet.gradient[..., :, None] * jet.gradient[..., None, :]
-    )
-    return BackgroundField(grid=grid, tau=float(tau), B=B, phi=phi, phi_jet=jet)
+    planes = np.empty((n, n) + grid.shape)
+    _core(jet.hess_planes, jet.laplacian, jet.grad_planes, tau, planes)
+    _mirror(planes)
+    np.negative(planes, out=planes)
+    return BackgroundField(grid=grid, tau=float(tau), B_planes=planes, phi=phi, phi_jet=jet)
 
 
 @dataclass(frozen=True)
@@ -162,7 +195,8 @@ def beta_weights(coeff, u, t):
 
 
 def assemble_U(jet, background, t):
-    """The frame matrix of g0^{-1} U^t at every node, shape (*shape, n, n).
+    """The frame matrix of g0^{-1} U^t at every node, a (*shape, n, n) view of
+    contiguous component planes (n, n, *shape).
 
     U^t = Hess u + ((1-tau)/(n-2)) Lap u g0 + ((2-tau)/2) |grad u|^2 g0
           - du (x) du - t B + (1-t) g0,
@@ -173,35 +207,39 @@ def assemble_U(jet, background, t):
         Hc_ij = H_ij - phi_i u_j - phi_j u_i + <grad phi, grad u> delta_ij
 
     and the frame matrix is e^{-2 phi} times the coordinate core plus
-    (1-t) I.  The result is exactly symmetric.
+    (1-t) I.  Each upper-triangle entry is formed once, the scalar terms are
+    added on the diagonal only, and the lower triangle is a copy, so the
+    result is exactly symmetric.
     """
     n = background.grid.dim
-    tau = background.tau
-    eye = np.eye(n)
-    g = jet.gradient
+    g = jet.grad_planes
+    U = np.empty((n, n) + g.shape[1:])
     if background.phi is None:
-        hess = jet.hessian
+        hess = jet.hess_planes
         lap = jet.laplacian
         scale = None
-        pg = None
     else:
-        pg = background.phi_jet.gradient
-        mixed = pg[..., :, None] * g[..., None, :]
-        inner = np.einsum("...i,...i->...", pg, g)
-        hess = jet.hessian - mixed - mixed.swapaxes(-1, -2) + inner[..., None, None] * eye
-        lap = np.trace(hess, axis1=-2, axis2=-1)
+        pg = background.phi_jet.grad_planes
+        inner = dot_planes(pg, g)
+        hess = U  # the covariant Hessian's upper triangle; _core adds to it in place
+        for a in range(n):
+            for b in range(a, n):
+                np.subtract(jet.hess_planes[a, b], pg[a] * g[b], out=U[a, b])
+                U[a, b] -= pg[b] * g[a]
+            U[a, a] += inner
+        lap = np.trace(U)
         scale = background.frame_scale()
-    g2 = np.einsum("...i,...i->...", g, g)
-    core = (
-        hess
-        + ((1.0 - tau) / (n - 2.0)) * lap[..., None, None] * eye
-        + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
-        - g[..., :, None] * g[..., None, :]
-        - t * background.B
-    )
-    if scale is None:
-        return core + (1.0 - t) * eye
-    return scale[..., None, None] * core + (1.0 - t) * eye
+    _core(hess, lap, g, background.tau, U)
+    B = background.B_planes
+    for a in range(n):
+        for b in range(a, n):
+            entry = U[a, b]
+            entry -= t * B[a, b]
+            if scale is not None:
+                entry *= scale
+        U[a, a] += 1.0 - t
+    _mirror(U)
+    return np.moveaxis(U, (0, 1), (-2, -1))
 
 
 def validate_hypotheses(background, coeff):

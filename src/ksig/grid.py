@@ -18,9 +18,9 @@ __all__ = [
     "FieldFormatError",
     "PeriodicGrid",
     "JetField",
+    "dot_planes",
     "compute_jet",
     "sup_norm",
-    "l2_norm",
     "write_field",
     "read_field",
 ]
@@ -79,15 +79,40 @@ class PeriodicGrid:
 class JetField:
     """Value, gradient, Hessian and Laplacian of a grid field.
 
-    gradient has shape (*grid.shape, n); hessian (*grid.shape, n, n) with
-    both triangles filled; laplacian is the exact trace of the stored
-    Hessian.
+    The derivatives are stored as contiguous component planes, each of
+    grid.shape: grad_planes[i] is D_i f, shape (n, *grid.shape), and
+    hess_planes[i, j] is D_ij f, shape (n, n, *grid.shape), with both
+    triangles filled.  gradient (*grid.shape, n) and hessian
+    (*grid.shape, n, n) are zero-copy views of the planes.  laplacian is the
+    exact trace of the stored Hessian.
     """
 
     value: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
+    grad_planes: np.ndarray
+    hess_planes: np.ndarray
     laplacian: np.ndarray
+
+    @property
+    def gradient(self):
+        return np.moveaxis(self.grad_planes, 0, -1)
+
+    @property
+    def hessian(self):
+        return np.moveaxis(self.hess_planes, (0, 1), (-2, -1))
+
+
+def dot_planes(a, b):
+    """Per-node dot product sum_i a_i b_i of component planes (n, *shape), n >= 2.
+
+    The even- and the odd-indexed products are summed separately and then
+    added: the order numpy's einsum takes over a short contiguous axis (two
+    SIMD lanes), so the result is bit-identical to
+    einsum("...i,...i->...") on the (*shape, n) layout.
+    """
+    lanes = [a[0] * b[0], a[1] * b[1]]
+    for i in range(2, len(a)):
+        lanes[i % 2] += a[i] * b[i]
+    return lanes[0] + lanes[1]
 
 
 def compute_jet(grid, values):
@@ -97,8 +122,8 @@ def compute_jet(grid, values):
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     n = grid.dim
     h = grid.spacing
-    grad = np.empty(values.shape + (n,))
-    hess = np.empty(values.shape + (n, n))
+    grad = np.empty((n,) + values.shape)
+    hess = np.empty((n, n) + values.shape)
 
     def shift(a, steps, axis):
         # +1 step looks one node in the +axis direction: a(x + h e_axis)
@@ -106,30 +131,28 @@ def compute_jet(grid, values):
 
     plus = [shift(values, 1, i) for i in range(n)]
     minus = [shift(values, -1, i) for i in range(n)]
+    twice = 2.0 * values
     for i in range(n):
-        grad[..., i] = (plus[i] - minus[i]) / (2.0 * h)
-        hess[..., i, i] = (plus[i] - 2.0 * values + minus[i]) / (h * h)
+        np.subtract(plus[i], minus[i], out=grad[i])
+        grad[i] /= 2.0 * h
+        d2 = hess[i, i]
+        np.subtract(plus[i], twice, out=d2)
+        d2 += minus[i]
+        d2 /= h * h
     for i in range(n):
         for j in range(i + 1, n):
-            pp = shift(plus[i], 1, j)
-            pm = shift(plus[i], -1, j)
-            mp = shift(minus[i], 1, j)
-            mm = shift(minus[i], -1, j)
-            cross = (pp - pm - mp + mm) / (4.0 * h * h)
-            hess[..., i, j] = cross
-            hess[..., j, i] = cross
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    return JetField(value=values, gradient=grad, hessian=hess, laplacian=lap)
+            cross = hess[i, j]
+            np.subtract(shift(plus[i], 1, j), shift(plus[i], -1, j), out=cross)
+            cross -= shift(minus[i], 1, j)
+            cross += shift(minus[i], -1, j)
+            cross /= 4.0 * h * h
+            hess[j, i] = cross
+    lap = np.trace(hess)
+    return JetField(value=values, grad_planes=grad, hess_planes=hess, laplacian=lap)
 
 
 def sup_norm(values):
     return float(np.abs(values).max())
-
-
-def l2_norm(grid, values):
-    """sqrt(h^n * sum f^2): the discrete L2 norm of the torus."""
-    h = grid.spacing
-    return float(np.sqrt(h**grid.dim * np.sum(np.square(values))))
 
 
 def write_field(path, grid, values):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import cones, sampling
-from .grid import sup_norm
+from .grid import dot_planes, sup_norm
 
 __all__ = [
     "MonitorReport",
@@ -76,7 +76,7 @@ def snapshot_point(state, background, coeff, newton_iters):
     """Build a MonitorReport from a PointState evaluated with want_grad=True."""
     k = coeff.k
     sig = state.sigma
-    grad_norm = np.sqrt(np.einsum("...i,...i->...", state.jet.gradient, state.jet.gradient))
+    grad_norm = np.sqrt(dot_planes(state.jet.grad_planes, state.jet.grad_planes))
 
     eigs = np.linalg.eigvalsh(state.grad)
     min_eig = float(eigs[..., 0].min())

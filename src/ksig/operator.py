@@ -29,14 +29,14 @@ class PointState:
     u: np.ndarray
     t: float
     jet: JetField
-    U: np.ndarray  # frame matrix of g0^{-1} U^t, (*shape, n, n)
+    U: np.ndarray  # frame matrix of g0^{-1} U^t, (*shape, n, n) view of planes
     beta: np.ndarray  # (*shape, k-1)
     sigma: np.ndarray  # (*shape, k+1)
     value: np.ndarray  # G(U^t)
     gl: np.ndarray  # (*shape, k-1)
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
     residual: np.ndarray  # F(u; t)
-    grad: np.ndarray | None  # G^{ij}, (*shape, n, n)
+    grad: np.ndarray | None  # G^{ij}, (*shape, n, n) view of planes
     zeroth: np.ndarray | None  # zeroth-order linearization coefficient
 
 

@@ -134,22 +134,24 @@ def _stencil_weights(state, background):
     n = grid.dim
     h = grid.spacing
     c1 = (1.0 - background.tau) / (n - 2.0)
-    G = state.grad  # exactly symmetric: quotient_eval mirrors its upper triangle
-    trace_g = np.trace(G, axis1=-2, axis2=-1)
-    g = state.jet.gradient
-    b = (2.0 - background.tau) * trace_g[..., None] * g - 2.0 * np.einsum("...ij,...j->...i", G, g)
+    # G^{ij} as component planes: quotient_eval builds the gradient on
+    # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
+    G = np.moveaxis(state.grad, (-2, -1), (0, 1))
+    trace_g = np.trace(G)
+    g = state.jet.grad_planes
+    b = (2.0 - background.tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
     scale = 1.0
     if background.phi is not None:
-        pg = background.phi_jet.gradient
-        b += (1.0 + c1 * (n - 2.0)) * trace_g[..., None] * pg
-        b -= 2.0 * np.einsum("...ij,...j->...i", G, pg)
+        pg = background.phi_jet.grad_planes
+        b += (1.0 + c1 * (n - 2.0)) * trace_g * pg
+        b -= 2.0 * np.einsum("ij...,j...->i...", G, pg)
         scale = background.frame_scale()
     # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
-    diag_g = np.moveaxis(np.diagonal(G, axis1=-2, axis2=-1), -1, 0)
+    diag_g = np.moveaxis(np.diagonal(G), -1, 0)
     axial = (diag_g + c1 * trace_g) * (scale / (h * h))
-    drift = np.moveaxis(b, -1, 0) * (scale / (2.0 * h))
+    drift = b * (scale / (2.0 * h))
     centre = state.zeroth - 2.0 * axial.sum(axis=0)
-    cross = [(i, j, G[..., i, j] * (scale / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
+    cross = [(i, j, G[i, j] * (scale / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
     return centre, axial + drift, axial - drift, cross
 
 

@@ -6,6 +6,7 @@ from textwrap import dedent
 
 import pytest
 
+from ksig import solver
 from ksig.cli import main
 from ksig.monitors import CSV_HEADER
 
@@ -283,6 +284,20 @@ def test_manufacture_rejects_tau_at_gating(tmp_path, capsys):
     )
     assert main(["manufacture", str(cfg)]) == 2
     assert "tau" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_manufacture_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypatch):
+    # a plain ValueError (say, a broadcast error) from the back-solve is a
+    # programming error: it must propagate, not exit 2 as "invalid config"
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(solver, "manufacture_alpha", broken)
+    outdir = tmp_path / "manu"
+    cfg = write_config(tmp_path, MANU_CONFIG.format(outdir=outdir))
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["manufacture", str(cfg)])
     assert not outdir.exists()
 
 

@@ -217,25 +217,80 @@ def test_assemble_conformal_anchor_at_t_zero():
     assert np.allclose(U, np.eye(3), atol=1e-16)
 
 
-def test_assemble_flat_matches_hand_formula():
-    grid = PeriodicGrid(3, 16)
-    tau = 0.2
-    bg = flat_background(grid, tau=tau)
-    u = fieldexpr.evaluate("0.1*sin(x1)*cos(x2)", grid)
-    jet = compute_jet(grid, u)
-    t = 0.6
-    U = assemble_U(jet, bg, t)
-    eye = np.eye(3)
-    g2 = np.einsum("...i,...i->...", jet.gradient, jet.gradient)
-    want = (
-        jet.hessian
-        + ((1 - tau) / 1.0) * jet.laplacian[..., None, None] * eye
-        + 0.5 * (2 - tau) * g2[..., None, None] * eye
-        - jet.gradient[..., :, None] * jet.gradient[..., None, :]
-        + t * eye
-        + (1 - t) * eye
+def stacked_U(jet, bg, t):
+    """assemble_U built in the (..., n, n) layout with broadcast identity terms
+    and einsum contractions over contiguous gradients: the construction the
+    plane assembly replaced."""
+    n, tau = bg.grid.dim, bg.tau
+    eye = np.eye(n)
+    g = np.ascontiguousarray(jet.gradient)
+    hess, lap, scale = jet.hessian, jet.laplacian, None
+    if bg.phi is not None:
+        pg = np.ascontiguousarray(bg.phi_jet.gradient)
+        mixed = pg[..., :, None] * g[..., None, :]
+        inner = np.einsum("...i,...i->...", pg, g)
+        hess = jet.hessian - mixed - mixed.swapaxes(-1, -2) + inner[..., None, None] * eye
+        lap = np.trace(hess, axis1=-2, axis2=-1)
+        scale = bg.frame_scale()
+    g2 = np.einsum("...i,...i->...", g, g)
+    core = (
+        hess
+        + ((1.0 - tau) / (n - 2.0)) * lap[..., None, None] * eye
+        + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
+        - g[..., :, None] * g[..., None, :]
+        - t * bg.B
     )
-    assert np.allclose(U, want, atol=1e-15)
+    if scale is None:
+        return core + (1.0 - t) * eye
+    return scale[..., None, None] * core + (1.0 - t) * eye
+
+
+def stacked_phi_B(grid, phi, tau):
+    """background_from_phi's B built in the (..., n, n) layout."""
+    n = grid.dim
+    jet = compute_jet(grid, phi)
+    g = np.ascontiguousarray(jet.gradient)
+    eye = np.eye(n)
+    g2 = np.einsum("...i,...i->...", g, g)
+    return -(
+        jet.hessian
+        + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
+        + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
+        - g[..., :, None] * g[..., None, :]
+    )
+
+
+def test_assemble_flat_matches_hand_formula():
+    # bit for bit against the (..., n, n) construction, n = 3..5, for the
+    # default B = -I, a per-node B and a conformal background
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5):
+        grid = PeriodicGrid(n, 8)
+        B = rng.standard_normal(grid.shape + (n, n))
+        B = 0.5 * (B + B.swapaxes(-1, -2))
+        phi = 0.05 * rng.standard_normal(grid.shape)
+        backgrounds = {
+            "flat": flat_background(grid, tau=0.2),
+            "per-node": flat_background(grid, tau=-0.4, B=B),
+            "conformal": background_from_phi(grid, phi, tau=0.25),
+        }
+        assert np.array_equal(backgrounds["per-node"].B, B)
+        assert np.array_equal(backgrounds["conformal"].B, stacked_phi_B(grid, phi, 0.25))
+        u = 0.1 * rng.standard_normal(grid.shape)
+        jet = compute_jet(grid, u)
+        for name, bg in backgrounds.items():
+            for t in (0.0, 0.6, 1.0):
+                U = assemble_U(jet, bg, t)
+                want = stacked_U(jet, bg, t)
+                assert U.shape == grid.shape + (n, n)
+                assert np.array_equal(U, U.swapaxes(-1, -2)), (n, name, t)
+                # the stacked construction subtracts the two Christoffel terms
+                # in opposite orders in the two triangles, so in conformal mode
+                # only its upper triangle is the plane assembly's arithmetic
+                upper = np.triu_indices(n)
+                assert np.array_equal(U[..., upper[0], upper[1]], want[..., upper[0], upper[1]]), (n, name, t)
+                if bg.phi is None:
+                    assert np.array_equal(U, want), (n, name, t)
 
 
 # ---------------------------------------------------------------- gating

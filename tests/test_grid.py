@@ -8,7 +8,7 @@ from ksig.grid import (
     FieldFormatError,
     PeriodicGrid,
     compute_jet,
-    l2_norm,
+    dot_planes,
     read_field,
     sup_norm,
     write_field,
@@ -98,6 +98,60 @@ def test_jet_translation_equivariance():
         assert np.array_equal(shifted.hessian, np.roll(jet.hessian, 5, axis=axis))
 
 
+def stacked_jet(grid, values):
+    """The jet built in the (..., n) / (..., n, n) layout, entry by entry with
+    strided stores and np.trace: the construction the plane layout replaced."""
+    n, h = grid.dim, grid.spacing
+    grad = np.empty(values.shape + (n,))
+    hess = np.empty(values.shape + (n, n))
+    plus = [np.roll(values, -1, axis=i) for i in range(n)]
+    minus = [np.roll(values, 1, axis=i) for i in range(n)]
+    for i in range(n):
+        grad[..., i] = (plus[i] - minus[i]) / (2.0 * h)
+        hess[..., i, i] = (plus[i] - 2.0 * values + minus[i]) / (h * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pp = np.roll(plus[i], -1, axis=j)
+            pm = np.roll(plus[i], 1, axis=j)
+            mp = np.roll(minus[i], -1, axis=j)
+            mm = np.roll(minus[i], 1, axis=j)
+            cross = (pp - pm - mp + mm) / (4.0 * h * h)
+            hess[..., i, j] = cross
+            hess[..., j, i] = cross
+    return grad, hess, np.trace(hess, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jet_planes_match_stacked_construction_bitwise(n):
+    grid = PeriodicGrid(n, 8)
+    values = np.random.default_rng(n).standard_normal(grid.shape)
+    jet = compute_jet(grid, values)
+    grad, hess, lap = stacked_jet(grid, values)
+    assert np.array_equal(jet.gradient, grad)
+    assert np.array_equal(jet.hessian, hess)
+    assert np.array_equal(jet.laplacian, lap)
+    # the public shapes are zero-copy views of contiguous planes
+    assert jet.grad_planes.shape == (n,) + grid.shape and jet.grad_planes.flags.c_contiguous
+    assert jet.hess_planes.shape == (n, n) + grid.shape and jet.hess_planes.flags.c_contiguous
+    assert jet.gradient.base is jet.grad_planes and jet.hessian.base is jet.hess_planes
+    exact = fieldexpr.analytic_jet("0.1*sin(x1)*cos(x2)", grid)
+    assert exact.grad_planes.shape == jet.grad_planes.shape
+    assert exact.hess_planes.shape == jet.hess_planes.shape
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dot_planes_matches_einsum_on_stacked_layout_bitwise(n):
+    rng = np.random.default_rng(10 + n)
+    a = rng.standard_normal((n, 8, 8, 8))
+    b = rng.standard_normal((n, 8, 8, 8))
+    stacked = np.einsum(
+        "...i,...i->...",
+        np.ascontiguousarray(np.moveaxis(a, 0, -1)),
+        np.ascontiguousarray(np.moveaxis(b, 0, -1)),
+    )
+    assert np.array_equal(dot_planes(a, b), stacked)
+
+
 def test_discrete_integration_by_parts():
     grid = PeriodicGrid(3, 16)
     x1, x2, x3 = coords(grid)
@@ -115,10 +169,8 @@ def test_norms():
     grid = PeriodicGrid(3, 16)
     zero = grid.zeros()
     assert sup_norm(zero) == 0.0
-    assert l2_norm(grid, zero) == 0.0
     one = np.ones(grid.shape)
     assert sup_norm(one) == 1.0
-    assert l2_norm(grid, one) == pytest.approx((2 * np.pi) ** 1.5, rel=1e-13)
     f = np.sin(grid.coordinate(0)) * np.ones(grid.shape)
     assert abs(sup_norm(f) - 1.0) <= grid.spacing**2
 

@@ -7,7 +7,12 @@ import pytest
 
 from ksig import cones, geometry, operator, solver
 from ksig.fieldexpr import analytic_jet
-from ksig.grid import PeriodicGrid, compute_jet, l2_norm, sup_norm
+from ksig.grid import PeriodicGrid, compute_jet, sup_norm
+
+
+def l2_norm(grid, values):
+    """sqrt(h^n * sum f^2): the discrete L2 norm of the torus."""
+    return float(np.sqrt(grid.spacing**grid.dim * np.sum(np.square(values))))
 
 
 def make_grid(n=3, N=8):
@@ -231,6 +236,22 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
     lin = solver.linearize_apply(u, t, v, bg, coeff, cfg)
     rel = sup_norm(lin - exact) / sup_norm(exact)
     assert rel <= 1e-12, f"relative sup error {rel:.3e}"
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_evaluate_leaves_its_inputs_untouched(n):
+    # quotient_eval builds the gradient in its own copy of U's planes; the
+    # stored U and jet must survive it, and G must not alias U
+    grid = make_grid(n, 8)
+    bg = geometry.flat_background(grid, tau=0.3)
+    coeff = default_coeff(grid, k=n)
+    u = smooth_u(grid)
+    t = 0.6
+    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
+    fresh = compute_jet(grid, u)
+    assert np.array_equal(state.jet.hessian, fresh.hessian)
+    assert np.array_equal(state.U, geometry.assemble_U(fresh, bg, t))
+    assert not np.shares_memory(state.U, state.grad)
 
 
 # ---------------------------------------------------------------------------
