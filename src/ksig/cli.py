@@ -59,6 +59,7 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
             "t_final": state.t,
             "residual_sup": state.residual_norm,
             "newton_iterations": state.newton_iters,
+            "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
             "accepted_steps": len(accepted),
             "rejected_steps": len(rejected),
             "residual_trace": [[rec.t, rec.residual_norm] for rec in accepted],

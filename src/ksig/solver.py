@@ -1,11 +1,14 @@
-"""Damped-Newton homotopy continuation for the deformed quotient equation.
+"""Damped inexact Newton-GMRES homotopy continuation for the deformed
+quotient equation.
 
 The path follows the explicit one-parameter family: coefficient weights
 (1-t) c + t alpha_l and background blend -t B + (1-t) g0, anchored at the
 exactly known root u = 0 at t = 0.  Each t-step solves F(u; t) = 0 with a
-damped Newton iteration whose linear systems are matrix-free restarted
-GMRES with diagonal preconditioning; damping keeps every iterate strictly
-inside Gamma_{k-1}.
+damped inexact Newton iteration: its linear systems are matrix-free
+restarted GMRES with diagonal preconditioning, solved only to an
+Eisenstat-Walker forcing term; damping keeps every iterate strictly inside
+Gamma_{k-1}.  The t-step doubles after every step that Newton takes in few
+iterations.
 """
 
 from __future__ import annotations
@@ -19,6 +22,18 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import cones, operator
 from .geometry import validate_hypotheses
 from .grid import sup_norm
+
+# Step-length control from the corrector's iteration count (Allgower &
+# Georg, Introduction to Numerical Continuation Methods, SIAM 2003): an
+# accepted step that took at most this many Newton iterations doubles dt,
+# except for the first _HOLD_AFTER_REJECT accepted steps after a rejection,
+# which keep dt so that a step just halved is not at once retried.
+_GROW_NEWTON = 5
+_HOLD_AFTER_REJECT = 2
+# Eisenstat-Walker forcing term "choice 2" (SIAM J. Sci. Comput. 17, 1996):
+# eta = gamma (|F_k| / |F_{k-1}|)^2, capped at eta_max, which is also eta_0.
+_EW_GAMMA = 0.9
+_EW_ETA_MAX = 0.01
 
 __all__ = [
     "SolverConfig",
@@ -183,7 +198,8 @@ def linearize_apply(u, t, v, background, coeff, config=None):
     return _apply_stencil(_stencil_weights(state, background), v)
 
 
-def _solve_linear(state, background, config):
+def _solve_linear(state, background, config, rtol):
+    """GMRES for dF[delta] = -F to relative residual rtol; returns (delta, info)."""
     shape = state.u.shape
     nflat = state.u.size
     weights = _stencil_weights(state, background)
@@ -198,19 +214,28 @@ def _solve_linear(state, background, config):
     b = -state.residual.ravel()
     restart = min(50, nflat)
     cycles = max(1, math.ceil(config.linear_maxiter / restart))
-    x, info = gmres(A, b, rtol=config.linear_rtol, atol=0.0, restart=restart, maxiter=cycles, M=M)
-    if info != 0:
-        raise NewtonFailure(
-            f"linear solver stagnated (info={info}) at t={state.t}",
-            residual=sup_norm(state.residual),
-        )
-    return x.reshape(shape)
+    x, info = gmres(A, b, rtol=rtol, atol=0.0, restart=restart, maxiter=cycles, M=M)
+    return x.reshape(shape), info
+
+
+def _forcing_term(rnorm, prev_rnorm, config):
+    """The relative GMRES tolerance for the Newton step at residual rnorm.
+
+    Eisenstat-Walker choice 2 capped at _EW_ETA_MAX, but never below
+    0.5 residual_tol / rnorm (a step that only has to reach residual_tol is
+    not solved past it) nor below linear_rtol.
+    """
+    eta = _EW_ETA_MAX
+    if prev_rnorm is not None:
+        eta = min(eta, _EW_GAMMA * (rnorm / prev_rnorm) ** 2)
+    return max(eta, 0.5 * config.residual_tol / rnorm, config.linear_rtol)
 
 
 def newton_solve_at_t(u0, t, background, coeff, config):
     """Damped Newton at fixed t; returns a NewtonResult or raises NewtonFailure.
 
-    Damping halves the step until the trial iterate keeps every node inside
+    Each linear solve stops at the forcing term of _forcing_term.  Damping
+    halves the step until the trial iterate keeps every node inside
     Gamma_{k-1} with the configured margin and strictly decreases the
     residual sup-norm.  An inadmissible starting iterate is a hard error.
     """
@@ -228,7 +253,14 @@ def newton_solve_at_t(u0, t, background, coeff, config):
                 residual=rnorm,
                 history=history,
             )
-        delta = _solve_linear(state, background, config)
+        eta = _forcing_term(rnorm, history[-2] if iters else None, config)
+        delta, info = _solve_linear(state, background, config, eta)
+        if info != 0:
+            raise NewtonFailure(
+                f"linear solver stagnated (info={info}) at t={t}",
+                residual=rnorm,
+                history=history,
+            )
         s = 1.0
         while True:
             trial_u = u + s * delta
@@ -260,11 +292,15 @@ def newton_solve_at_t(u0, t, background, coeff, config):
 def continuation_run(background, coeff, config):
     """March t from 0 to 1 with adaptive steps; returns (state, reports).
 
-    Hypotheses are validated before any step.  dt halves on a failed step and
-    doubles back toward dt_init after two consecutive successes; when dt
-    falls below dt_min a ContinuationStall carrying the last accepted state
-    is raised.  One MonitorReport is emitted per accepted step, including the
-    t = 0 anchor.
+    Hypotheses are validated before any step.  The first step is dt_init.
+    An accepted step that took at most _GROW_NEWTON Newton iterations
+    doubles dt, unless it is one of the first _HOLD_AFTER_REJECT accepted
+    steps after a rejection; the last step is clamped to t = 1.  A failed
+    step halves the step it tried, and when dt falls below dt_min a
+    ContinuationStall carrying the last accepted state is raised.  Each
+    StepRecord holds the step actually tried and the Newton iterations
+    spent on it, rejected or not.  One MonitorReport is emitted per
+    accepted step, including the t = 0 anchor.
     """
     from . import monitors
 
@@ -281,18 +317,20 @@ def continuation_run(background, coeff, config):
 
     t = 0.0
     dt = config.dt_init
-    successes = 0
+    hold = 0  # accepted steps still to take before dt may grow again
     last_rnorm = res.residual_norm
     while t < 1.0:
         t_try = t + dt
-        if t_try >= 1.0 - 1e-12:  # snap: accumulated 0.1-steps land at 1 - ulp
+        if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
+        step = t_try - t
         try:
             res = newton_solve_at_t(u, t_try, background, coeff, config)
         except (NewtonFailure, cones.InadmissibleStateError) as exc:
-            log.append(StepRecord(t_try, dt, False, 0, math.nan, note=str(exc)))
-            dt *= 0.5
-            successes = 0
+            spent = len(exc.history) - 1 if isinstance(exc, NewtonFailure) else 0
+            log.append(StepRecord(t_try, step, False, spent, math.nan, note=str(exc)))
+            dt = 0.5 * step
+            hold = _HOLD_AFTER_REJECT
             if dt < config.dt_min:
                 state = ContinuationState(
                     t=t, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
@@ -307,12 +345,12 @@ def continuation_run(background, coeff, config):
         u = res.u
         last_rnorm = res.residual_norm
         total_iters += res.iterations
-        log.append(StepRecord(t, dt, True, res.iterations, res.residual_norm))
+        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm))
         reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
-        successes += 1
-        if successes >= 2 and dt < config.dt_init:
-            dt = min(config.dt_init, 2.0 * dt)
-            successes = 0
+        if hold:
+            hold -= 1
+        elif res.iterations <= _GROW_NEWTON:
+            dt *= 2.0
     state = ContinuationState(
         t=1.0, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
     )

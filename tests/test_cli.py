@@ -53,6 +53,8 @@ def test_solve_default_problem(tmp_path, capsys):
     assert summary["t_final"] == 1.0
     assert summary["residual_sup"] <= 1e-9
     assert summary["stalled"] is False
+    assert summary["rejected_steps"] == 0
+    assert summary["rejected_newton_iterations"] == 0
     config = summary["config"]
     assert config["problem"]["n"] == 3
     assert set(config) == {"problem", "solver", "output"}
@@ -168,6 +170,9 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stalled"] is True
     assert summary["t_final"] == 0.0
+    # the one rejected step spent its one allowed Newton iteration
+    assert summary["rejected_steps"] == 1
+    assert summary["rejected_newton_iterations"] == 1
 
 
 def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):

@@ -344,7 +344,13 @@ def test_continuation_default_problem():
     assert len(reports) == len(accepted)
     assert accepted[0].t == 0.0 and accepted[-1].t == 1.0
     ts = [rec.t for rec in accepted]
-    assert np.allclose(ts, np.arange(len(ts)) / (len(ts) - 1))
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    # easy steps let dt grow past dt_init: fixed 0.1-steps took 34 Newton
+    # iterations on this problem, the adaptive steps take 16
+    assert any(rec.dt > cfg.dt_init for rec in accepted)
+    assert state.newton_iters <= 20
+    # each record holds the step taken, the last one clamped to t = 1
+    assert [rec.dt for rec in accepted[1:]] == [b - a for a, b in zip(ts, ts[1:])]
     for rep in reports:
         assert rep.cone_margin > 1e-10
         assert rep.min_eig_Gij > 0.0
@@ -376,6 +382,67 @@ def test_continuation_stall_carries_last_state():
     assert len(stall.reports) == 1  # the anchor was still monitored
     rejected = [rec for rec in stall.state.step_log if not rec.accepted]
     assert rejected and all(rec.note for rec in rejected)
+    # a rejected step logs the Newton iterations it spent, not zero
+    assert all(rec.newton_iters == 1 for rec in rejected)
+
+
+def test_continuation_recovers_after_rejected_enlarged_step():
+    # with three Newton iterations allowed, a doubled step fails and has to
+    # be halved again, more than once along the path
+    grid = make_grid(3, 8)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    cfg = solver.SolverConfig(max_newton=3)
+    state, _ = solver.continuation_run(bg, coeff, cfg)
+    assert state.t == 1.0
+    assert state.residual_norm <= cfg.residual_tol
+    accepted = [rec for rec in state.step_log if rec.accepted]
+    rejected = [rec for rec in state.step_log if not rec.accepted]
+    ts = [rec.t for rec in accepted]
+    assert ts[-1] == 1.0 and all(a < b for a, b in zip(ts, ts[1:]))
+    assert rejected and all(rec.note for rec in rejected)
+    assert all(rec.newton_iters == cfg.max_newton for rec in rejected)
+    # doubling after every accepted step oscillates between a failing step
+    # and its half: 12 rejections here, 7 when only the first accepted step
+    # after a rejection keeps dt, 6 with the two steps of the controller
+    assert len(rejected) <= 6
+    for prev, rec in zip(state.step_log, state.step_log[1:]):
+        # dt is the step actually tried: the rejected one is halved, not retried
+        if not prev.accepted:
+            assert rec.dt == pytest.approx(0.5 * prev.dt)
+
+
+def test_newton_forcing_terms(monkeypatch):
+    # inexact Newton: GMRES is asked for eta_0 = 0.01 first, then for
+    # Eisenstat-Walker terms, never for less than linear_rtol or than what
+    # reaching residual_tol needs
+    grid = make_grid(3, 8)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    rtols = []
+
+    def recording_gmres(*args, rtol, **kwargs):
+        rtols.append(rtol)
+        return gmres(*args, rtol=rtol, **kwargs)
+
+    gmres = solver.gmres
+    monkeypatch.setattr(solver, "gmres", recording_gmres)
+    cfg = solver.SolverConfig()
+    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, cfg)
+    assert res.residual_norm <= cfg.residual_tol
+    assert len(rtols) == res.iterations >= 3
+    assert rtols[0] == 0.01
+    for eta, r_prev, r in zip(rtols[1:], res.history, res.history[1:]):
+        floor = max(0.5 * cfg.residual_tol / r, cfg.linear_rtol)
+        assert eta == max(min(0.01, 0.9 * (r / r_prev) ** 2), floor)
+    assert min(rtols) < 1e-3  # the forcing term tightens as Newton converges
+    assert rtols[-1] > 0.01  # the last solve stops at what residual_tol needs
+
+    rtols.clear()
+    loose = solver.SolverConfig(linear_rtol=0.05)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, loose)
+    assert res.residual_norm <= loose.residual_tol
+    assert rtols and min(rtols) >= 0.05
 
 
 def test_continuation_is_deterministic():
@@ -475,3 +542,24 @@ def test_manufactured_convergence_order_coarse():
         errs[N] = sup_norm(res.u - u_star)
     order = np.log2(errs[8] / errs[16])
     assert 1.6 <= order <= 2.4, f"order {order:.3f} from errors {errs}"
+
+
+@pytest.mark.parametrize(
+    "k, tau, background",
+    [(4, 0.0, "hyperbolic-like"), (3, 0.5, "hyperbolic-like"), (4, 0.0, "spaceform:-1")],
+)
+def test_manufactured_convergence_order_n4(k, tau, background):
+    # criterion 4's construction and order window at n = 4: B = -I with
+    # k = n and k < n, and the modified Schouten tensor of a hyperbolic form
+    errs = {}
+    cfg = solver.SolverConfig()
+    for N in (8, 16):
+        grid = make_grid(4, N)
+        B = geometry.spaceform_schouten(-1.0, 4, tau) if background == "spaceform:-1" else None
+        bg = geometry.flat_background(grid, tau=tau, B=B)
+        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg, k=k)
+        res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
+        assert res.residual_norm <= cfg.residual_tol
+        errs[N] = sup_norm(res.u - u_star)
+    order = np.log2(errs[8] / errs[16])
+    assert 1.8 <= order <= 2.2, f"order {order:.3f} from errors {errs}"
