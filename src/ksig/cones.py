@@ -12,8 +12,8 @@ matrix in the batch is one contiguous plane and each step is a handful of
 whole-plane operations.  Three products of the textbook recursion are
 skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and only
 its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of n^3) and
-then mirrored.  M T_0 = M needs no product.  T_k is never formed when only
-sigma_k is wanted: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
+then mirrored (grid.mirror).  M T_0 = M needs no product.  T_k is never
+formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
 functions take and return (..., n, n) arrays.  On the evaluate path the input
 U is already a view of contiguous planes (geometry.assemble_U), so the copy
 is a straight memory copy with no transpose, and quotient_eval's gradient is
@@ -34,10 +34,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .grid import mirror
+
 __all__ = [
     "InadmissibleStateError",
     "all_elementary_symmetric",
-    "sigma_and_transforms",
     "matrix_sigmas",
     "cone_margin",
     "matrix_cone_margin",
@@ -97,12 +98,6 @@ def _planes(M):
     return np.moveaxis(M, (-2, -1), (0, 1)).copy()
 
 
-def _mirror(P):
-    """Copy the upper triangle of the planes P onto the lower one, in place."""
-    for a in range(1, P.shape[0]):
-        P[a, :a] = P[:a, a]
-
-
 def _product(P, T, out):
     """Upper triangle of the planes of M T into `out`; T is None for T_0 = I.
 
@@ -122,7 +117,7 @@ def _transform(out, sj):
         row = out[a, a:]
         np.negative(row, out=row)
         row[0] += sj
-    _mirror(out)
+    mirror(out)
 
 
 def _recursion(P, kmax, T=None):
@@ -153,33 +148,6 @@ def _recursion(P, kmax, T=None):
         last = np.einsum("aa...->...", P) if prev is None else np.einsum("ab...,ab...->...", P, prev)
         sig[kmax] = last / kmax
     return sig
-
-
-def sigma_and_transforms(M, kmax):
-    """sigma_0..sigma_kmax and Newton transforms T_0..T_kmax of symmetric M.
-
-    Parameters
-    ----------
-    M : array (..., n, n), symmetric
-    kmax : highest order needed, 0 <= kmax <= n
-
-    Returns
-    -------
-    sig : array (..., kmax+1)
-    T : array (kmax+1, ..., n, n); T[j] is the gradient of sigma_{j+1} wrt M
-    """
-    M = _square(M)
-    n = M.shape[-1]
-    _check_order(kmax, n)
-    P = _planes(M)
-    T = np.zeros((kmax + 1,) + P.shape)
-    for a in range(n):
-        T[0, a, a] = 1.0
-    sig = _recursion(P, kmax, T[1:])
-    if kmax:
-        _product(P, T[kmax - 1], T[kmax])
-        _transform(T[kmax], sig[kmax])
-    return np.moveaxis(sig, 0, -1), np.moveaxis(T, (1, 2), (-2, -1))
 
 
 def matrix_sigmas(M, kmax):
@@ -288,7 +256,7 @@ def quotient_eval(M, k, beta=None, want_grad=False, check=True):
             row = P[a, a:]
             np.einsum("j...,jb...->b...", coef[1:], T[:, a, a:], out=row)
             row[0] += coef[0]
-        _mirror(P)
+        mirror(P)
         grad = np.moveaxis(P, (0, 1), (-2, -1))
     return QuotientEval(sigma=sigma, value=value, gl=gl, grad=grad)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
-from .grid import PeriodicGrid, compute_jet, dot_planes
+from .grid import PeriodicGrid, compute_jet, dot_planes, mirror
 
 __all__ = [
     "HypothesisViolation",
@@ -113,12 +113,6 @@ def flat_background(grid, tau=0.0, B=None):
     return BackgroundField(grid=grid, tau=float(tau), B_planes=planes)
 
 
-def _mirror(P):
-    """Copy the upper triangle of the planes P onto the lower one, in place."""
-    for a in range(1, P.shape[0]):
-        P[a, :a] = P[:a, a]
-
-
 def _core(hess, lap, g, tau, out):
     """Upper triangle of Hess + c1 Lap I + c2 |grad|^2 I - grad (x) grad, with
     c1 = (1-tau)/(n-2) and c2 = (2-tau)/2, on component planes into `out`.
@@ -155,7 +149,7 @@ def background_from_phi(grid, phi, tau):
     jet = compute_jet(grid, phi)
     planes = np.empty((n, n) + grid.shape)
     _core(jet.hess_planes, jet.laplacian, jet.grad_planes, tau, planes)
-    _mirror(planes)
+    mirror(planes)
     np.negative(planes, out=planes)
     return BackgroundField(grid=grid, tau=float(tau), B_planes=planes, phi=phi, phi_jet=jet)
 
@@ -238,7 +232,7 @@ def assemble_U(jet, background, t):
             if scale is not None:
                 entry *= scale
         U[a, a] += 1.0 - t
-    _mirror(U)
+    mirror(U)
     return np.moveaxis(U, (0, 1), (-2, -1))
 
 

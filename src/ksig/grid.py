@@ -2,8 +2,9 @@
 
 Scalar fields are plain float64 arrays of shape grid.shape; the grid object
 travels alongside them.  Derivatives are second-order central differences
-with periodic wraparound, realized with np.roll so the stencil is exact at
-the wrap seam.
+with periodic wraparound, realized with `shift` (two slice copies per
+shifted field) so the stencil is exact at the wrap seam.  `shift`, `mirror`
+and `dot_planes` are the package's helpers for fields and component planes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ __all__ = [
     "PeriodicGrid",
     "JetField",
     "dot_planes",
+    "mirror",
+    "shift",
     "compute_jet",
     "sup_norm",
     "write_field",
@@ -115,6 +118,29 @@ def dot_planes(a, b):
     return lanes[0] + lanes[1]
 
 
+def mirror(P):
+    """Copy the upper triangle of the component planes P (n, n, ...) onto the
+    lower one, in place."""
+    for a in range(1, P.shape[0]):
+        P[a, :a] = P[:a, a]
+
+
+def shift(a, steps, axis, out=None):
+    """a(x + steps h e_axis) with periodic wraparound, by two slice copies.
+
+    The result, written into `out` (a new array when None; it must not
+    share memory with `a`), equals numpy's roll of `a` by -steps along axis.
+    """
+    if out is None:
+        out = np.empty_like(a)
+    size = a.shape[axis]
+    s = steps % size
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, size - s),)] = a[lead + (slice(s, size),)]
+    out[lead + (slice(size - s, size),)] = a[lead + (slice(0, s),)]
+    return out
+
+
 def compute_jet(grid, values):
     """Second-order central-difference jet with periodic wraparound."""
     values = np.asarray(values, dtype=np.float64)
@@ -124,11 +150,6 @@ def compute_jet(grid, values):
     h = grid.spacing
     grad = np.empty((n,) + values.shape)
     hess = np.empty((n, n) + values.shape)
-
-    def shift(a, steps, axis):
-        # +1 step looks one node in the +axis direction: a(x + h e_axis)
-        return np.roll(a, -steps, axis=axis)
-
     plus = [shift(values, 1, i) for i in range(n)]
     minus = [shift(values, -1, i) for i in range(n)]
     twice = 2.0 * values
@@ -139,12 +160,13 @@ def compute_jet(grid, values):
         np.subtract(plus[i], twice, out=d2)
         d2 += minus[i]
         d2 /= h * h
+    fwd, back = np.empty_like(values), np.empty_like(values)
     for i in range(n):
         for j in range(i + 1, n):
             cross = hess[i, j]
-            np.subtract(shift(plus[i], 1, j), shift(plus[i], -1, j), out=cross)
-            cross -= shift(minus[i], 1, j)
-            cross += shift(minus[i], -1, j)
+            np.subtract(shift(plus[i], 1, j, fwd), shift(plus[i], -1, j, back), out=cross)
+            cross -= shift(minus[i], 1, j, fwd)
+            cross += shift(minus[i], -1, j, back)
             cross /= 4.0 * h * h
             hess[j, i] = cross
     lap = np.trace(hess)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .grid import dot_planes, sup_norm
 
 __all__ = [
     "MonitorReport",
-    "CSV_HEADER",
     "snapshot_point",
     "write_monitor_csv",
     "read_monitor_csv",
@@ -31,21 +30,6 @@ __all__ = [
     "TraceSummary",
     "estimate_trace_series",
 ]
-
-CSV_FIELDS = (
-    "t",
-    "sup_u",
-    "sup_grad_u",
-    "sup_lap_u",
-    "cone_margin",
-    "min_eig_Gij",
-    "trace_slack",
-    "max_sigma_ratio",
-    "eq33_slack",
-    "newton_iters",
-)
-CSV_HEADER = ",".join(CSV_FIELDS)
-
 
 @dataclass(frozen=True)
 class MonitorReport:
@@ -68,8 +52,8 @@ class MonitorReport:
     eq33_slack: float
     newton_iters: int
 
-    def to_row(self):
-        return [getattr(self, name) for name in CSV_FIELDS]
+
+CSV_FIELDS = tuple(f.name for f in fields(MonitorReport))
 
 
 def snapshot_point(state, background, coeff, newton_iters):
@@ -149,7 +133,7 @@ def write_monitor_csv(path, reports):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for rep in reports:
-            row = rep.to_row()
+            row = astuple(rep)
             writer.writerow([repr(float(v)) for v in row[:-1]] + [str(int(row[-1]))])
 
 

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import cones, operator
 from .geometry import validate_hypotheses
-from .grid import sup_norm
+from .grid import shift, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
 # Georg, Introduction to Numerical Continuation Methods, SIAM 2003): an
@@ -42,8 +42,7 @@ __all__ = [
     "NewtonResult",
     "StepRecord",
     "ContinuationState",
-    "residual",
-    "linearize_apply",
+    "jacobian",
     "newton_solve_at_t",
     "continuation_run",
     "manufacture_alpha",
@@ -126,24 +125,18 @@ class ContinuationState:
     step_log: list = field(default_factory=list)
 
 
-def residual(u, t, background, coeff, config):
-    """F(u; t) per node; hard error if any node leaves Gamma_{k-1} + margin."""
-    state = operator.evaluate(u, t, background, coeff)
-    if not state.margin.min() > config.cone_margin:
-        raise operator.admissibility_failure(state, config.cone_margin, f"residual at t={t}")
-    return state.residual
-
-
-def _stencil_weights(state, background):
-    """Per-node weights of dF at `state` on compute_jet's stencil.
+def jacobian(state, background):
+    """dF at `state`, an operator.evaluate result with want_grad=True, as
+    per-node weights on compute_jet's stencil, built once.
 
     dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
     b = (2-tau) tr(G) grad u - 2 G grad u, c = zeroth, G = G^{ij} and
     c1 = (1-tau)/(n-2).  Conformally-flat mode adds the Christoffel terms
     (1 + c1 (n-2)) tr(G) grad phi - 2 G grad phi to b and scales A and b by
-    e^{-2 phi}.  Returns (centre, plus, minus, cross): the weights of v(x)
-    and of v(x +- h e_i) stacked on axis 0, and (i, j, w) for i < j with w
-    the weight of the four-point cross difference.
+    e^{-2 phi}.  Returns (apply, diagonal): apply(v) is dF[v] for a grid
+    field v, summed from the weights of v(x), of v(x +- h e_i) and of the
+    four-point cross differences; diagonal is the weight of v(x), dF's
+    diagonal.
     """
     grid = background.grid
     n = grid.dim
@@ -166,49 +159,38 @@ def _stencil_weights(state, background):
     axial = (diag_g + c1 * trace_g) * (scale / (h * h))
     drift = b * (scale / (2.0 * h))
     centre = state.zeroth - 2.0 * axial.sum(axis=0)
+    plus = axial + drift
+    minus = axial - drift
     cross = [(i, j, G[i, j] * (scale / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
-    return centre, axial + drift, axial - drift, cross
+    fwd, back = grid.zeros(), grid.zeros()  # v shifted by +-1 node, reused by every apply
 
+    def apply(v):
+        out = centre * v
+        diffs = []
+        for i in range(n):
+            shift(v, 1, i, fwd)
+            shift(v, -1, i, back)
+            out += plus[i] * fwd + minus[i] * back
+            diffs.append(fwd - back)
+        for i, j, w in cross:
+            np.subtract(shift(diffs[i], 1, j, fwd), shift(diffs[i], -1, j, back), out=fwd)
+            out += np.multiply(w, fwd, out=fwd)
+        return out
 
-def _apply_stencil(weights, v):
-    """dF[v] from the weights of _stencil_weights, by periodic shifts of v."""
-    centre, plus, minus, cross = weights
-    out = centre * v
-    diffs = []
-    for i in range(v.ndim):
-        # np.roll(v, -1, i) looks one node in the +i direction: v(x + h e_i)
-        vp = np.roll(v, -1, axis=i)
-        vm = np.roll(v, 1, axis=i)
-        out += plus[i] * vp + minus[i] * vm
-        diffs.append(vp - vm)
-    for i, j, w in cross:
-        out += w * (np.roll(diffs[i], -1, axis=j) - np.roll(diffs[i], 1, axis=j))
-    return out
-
-
-def linearize_apply(u, t, v, background, coeff, config=None):
-    """Matrix-free action of dF/du at (u, t) on the field v."""
-    state = operator.evaluate(u, t, background, coeff, want_grad=True)
-    floor = config.cone_margin if config is not None else 0.0
-    if not state.margin.min() > floor:
-        raise operator.admissibility_failure(state, floor, f"linearization at t={t}")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != background.grid.shape:
-        raise ValueError(f"direction shape {v.shape} does not match grid {background.grid.shape}")
-    return _apply_stencil(_stencil_weights(state, background), v)
+    return apply, centre
 
 
 def _solve_linear(state, background, config, rtol):
     """GMRES for dF[delta] = -F to relative residual rtol; returns (delta, info)."""
     shape = state.u.shape
     nflat = state.u.size
-    weights = _stencil_weights(state, background)
+    apply, diagonal = jacobian(state, background)
 
     def matvec(x):
-        return _apply_stencil(weights, x.reshape(shape)).ravel()
+        return apply(x.reshape(shape)).ravel()
 
     A = LinearOperator((nflat, nflat), matvec=matvec, dtype=np.float64)
-    centre = weights[0].ravel()
+    centre = diagonal.ravel()
     diag = np.where(np.abs(centre) < 1e-12, 1.0, centre)  # Jacobi on the stencil centre
     M = LinearOperator((nflat, nflat), matvec=lambda x: x / diag, dtype=np.float64)
     b = -state.residual.ravel()

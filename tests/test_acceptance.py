@@ -9,7 +9,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from ksig import cones, geometry, monitors, solver
+from ksig import cones, geometry, monitors, operator, solver
 from ksig.cli import main
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, read_field, sup_norm, write_field
@@ -51,6 +51,20 @@ def default_coeff(grid, k=3):
     )
 
 
+def admissible_state(u, t, bg, coeff, cfg, want_grad=False):
+    """operator.evaluate at (u, t), refusing a state within cone_margin of the cone boundary."""
+    state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
+    if not state.margin.min() > cfg.cone_margin:
+        raise operator.admissibility_failure(state, cfg.cone_margin, f"test state at t={t}")
+    return state
+
+
+def linearize(u, t, v, bg, coeff, cfg):
+    """dF[v] at (u, t) through solver.jacobian, the operator GMRES applies."""
+    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, cfg, want_grad=True), bg)
+    return apply(v)
+
+
 def test_criterion_1_inequality_suite(capsys):
     t0 = time.perf_counter()
     worst = 0.0
@@ -85,16 +99,14 @@ def test_criterion_2_linearization(capsys):
         )
         t = float(rng.uniform(0.0, 1.0))
         v = rng.standard_normal(grid.shape)
-        lin = solver.linearize_apply(u, t, v, bg, coeff, cfg)
+        lin = linearize(u, t, v, bg, coeff, cfg)
         fd = (
-            solver.residual(u + eps * v, t, bg, coeff, cfg)
-            - solver.residual(u - eps * v, t, bg, coeff, cfg)
+            admissible_state(u + eps * v, t, bg, coeff, cfg).residual
+            - admissible_state(u - eps * v, t, bg, coeff, cfg).residual
         ) / (2.0 * eps)
         worst_rel = max(worst_rel, l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd)))
     # constant direction at the anchor: pure zeroth-order response, known exactly
-    const = solver.linearize_apply(
-        grid.zeros(), 0.0, np.ones(grid.shape), bg, trivial_coeff(grid, 3), cfg
-    )
+    const = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, trivial_coeff(grid, 3), cfg)
     const_dev = float(np.abs(const + 1.5).max())
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-5 and const_dev <= 1e-12 and elapsed <= 30.0
@@ -121,7 +133,7 @@ def test_criterion_3_trivial_anchor(capsys):
     cfg = solver.SolverConfig()
     worst_anchor = 0.0
     for bg in backgrounds:
-        r = solver.residual(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3), cfg)
+        r = admissible_state(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3), cfg).residual
         worst_anchor = max(worst_anchor, sup_norm(r))
     # perturb off the root and watch Newton walk back
     bg = geometry.flat_background(grid, tau=0.0)

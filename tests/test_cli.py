@@ -2,13 +2,15 @@
 no partial output, and byte-level reproducibility of reruns."""
 
 import json
+import re
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
-from ksig import solver
+from ksig import runconfig, solver
 from ksig.cli import main
-from ksig.monitors import CSV_HEADER
+from ksig.monitors import CSV_FIELDS
 
 BASE_CONFIG = """\
 [problem]
@@ -135,6 +137,19 @@ def test_solve_spaceform_negative_curvature(tmp_path):
         **{"background = hyperbolic-like": "background = spaceform:-1.0"},
     )
     assert main(["solve", str(cfg)]) == 0
+
+
+def test_readme_example_config_loads(tmp_path):
+    # configparser takes no inline comments, so the documented example keeps
+    # each comment on a line of its own
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    (tmp_path / "example.ini").write_text(block)
+    cfg = runconfig.load_config(tmp_path / "example.ini")
+    assert (cfg.problem.n, cfg.problem.k, cfg.problem.tau, cfg.problem.resolution) == (3, 3, 0.0, 16)
+    assert (cfg.problem.alpha, cfg.problem.alpha_l, cfg.problem.u_star) == ("0.2*sin(x1)", "1.0", None)
+    assert cfg.solver == solver.SolverConfig()
+    assert cfg.output == runconfig.OutputConfig(directory="run-out", csv=True, json=True, svg=True)
 
 
 def test_solve_missing_config(tmp_path, capsys):
@@ -356,7 +371,7 @@ def test_report_malformed_csv(tmp_path, capsys):
     "row", ["0.0,0.0,0.0,3", ",".join(["0.0"] * 10) + ",3"], ids=["short", "long"]
 )
 def test_report_torn_csv_row(tmp_path, capsys, row):
-    (tmp_path / "monitors.csv").write_text(f"{CSV_HEADER}\n{row}\n")
+    (tmp_path / "monitors.csv").write_text(f"{','.join(CSV_FIELDS)}\n{row}\n")
     assert main(["report", str(tmp_path)]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.svg"))

@@ -29,12 +29,12 @@ def sigma(lam, k):
 
 
 def matrix_sigma(M, k):
-    return cones.sigma_and_transforms(M, k)[0][..., k]
+    return cones.matrix_sigmas(M, k)[..., k]
 
 
 def transform(M, k):
-    """Newton transform T_k(M), the gradient of sigma_{k+1}."""
-    return cones.sigma_and_transforms(M, k)[1][k]
+    """Newton transform T_k(M), the gradient of sigma_{k+1}, from the reference recursion."""
+    return reference_sigma_and_transforms(M, k)[1][k]
 
 
 def g_value(M, k, beta=None):
@@ -81,7 +81,7 @@ def test_sigma_domain_errors():
     with pytest.raises(ValueError):
         cones.cone_margin([1.0, 2.0, 3.0], -1)
     with pytest.raises(ValueError):
-        cones.sigma_and_transforms(np.diag([1.0, 2.0, 3.0]), 4)
+        cones.matrix_sigmas(np.diag([1.0, 2.0, 3.0]), 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,7 +169,8 @@ def test_newton_transform_trace_identities():
     for n in (3, 4, 5):
         A = rng.standard_normal((20, n, n))
         M = 0.5 * (A + A.swapaxes(-1, -2))
-        sig, T = cones.sigma_and_transforms(M, n)
+        sig = cones.matrix_sigmas(M, n)
+        _, T = reference_sigma_and_transforms(M, n)
         for k in range(1, n + 1):
             tr_TM = np.trace(M @ T[k - 1], axis1=-2, axis2=-1)
             assert np.allclose(tr_TM, k * sig[..., k], rtol=1e-10, atol=1e-10)
@@ -194,10 +195,10 @@ def test_newton_transform_is_sigma_gradient():
 
 def test_newton_transform_order_bounds():
     # T_n vanishes (Cayley-Hamilton) and orders beyond n are refused
-    _, T = cones.sigma_and_transforms(np.diag([1.0, 2.0, 3.0]), 3)
+    _, T = reference_sigma_and_transforms(np.diag([1.0, 2.0, 3.0]), 3)
     assert np.allclose(T[3], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        cones.sigma_and_transforms(np.eye(3), 4)
+        cones.matrix_sigmas(np.eye(3), 4)
 
 
 # ---------------------------------------------------------------- cones
@@ -453,14 +454,12 @@ def admissible_batch(rng, batch, n, k):
     return sampling.gamma_matrices(rng, count, n, k - 1, margin=0.1).reshape(batch + (n, n))
 
 
-def check_sigma_and_transforms(M, kmax):
-    sig, T = cones.sigma_and_transforms(M, kmax)
-    want_sig, want_T = reference_sigma_and_transforms(M, kmax)
-    assert sig.shape == want_sig.shape and T.shape == want_T.shape
+def check_sigmas(M, kmax):
+    sig = cones.matrix_sigmas(M, kmax)
+    want = reference_sigma_and_transforms(M, kmax)[0]
+    assert sig.shape == want.shape
     for j in range(kmax + 1):
-        assert_oracle_close(sig[..., j], want_sig[..., j])
-    # one scale for the whole stack: T_n is round-off around zero (Cayley-Hamilton)
-    assert_oracle_close(T, want_T)
+        assert_oracle_close(sig[..., j], want[..., j])
 
 
 def check_quotient(M, k, beta):
@@ -484,8 +483,7 @@ def test_sigma_and_transforms_match_reference_recursion(n, batch):
     rng = sampling.generator(500 + n)
     M = symmetric_batch(rng, batch, n)
     for kmax in range(n + 1):
-        check_sigma_and_transforms(M, kmax)
-        assert_oracle_close(cones.matrix_sigmas(M, kmax), reference_sigma_and_transforms(M, kmax)[0])
+        check_sigmas(M, kmax)
 
 
 @pytest.mark.parametrize("batch", ORACLE_BATCHES, ids=str)
@@ -511,7 +509,7 @@ def test_plane_kernel_reads_noncontiguous_inputs(n):
     for view, b in views:
         assert not view.flags.c_contiguous
         for kmax in range(n + 1):
-            check_sigma_and_transforms(view, kmax)
+            check_sigmas(view, kmax)
         for k in range(1, n + 1):
             check_quotient(view, k, b[..., : k - 1])
 
@@ -599,8 +597,8 @@ def test_quotient_powers_increase_when_adding_psd():
     A = sampling.psd_matrices(rng, 300, n, 0.0, 1.0)
     S = A + B
     ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
-    sigB = cones.sigma_and_transforms(B[ok], k)[0]
-    sigS = cones.sigma_and_transforms(S[ok], k)[0]
+    sigB = cones.matrix_sigmas(B[ok], k)
+    sigS = cones.matrix_sigmas(S[ok], k)
     for l in range(k - 1):
         p = 1.0 / (k - 1 - l)
         qB = (sigB[:, k - 1] / sigB[:, l]) ** p

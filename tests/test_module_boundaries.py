@@ -1,10 +1,13 @@
-"""Module boundaries: no ksig module reaches into another's private names.
+"""Module boundaries: no ksig module reaches into another's private names,
+and every name a module exports has a caller inside the package.
 
 A name with a leading underscore is an implementation detail of its own
-module.  Parsing each source file keeps the rule checked without a linter.
+module; a name in `__all__` that only tests reach is test scaffolding in the
+package.  Parsing each source file keeps both rules checked without a linter.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 import pytest
@@ -19,13 +22,10 @@ def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
-def foreign_private_uses(path):
-    """`module._name` accesses and `from module import _name` imports that
-    cross from the file at `path` into another ksig module."""
-    own = path.stem
-    tree = ast.parse(path.read_text(), filename=str(path))
-    aliases = {}  # local name bound to a sibling module -> that module
-    hits = []
+def sibling_imports(tree, modules):
+    """(node, target, alias) for each name a `from` import binds out of the
+    package: target is the sibling module it comes from, or None when the
+    import binds a sibling module itself."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -33,16 +33,85 @@ def foreign_private_uses(path):
         if node.level == 1 or parts[0] == "ksig":
             target = parts[-1] if parts[-1] not in ("", "ksig") else None
             for alias in node.names:
-                if target is None and alias.name in MODULES:
-                    aliases[alias.asname or alias.name] = alias.name
-                elif target is not None and target != own and _private(alias.name):
-                    hits.append(f"{path.name}:{node.lineno}: from {target} import {alias.name}")
+                if target is not None or alias.name in modules:
+                    yield node, target, alias
+
+
+def module_attributes(tree, aliases):
+    """(node, module, attribute) for each `alias.attribute` with alias bound to a sibling module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             target = aliases.get(node.value.id)
-            if target is not None and target != own and _private(node.attr):
-                hits.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+            if target is not None:
+                yield node, target, node.attr
+
+
+def foreign_private_uses(path):
+    """`module._name` accesses and `from module import _name` imports that
+    cross from the file at `path` into another ksig module."""
+    own = path.stem
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}  # local name bound to a sibling module -> that module
+    hits = []
+    for node, target, alias in sibling_imports(tree, MODULES):
+        if target is None:
+            aliases[alias.asname or alias.name] = alias.name
+        elif target != own and _private(alias.name):
+            hits.append(f"{path.name}:{node.lineno}: from {target} import {alias.name}")
+    for node, target, attr in module_attributes(tree, aliases):
+        if target != own and _private(attr):
+            hits.append(f"{path.name}:{node.lineno}: {node.value.id}.{attr}")
     return hits
+
+
+def global_references(table, inside=None):
+    """(name, inside) for each global name read in `table` or a scope nested
+    in it; inside is the top-level definition the read sits in.  Parameters
+    and locals of the same name are the symbol table's to tell apart."""
+    module = table.get_type() == "module"
+    for sym in table.get_symbols():
+        if sym.is_referenced() and (module or sym.is_global()):
+            yield sym.get_name(), inside
+    for child in table.get_children():
+        yield from global_references(child, child.get_name() if module else inside)
+
+
+def unreferenced_exports(src):
+    """`module.name` for each name in a module's `__all__` that no module
+    under `src` reads outside the name's own definition."""
+    paths = sorted(src.glob("*.py"))
+    modules = {path.stem for path in paths}
+    exports = {}
+    used = set()
+    for path in paths:
+        own = path.stem
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports[own] = ast.literal_eval(node.value)
+        aliases = {}
+        imported = {}  # local name -> (module, name) it was imported from
+        for _, target, alias in sibling_imports(tree, modules):
+            local = alias.asname or alias.name
+            if target is None:
+                aliases[local] = alias.name
+            else:
+                imported[local] = (target, alias.name)
+        for name, inside in global_references(symtable.symtable(text, str(path), "exec")):
+            if name in imported:
+                used.add(imported[name])
+            elif name != inside:
+                used.add((own, name))
+        used.update((target, attr) for _, target, attr in module_attributes(tree, aliases))
+    return [
+        f"{module}.{name}"
+        for module, names in sorted(exports.items())
+        for name in names
+        if (module, name) not in used
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -63,3 +132,30 @@ def test_boundary_check_sees_attribute_and_import_forms(tmp_path):
         "cli.py:2: from grid import _HEADER",
         "cli.py:4: runconfig._helper",
     ]
+
+
+def test_every_export_has_a_caller_in_the_package():
+    assert unreferenced_exports(SRC) == []
+
+
+def test_export_check_tells_globals_from_locals(tmp_path):
+    (tmp_path / "grid.py").write_text(
+        "__all__ = ['imported', 'attribute', 'shadowed', 'recursive', 'module_level', 'unused']\n"
+        "def imported(): pass\n"
+        "def attribute(): pass\n"
+        "def shadowed(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def module_level(): pass\n"
+        "def unused(): pass\n"
+        "ALIAS = module_level\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from .grid import imported, shadowed\n"
+        "from . import grid\n"
+        "class Failure(Exception):\n"
+        "    def __init__(self, shadowed=None):\n"
+        "        self.shadowed = shadowed\n"
+        "def main():\n"
+        "    return [imported() for _ in range(2)], grid.attribute\n"
+    )
+    assert unreferenced_exports(tmp_path) == ["grid.shadowed", "grid.recursive", "grid.unused"]

@@ -2,6 +2,8 @@
 quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ def manufactured(expr, bg, k=3):
     return jet.value, solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
 
 
+def admissible_state(u, t, bg, coeff, want_grad=False):
+    state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
+    assert state.margin.min() > solver.SolverConfig().cone_margin
+    return state
+
+
+def residual(u, t, bg, coeff):
+    """F(u; t) per node at an admissible u."""
+    return admissible_state(u, t, bg, coeff).residual
+
+
+def linearize(u, t, v, bg, coeff):
+    """dF[v] at an admissible (u, t) through solver.jacobian, the operator
+    GMRES applies."""
+    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, want_grad=True), bg)
+    return apply(v)
+
+
 def smooth_u(grid, amp=0.05):
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     x2 = grid.coordinate(1) + np.zeros(grid.shape)
@@ -88,8 +108,7 @@ def test_anchor_residual_zero(n, k):
     grid = make_grid(n, 8 if n < 5 else 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, k)
-    cfg = solver.SolverConfig()
-    r = solver.residual(grid.zeros(), 0.0, bg, coeff, cfg)
+    r = residual(grid.zeros(), 0.0, bg, coeff)
     assert sup_norm(r) <= 1e-12
 
 
@@ -99,8 +118,7 @@ def test_anchor_independent_of_background():
     B = rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T
     bg = geometry.flat_background(grid, tau=0.2, B=B)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig()
-    assert sup_norm(solver.residual(grid.zeros(), 0.0, bg, coeff, cfg)) <= 1e-12
+    assert sup_norm(residual(grid.zeros(), 0.0, bg, coeff)) <= 1e-12
 
 
 def test_anchor_t1_with_matching_coefficients():
@@ -108,18 +126,7 @@ def test_anchor_t1_with_matching_coefficients():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig()
-    assert sup_norm(solver.residual(grid.zeros(), 1.0, bg, coeff, cfg)) <= 1e-12
-
-
-def test_residual_rejects_inadmissible_state():
-    grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig()
-    x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    with pytest.raises(cones.InadmissibleStateError, match="node"):
-        solver.residual(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
+    assert sup_norm(residual(grid.zeros(), 1.0, bg, coeff)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +141,7 @@ def test_linearize_constant_direction_exact_value():
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
         coeff = trivial_coeff(grid, 3)
-        cfg = solver.SolverConfig()
-        out = solver.linearize_apply(grid.zeros(), 0.0, np.ones(grid.shape), bg, coeff, cfg)
+        out = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, coeff)
         assert np.abs(out + 1.5).max() <= 1e-12
 
 
@@ -143,8 +149,7 @@ def test_linearize_zero_direction():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig()
-    out = solver.linearize_apply(smooth_u(grid), 0.5, np.zeros(grid.shape), bg, coeff, cfg)
+    out = linearize(smooth_u(grid), 0.5, np.zeros(grid.shape), bg, coeff)
     assert np.array_equal(out, np.zeros(grid.shape))
 
 
@@ -152,14 +157,13 @@ def test_linearize_is_linear_in_direction():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig()
     rng = np.random.default_rng(11)
     u = smooth_u(grid)
     v = rng.standard_normal(grid.shape)
     w = rng.standard_normal(grid.shape)
-    lv = solver.linearize_apply(u, 0.7, v, bg, coeff, cfg)
-    lw = solver.linearize_apply(u, 0.7, w, bg, coeff, cfg)
-    combo = solver.linearize_apply(u, 0.7, 2.0 * v - 3.0 * w, bg, coeff, cfg)
+    lv = linearize(u, 0.7, v, bg, coeff)
+    lw = linearize(u, 0.7, w, bg, coeff)
+    combo = linearize(u, 0.7, 2.0 * v - 3.0 * w, bg, coeff)
     assert np.abs(combo - (2.0 * lv - 3.0 * lw)).max() <= 1e-10 * max(1.0, np.abs(combo).max())
 
 
@@ -167,17 +171,16 @@ def test_linearize_matches_difference_quotient():
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig()
     rng = np.random.default_rng(5)
     eps = 1e-6
     for trial in range(6):
         u = smooth_u(grid, amp=rng.uniform(0.01, 0.08))
         v = rng.standard_normal(grid.shape)
         t = rng.uniform(0.0, 1.0)
-        lin = solver.linearize_apply(u, t, v, bg, coeff, cfg)
+        lin = linearize(u, t, v, bg, coeff)
         fd = (
-            solver.residual(u + eps * v, t, bg, coeff, cfg)
-            - solver.residual(u - eps * v, t, bg, coeff, cfg)
+            residual(u + eps * v, t, bg, coeff)
+            - residual(u - eps * v, t, bg, coeff)
         ) / (2.0 * eps)
         rel = l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd))
         assert rel <= 1e-5, f"trial {trial}: rel {rel:.3e}"
@@ -189,30 +192,42 @@ def test_linearize_matches_difference_quotient_conformal_background():
     phi = 0.1 * np.cos(grid.coordinate(0) + np.zeros(grid.shape))
     bg = geometry.background_from_phi(grid, phi, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig()
     rng = np.random.default_rng(6)
     u = smooth_u(grid, amp=0.03)
     v = rng.standard_normal(grid.shape)
     eps = 1e-6
     # t = 0 keeps U well inside the cone regardless of the (inadmissible
     # on a torus) conformal background tensor
-    lin = solver.linearize_apply(u, 0.0, v, bg, coeff, cfg)
+    lin = linearize(u, 0.0, v, bg, coeff)
     fd = (
-        solver.residual(u + eps * v, 0.0, bg, coeff, cfg)
-        - solver.residual(u - eps * v, 0.0, bg, coeff, cfg)
+        residual(u + eps * v, 0.0, bg, coeff)
+        - residual(u - eps * v, 0.0, bg, coeff)
     ) / (2.0 * eps)
     rel = l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd))
     assert rel <= 1e-5
 
 
+def rotated_background(grid, tau):
+    """B = Q D(x) Q^T: a fixed rotation Q conjugating a diagonal with entries
+    that vary over the grid, so every entry of B does; -B is positive
+    definite."""
+    n = grid.dim
+    x1 = grid.coordinate(0) + np.zeros(grid.shape)
+    x2 = grid.coordinate(1) + np.zeros(grid.shape)
+    Q, _ = np.linalg.qr(np.random.default_rng(100 + n).standard_normal((n, n)))
+    d = np.stack([-(1.0 + 0.3 * np.sin(x1 + i) * np.cos(x2)) for i in range(n)], axis=-1)
+    return geometry.flat_background(grid, tau=tau, B=(Q * d[..., None, :]) @ Q.T)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("tau", [0.0, 0.5])
-@pytest.mark.parametrize("kind", ["minus-identity", "per-node", "conformal"])
+@pytest.mark.parametrize("kind", ["minus-identity", "per-node", "conformal", "rotated"])
 def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
     # U^t is quadratic in the stencil jet, so the central difference of
     # assemble_U along v is its exact derivative for any step; contracted
-    # with G^{ij} and joined by the zeroth-order term it is dF[v], which the
-    # stencil weights must reproduce to round-off
+    # with G^{ij} and joined by the pointwise derivative in u of
+    # beta_l = w_l e^{2(k-l)u} and t alpha e^{2u} it is dF[v], which the
+    # stencil weights must reproduce to round-off, for every 3 <= k <= n
     grid = make_grid(n, 8)
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     t = 0.7
@@ -220,22 +235,30 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
         bg = geometry.flat_background(grid, tau=tau)
     elif kind == "per-node":
         bg = geometry.flat_background(grid, tau=tau, B=-(1.0 + 0.2 * np.sin(x1))[..., None, None] * np.eye(n))
+    elif kind == "rotated":
+        bg = rotated_background(grid, tau)
+        # every off-diagonal entry is nonzero somewhere and varies over the grid
+        assert all(np.ptp(bg.B_planes[i, j]) > 0.01 for i in range(n) for j in range(i + 1, n))
     else:
         bg = geometry.background_from_phi(grid, 0.1 * np.cos(x1), tau)
         t = 0.0  # the conformal tensor is inadmissible on a torus; t = 0 drops it
-    coeff = default_coeff(grid, k=n)
-    cfg = solver.SolverConfig()
     u = smooth_u(grid)
     v = np.random.default_rng(n).standard_normal(grid.shape)
-    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
     dU = 0.5 * (
         geometry.assemble_U(compute_jet(grid, u + v), bg, t)
         - geometry.assemble_U(compute_jet(grid, u - v), bg, t)
     )
-    exact = np.einsum("...ij,...ij->...", state.grad, dU) + state.zeroth * v
-    lin = solver.linearize_apply(u, t, v, bg, coeff, cfg)
-    rel = sup_norm(lin - exact) / sup_norm(exact)
-    assert rel <= 1e-12, f"relative sup error {rel:.3e}"
+    for k in range(3, n + 1):
+        coeff = default_coeff(grid, k=k)
+        if kind == "rotated":
+            geometry.validate_hypotheses(bg, coeff)
+        state = admissible_state(u, t, bg, coeff, want_grad=True)
+        dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(coeff, u, t)
+        pointwise = np.sum(dbeta * state.gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
+        exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
+        apply, _ = solver.jacobian(state, bg)
+        rel = sup_norm(apply(v) - exact) / sup_norm(exact)
+        assert rel <= 1e-12, f"k={k}: relative sup error {rel:.3e}"
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -457,7 +480,7 @@ def test_continuation_is_deterministic():
             (
                 state.u.tobytes(),
                 tuple((rec.t, rec.residual_norm, rec.newton_iters) for rec in state.step_log),
-                tuple(tuple(rep.to_row()) for rep in reports),
+                tuple(astuple(rep) for rep in reports),
             )
         )
     assert runs[0] == runs[1]
@@ -482,8 +505,7 @@ def test_manufactured_residual_is_stencil_sized():
         grid = make_grid(3, N)
         bg = geometry.flat_background(grid, tau=0.0)
         u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
-        cfg = solver.SolverConfig()
-        sups[N] = sup_norm(solver.residual(u_star, 1.0, bg, coeff, cfg))
+        sups[N] = sup_norm(residual(u_star, 1.0, bg, coeff))
     assert 1e-6 < sups[16] < sups[8] < 1e-1
     assert 2.0 < sups[8] / sups[16] < 8.0  # about 4x per halving of h
 
@@ -495,8 +517,7 @@ def test_manufacture_with_stencil_jet_is_exact_at_grid_level():
     bg = geometry.flat_background(grid, tau=0.0)
     u_star = analytic_jet("0.1*sin(x1)*cos(x2)", grid).value
     coeff = solver.manufacture_alpha(u_star, bg, default_coeff(grid))  # jet defaults to stencil
-    cfg = solver.SolverConfig()
-    assert sup_norm(solver.residual(u_star, 1.0, bg, coeff, cfg)) <= 1e-12
+    assert sup_norm(residual(u_star, 1.0, bg, coeff)) <= 1e-12
 
 
 def test_manufacture_rejects_large_amplitude():
