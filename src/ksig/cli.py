@@ -16,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, cones, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
+from .artifacts import replacing
 from .grid import FieldFormatError, sup_norm, write_field
 from .runconfig import ConfigError
 
@@ -37,7 +38,7 @@ def _fail(exc):
 
 
 def _dump_json(path, payload):
-    with open(path, "w", newline="\n") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -131,6 +132,8 @@ def cmd_verify(args):
             raise ConfigError(f"need 3 <= k <= n <= 5, got n={args.n}, k={args.k}")
         if args.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         outdir = Path(os.environ.get("KSIG_OUTDIR") or args.out)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
@@ -200,7 +203,8 @@ def cmd_manufacture(args):
         "directory = manufactured-run",
         "",
     ]
-    (outdir / "manufactured.ini").write_text("\n".join(lines))
+    with replacing(outdir / "manufactured.ini") as tmp:
+        tmp.write_text("\n".join(lines))
 
     state = operator.evaluate(u_star, 1.0, background, coeff)
     res = sup_norm(state.residual)

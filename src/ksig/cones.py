@@ -78,18 +78,19 @@ def _square(M):
 def all_elementary_symmetric(lam):
     """All sigma_0..sigma_n of the last axis of `lam`, shape (..., n+1).
 
-    Incremental recurrence over the entries; exact in floating point for
-    small-integer inputs, which the enumeration-oracle tests rely on.
+    Incremental recurrence over the entries, run on contiguous planes
+    (n+1, ...) and returned as a (..., n+1) view of them; exact in floating
+    point for small-integer inputs, which the enumeration-oracle tests rely
+    on.
     """
     lam = np.asarray(lam, dtype=np.float64)
     n = lam.shape[-1]
-    sig = np.zeros(lam.shape[:-1] + (n + 1,), dtype=np.float64)
-    sig[..., 0] = 1.0
+    sig = np.zeros((n + 1,) + lam.shape[:-1], dtype=np.float64)
+    sig[0] = 1.0
     for i in range(n):
-        x = lam[..., i : i + 1]
-        # e_j <- e_j + x * e_{j-1} for the first i+1 entries, done in one slice
-        sig[..., 1 : i + 2] = sig[..., 1 : i + 2] + x * sig[..., 0 : i + 1]
-    return sig
+        # e_j <- e_j + x * e_{j-1} for the first i+1 planes, done in one slice
+        sig[1 : i + 2] = sig[1 : i + 2] + lam[..., i] * sig[0 : i + 1]
+    return np.moveaxis(sig, 0, -1)
 
 
 def _planes(M):
@@ -163,8 +164,8 @@ def cone_margin(lam, k):
     _check_order(k, lam.shape[-1])
     if k == 0:
         return np.full(lam.shape[:-1], np.inf)
-    sig = all_elementary_symmetric(lam)
-    return sig[..., 1 : k + 1].min(axis=-1)
+    sig = np.moveaxis(all_elementary_symmetric(lam), -1, 0)  # the planes
+    return sig[1 : k + 1].min(axis=0)
 
 
 def matrix_cone_margin(M, k):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replacing
+
 __all__ = [
     "FieldFormatError",
     "PeriodicGrid",
@@ -188,7 +190,8 @@ def write_field(path, grid, values):
             f"refusing to write non-finite value at node {tuple(int(i) for i in bad)}"
         )
     header = _HEADER.pack(_MAGIC, _VERSION, grid.dim, grid.resolution)
-    Path(path).write_bytes(header + values.tobytes())
+    with replacing(path) as tmp:
+        tmp.write_bytes(header + values.tobytes())
 
 
 def read_field(path, grid=None):

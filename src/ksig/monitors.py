@@ -17,6 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from . import cones, sampling
+from .artifacts import replacing
 from .grid import dot_planes, sup_norm
 
 __all__ = [
@@ -129,7 +130,7 @@ def _warn_ratio_branch(sig, k, n):
 
 
 def write_monitor_csv(path, reports):
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for rep in reports:
@@ -216,14 +217,19 @@ def _power_family(sig, k):
 
 
 def _shrink_until_admissible(base, probe, k, floor=1e-12, rounds=60):
-    """Largest s (by halving from 1) with base - s*probe still in Gamma_k."""
+    """Largest s (by halving from 1) with base - s*probe still in Gamma_k.
+
+    Each round re-checks only the rows that were still outside the cone:
+    a row that was inside keeps its s, so its margin cannot change.
+    """
     s = np.ones(base.shape[0])
+    active = np.arange(base.shape[0])
     for _ in range(rounds):
-        trial = base - s[:, None, None] * probe
-        bad = cones.matrix_cone_margin(trial, k) <= floor
-        if not bad.any():
+        trial = base[active] - s[active, None, None] * probe[active]
+        active = active[cones.matrix_cone_margin(trial, k) <= floor]
+        if not active.size:
             break
-        s = np.where(bad, 0.5 * s, s)
+        s[active] *= 0.5
     trial = base - s[:, None, None] * probe
     keep = cones.matrix_cone_margin(trial, k) > floor
     return trial, keep

@@ -3,6 +3,12 @@
 All samplers take an explicit numpy Generator; `generator(seed)` builds one
 on the counter-based Philox engine so identical seeds give identical streams
 regardless of how many draws other code has made.
+
+Batches of small matrices are built on component planes, as in `cones`:
+rotations come from Gram-Schmidt run over the columns of a whole batch at
+once, conjugation forms the upper triangle of Q diag(lambda) Q^T and mirrors
+it, and the boundary bisection keeps its eigenvalue vectors as contiguous
+rows.  Each step is a handful of whole-plane operations over the batch.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
+from .grid import mirror
 
 __all__ = [
     "generator",
@@ -51,20 +58,44 @@ def gamma_eigenvalues(rng, count, n, k, margin=0.0, max_rounds=2000):
 
 
 def orthogonal_matrices(rng, count, n):
-    """Rotations from QR of Gaussian matrices, R-diagonal sign-fixed."""
+    """Haar rotations, shape (count, n, n): the Q of Gaussian matrices with a
+    positive R diagonal, by classical Gram-Schmidt run twice.
+
+    The columns are orthonormalised on contiguous planes: the returned array
+    is a view of C with C[j, i] = Q[:, i, j], so column j of every matrix in
+    the batch is one contiguous (n, count) block and each projection is a
+    whole-plane operation.  Gram-Schmidt yields the R diagonal positive, so
+    this is the sign-fixed QR factor of the same draws (QR with a positive R
+    diagonal is unique), and the second pass keeps it orthogonal to round-off
+    at n <= 5.
+    """
     a = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0.0] = 1.0
-    return q * d[:, None, :]
+    c = a.transpose(2, 1, 0).copy()
+    for j in range(n):
+        v = c[j]
+        for _ in range(2):
+            if j:
+                r = np.einsum("jib,ib->jb", c[:j], v)
+                v -= np.einsum("jb,jib->ib", r, c[:j])
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    return c.transpose(2, 1, 0)
 
 
 def conjugate_by_rotations(rng, lam):
-    """Q diag(lam) Q^T for a fresh rotation per row; exactly symmetric."""
+    """Q diag(lam) Q^T for a fresh rotation per row; exactly symmetric.
+
+    Only the upper triangle is formed, on the component planes of the
+    result, and then mirrored (grid.mirror); the result is a (count, n, n)
+    view of those planes.
+    """
     count, n = lam.shape
-    q = orthogonal_matrices(rng, count, n)
-    m = np.einsum("bij,bj,bkj->bik", q, lam, q)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    c = orthogonal_matrices(rng, count, n).transpose(2, 1, 0)  # the column planes
+    scaled = c * lam.T[:, None, :]
+    m = np.empty((n, n, count))
+    for i in range(n):
+        np.einsum("jb,jlb->lb", scaled[:, i], c[:, i:], out=m[i, i:])
+    mirror(m)
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def gamma_matrices(rng, count, n, k, margin=0.0):
@@ -91,10 +122,10 @@ def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1
     """
     lam = gamma_eigenvalues(rng, count, n, k, margin=1e-3)
     target = 10.0 ** rng.uniform(np.log10(margin_low), np.log10(margin_high), count)
-    e = np.ones(n)
+    planes = lam.T.copy()  # lambda_i of every sample is one contiguous row
 
     def margins(s):
-        return cones.cone_margin(lam - s[:, None] * e, k)
+        return cones.cone_margin((planes - s).T, k)
 
     s_lo = np.zeros(count)
     s_hi = np.full(count, 1.0)
@@ -108,7 +139,7 @@ def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1
         above = margins(mid) > target
         s_lo = np.where(above, mid, s_lo)
         s_hi = np.where(above, s_hi, mid)
-    pulled = lam - s_lo[:, None] * e
+    pulled = (planes - s_lo).T
     m = cones.cone_margin(pulled, k)
     keep = (m > 1e-12) & (m < 10.0 * margin_high)
     return pulled[keep]

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+from .artifacts import replacing
+
 __all__ = ["Series", "render_chart", "write_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -166,5 +168,5 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
 
 def write_chart(path, title, series, **kwargs):
     text = render_chart(title, series, **kwargs)
-    with open(path, "w", newline="\n") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
         fh.write(text)

@@ -226,6 +226,13 @@ def test_verify_usage_error_on_bad_cone_index(tmp_path, capsys):
     assert not (tmp_path / "lemmas.json").exists()
 
 
+def test_verify_rejects_negative_seed_as_usage_error(tmp_path, capsys):
+    # exit 1 means "property violation"; a seed the RNG cannot take is bad input
+    assert main(["verify", "--n", "3", "--k", "3", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_reports_violations_with_exit_1(tmp_path, monkeypatch, capsys):
     # plumbing check: force one failing property through a stub suite
     from ksig import cli as cli_mod

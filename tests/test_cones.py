@@ -94,6 +94,28 @@ def test_sigma_matches_enumeration_exactly_on_integers(lam, data):
     assert sigma(lam, k) == float(sigma_enum(lam, k))
 
 
+def reference_elementary_symmetric(lam):
+    """The (..., n+1) recurrence over the trailing axis, one strided slice per entry."""
+    lam = np.asarray(lam, dtype=np.float64)
+    n = lam.shape[-1]
+    sig = np.zeros(lam.shape[:-1] + (n + 1,))
+    sig[..., 0] = 1.0
+    for i in range(n):
+        x = lam[..., i : i + 1]
+        sig[..., 1 : i + 2] = sig[..., 1 : i + 2] + x * sig[..., 0 : i + 1]
+    return sig
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (4, 4, 4)], ids=["scalar", "7", "4x4x4"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_elementary_symmetric_planes_match_reference_bitwise(n, batch):
+    rng = np.random.default_rng(n + len(batch))
+    for lam in (rng.uniform(-2.0, 2.0, batch + (n,)), rng.integers(-9, 10, batch + (n,)).astype(float)):
+        out = cones.all_elementary_symmetric(lam)
+        assert out.shape == batch + (n + 1,)
+        assert np.array_equal(out, reference_elementary_symmetric(lam))
+
+
 def test_sigma_batched_shape():
     lam = np.arange(24.0).reshape(2, 4, 3)
     out = cones.all_elementary_symmetric(lam)
@@ -653,6 +675,37 @@ def test_boundary_biased_sampler_lands_in_window():
     assert np.all(m > 1e-12)
     assert np.all(m < 1e-5)
     assert np.median(m) < 1e-6
+
+
+def sign_fixed_qr(a):
+    """Q of a batched QR with its R diagonal made positive: a Haar rotation of
+    Gaussian a (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(a)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0.0] = 1.0
+    return q * d[..., None, :]
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rotations_are_sign_fixed_qr_of_the_same_draws(n, count):
+    q = sampling.orthogonal_matrices(sampling.generator(5), count, n)
+    a = sampling.generator(5).standard_normal((count, n, n))
+    assert q.shape == (count, n, n)
+    assert np.abs(q - sign_fixed_qr(a)).max() <= 1e-12
+    assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conjugation_is_exactly_symmetric_with_the_drawn_spectrum(n):
+    rng = sampling.generator(6)
+    lam = rng.uniform(-2.0, 2.0, (1000, n))
+    M = sampling.conjugate_by_rotations(rng, lam)
+    assert M.shape == (1000, n, n)
+    assert np.array_equal(M, M.swapaxes(-1, -2))
+    eig = np.linalg.eigvalsh(M)
+    expected = np.sort(lam, axis=-1)
+    assert np.all(np.abs(eig - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_sampler_reproducibility():

@@ -6,6 +6,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ksig import cones, geometry, operator, solver
 from ksig.fieldexpr import analytic_jet
@@ -244,21 +246,82 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
         t = 0.0  # the conformal tensor is inadmissible on a torus; t = 0 drops it
     u = smooth_u(grid)
     v = np.random.default_rng(n).standard_normal(grid.shape)
-    dU = 0.5 * (
-        geometry.assemble_U(compute_jet(grid, u + v), bg, t)
-        - geometry.assemble_U(compute_jet(grid, u - v), bg, t)
-    )
+    dU = central_dU(u, v, t, bg)
     for k in range(3, n + 1):
         coeff = default_coeff(grid, k=k)
         if kind == "rotated":
             geometry.validate_hypotheses(bg, coeff)
         state = admissible_state(u, t, bg, coeff, want_grad=True)
-        dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(coeff, u, t)
-        pointwise = np.sum(dbeta * state.gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
-        exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
-        apply, _ = solver.jacobian(state, bg)
-        rel = sup_norm(apply(v) - exact) / sup_norm(exact)
+        rel = jacobian_error(state, v, dU, bg, coeff)
         assert rel <= 1e-12, f"k={k}: relative sup error {rel:.3e}"
+
+
+def central_dU(u, v, t, bg):
+    """The central difference of assemble_U along v: U^t is quadratic in the
+    stencil jet, so this is its exact derivative for any step."""
+    grid = bg.grid
+    return 0.5 * (
+        geometry.assemble_U(compute_jet(grid, u + v), bg, t)
+        - geometry.assemble_U(compute_jet(grid, u - v), bg, t)
+    )
+
+
+def jacobian_error(state, v, dU, bg, coeff):
+    """Relative sup error of solver.jacobian's apply(v) against dF[v]: dU
+    contracted with G^{ij}, plus the pointwise derivative in u of
+    beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
+    k, u, t = coeff.k, state.u, state.t
+    dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(coeff, u, t)
+    pointwise = np.sum(dbeta * state.gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
+    exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
+    apply, _ = solver.jacobian(state, bg)
+    return sup_norm(apply(v) - exact) / sup_norm(exact)
+
+
+def random_field(grid, rng, amplitude):
+    """amplitude times a random trigonometric polynomial of degree 1 in each axis."""
+    field = grid.zeros()
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            xi = grid.coordinate(i)
+            xj = grid.coordinate(j)
+            a, b = rng.uniform(-1.0, 1.0, 2)
+            field = field + a * np.sin(xi + b * np.pi) * np.cos(xj)
+    return amplitude * field / grid.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=5),
+    tau=st.floats(min_value=-0.5, max_value=0.9, exclude_max=True),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    amplitude=st.floats(min_value=0.0, max_value=0.2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, seed, data):
+    # the exact-derivative identity above, on random admissible states: a
+    # random per-node B with lambda(-B) in Gamma_k, random alpha, alpha_l and
+    # u, any tau < 1 and t in [0, 1]
+    k = data.draw(st.integers(min_value=3, max_value=n), label="k")
+    grid = make_grid(n, 8)
+    rng = np.random.default_rng(seed)
+    # -B = I + E with |E_ij| <= 0.16, so -B is positive definite (Gershgorin)
+    E = rng.uniform(-0.08, 0.08, grid.shape + (n, n))
+    bg = geometry.flat_background(grid, tau=tau, B=-(np.eye(n) + E + E.swapaxes(-1, -2)))
+    coeff = geometry.CoefficientData(
+        grid=grid,
+        k=k,
+        alpha=random_field(grid, rng, 1.0),
+        alpha_l=rng.uniform(0.5, 2.0, (k - 1,) + grid.shape),
+    )
+    geometry.validate_hypotheses(bg, coeff)
+    u = random_field(grid, rng, amplitude)
+    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
+    assume(state.margin.min() > solver.SolverConfig().cone_margin)
+    v = rng.standard_normal(grid.shape)
+    rel = jacobian_error(state, v, central_dU(u, v, t, bg), bg, coeff)
+    assert rel <= 1e-12, f"relative sup error {rel:.3e}"
 
 
 @pytest.mark.parametrize("n", [3, 5])
