@@ -27,8 +27,6 @@ _VALIDATION_ERRORS = (
     cones.InadmissibleStateError,
     fieldexpr.ExprError,
     FieldFormatError,
-    ValueError,
-    OSError,
 )
 
 
@@ -61,8 +59,13 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
             "residual_sup": state.residual_norm,
             "newton_iterations": state.newton_iters,
             "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
+            "damping_trials": sum(rec.damping_trials for rec in state.step_log),
             "accepted_steps": len(accepted),
             "rejected_steps": len(rejected),
+            "rejected": [
+                {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
+                for rec in rejected
+            ],
             "residual_trace": [[rec.t, rec.residual_norm] for rec in accepted],
             "stalled": stalled is not None,
             "trace_summary": monitors.estimate_trace_series(reports).to_dict()
@@ -222,7 +225,10 @@ def cmd_report(args):
         csv_path = rundir / "monitors.csv"
         if not csv_path.is_file():
             raise ConfigError(f"no monitors.csv in {rundir}")
-        reports = monitors.read_monitor_csv(csv_path)
+        try:
+            reports = monitors.read_monitor_csv(csv_path)
+        except (ValueError, OSError) as exc:  # the file's own content or access
+            raise ConfigError(str(exc)) from exc
         if not reports:
             raise ConfigError(f"{csv_path} contains no data rows")
     except _VALIDATION_ERRORS as exc:

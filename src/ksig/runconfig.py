@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -112,6 +113,24 @@ def _get(parser, section, key, cast, default):
     return default
 
 
+@contextmanager
+def _input_error(context):
+    """Report a ValueError raised by a constructor that checks user input as
+    a ConfigError; wrap only such constructors, never computation."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _read_values(path, grid):
+    try:
+        _, values = read_field(path, grid)
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
+    return values
+
+
 def load_config(path):
     """Parse an INI run configuration; unknown sections or keys are errors."""
     path = Path(path)
@@ -121,7 +140,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     extra = set(parser.sections()) - {"problem", "solver", "output"}
@@ -148,12 +167,12 @@ def load_config(path):
         u_star=_get(parser, "problem", "u_star", str, None),
     )
     # every SolverConfig field has a default, whose type is the key's type
-    solver_cfg = SolverConfig(
-        **{
-            f.name: _get(parser, "solver", f.name, type(f.default), f.default)
-            for f in fields(SolverConfig)
-        }
-    )
+    settings = {
+        f.name: _get(parser, "solver", f.name, type(f.default), f.default)
+        for f in fields(SolverConfig)
+    }
+    with _input_error("[solver]"):
+        solver_cfg = SolverConfig(**settings)
     output = OutputConfig(
         directory=_get(parser, "output", "directory", str, "ksig-out"),
         csv=_get(parser, "output", "csv", bool, True),
@@ -170,8 +189,7 @@ def field_from_spec(spec, grid, base=None):
         path = Path(spec[len("file:"):].strip())
         if base is not None and not path.is_absolute():
             path = Path(base) / path
-        _, values = read_field(path, grid)
-        return values
+        return _read_values(path, grid)
     return fieldexpr.evaluate(spec, grid)
 
 
@@ -198,10 +216,11 @@ def background_from_spec(spec, grid, tau, base=None):
         B = np.zeros(grid.shape + (n, n))
         for i in range(n):
             for j in range(i, n):
-                _, comp = read_field(Path(f"{pre}_B{i}{j}.ksig"), grid)
+                comp = _read_values(Path(f"{pre}_B{i}{j}.ksig"), grid)
                 B[..., i, j] = comp
                 B[..., j, i] = comp
-        return geometry.flat_background(grid, tau=tau, B=B)
+        with _input_error(f"background {spec!r}"):
+            return geometry.flat_background(grid, tau=tau, B=B)
     raise ConfigError(f"unknown background spec: {spec!r}")
 
 
@@ -220,12 +239,14 @@ def build_problem(cfg, base=None):
     `base` resolves relative file: paths (defaults to the working directory).
     """
     p = cfg.problem
-    grid = PeriodicGrid(dim=p.n, resolution=p.resolution)
+    with _input_error("[problem]"):
+        grid = PeriodicGrid(dim=p.n, resolution=p.resolution)
     background = background_from_spec(p.background, grid, p.tau, base=base)
     alpha = field_from_spec(p.alpha, grid, base=base)
     parts = _split_alpha_l(p.alpha_l, p.k)
     alpha_l = np.stack([field_from_spec(s, grid, base=base) for s in parts])
-    coeff = geometry.CoefficientData(grid=grid, k=p.k, alpha=alpha, alpha_l=alpha_l)
+    with _input_error("[problem]"):
+        coeff = geometry.CoefficientData(grid=grid, k=p.k, alpha=alpha, alpha_l=alpha_l)
     return grid, background, coeff
 
 

@@ -7,8 +7,18 @@ exactly known root u = 0 at t = 0.  Each t-step solves F(u; t) = 0 with a
 damped inexact Newton iteration: its linear systems are matrix-free
 restarted GMRES with diagonal preconditioning, solved only to an
 Eisenstat-Walker forcing term; damping keeps every iterate strictly inside
-Gamma_{k-1}.  The t-step doubles after every step that Newton takes in few
-iterations.
+Gamma_{k-1}.
+
+The a priori estimates keep the whole path closed, so the run first tries
+t = 1 in one step from the anchor.  Newton gives up on a step as soon as
+its own contraction shows the step has left the convergence region
+(Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004, ch. 5):
+when damping needs a factor below _DAMPING_FLOOR, or when an iteration
+after the first cuts the residual by less than 1 - _STALL_RATIO.  If the
+whole-path attempt fails, the march restarts from t = 0 with dt_init (at
+most half the failed step) and an adaptive controller: the t-step doubles
+after every step that Newton takes in few iterations and halves on a
+failure.
 """
 
 from __future__ import annotations
@@ -30,6 +40,12 @@ from .grid import shift, sup_norm
 # which keep dt so that a step just halved is not at once retried.
 _GROW_NEWTON = 5
 _HOLD_AFTER_REJECT = 2
+# Fail fast on a step outside Newton's convergence region: damping stops
+# below this factor (three halvings at damping_shrink = 0.5), and from the
+# second iteration on an iterate whose residual sup-norm exceeds
+# _STALL_RATIO times the previous one ends the solve.
+_DAMPING_FLOOR = 0.125
+_STALL_RATIO = 0.9
 # Eisenstat-Walker forcing term "choice 2" (SIAM J. Sci. Comput. 17, 1996):
 # eta = gamma (|F_k| / |F_{k-1}|)^2, capped at eta_max, which is also eta_0.
 _EW_GAMMA = 0.9
@@ -79,13 +95,15 @@ class SolverConfig:
 
 
 class NewtonFailure(RuntimeError):
-    """Newton did not reach tolerance: limit, damping underflow, or a stuck
-    linear solve.  Carries the final residual sup-norm."""
+    """Newton did not reach tolerance: limit, damping floor, stalled
+    contraction, or a stuck linear solve.  Carries the final residual
+    sup-norm, the residual history and the damping backtracks spent."""
 
-    def __init__(self, message, residual=None, history=None):
+    def __init__(self, message, residual, history, damping_trials):
         super().__init__(message)
         self.residual = residual
-        self.history = history or []
+        self.history = history
+        self.damping_trials = damping_trials
 
 
 class ContinuationStall(RuntimeError):
@@ -104,6 +122,7 @@ class NewtonResult:
     residual_norm: float
     history: tuple  # residual sup-norms, one per iterate including the start
     state: operator.PointState
+    damping_trials: int  # trial evaluations at a damping factor below 1
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,7 @@ class StepRecord:
     accepted: bool
     newton_iters: int
     residual_norm: float
+    damping_trials: int
     note: str = ""
 
 
@@ -217,9 +237,12 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     """Damped Newton at fixed t; returns a NewtonResult or raises NewtonFailure.
 
     Each linear solve stops at the forcing term of _forcing_term.  Damping
-    halves the step until the trial iterate keeps every node inside
+    shrinks the step until the trial iterate keeps every node inside
     Gamma_{k-1} with the configured margin and strictly decreases the
-    residual sup-norm.  An inadmissible starting iterate is a hard error.
+    residual sup-norm; a factor below _DAMPING_FLOOR fails.  From the second
+    iteration on, an iterate above tolerance whose residual exceeds
+    _STALL_RATIO times the previous one fails as a stall.  An inadmissible
+    starting iterate is a hard error.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     state = operator.evaluate(u, t, background, coeff, want_grad=True)
@@ -228,21 +251,23 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     rnorm = sup_norm(state.residual)
     history = [rnorm]
     iters = 0
+    backtracks = 0
+
+    def failure(reason):
+        return NewtonFailure(
+            f"{reason} at t={t} (residual {rnorm:.3e})",
+            residual=rnorm,
+            history=history,
+            damping_trials=backtracks,
+        )
+
     while rnorm > config.residual_tol:
         if iters >= config.max_newton:
-            raise NewtonFailure(
-                f"Newton iteration limit {config.max_newton} at t={t} (residual {rnorm:.3e})",
-                residual=rnorm,
-                history=history,
-            )
+            raise failure(f"Newton iteration limit {config.max_newton}")
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
         delta, info = _solve_linear(state, background, config, eta)
         if info != 0:
-            raise NewtonFailure(
-                f"linear solver stagnated (info={info}) at t={t}",
-                residual=rnorm,
-                history=history,
-            )
+            raise failure(f"linear solver stagnated (info={info})")
         s = 1.0
         while True:
             trial_u = u + s * delta
@@ -258,31 +283,39 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             if ok:
                 break
             s *= config.damping_shrink
-            if s < 1e-8:
-                raise NewtonFailure(
-                    f"damping underflow at t={t} (residual {rnorm:.3e})",
-                    residual=rnorm,
-                    history=history,
-                )
+            if s < _DAMPING_FLOOR:
+                raise failure(f"damping below {_DAMPING_FLOOR}")
+            backtracks += 1
         u, state = trial_u, trial
-        rnorm = sup_norm(state.residual)
+        prev, rnorm = rnorm, sup_norm(state.residual)
         history.append(rnorm)
         iters += 1
-    return NewtonResult(u=u, iterations=iters, residual_norm=rnorm, history=tuple(history), state=state)
+        if iters >= 2 and rnorm > config.residual_tol and rnorm > _STALL_RATIO * prev:
+            raise failure(f"Newton stalled (contraction {rnorm / prev:.3f})")
+    return NewtonResult(
+        u=u,
+        iterations=iters,
+        residual_norm=rnorm,
+        history=tuple(history),
+        state=state,
+        damping_trials=backtracks,
+    )
 
 
 def continuation_run(background, coeff, config):
     """March t from 0 to 1 with adaptive steps; returns (state, reports).
 
-    Hypotheses are validated before any step.  The first step is dt_init.
-    An accepted step that took at most _GROW_NEWTON Newton iterations
-    doubles dt, unless it is one of the first _HOLD_AFTER_REJECT accepted
-    steps after a rejection; the last step is clamped to t = 1.  A failed
-    step halves the step it tried, and when dt falls below dt_min a
-    ContinuationStall carrying the last accepted state is raised.  Each
-    StepRecord holds the step actually tried and the Newton iterations
-    spent on it, rejected or not.  One MonitorReport is emitted per
-    accepted step, including the t = 0 anchor.
+    Hypotheses are validated before any step.  The first step is the whole
+    path, t = 1 from the anchor.  If it fails, the next step is dt_init, or
+    half the failed step if that is smaller, and from there an accepted step
+    that took at most _GROW_NEWTON Newton iterations doubles dt, unless it is
+    one of the first _HOLD_AFTER_REJECT accepted steps after a later
+    rejection; the last step is clamped to t = 1.  A failed step halves the
+    step it tried, and when dt falls below dt_min a ContinuationStall
+    carrying the last accepted state is raised.  Each StepRecord holds the
+    step actually tried and the Newton iterations and damping backtracks
+    spent on it, rejected or not.  One MonitorReport is emitted per accepted
+    step, including the t = 0 anchor.
     """
     from . import monitors
 
@@ -294,11 +327,11 @@ def continuation_run(background, coeff, config):
     res = newton_solve_at_t(grid.zeros(), 0.0, background, coeff, config)
     u = res.u
     total_iters = res.iterations
-    log.append(StepRecord(0.0, 0.0, True, res.iterations, res.residual_norm))
+    log.append(StepRecord(0.0, 0.0, True, res.iterations, res.residual_norm, res.damping_trials))
     reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
 
     t = 0.0
-    dt = config.dt_init
+    dt = 1.0  # the whole path first
     hold = 0  # accepted steps still to take before dt may grow again
     last_rnorm = res.residual_norm
     while t < 1.0:
@@ -309,10 +342,15 @@ def continuation_run(background, coeff, config):
         try:
             res = newton_solve_at_t(u, t_try, background, coeff, config)
         except (NewtonFailure, cones.InadmissibleStateError) as exc:
-            spent = len(exc.history) - 1 if isinstance(exc, NewtonFailure) else 0
-            log.append(StepRecord(t_try, step, False, spent, math.nan, note=str(exc)))
-            dt = 0.5 * step
-            hold = _HOLD_AFTER_REJECT
+            if isinstance(exc, NewtonFailure):
+                spent, backtracks = len(exc.history) - 1, exc.damping_trials
+            else:
+                spent = backtracks = 0
+            log.append(StepRecord(t_try, step, False, spent, math.nan, backtracks, note=str(exc)))
+            if step == 1.0:  # the whole-path attempt: hand over to the controller
+                dt, hold = min(config.dt_init, 0.5 * step), 0
+            else:
+                dt, hold = 0.5 * step, _HOLD_AFTER_REJECT
             if dt < config.dt_min:
                 state = ContinuationState(
                     t=t, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
@@ -327,7 +365,7 @@ def continuation_run(background, coeff, config):
         u = res.u
         last_rnorm = res.residual_norm
         total_iters += res.iterations
-        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm))
+        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm, res.damping_trials))
         reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
         if hold:
             hold -= 1

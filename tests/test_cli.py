@@ -8,7 +8,7 @@ from textwrap import dedent
 
 import pytest
 
-from ksig import runconfig, solver
+from ksig import geometry, runconfig, solver
 from ksig.cli import main
 from ksig.monitors import CSV_FIELDS
 
@@ -57,6 +57,10 @@ def test_solve_default_problem(tmp_path, capsys):
     assert summary["stalled"] is False
     assert summary["rejected_steps"] == 0
     assert summary["rejected_newton_iterations"] == 0
+    assert summary["rejected"] == []
+    # the whole path in one step, with no backtracking on this easy problem
+    assert summary["accepted_steps"] == 2
+    assert summary["damping_trials"] == 0
     config = summary["config"]
     assert config["problem"]["n"] == 3
     assert set(config) == {"problem", "solver", "output"}
@@ -109,6 +113,8 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha_l = 1.0": "alpha_l = 0.0, 1.0"}, "alpha_0"),
         ({"background = hyperbolic-like": "background = spaceform:1.0"}, "Gamma_3"),
         ({"alpha = 0.2*sin(x1)": "alpha = 0.2*sin(x4)"}, "x4"),
+        ({"alpha = 0.2*sin(x1)": "alpha = file:absent.ksig"}, "absent.ksig"),
+        ({"resolution = 8": "resolution = 7"}, "resolution 7"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -170,6 +176,19 @@ def test_solve_bad_expression_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypatch):
+    # a plain ValueError from inside the front end is a programming error:
+    # it must propagate, not exit 2 as "invalid config"
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(geometry, "validate_hypotheses", broken)
+    cfg = default_config(tmp_path)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["solve", str(cfg)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     cfg = default_config(
         tmp_path,
@@ -185,9 +204,30 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stalled"] is True
     assert summary["t_final"] == 0.0
-    # the one rejected step spent its one allowed Newton iteration
-    assert summary["rejected_steps"] == 1
-    assert summary["rejected_newton_iterations"] == 1
+    # the whole-path attempt, then one step of dt_init, each spending its
+    # one allowed Newton iteration
+    assert summary["rejected_steps"] == 2
+    assert summary["rejected_newton_iterations"] == 2
+    assert [(rec["t"], rec["dt"], rec["newton_iters"]) for rec in summary["rejected"]] == [
+        (1.0, 1.0, 1),
+        (0.2, 0.2, 1),
+    ]
+    assert all("iteration limit 1" in rec["note"] for rec in summary["rejected"])
+    assert summary["damping_trials"] == 0
+
+
+def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):
+    # a forcing 100x the default's: the whole-path attempt fails at the
+    # damping floor, after three backtracks in its last iteration
+    cfg = default_config(tmp_path, **{"alpha = 0.2*sin(x1)": "alpha = 20*sin(x1)*cos(x2)"})
+    assert main(["solve", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    rejected = summary["rejected"]
+    assert summary["rejected_steps"] == len(rejected) > 0
+    assert (rejected[0]["t"], rejected[0]["dt"]) == (1.0, 1.0)
+    assert summary["rejected_newton_iterations"] == sum(rec["newton_iters"] for rec in rejected)
+    floored = [rec for rec in rejected if "damping below" in rec["note"]]
+    assert floored and summary["damping_trials"] >= 3 * len(floored)
 
 
 def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):

@@ -401,6 +401,53 @@ def test_newton_iteration_limit_reported():
     assert err.value.residual is not None and err.value.residual > 0
 
 
+def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
+    # the reversed Newton direction raises the residual for every damping
+    # factor: three halvings, four trial evaluations, then NewtonFailure
+    grid = make_grid()
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    solve_linear, evaluate = solver._solve_linear, operator.evaluate
+    calls = []
+
+    def uphill(*args):
+        delta, info = solve_linear(*args)
+        return -delta, info
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve_linear", uphill)
+    monkeypatch.setattr(operator, "evaluate", counting)
+    with pytest.raises(solver.NewtonFailure, match="damping") as err:
+        solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    # the first call evaluates the start, then s = 1, 1/2, 1/4, 1/8
+    assert len(calls) - 1 == 4
+    assert err.value.history == [err.value.residual]
+    assert err.value.damping_trials == len(calls) - 2
+
+
+def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
+    # a twentieth of the Newton step cuts the residual by about 5%: the first
+    # iteration may do that, the second may not
+    grid = make_grid()
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    solve_linear = solver._solve_linear
+
+    def timid(*args):
+        delta, info = solve_linear(*args)
+        return 0.05 * delta, info
+
+    monkeypatch.setattr(solver, "_solve_linear", timid)
+    with pytest.raises(solver.NewtonFailure, match="stalled") as err:
+        solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    r0, r1, r2 = err.value.history
+    assert r2 < r1 < r0
+    assert r2 > 0.9 * r1 and err.value.residual == r2
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
@@ -431,10 +478,12 @@ def test_continuation_default_problem():
     assert accepted[0].t == 0.0 and accepted[-1].t == 1.0
     ts = [rec.t for rec in accepted]
     assert all(a < b for a, b in zip(ts, ts[1:]))
-    # easy steps let dt grow past dt_init: fixed 0.1-steps took 34 Newton
-    # iterations on this problem, the adaptive steps take 16
+    # the whole path is one step: fixed 0.1-steps took 34 Newton iterations
+    # on this problem, the doubling controller 16, the t = 1 attempt 6
+    assert ts == [0.0, 1.0]
+    assert len(accepted) == len(state.step_log)
     assert any(rec.dt > cfg.dt_init for rec in accepted)
-    assert state.newton_iters <= 20
+    assert state.newton_iters <= 8
     # each record holds the step taken, the last one clamped to t = 1
     assert [rec.dt for rec in accepted[1:]] == [b - a for a, b in zip(ts, ts[1:])]
     for rep in reports:
@@ -456,8 +505,8 @@ def test_continuation_stall_carries_last_state():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    # one Newton iteration is never enough at dt=0.2, and dt_min forbids
-    # halving below 0.15, so the very first step stalls the march
+    # one Newton iteration is never enough at t = 1 nor at t = 0.2, and
+    # dt_min forbids halving below 0.15, so the march stalls at the anchor
     cfg = solver.SolverConfig(max_newton=1, dt_init=0.2, dt_min=0.15)
     with pytest.raises(solver.ContinuationStall) as err:
         solver.continuation_run(bg, coeff, cfg)
@@ -467,7 +516,9 @@ def test_continuation_stall_carries_last_state():
     assert np.array_equal(stall.state.u, np.zeros(grid.shape))
     assert len(stall.reports) == 1  # the anchor was still monitored
     rejected = [rec for rec in stall.state.step_log if not rec.accepted]
-    assert rejected and all(rec.note for rec in rejected)
+    # the whole-path attempt, then dt_init
+    assert [(rec.t, rec.dt) for rec in rejected] == [(1.0, 1.0), (0.2, 0.2)]
+    assert all(rec.note for rec in rejected)
     # a rejected step logs the Newton iterations it spent, not zero
     assert all(rec.newton_iters == 1 for rec in rejected)
 
@@ -488,14 +539,41 @@ def test_continuation_recovers_after_rejected_enlarged_step():
     assert ts[-1] == 1.0 and all(a < b for a, b in zip(ts, ts[1:]))
     assert rejected and all(rec.note for rec in rejected)
     assert all(rec.newton_iters == cfg.max_newton for rec in rejected)
+    # the whole path is tried first and hands over to dt_init
+    whole, after = state.step_log[1:3]
+    assert (whole.t, whole.dt, whole.accepted) == (1.0, 1.0, False)
+    assert after.dt == cfg.dt_init
     # doubling after every accepted step oscillates between a failing step
     # and its half: 12 rejections here, 7 when only the first accepted step
     # after a rejection keeps dt, 6 with the two steps of the controller
-    assert len(rejected) <= 6
-    for prev, rec in zip(state.step_log, state.step_log[1:]):
+    assert len(rejected[1:]) <= 6
+    for prev, rec in zip(state.step_log[2:], state.step_log[3:]):
         # dt is the step actually tried: the rejected one is halved, not retried
         if not prev.accepted:
             assert rec.dt == pytest.approx(0.5 * prev.dt)
+
+
+def test_continuation_falls_back_after_the_whole_path_fails():
+    # a forcing 100x the default's: t = 1 is out of Newton's reach from
+    # u = 0, so the attempt fails fast and the controller takes the path
+    grid = make_grid(3, 8)
+    bg = geometry.flat_background(grid, tau=0.0)
+    x1 = grid.coordinate(0) + np.zeros(grid.shape)
+    x2 = grid.coordinate(1) + np.zeros(grid.shape)
+    coeff = geometry.CoefficientData(
+        grid=grid, k=3, alpha=20.0 * np.sin(x1) * np.cos(x2), alpha_l=np.ones((2,) + grid.shape)
+    )
+    cfg = solver.SolverConfig()
+    state, _ = solver.continuation_run(bg, coeff, cfg)
+    assert state.t == 1.0
+    assert state.residual_norm <= cfg.residual_tol
+    rejected = [rec for rec in state.step_log if not rec.accepted]
+    assert (rejected[0].t, rejected[0].dt) == (1.0, 1.0)
+    assert state.step_log[2].dt == cfg.dt_init
+    # Newton iterations, accepted + rejected: 28 + 0 with the doubling
+    # controller alone; 36 + 5 measured with the whole-path attempt, whose
+    # damping floor also rejects the first step of dt_init
+    assert state.newton_iters + sum(rec.newton_iters for rec in rejected) <= 41
 
 
 def test_newton_forcing_terms(monkeypatch):
