@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -42,51 +41,82 @@ def _dump_json(path, payload):
 
 
 # ---------------------------------------------------------------------------
+# charts, shared by solve and report
+
+
+def _write_charts(rundir, reports, residual_trace):
+    """residual.svg, estimates.svg and cone_margin.svg from the monitor
+    reports and the [t, residual] pairs of the accepted steps."""
+    ts = tuple(r.t for r in reports)
+    svgplot.write_chart(
+        rundir / "residual.svg",
+        "final Newton residual per accepted step",
+        [
+            svgplot.Series(
+                "residual sup-norm",
+                tuple(point[0] for point in residual_trace),
+                tuple(point[1] for point in residual_trace),
+            )
+        ],
+        x_label="t",
+        y_label="residual",
+        log_y=True,
+    )
+    svgplot.write_chart(
+        rundir / "estimates.svg",
+        "solution estimates along the homotopy",
+        [
+            svgplot.Series("sup |u|", ts, tuple(r.sup_u for r in reports)),
+            svgplot.Series("sup |grad u|", ts, tuple(r.sup_grad_u for r in reports)),
+            svgplot.Series("sup |lap u|", ts, tuple(r.sup_lap_u for r in reports)),
+        ],
+        x_label="t",
+        y_label="sup-norm",
+    )
+    svgplot.write_chart(
+        rundir / "cone_margin.svg",
+        "admissibility and ellipticity margins",
+        [
+            svgplot.Series("cone margin", ts, tuple(r.cone_margin for r in reports)),
+            svgplot.Series("min eig G^ij", ts, tuple(r.min_eig_Gij for r in reports)),
+        ],
+        x_label="t",
+        y_label="margin",
+        log_y=True,
+    )
+
+
+# ---------------------------------------------------------------------------
 # solve
 
 
 def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
     write_field(outdir / "u_final.ksig", grid, state.u)
-    if cfg.output.csv:
-        monitors.write_monitor_csv(outdir / "monitors.csv", reports)
+    monitors.write_monitor_csv(outdir / "monitors.csv", reports)
     accepted = [rec for rec in state.step_log if rec.accepted]
     rejected = [rec for rec in state.step_log if not rec.accepted]
-    if cfg.output.json:
-        summary = {
-            "version": __version__,
-            "config": asdict(cfg),
-            "t_final": state.t,
-            "residual_sup": state.residual_norm,
-            "newton_iterations": state.newton_iters,
-            "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
-            "damping_trials": sum(rec.damping_trials for rec in state.step_log),
-            "accepted_steps": len(accepted),
-            "rejected_steps": len(rejected),
-            "rejected": [
-                {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
-                for rec in rejected
-            ],
-            "residual_trace": [[rec.t, rec.residual_norm] for rec in accepted],
-            "stalled": stalled is not None,
-            "trace_summary": monitors.estimate_trace_series(reports).to_dict()
-            if reports
-            else None,
-            "timings": {"total_seconds": elapsed},
-        }
-        _dump_json(outdir / "summary.json", summary)
-    if cfg.output.svg:
-        ts = tuple(rec.t for rec in accepted)
-        svgplot.write_chart(
-            outdir / "convergence.svg",
-            "continuation convergence",
-            [
-                svgplot.Series("residual sup-norm", ts, tuple(rec.residual_norm for rec in accepted)),
-                svgplot.Series("sup |u|", tuple(r.t for r in reports), tuple(r.sup_u for r in reports)),
-            ],
-            x_label="t",
-            y_label="value",
-            log_y=True,
-        )
+    residual_trace = [[rec.t, rec.residual_norm] for rec in accepted]
+    summary = {
+        "version": __version__,
+        "config": asdict(cfg),
+        "t_final": state.t,
+        "residual_sup": state.residual_norm,
+        "newton_iterations": state.newton_iters,
+        "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
+        "damping_trials": sum(rec.damping_trials for rec in state.step_log),
+        "accepted_steps": len(accepted),
+        "rejected_steps": len(rejected),
+        "rejected": [
+            {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
+            for rec in rejected
+        ],
+        "residual_trace": residual_trace,
+        "stalled": stalled is not None,
+        "trace_summary": monitors.estimate_trace_series(reports).to_dict() if reports else None,
+        "timings": {"total_seconds": elapsed},
+    }
+    _dump_json(outdir / "summary.json", summary)
+    _write_charts(outdir, reports, residual_trace)
 
 
 def _load_problem(config_path):
@@ -96,7 +126,7 @@ def _load_problem(config_path):
     base = Path(config_path).resolve().parent
     grid, background, coeff = runconfig.build_problem(cfg, base=base)
     geometry.validate_hypotheses(background, coeff)
-    return cfg, base, grid, background, coeff, runconfig.resolve_output_dir(cfg)
+    return cfg, base, grid, background, coeff, runconfig.resolve_output_dir(cfg.output.directory)
 
 
 def cmd_solve(args):
@@ -137,7 +167,7 @@ def cmd_verify(args):
             raise ConfigError("samples must be >= 1")
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        outdir = Path(os.environ.get("KSIG_OUTDIR") or args.out)
+        outdir = runconfig.resolve_output_dir(args.out)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
     result = monitors.run_lemma_suite(args.n, args.k, samples=args.samples, seed=args.seed)
@@ -219,6 +249,24 @@ def cmd_manufacture(args):
 # report
 
 
+def _read_residual_trace(path):
+    """The [t, residual] pairs of a summary.json; a malformed file is a
+    ConfigError."""
+    try:
+        summary = json.loads(path.read_text())
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    trace = summary.get("residual_trace") if isinstance(summary, dict) else None
+    if not isinstance(trace, list) or not all(
+        isinstance(point, list)
+        and len(point) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point)
+        for point in trace
+    ):
+        raise ConfigError(f"{path} has no residual_trace of [t, residual] pairs")
+    return trace
+
+
 def cmd_report(args):
     rundir = Path(args.rundir)
     try:
@@ -231,54 +279,11 @@ def cmd_report(args):
             raise ConfigError(str(exc)) from exc
         if not reports:
             raise ConfigError(f"{csv_path} contains no data rows")
+        summary_path = rundir / "summary.json"
+        residual_trace = _read_residual_trace(summary_path) if summary_path.exists() else []
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
-
-    residual_trace = []
-    summary_path = rundir / "summary.json"
-    if summary_path.is_file():
-        try:
-            residual_trace = json.loads(summary_path.read_text()).get("residual_trace", [])
-        except (ValueError, OSError):
-            residual_trace = []
-
-    ts = tuple(r.t for r in reports)
-    svgplot.write_chart(
-        rundir / "residual.svg",
-        "final Newton residual per accepted step",
-        [
-            svgplot.Series(
-                "residual sup-norm",
-                tuple(point[0] for point in residual_trace),
-                tuple(point[1] for point in residual_trace),
-            )
-        ],
-        x_label="t",
-        y_label="residual",
-        log_y=True,
-    )
-    svgplot.write_chart(
-        rundir / "estimates.svg",
-        "solution estimates along the homotopy",
-        [
-            svgplot.Series("sup |u|", ts, tuple(r.sup_u for r in reports)),
-            svgplot.Series("sup |grad u|", ts, tuple(r.sup_grad_u for r in reports)),
-            svgplot.Series("sup |lap u|", ts, tuple(r.sup_lap_u for r in reports)),
-        ],
-        x_label="t",
-        y_label="sup-norm",
-    )
-    svgplot.write_chart(
-        rundir / "cone_margin.svg",
-        "admissibility and ellipticity margins",
-        [
-            svgplot.Series("cone margin", ts, tuple(r.cone_margin for r in reports)),
-            svgplot.Series("min eig G^ij", ts, tuple(r.min_eig_Gij for r in reports)),
-        ],
-        x_label="t",
-        y_label="margin",
-        log_y=True,
-    )
+    _write_charts(rundir, reports, residual_trace)
     print(f"wrote residual.svg, estimates.svg, cone_margin.svg -> {rundir}")
     return 0
 

@@ -193,27 +193,13 @@ class QuotientEval:
     grad: np.ndarray | None
 
 
-def _raise_inadmissible(sig, k, context):
-    skmin = sig[..., 1:k].min(axis=-1)
-    flat = int(np.argmin(skmin))
-    idx = np.unravel_index(flat, skmin.shape) if skmin.shape else ()
-    values = sig[idx]
-    raise InadmissibleStateError(
-        f"{context}: Gamma_{k - 1} violated at batch element {idx}: "
-        f"sigma_1..sigma_{k - 1} = {values[1:k].tolist()}",
-        sigma=values,
-        node=idx if idx else None,
-    )
-
-
-def quotient_eval(M, k, beta=None, want_grad=False, check=True):
+def quotient_eval(M, k, beta=None, want_grad=False):
     """Evaluate G(M) = sigma_k/sigma_{k-1} + sum_l beta_l G_l and its gradient.
 
     beta is None (treated as zero) or an array broadcastable to (..., k-1);
     entries are the nonnegative weights multiplying G_l = -sigma_l/sigma_{k-1}.
-    With check=True a Gamma_{k-1} violation anywhere in the batch raises
-    InadmissibleStateError; solvers that keep their own margins pass
-    check=False and read the sigmas directly.
+    Admissibility is not checked here: callers keep their own margins and
+    read the returned sigmas.
 
     The gradient uses dsigma_a/dM = T_{a-1}(M) and the quotient rule
 
@@ -231,10 +217,6 @@ def quotient_eval(M, k, beta=None, want_grad=False, check=True):
     T = np.empty((k - 1,) + P.shape) if want_grad else None  # T_1..T_{k-1}
     sig = _recursion(P, k, T)
     sigma = np.moveaxis(sig, 0, -1)
-    if check and k >= 2:
-        worst = sig[1:k].min()
-        if not worst > 0.0:
-            _raise_inadmissible(sigma, k, "quotient evaluation")
     skm1 = sig[k - 1]
     gl = np.moveaxis(-sig[: k - 1] / skm1, 0, -1)
     if beta is None:

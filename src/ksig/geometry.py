@@ -61,10 +61,6 @@ class BackgroundField:
     phi_jet: object | None = None
 
     @property
-    def mode(self):
-        return "conformally-flat" if self.phi is not None else "prescribed-tensor"
-
-    @property
     def B(self):
         return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 

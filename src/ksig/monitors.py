@@ -385,13 +385,13 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     )
     total = mats.shape[0]
     beta = rng.uniform(0.0, 2.0, size=(total, k - 1))
-    ev = cones.quotient_eval(mats, k, beta, want_grad=True, check=False)
+    ev = cones.quotient_eval(mats, k, beta, want_grad=True)
     eigs = np.linalg.eigvalsh(ev.grad)
     scale = np.abs(ev.grad).max(axis=(-2, -1))
     viol = -eigs[:, 0] / np.maximum(1.0, scale)
     record("weighted_gradient_spd", total, viol.max())
 
-    quot = cones.quotient_eval(mats, k, None, want_grad=True, check=False)
+    quot = cones.quotient_eval(mats, k, None, want_grad=True)
     trace = np.trace(quot.grad, axis1=-2, axis2=-1)
     bound = (n - k + 1) / k
     viol = (bound - trace) / np.maximum(1.0, np.abs(trace))

@@ -53,7 +53,7 @@ def evaluate(u, t, background, coeff, want_grad=False, jet=None):
         jet = compute_jet(background.grid, u)
     U = assemble_U(jet, background, t)
     beta = beta_weights(coeff, u, t)
-    ev = cones.quotient_eval(U, k, beta, want_grad=want_grad, check=False)
+    ev = cones.quotient_eval(U, k, beta, want_grad=want_grad)
     margin = ev.sigma[..., 1:k].min(axis=-1)
     exp2u = np.exp(2.0 * u)
     residual = ev.value + t * coeff.alpha * exp2u

@@ -18,13 +18,12 @@ Grammar (all keys optional unless noted):
 
     [solver]              # keys mirror SolverConfig fields
     residual_tol = 1e-9
-    ...
+    max_newton = 30
+    dt_init = 0.1
+    dt_min = 1e-4
 
     [output]
     directory = runs/out  # overridden by $KSIG_OUTDIR when set
-    csv = true
-    json = true
-    svg = true
 
 Field expressions are sums of terms `coeff * factor * ...` where each factor
 is sin(xJ) or cos(xJ); that closed set covers every built-in problem.
@@ -63,7 +62,7 @@ class ConfigError(ValueError):
 
 _PROBLEM_KEYS = {"n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"}
 _SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
-_OUTPUT_KEYS = {"directory", "csv", "json", "svg"}
+_OUTPUT_KEYS = {"directory"}
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,6 @@ class ProblemConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str
-    csv: bool
-    json: bool
-    svg: bool
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,6 @@ def _get(parser, section, key, cast, default):
     if parser.has_section(section) and parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            if cast is bool:
-                return parser.getboolean(section, key)
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
@@ -173,12 +167,7 @@ def load_config(path):
     }
     with _input_error("[solver]"):
         solver_cfg = SolverConfig(**settings)
-    output = OutputConfig(
-        directory=_get(parser, "output", "directory", str, "ksig-out"),
-        csv=_get(parser, "output", "csv", bool, True),
-        json=_get(parser, "output", "json", bool, True),
-        svg=_get(parser, "output", "svg", bool, True),
-    )
+    output = OutputConfig(directory=_get(parser, "output", "directory", str, "ksig-out"))
     return RunConfig(problem=problem, solver=solver_cfg, output=output)
 
 
@@ -250,7 +239,6 @@ def build_problem(cfg, base=None):
     return grid, background, coeff
 
 
-def resolve_output_dir(cfg):
-    """Output directory, honoring the KSIG_OUTDIR override."""
-    override = os.environ.get("KSIG_OUTDIR")
-    return Path(override) if override else Path(cfg.output.directory)
+def resolve_output_dir(directory):
+    """The configured output directory, or $KSIG_OUTDIR when that is set."""
+    return Path(os.environ.get("KSIG_OUTDIR") or directory)

@@ -19,6 +19,10 @@ whole-path attempt fails, the march restarts from t = 0 with dt_init (at
 most half the failed step) and an adaptive controller: the t-step doubles
 after every step that Newton takes in few iterations and halves on a
 failure.
+
+A run sets only the residual tolerance, the Newton limit and the step
+controls (SolverConfig); damping, the cone margin and the GMRES limits are
+the module constants below.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import cones, operator
-from .geometry import validate_hypotheses
 from .grid import shift, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
@@ -40,16 +43,24 @@ from .grid import shift, sup_norm
 # which keep dt so that a step just halved is not at once retried.
 _GROW_NEWTON = 5
 _HOLD_AFTER_REJECT = 2
-# Fail fast on a step outside Newton's convergence region: damping stops
-# below this factor (three halvings at damping_shrink = 0.5), and from the
-# second iteration on an iterate whose residual sup-norm exceeds
-# _STALL_RATIO times the previous one ends the solve.
+# Fail fast on a step outside Newton's convergence region: damping shrinks
+# the step by _DAMPING_SHRINK per trial and stops below _DAMPING_FLOOR (three
+# halvings), and from the second iteration on an iterate whose residual
+# sup-norm exceeds _STALL_RATIO times the previous one ends the solve.
+_DAMPING_SHRINK = 0.5
 _DAMPING_FLOOR = 0.125
 _STALL_RATIO = 0.9
+# Every iterate, damped trials included, keeps min_j sigma_j(U) above this
+# margin at every node.
+_CONE_MARGIN = 1e-10
 # Eisenstat-Walker forcing term "choice 2" (SIAM J. Sci. Comput. 17, 1996):
-# eta = gamma (|F_k| / |F_{k-1}|)^2, capped at eta_max, which is also eta_0.
+# eta = gamma (|F_k| / |F_{k-1}|)^2, capped at eta_max, which is also eta_0,
+# and never below _LINEAR_RTOL.  One linear solve takes at most
+# _LINEAR_MAXITER GMRES iterations.
 _EW_GAMMA = 0.9
 _EW_ETA_MAX = 0.01
+_LINEAR_RTOL = 1e-10
+_LINEAR_MAXITER = 400
 
 __all__ = [
     "SolverConfig",
@@ -67,7 +78,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and safeguards for one continuation run.
+    """Tolerance and step controls for one continuation run.
 
     k and tau are not settings here: the solver reads coeff.k and
     background.tau.
@@ -77,21 +88,14 @@ class SolverConfig:
     max_newton: int = 30
     dt_init: float = 0.1
     dt_min: float = 1e-4
-    damping_shrink: float = 0.5
-    cone_margin: float = 1e-10
-    linear_rtol: float = 1e-10
-    linear_maxiter: int = 400
 
     def __post_init__(self):
-        for name in ("residual_tol", "cone_margin", "linear_rtol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.residual_tol > 0.0:
+            raise ValueError("residual_tol must be positive")
         if not 0.0 < self.dt_min < self.dt_init <= 1.0:
             raise ValueError("need 0 < dt_min < dt_init <= 1")
-        if not 0.0 < self.damping_shrink < 1.0:
-            raise ValueError("damping_shrink must sit in (0, 1)")
-        if self.max_newton < 1 or self.linear_maxiter < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1")
 
 
 class NewtonFailure(RuntimeError):
@@ -200,7 +204,7 @@ def jacobian(state, background):
     return apply, centre
 
 
-def _solve_linear(state, background, config, rtol):
+def _solve_linear(state, background, rtol):
     """GMRES for dF[delta] = -F to relative residual rtol; returns (delta, info)."""
     shape = state.u.shape
     nflat = state.u.size
@@ -215,7 +219,7 @@ def _solve_linear(state, background, config, rtol):
     M = LinearOperator((nflat, nflat), matvec=lambda x: x / diag, dtype=np.float64)
     b = -state.residual.ravel()
     restart = min(50, nflat)
-    cycles = max(1, math.ceil(config.linear_maxiter / restart))
+    cycles = math.ceil(_LINEAR_MAXITER / restart)
     x, info = gmres(A, b, rtol=rtol, atol=0.0, restart=restart, maxiter=cycles, M=M)
     return x.reshape(shape), info
 
@@ -225,12 +229,12 @@ def _forcing_term(rnorm, prev_rnorm, config):
 
     Eisenstat-Walker choice 2 capped at _EW_ETA_MAX, but never below
     0.5 residual_tol / rnorm (a step that only has to reach residual_tol is
-    not solved past it) nor below linear_rtol.
+    not solved past it) nor below _LINEAR_RTOL.
     """
     eta = _EW_ETA_MAX
     if prev_rnorm is not None:
         eta = min(eta, _EW_GAMMA * (rnorm / prev_rnorm) ** 2)
-    return max(eta, 0.5 * config.residual_tol / rnorm, config.linear_rtol)
+    return max(eta, 0.5 * config.residual_tol / rnorm, _LINEAR_RTOL)
 
 
 def newton_solve_at_t(u0, t, background, coeff, config):
@@ -238,7 +242,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
 
     Each linear solve stops at the forcing term of _forcing_term.  Damping
     shrinks the step until the trial iterate keeps every node inside
-    Gamma_{k-1} with the configured margin and strictly decreases the
+    Gamma_{k-1} with margin _CONE_MARGIN and strictly decreases the
     residual sup-norm; a factor below _DAMPING_FLOOR fails.  From the second
     iteration on, an iterate above tolerance whose residual exceeds
     _STALL_RATIO times the previous one fails as a stall.  An inadmissible
@@ -246,8 +250,8 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     state = operator.evaluate(u, t, background, coeff, want_grad=True)
-    if not state.margin.min() > config.cone_margin:
-        raise operator.admissibility_failure(state, config.cone_margin, f"initial guess at t={t}")
+    if not state.margin.min() > _CONE_MARGIN:
+        raise operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}")
     rnorm = sup_norm(state.residual)
     history = [rnorm]
     iters = 0
@@ -265,7 +269,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
         if iters >= config.max_newton:
             raise failure(f"Newton iteration limit {config.max_newton}")
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
-        delta, info = _solve_linear(state, background, config, eta)
+        delta, info = _solve_linear(state, background, eta)
         if info != 0:
             raise failure(f"linear solver stagnated (info={info})")
         s = 1.0
@@ -276,13 +280,13 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 trial = operator.evaluate(trial_u, t, background, coeff, want_grad=True)
                 ok = bool(
-                    trial.margin.min() > config.cone_margin
+                    trial.margin.min() > _CONE_MARGIN
                     and np.isfinite(trial.residual).all()
                     and sup_norm(trial.residual) < rnorm
                 )
             if ok:
                 break
-            s *= config.damping_shrink
+            s *= _DAMPING_SHRINK
             if s < _DAMPING_FLOOR:
                 raise failure(f"damping below {_DAMPING_FLOOR}")
             backtracks += 1
@@ -305,7 +309,8 @@ def newton_solve_at_t(u0, t, background, coeff, config):
 def continuation_run(background, coeff, config):
     """March t from 0 to 1 with adaptive steps; returns (state, reports).
 
-    Hypotheses are validated before any step.  The first step is the whole
+    Callers validate the hypotheses (geometry.validate_hypotheses) first;
+    this routine does not repeat the check.  The first step is the whole
     path, t = 1 from the anchor.  If it fails, the next step is dt_init, or
     half the failed step if that is smaller, and from there an accepted step
     that took at most _GROW_NEWTON Newton iterations doubles dt, unless it is
@@ -319,7 +324,6 @@ def continuation_run(background, coeff, config):
     """
     from . import monitors
 
-    validate_hypotheses(background, coeff)
     grid = background.grid
     log = []
     reports = []

@@ -51,17 +51,18 @@ def default_coeff(grid, k=3):
     )
 
 
-def admissible_state(u, t, bg, coeff, cfg, want_grad=False):
-    """operator.evaluate at (u, t), refusing a state within cone_margin of the cone boundary."""
+def admissible_state(u, t, bg, coeff, want_grad=False):
+    """operator.evaluate at (u, t), refusing a state within the solver's cone
+    margin of the cone boundary."""
     state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
-    if not state.margin.min() > cfg.cone_margin:
-        raise operator.admissibility_failure(state, cfg.cone_margin, f"test state at t={t}")
+    if not state.margin.min() > solver._CONE_MARGIN:
+        raise operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}")
     return state
 
 
-def linearize(u, t, v, bg, coeff, cfg):
+def linearize(u, t, v, bg, coeff):
     """dF[v] at (u, t) through solver.jacobian, the operator GMRES applies."""
-    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, cfg, want_grad=True), bg)
+    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, want_grad=True), bg)
     return apply(v)
 
 
@@ -89,7 +90,6 @@ def test_criterion_2_linearization(capsys):
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    cfg = solver.SolverConfig()
     rng = np.random.default_rng(2024)
     eps = 1e-6
     worst_rel = 0.0
@@ -99,14 +99,14 @@ def test_criterion_2_linearization(capsys):
         )
         t = float(rng.uniform(0.0, 1.0))
         v = rng.standard_normal(grid.shape)
-        lin = linearize(u, t, v, bg, coeff, cfg)
+        lin = linearize(u, t, v, bg, coeff)
         fd = (
-            admissible_state(u + eps * v, t, bg, coeff, cfg).residual
-            - admissible_state(u - eps * v, t, bg, coeff, cfg).residual
+            admissible_state(u + eps * v, t, bg, coeff).residual
+            - admissible_state(u - eps * v, t, bg, coeff).residual
         ) / (2.0 * eps)
         worst_rel = max(worst_rel, l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd)))
     # constant direction at the anchor: pure zeroth-order response, known exactly
-    const = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, trivial_coeff(grid, 3), cfg)
+    const = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, trivial_coeff(grid, 3))
     const_dev = float(np.abs(const + 1.5).max())
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-5 and const_dev <= 1e-12 and elapsed <= 30.0
@@ -133,7 +133,7 @@ def test_criterion_3_trivial_anchor(capsys):
     cfg = solver.SolverConfig()
     worst_anchor = 0.0
     for bg in backgrounds:
-        r = admissible_state(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3), cfg).residual
+        r = admissible_state(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3)).residual
         worst_anchor = max(worst_anchor, sup_norm(r))
     # perturb off the root and watch Newton walk back
     bg = geometry.flat_background(grid, tau=0.0)
@@ -268,7 +268,7 @@ def test_criterion_7_determinism_and_io(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     a, b = dirs
     same = {}
-    for name in ("u_final.ksig", "monitors.csv", "convergence.svg", "lemmas.json"):
+    for name in ("u_final.ksig", "monitors.csv", "residual.svg", "estimates.svg", "cone_margin.svg", "lemmas.json"):
         same[name] = (a / name).read_bytes() == (b / name).read_bytes()
     # timings are measured wall-clock and the one field reruns may not repeat;
     # everything else in the summary must serialize identically

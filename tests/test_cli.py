@@ -1,8 +1,10 @@
 """End-to-end command-line tests: exit codes, artifact layout, gating with
 no partial output, and byte-level reproducibility of reruns."""
 
+import configparser
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 from textwrap import dedent
 
@@ -11,6 +13,8 @@ import pytest
 from ksig import geometry, runconfig, solver
 from ksig.cli import main
 from ksig.monitors import CSV_FIELDS
+
+CHARTS = ("residual.svg", "estimates.svg", "cone_margin.svg")
 
 BASE_CONFIG = """\
 [problem]
@@ -49,7 +53,7 @@ def test_solve_default_problem(tmp_path, capsys):
     cfg = default_config(tmp_path)
     assert main(["solve", str(cfg)]) == 0
     out = tmp_path / "out"
-    for name in ("u_final.ksig", "monitors.csv", "summary.json", "convergence.svg"):
+    for name in ("u_final.ksig", "monitors.csv", "summary.json", *CHARTS):
         assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text())
     assert summary["t_final"] == 1.0
@@ -67,34 +71,10 @@ def test_solve_default_problem(tmp_path, capsys):
     assert set(config["problem"]) == {
         "n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"
     }
-    assert set(config["solver"]) == {
-        "residual_tol",
-        "max_newton",
-        "dt_init",
-        "dt_min",
-        "damping_shrink",
-        "cone_margin",
-        "linear_rtol",
-        "linear_maxiter",
-    }
-    assert set(config["output"]) == {"directory", "csv", "json", "svg"}
+    assert set(config["solver"]) == {"residual_tol", "max_newton", "dt_init", "dt_min"}
+    assert set(config["output"]) == {"directory"}
     assert "version" in summary
     assert "reached t=1.0" in capsys.readouterr().out
-
-
-def test_solve_output_toggles(tmp_path):
-    cfg = default_config(
-        tmp_path,
-        **{
-            "[output]": "[output]\ncsv = false\njson = false\nsvg = false",
-        },
-    )
-    assert main(["solve", str(cfg)]) == 0
-    out = tmp_path / "out"
-    assert (out / "u_final.ksig").is_file()
-    assert not (out / "monitors.csv").exists()
-    assert not (out / "summary.json").exists()
-    assert not (out / "convergence.svg").exists()
 
 
 def test_solve_respects_outdir_override(tmp_path, monkeypatch):
@@ -155,7 +135,12 @@ def test_readme_example_config_loads(tmp_path):
     assert (cfg.problem.n, cfg.problem.k, cfg.problem.tau, cfg.problem.resolution) == (3, 3, 0.0, 16)
     assert (cfg.problem.alpha, cfg.problem.alpha_l, cfg.problem.u_star) == ("0.2*sin(x1)", "1.0", None)
     assert cfg.solver == solver.SolverConfig()
-    assert cfg.output == runconfig.OutputConfig(directory="run-out", csv=True, json=True, svg=True)
+    assert cfg.output == runconfig.OutputConfig(directory="run-out")
+    # the example lists every setting, so a knob cannot change without the docs
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert set(parser["solver"]) == {f.name for f in fields(solver.SolverConfig)}
+    assert set(parser["output"]) == {f.name for f in fields(runconfig.OutputConfig)}
 
 
 def test_solve_missing_config(tmp_path, capsys):
@@ -189,6 +174,21 @@ def test_solve_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_validates_hypotheses_once(tmp_path, monkeypatch):
+    calls = []
+    validate = geometry.validate_hypotheses
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    # also any binding the solver may import under the same name
+    monkeypatch.setattr(geometry, "validate_hypotheses", counted)
+    monkeypatch.setattr(solver, "validate_hypotheses", counted, raising=False)
+    assert main(["solve", str(default_config(tmp_path))]) == 0
+    assert len(calls) == 1
+
+
 def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     cfg = default_config(
         tmp_path,
@@ -201,6 +201,8 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     assert "stall" in err
     out = tmp_path / "out"
     assert (out / "u_final.ksig").is_file()  # the anchor state was kept
+    for name in ("monitors.csv", *CHARTS):  # a stall writes the full artifact set
+        assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stalled"] is True
     assert summary["t_final"] == 0.0
@@ -239,7 +241,7 @@ def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):
         assert main(["solve", str(cfg)]) == 0
         outs.append(target)
     a, b = outs
-    for name in ("u_final.ksig", "monitors.csv", "convergence.svg"):
+    for name in ("u_final.ksig", "monitors.csv", *CHARTS):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     sa = json.loads((a / "summary.json").read_text())
     sb = json.loads((b / "summary.json").read_text())
@@ -387,14 +389,26 @@ def solved_run(tmp_path):
 def test_report_renders_three_charts(tmp_path):
     rundir = solved_run(tmp_path)
     assert main(["report", str(rundir)]) == 0
-    charts = ["residual.svg", "estimates.svg", "cone_margin.svg"]
-    blobs = {name: (rundir / name).read_bytes() for name in charts}
+    blobs = {name: (rundir / name).read_bytes() for name in CHARTS}
     for name, blob in blobs.items():
         assert blob.startswith(b"<svg"), name
     # idempotent: rerunning reproduces every byte
     assert main(["report", str(rundir)]) == 0
-    for name in charts:
+    for name in CHARTS:
         assert (rundir / name).read_bytes() == blobs[name], name
+
+
+def test_report_reproduces_the_charts_of_solve(tmp_path):
+    # solve draws from its in-memory reports, report from the saved CSV and
+    # JSON; both go through one renderer, so the bytes agree
+    rundir = solved_run(tmp_path)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("monitors.csv", "summary.json"):
+        (copy / name).write_bytes((rundir / name).read_bytes())
+    assert main(["report", str(copy)]) == 0
+    for name in CHARTS:
+        assert (copy / name).read_bytes() == (rundir / name).read_bytes(), name
 
 
 def test_report_missing_csv(tmp_path, capsys):
@@ -427,8 +441,25 @@ def test_report_torn_csv_row(tmp_path, capsys, row):
 def test_report_without_summary_still_renders(tmp_path):
     rundir = solved_run(tmp_path)
     (rundir / "summary.json").unlink()
+    (rundir / "residual.svg").unlink()
     assert main(["report", str(rundir)]) == 0
     assert (rundir / "residual.svg").is_file()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"residual_trace": [[0.0]]}', '{"residual_trace": ', "[]"],
+    ids=["short-pair", "not-json", "json-list"],
+)
+def test_report_malformed_summary(tmp_path, capsys, text):
+    rundir = solved_run(tmp_path)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "monitors.csv").write_bytes((rundir / "monitors.csv").read_bytes())
+    (bad / "summary.json").write_text(text)
+    assert main(["report", str(bad)]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert not list(bad.glob("*.svg"))
 
 
 # ---------------------------------------------------------------------------

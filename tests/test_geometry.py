@@ -334,6 +334,6 @@ def test_coefficient_data_validation():
 
 def test_background_modes():
     grid = PeriodicGrid(3, 8)
-    assert flat_background(grid).mode == "prescribed-tensor"
+    assert flat_background(grid).frame_scale() is None  # prescribed tensor, flat frame
     phi = np.zeros(grid.shape)
-    assert background_from_phi(grid, phi, 0.0).mode == "conformally-flat"
+    assert np.array_equal(background_from_phi(grid, phi, 0.0).frame_scale(), np.ones(grid.shape))

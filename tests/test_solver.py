@@ -54,7 +54,7 @@ def manufactured(expr, bg, k=3):
 
 def admissible_state(u, t, bg, coeff, want_grad=False):
     state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
-    assert state.margin.min() > solver.SolverConfig().cone_margin
+    assert state.margin.min() > solver._CONE_MARGIN
     return state
 
 
@@ -80,14 +80,6 @@ def smooth_u(grid, amp=0.05):
 # config validation
 
 
-def test_config_rejects_tau_one():
-    # tau lives only on the background; the run refuses it before any step
-    grid = make_grid()
-    bg = geometry.flat_background(grid, tau=1.0)
-    with pytest.raises(geometry.HypothesisViolation, match="tau"):
-        solver.continuation_run(bg, trivial_coeff(grid, 3), solver.SolverConfig())
-
-
 def test_config_rejects_bad_step_bounds():
     with pytest.raises(ValueError):
         solver.SolverConfig(dt_init=0.1, dt_min=0.1)
@@ -96,7 +88,7 @@ def test_config_rejects_bad_step_bounds():
     with pytest.raises(ValueError):
         solver.SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
-        solver.SolverConfig(damping_shrink=1.0)
+        solver.SolverConfig(max_newton=0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, se
     geometry.validate_hypotheses(bg, coeff)
     u = random_field(grid, rng, amplitude)
     state = operator.evaluate(u, t, bg, coeff, want_grad=True)
-    assume(state.margin.min() > solver.SolverConfig().cone_margin)
+    assume(state.margin.min() > solver._CONE_MARGIN)
     v = rng.standard_normal(grid.shape)
     rel = jacobian_error(state, v, central_dU(u, v, t, bg), bg, coeff)
     assert rel <= 1e-12, f"relative sup error {rel:.3e}"
@@ -492,15 +484,6 @@ def test_continuation_default_problem():
         assert rep.eq33_slack >= -1e-8
 
 
-def test_continuation_validates_hypotheses_first():
-    grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0, B=np.eye(3))  # -B negative definite
-    coeff = trivial_coeff(grid, 3)
-    cfg = solver.SolverConfig()
-    with pytest.raises(geometry.HypothesisViolation, match="Gamma_3"):
-        solver.continuation_run(bg, coeff, cfg)
-
-
 def test_continuation_stall_carries_last_state():
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
@@ -578,7 +561,7 @@ def test_continuation_falls_back_after_the_whole_path_fails():
 
 def test_newton_forcing_terms(monkeypatch):
     # inexact Newton: GMRES is asked for eta_0 = 0.01 first, then for
-    # Eisenstat-Walker terms, never for less than linear_rtol or than what
+    # Eisenstat-Walker terms, never for less than _LINEAR_RTOL or than what
     # reaching residual_tol needs
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
@@ -597,15 +580,15 @@ def test_newton_forcing_terms(monkeypatch):
     assert len(rtols) == res.iterations >= 3
     assert rtols[0] == 0.01
     for eta, r_prev, r in zip(rtols[1:], res.history, res.history[1:]):
-        floor = max(0.5 * cfg.residual_tol / r, cfg.linear_rtol)
+        floor = max(0.5 * cfg.residual_tol / r, solver._LINEAR_RTOL)
         assert eta == max(min(0.01, 0.9 * (r / r_prev) ** 2), floor)
     assert min(rtols) < 1e-3  # the forcing term tightens as Newton converges
     assert rtols[-1] > 0.01  # the last solve stops at what residual_tol needs
 
     rtols.clear()
-    loose = solver.SolverConfig(linear_rtol=0.05)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, loose)
-    assert res.residual_norm <= loose.residual_tol
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.05)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, cfg)
+    assert res.residual_norm <= cfg.residual_tol
     assert rtols and min(rtols) >= 0.05
 
 
