@@ -29,7 +29,7 @@ class PointState:
     u: np.ndarray
     t: float
     jet: JetField
-    U: np.ndarray  # frame matrix of g0^{-1} U^t, (*shape, n, n) view of planes
+    U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
     beta: np.ndarray  # (*shape, k-1)
     sigma: np.ndarray  # (*shape, k+1)
     value: np.ndarray  # G(U^t)

@@ -10,7 +10,6 @@ Grammar (all keys optional unless noted):
     background = hyperbolic-like
         # hyperbolic-like        constant tensor B = -g0
         # spaceform:<kappa>      constant-curvature tensor (kappa < 0 usable)
-        # conformal:<expr>       flat metric scaled by e^{2 phi}, phi = <expr>
         # file:<prefix>          per-node tensor from <prefix>_B<i><j>.ksig
     alpha = 0.2*sin(x1)   # expression or file:<path>
     alpha_l = 1.0         # one entry broadcast to all l, or k-1 comma-separated
@@ -193,9 +192,6 @@ def background_from_spec(spec, grid, tau, base=None):
             raise ConfigError(f"bad spaceform curvature in {spec!r}") from exc
         B = geometry.spaceform_schouten(kappa, grid.dim, tau)
         return geometry.flat_background(grid, tau=tau, B=B)
-    if spec.startswith("conformal:"):
-        phi = field_from_spec(spec[len("conformal:"):], grid, base=base)
-        return geometry.background_from_phi(grid, phi, tau=tau)
     if spec.startswith("file:"):
         prefix = spec[len("file:"):].strip()
         pre = Path(prefix)

@@ -155,12 +155,10 @@ def jacobian(state, background):
 
     dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
     b = (2-tau) tr(G) grad u - 2 G grad u, c = zeroth, G = G^{ij} and
-    c1 = (1-tau)/(n-2).  Conformally-flat mode adds the Christoffel terms
-    (1 + c1 (n-2)) tr(G) grad phi - 2 G grad phi to b and scales A and b by
-    e^{-2 phi}.  Returns (apply, diagonal): apply(v) is dF[v] for a grid
-    field v, summed from the weights of v(x), of v(x +- h e_i) and of the
-    four-point cross differences; diagonal is the weight of v(x), dF's
-    diagonal.
+    c1 = (1-tau)/(n-2), all on the flat chart.  Returns (apply, diagonal):
+    apply(v) is dF[v] for a grid field v, summed from the weights of v(x),
+    of v(x +- h e_i) and of the four-point cross differences; diagonal is
+    the weight of v(x), dF's diagonal.
     """
     grid = background.grid
     n = grid.dim
@@ -172,20 +170,16 @@ def jacobian(state, background):
     trace_g = np.trace(G)
     g = state.jet.grad_planes
     b = (2.0 - background.tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
-    scale = 1.0
-    if background.phi is not None:
-        pg = background.phi_jet.grad_planes
-        b += (1.0 + c1 * (n - 2.0)) * trace_g * pg
-        b -= 2.0 * np.einsum("ij...,j...->i...", G, pg)
-        scale = background.frame_scale()
     # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
     diag_g = np.moveaxis(np.diagonal(G), -1, 0)
-    axial = (diag_g + c1 * trace_g) * (scale / (h * h))
-    drift = b * (scale / (2.0 * h))
+    # weights multiply by the reciprocal of the stencil denominators; dividing
+    # instead rounds differently and moves the stored solutions' last bits
+    axial = (diag_g + c1 * trace_g) * (1.0 / (h * h))
+    drift = b * (1.0 / (2.0 * h))
     centre = state.zeroth - 2.0 * axial.sum(axis=0)
     plus = axial + drift
     minus = axial - drift
-    cross = [(i, j, G[i, j] * (scale / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
+    cross = [(i, j, G[i, j] * (1.0 / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
     fwd, back = grid.zeros(), grid.zeros()  # v shifted by +-1 node, reused by every apply
 
     def apply(v):

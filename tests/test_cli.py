@@ -95,25 +95,13 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha = 0.2*sin(x1)": "alpha = 0.2*sin(x4)"}, "x4"),
         ({"alpha = 0.2*sin(x1)": "alpha = file:absent.ksig"}, "absent.ksig"),
         ({"resolution = 8": "resolution = 7"}, "resolution 7"),
+        ({"background = hyperbolic-like": "background = conformal:0.1*cos(x1)"}, "unknown background spec"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
     cfg = default_config(tmp_path, **edit)
     assert main(["solve", str(cfg)]) == 2
     assert needle in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_solve_conformal_background_fails_cone_hypothesis(tmp_path, capsys):
-    # a nonconstant conformal factor on the flat torus always breaks the
-    # Gamma_k condition somewhere (the trace of -B cannot stay positive at
-    # the factor's maximum), so this mode is honestly rejected at gating
-    cfg = default_config(
-        tmp_path,
-        **{"background = hyperbolic-like": "background = conformal:0.1*cos(x1)"},
-    )
-    assert main(["solve", str(cfg)]) == 2
-    assert "Gamma_3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,59 +1,20 @@
-"""Backgrounds and tensor assembly: curvature oracle, exact identities,
-hypothesis gating."""
+"""Prescribed backgrounds and tensor assembly: space forms, exact
+identities, hypothesis gating."""
 
 import numpy as np
 import pytest
 
-from ksig import cones, fieldexpr
+from ksig import cones
 from ksig.geometry import (
-    BackgroundField,
     CoefficientData,
     HypothesisViolation,
     assemble_U,
-    background_from_phi,
     beta_weights,
     flat_background,
     spaceform_schouten,
     validate_hypotheses,
 )
 from ksig.grid import PeriodicGrid, compute_jet
-
-
-def ricci_modified_schouten_oracle(grid, phi, tau):
-    """Textbook curvature of g = e^{2 phi} * flat, straight from the metric:
-    numerical Christoffels from d(g_ij), then Ric, R, and the tau-weighted
-    Schouten combination.  Independent of the conformal shortcut formula."""
-    n, h = grid.dim, grid.spacing
-    e2 = np.exp(2.0 * phi)
-    einv = np.exp(-2.0 * phi)
-
-    def partial(f, axis):
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-
-    g = np.zeros(grid.shape + (n, n))
-    for i in range(n):
-        g[..., i, i] = e2
-    dg = np.empty(grid.shape + (n, n, n))  # dg[..., m, i, j] = d_m g_ij
-    for m in range(n):
-        dg[..., m, :, :] = partial(g, m)
-    gamma = np.empty(grid.shape + (n, n, n))  # gamma[..., k, i, j] = Gamma^k_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[..., k, i, j] = 0.5 * einv * (
-                    dg[..., i, j, k] + dg[..., j, i, k] - dg[..., k, i, j]
-                )
-    dgamma = np.empty(grid.shape + (n, n, n, n))  # dgamma[..., m, k, i, j]
-    for m in range(n):
-        dgamma[..., m, :, :, :] = partial(gamma, m)
-    term1 = np.einsum("...mmns->...sn", dgamma)
-    term2 = np.einsum("...nmms->...sn", dgamma)
-    contracted = np.einsum("...mml->...l", gamma)
-    term3 = np.einsum("...l,...lns->...sn", contracted, gamma)
-    term4 = np.einsum("...mnl,...lms->...sn", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
-    scal = einv * np.trace(ric, axis1=-2, axis2=-1)
-    return (ric - (tau * scal / (2.0 * (n - 1.0)))[..., None, None] * g) / (n - 2.0)
 
 
 # ---------------------------------------------------------------- space forms
@@ -78,53 +39,6 @@ def test_spaceform_linear_in_kappa_affine_in_tau():
         mix = spaceform_schouten(k1, n, lam * t1 + (1 - lam) * t2)
         sep = lam * spaceform_schouten(k1, n, t1) + (1 - lam) * spaceform_schouten(k1, n, t2)
         assert np.allclose(mix, sep, atol=1e-13)
-
-
-# ---------------------------------------------------------------- conformal B
-
-
-def test_background_from_constant_phi_is_zero():
-    grid = PeriodicGrid(3, 8)
-    for const in (0.0, 0.7):
-        bg = background_from_phi(grid, np.full(grid.shape, const), tau=0.0)
-        assert np.all(bg.B == 0.0)
-
-
-def test_background_from_phi_constant_shift_invariance():
-    grid = PeriodicGrid(3, 16)
-    phi = fieldexpr.evaluate("0.05*sin(x1) + 0.03*cos(x2)", grid)
-    b0 = background_from_phi(grid, phi, tau=0.2).B
-    b1 = background_from_phi(grid, phi + 0.9, tau=0.2).B
-    assert np.abs(b0 - b1).max() <= 1e-14
-
-
-@pytest.mark.parametrize("tau", [0.0, 0.4])
-def test_background_from_phi_against_curvature_oracle(tau):
-    diffs = {}
-    for N in (16, 32):
-        grid = PeriodicGrid(3, N)
-        phi = fieldexpr.evaluate("0.05*sin(x1) + 0.03*cos(x2)", grid)
-        ours = background_from_phi(grid, phi, tau).B
-        oracle = ricci_modified_schouten_oracle(grid, phi, tau)
-        diffs[N] = np.abs(ours - oracle).max()
-    # two independent O(h^2) discretizations of the same tensor: the gap
-    # shrinks at second order (observed ratios ~3.87-3.97 for N=16..64)
-    assert diffs[32] < 2.5e-3
-    assert 3.2 <= diffs[16] / diffs[32] <= 4.8
-
-
-def test_conformal_torus_background_never_satisfies_cone_hypothesis():
-    # at the max of phi the trace of -B is <= 0, so rejection is forced for
-    # every nonconstant phi; this documents why the curved mode is exercised
-    # at the API level while solves use prescribed tensors
-    grid = PeriodicGrid(3, 16)
-    phi = fieldexpr.evaluate("0.05*sin(x1)", grid)
-    bg = background_from_phi(grid, phi, tau=0.0)
-    coeff = CoefficientData(
-        grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((2,) + grid.shape)
-    )
-    with pytest.raises(HypothesisViolation, match="Gamma_3"):
-        validate_hypotheses(bg, coeff)
 
 
 # ---------------------------------------------------------------- beta weights
@@ -200,23 +114,6 @@ def test_assemble_constant_u_reduces_to_background():
     assert np.array_equal(U, -B)
 
 
-def test_assemble_exact_symmetry_conformal_mode():
-    grid = PeriodicGrid(3, 16)
-    phi = fieldexpr.evaluate("0.1*sin(x1)*cos(x3)", grid)
-    bg = background_from_phi(grid, phi, tau=0.25)
-    u = fieldexpr.evaluate("0.2*sin(x2) + 0.1*cos(x1)", grid)
-    U = assemble_U(compute_jet(grid, u), bg, t=0.7)
-    assert np.array_equal(U, U.swapaxes(-1, -2))
-
-
-def test_assemble_conformal_anchor_at_t_zero():
-    grid = PeriodicGrid(3, 16)
-    phi = fieldexpr.evaluate("0.05*cos(x2)", grid)
-    bg = background_from_phi(grid, phi, tau=0.0)
-    U = assemble_U(compute_jet(grid, grid.zeros()), bg, t=0.0)
-    assert np.allclose(U, np.eye(3), atol=1e-16)
-
-
 def stacked_U(jet, bg, t):
     """assemble_U built in the (..., n, n) layout with broadcast identity terms
     and einsum contractions over contiguous gradients: the construction the
@@ -224,73 +121,38 @@ def stacked_U(jet, bg, t):
     n, tau = bg.grid.dim, bg.tau
     eye = np.eye(n)
     g = np.ascontiguousarray(jet.gradient)
-    hess, lap, scale = jet.hessian, jet.laplacian, None
-    if bg.phi is not None:
-        pg = np.ascontiguousarray(bg.phi_jet.gradient)
-        mixed = pg[..., :, None] * g[..., None, :]
-        inner = np.einsum("...i,...i->...", pg, g)
-        hess = jet.hessian - mixed - mixed.swapaxes(-1, -2) + inner[..., None, None] * eye
-        lap = np.trace(hess, axis1=-2, axis2=-1)
-        scale = bg.frame_scale()
     g2 = np.einsum("...i,...i->...", g, g)
-    core = (
-        hess
-        + ((1.0 - tau) / (n - 2.0)) * lap[..., None, None] * eye
-        + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
-        - g[..., :, None] * g[..., None, :]
-        - t * bg.B
-    )
-    if scale is None:
-        return core + (1.0 - t) * eye
-    return scale[..., None, None] * core + (1.0 - t) * eye
-
-
-def stacked_phi_B(grid, phi, tau):
-    """background_from_phi's B built in the (..., n, n) layout."""
-    n = grid.dim
-    jet = compute_jet(grid, phi)
-    g = np.ascontiguousarray(jet.gradient)
-    eye = np.eye(n)
-    g2 = np.einsum("...i,...i->...", g, g)
-    return -(
+    return (
         jet.hessian
         + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
         + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
         - g[..., :, None] * g[..., None, :]
+        - t * bg.B
+        + (1.0 - t) * eye
     )
 
 
 def test_assemble_flat_matches_hand_formula():
     # bit for bit against the (..., n, n) construction, n = 3..5, for the
-    # default B = -I, a per-node B and a conformal background
+    # default B = -I and a per-node B
     rng = np.random.default_rng(7)
     for n in (3, 4, 5):
         grid = PeriodicGrid(n, 8)
         B = rng.standard_normal(grid.shape + (n, n))
         B = 0.5 * (B + B.swapaxes(-1, -2))
-        phi = 0.05 * rng.standard_normal(grid.shape)
         backgrounds = {
             "flat": flat_background(grid, tau=0.2),
             "per-node": flat_background(grid, tau=-0.4, B=B),
-            "conformal": background_from_phi(grid, phi, tau=0.25),
         }
         assert np.array_equal(backgrounds["per-node"].B, B)
-        assert np.array_equal(backgrounds["conformal"].B, stacked_phi_B(grid, phi, 0.25))
         u = 0.1 * rng.standard_normal(grid.shape)
         jet = compute_jet(grid, u)
         for name, bg in backgrounds.items():
             for t in (0.0, 0.6, 1.0):
                 U = assemble_U(jet, bg, t)
-                want = stacked_U(jet, bg, t)
                 assert U.shape == grid.shape + (n, n)
                 assert np.array_equal(U, U.swapaxes(-1, -2)), (n, name, t)
-                # the stacked construction subtracts the two Christoffel terms
-                # in opposite orders in the two triangles, so in conformal mode
-                # only its upper triangle is the plane assembly's arithmetic
-                upper = np.triu_indices(n)
-                assert np.array_equal(U[..., upper[0], upper[1]], want[..., upper[0], upper[1]]), (n, name, t)
-                if bg.phi is None:
-                    assert np.array_equal(U, want), (n, name, t)
+                assert np.array_equal(U, stacked_U(jet, bg, t)), (n, name, t)
 
 
 # ---------------------------------------------------------------- gating
@@ -299,7 +161,7 @@ def test_assemble_flat_matches_hand_formula():
 def test_validate_accepts_default_background():
     grid = PeriodicGrid(3, 8)
     margin = validate_hypotheses(flat_background(grid), default_coeff(grid))
-    assert margin > 0.9  # -B = I has sigma_j = C(3,j) >= 1... margin min sigma_j = 1? sigma_3=1
+    assert margin == 1.0  # -B = I has sigma = (3, 3, 1)
 
 
 def test_validate_rejects_tau_at_one():
@@ -331,9 +193,3 @@ def test_coefficient_data_validation():
     with pytest.raises(ValueError):
         CoefficientData(grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((3,) + grid.shape))
 
-
-def test_background_modes():
-    grid = PeriodicGrid(3, 8)
-    assert flat_background(grid).frame_scale() is None  # prescribed tensor, flat frame
-    phi = np.zeros(grid.shape)
-    assert np.array_equal(background_from_phi(grid, phi, 0.0).frame_scale(), np.ones(grid.shape))
