@@ -44,20 +44,14 @@ def _dump_json(path, payload):
 # charts, shared by solve and report
 
 
-def _write_charts(rundir, reports, residual_trace):
+def _write_charts(rundir, reports):
     """residual.svg, estimates.svg and cone_margin.svg from the monitor
-    reports and the [t, residual] pairs of the accepted steps."""
+    reports, one per accepted step."""
     ts = tuple(r.t for r in reports)
     svgplot.write_chart(
         rundir / "residual.svg",
         "final Newton residual per accepted step",
-        [
-            svgplot.Series(
-                "residual sup-norm",
-                tuple(point[0] for point in residual_trace),
-                tuple(point[1] for point in residual_trace),
-            )
-        ],
+        [svgplot.Series("residual sup-norm", ts, tuple(r.residual for r in reports))],
         x_label="t",
         y_label="residual",
         log_y=True,
@@ -90,12 +84,10 @@ def _write_charts(rundir, reports, residual_trace):
 # solve
 
 
-def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
+def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed):
     write_field(outdir / "u_final.ksig", grid, state.u)
     monitors.write_monitor_csv(outdir / "monitors.csv", reports)
-    accepted = [rec for rec in state.step_log if rec.accepted]
     rejected = [rec for rec in state.step_log if not rec.accepted]
-    residual_trace = [[rec.t, rec.residual_norm] for rec in accepted]
     summary = {
         "version": __version__,
         "config": asdict(cfg),
@@ -104,19 +96,18 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled):
         "newton_iterations": state.newton_iters,
         "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
         "damping_trials": sum(rec.damping_trials for rec in state.step_log),
-        "accepted_steps": len(accepted),
+        "accepted_steps": len(reports),
         "rejected_steps": len(rejected),
         "rejected": [
             {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
             for rec in rejected
         ],
-        "residual_trace": residual_trace,
-        "stalled": stalled is not None,
-        "trace_summary": monitors.estimate_trace_series(reports).to_dict() if reports else None,
+        "stalled": state.t < 1.0,
+        "trace_summary": monitors.estimate_trace_series(reports).to_dict(),
         "timings": {"total_seconds": elapsed},
     }
     _dump_json(outdir / "summary.json", summary)
-    _write_charts(outdir, reports, residual_trace)
+    _write_charts(outdir, reports)
 
 
 def _load_problem(config_path):
@@ -136,16 +127,15 @@ def cmd_solve(args):
         return _fail(exc)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    stalled = None
-    try:
-        state, reports = solver.continuation_run(background, coeff, cfg.solver)
-    except solver.ContinuationStall as exc:
-        stalled = exc
-        state, reports = exc.state, exc.reports
+    state, reports = solver.continuation_run(background, coeff, cfg.solver)
     elapsed = time.perf_counter() - start
-    _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed, stalled)
-    if stalled is not None:
-        print(f"error: {stalled}", file=sys.stderr)
+    _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed)
+    if state.t < 1.0:  # the last record is the step that fell below dt_min
+        print(
+            f"error: continuation stalled at t={state.t}: step below "
+            f"dt_min={cfg.solver.dt_min} ({state.step_log[-1].note})",
+            file=sys.stderr,
+        )
         print(f"last accepted state written to {outdir}", file=sys.stderr)
         return 3
     print(
@@ -249,24 +239,6 @@ def cmd_manufacture(args):
 # report
 
 
-def _read_residual_trace(path):
-    """The [t, residual] pairs of a summary.json; a malformed file is a
-    ConfigError."""
-    try:
-        summary = json.loads(path.read_text())
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    trace = summary.get("residual_trace") if isinstance(summary, dict) else None
-    if not isinstance(trace, list) or not all(
-        isinstance(point, list)
-        and len(point) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point)
-        for point in trace
-    ):
-        raise ConfigError(f"{path} has no residual_trace of [t, residual] pairs")
-    return trace
-
-
 def cmd_report(args):
     rundir = Path(args.rundir)
     try:
@@ -279,11 +251,9 @@ def cmd_report(args):
             raise ConfigError(str(exc)) from exc
         if not reports:
             raise ConfigError(f"{csv_path} contains no data rows")
-        summary_path = rundir / "summary.json"
-        residual_trace = _read_residual_trace(summary_path) if summary_path.exists() else []
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
-    _write_charts(rundir, reports, residual_trace)
+    _write_charts(rundir, reports)
     print(f"wrote residual.svg, estimates.svg, cone_margin.svg -> {rundir}")
     return 0
 

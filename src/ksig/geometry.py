@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
-from .grid import PeriodicGrid, dot_planes, mirror
+from .grid import PeriodicGrid, dot_planes, mirror, worst_node
 
 __all__ = [
     "HypothesisViolation",
@@ -167,21 +167,16 @@ def validate_hypotheses(background, coeff):
         )
     k = coeff.k
     for l in range(k - 1):
-        field = coeff.alpha_l[l]
-        low = field.min()
+        node, low = worst_node(coeff.alpha_l[l])
         if not low > 0.0:
-            node = np.unravel_index(int(np.argmin(field)), field.shape)
             raise HypothesisViolation(
                 f"hypothesis violated: alpha_l > 0 required everywhere, but "
-                f"alpha_{l} = {low} at node {tuple(int(i) for i in node)}"
+                f"alpha_{l} = {low} at node {node}"
             )
-    minusB = -background.B
-    margin = cones.matrix_cone_margin(minusB, k)
-    worst = margin.min()
+    node, worst = worst_node(cones.matrix_cone_margin(-background.B, k))
     if not worst > 0.0:
-        node = np.unravel_index(int(np.argmin(margin)), margin.shape)
         raise HypothesisViolation(
             f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "
-            f"worst cone margin {worst} at node {tuple(int(i) for i in node)}"
+            f"worst cone margin {worst} at node {node}"
         )
-    return float(worst)
+    return worst

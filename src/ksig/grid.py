@@ -4,7 +4,8 @@ Scalar fields are plain float64 arrays of shape grid.shape; the grid object
 travels alongside them.  Derivatives are second-order central differences
 with periodic wraparound, realized with `shift` (two slice copies per
 shifted field) so the stencil is exact at the wrap seam.  `shift`, `mirror`
-and `dot_planes` are the package's helpers for fields and component planes.
+`dot_planes` and `worst_node` are the package's helpers for fields and
+component planes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "shift",
     "compute_jet",
     "sup_norm",
+    "worst_node",
     "write_field",
     "read_field",
 ]
@@ -179,16 +181,20 @@ def sup_norm(values):
     return float(np.abs(values).max())
 
 
+def worst_node(values):
+    """(node tuple, value) of the smallest entry of a per-node field."""
+    idx = np.unravel_index(int(np.argmin(values)), values.shape)
+    return tuple(int(i) for i in idx), float(values[idx])
+
+
 def write_field(path, grid, values):
     """Self-describing little-endian binary: KSIG header + row-major float64."""
     values = np.ascontiguousarray(values, dtype="<f8")
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(values)):
-        bad = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-        raise ValueError(
-            f"refusing to write non-finite value at node {tuple(int(i) for i in bad)}"
-        )
+        bad, _ = worst_node(np.isfinite(values))
+        raise ValueError(f"refusing to write non-finite value at node {bad}")
     header = _HEADER.pack(_MAGIC, _VERSION, grid.dim, grid.resolution)
     with replacing(path) as tmp:
         tmp.write_bytes(header + values.tobytes())
@@ -226,9 +232,7 @@ def read_field(path, grid=None):
     values = np.frombuffer(payload, dtype="<f8").reshape(file_grid.shape).copy()
     finite = np.isfinite(values)
     if not finite.all():
-        bad = np.unravel_index(int(np.argmin(finite)), values.shape)
-        raise FieldFormatError(
-            f"{path}: non-finite value at node {tuple(int(i) for i in bad)}"
-        )
+        bad, _ = worst_node(finite)
+        raise FieldFormatError(f"{path}: non-finite value at node {bad}")
     return file_grid, values
 

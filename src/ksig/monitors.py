@@ -39,7 +39,8 @@ class MonitorReport:
     trace_slack and max_sigma_ratio are properties of the pure quotient
     sigma_k/sigma_{k-1} (the trace lower bound (n-k+1)/k and the ratio
     family sigma_l/sigma_{k-1}, l <= k-2); cone_margin, min_eig_Gij and
-    eq33_slack use the full weighted operator at the step's beta.
+    eq33_slack use the full weighted operator at the step's beta.  residual
+    is the sup-norm of the step's final Newton residual.
     """
 
     t: float
@@ -51,6 +52,7 @@ class MonitorReport:
     trace_slack: float
     max_sigma_ratio: float
     eq33_slack: float
+    residual: float
     newton_iters: int
 
 
@@ -88,6 +90,7 @@ def snapshot_point(state, background, coeff, newton_iters):
         trace_slack=trace_slack,
         max_sigma_ratio=max_ratio,
         eq33_slack=eq33,
+        residual=sup_norm(state.residual),
         newton_iters=int(newton_iters),
     )
 
@@ -112,10 +115,7 @@ def _warn_ratio_branch(sig, k, n):
     worst = 0.0
     count = 0
     for l in range(k - 1):
-        const = cones.newton_maclaurin_constant(n, k, l)
-        lhs = sig[..., l] * sig[..., k] ** (k - 1 - l)
-        rhs = const * sig[..., k - 1] ** (k - l)
-        excess = (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        excess = _newton_maclaurin_excess(sig, n, k, l)
         bad = branch & (excess > 1e-8)
         if bad.any():
             count += int(bad.sum())
@@ -127,6 +127,15 @@ def _warn_ratio_branch(sig, k, n):
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _newton_maclaurin_excess(sig, n, k, l):
+    """(sigma_l sigma_k^{k-1-l} - K sigma_{k-1}^{k-l}) / max(1, |lhs|, |rhs|)
+    with K = newton_maclaurin_constant(n, k, l): the power bound's excess,
+    normalised per entry of the sigma table."""
+    lhs = sig[..., l] * sig[..., k] ** (k - 1 - l)
+    rhs = cones.newton_maclaurin_constant(n, k, l) * sig[..., k - 1] ** (k - l)
+    return (lhs - rhs) / _norm_scale(lhs, rhs)
 
 
 def write_monitor_csv(path, reports):
@@ -241,12 +250,8 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     maxima.  Failures are recorded in the result, never raised.
 
     The draw order is fixed, so (n, k, samples, seed) fully determine the
-    result.
+    result.  The caller checks 3 <= k <= n <= 5 and samples >= 1.
     """
-    if not (3 <= k <= n <= 5):
-        raise ValueError(f"need 3 <= k <= n <= 5, got n={n}, k={k}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = sampling.generator(seed)
     n_boundary = min(500, max(1, samples // 10))
     checks = []
@@ -361,10 +366,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     sig = cones.all_elementary_symmetric(lam_k)
     worst = -np.inf
     for l in range(k - 1):
-        const = cones.newton_maclaurin_constant(n, k, l)
-        lhs = sig[:, l] * sig[:, k] ** (k - 1 - l)
-        rhs = const * sig[:, k - 1] ** (k - l)
-        worst = max(worst, float(((lhs - rhs) / _norm_scale(lhs, rhs)).max()))
+        worst = max(worst, float(_newton_maclaurin_excess(sig, n, k, l).max()))
     record("newton_maclaurin_bound", lam_k.shape[0], worst)
 
     e_sig = cones.all_elementary_symmetric(np.ones((1, n)))

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import cones
 from .geometry import assemble_U, beta_weights
-from .grid import JetField, compute_jet
+from .grid import JetField, compute_jet, worst_node
 
-__all__ = ["PointState", "evaluate", "worst_node", "admissibility_failure"]
+__all__ = ["PointState", "evaluate", "admissibility_failure"]
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class PointState:
     t: float
     jet: JetField
     U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
-    beta: np.ndarray  # (*shape, k-1)
     sigma: np.ndarray  # (*shape, k+1)
     value: np.ndarray  # G(U^t)
     gl: np.ndarray  # (*shape, k-1)
@@ -66,7 +65,6 @@ def evaluate(u, t, background, coeff, want_grad=False, jet=None):
         t=t,
         jet=jet,
         U=U,
-        beta=beta,
         sigma=ev.sigma,
         value=ev.value,
         gl=ev.gl,
@@ -75,12 +73,6 @@ def evaluate(u, t, background, coeff, want_grad=False, jet=None):
         grad=ev.grad,
         zeroth=zeroth,
     )
-
-
-def worst_node(margin):
-    """(node tuple, value) of the smallest entry of a per-node field."""
-    idx = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    return tuple(int(i) for i in idx), float(margin[idx])
 
 
 def admissibility_failure(state, floor, context):

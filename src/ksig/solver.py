@@ -18,7 +18,8 @@ after the first cuts the residual by less than 1 - _STALL_RATIO.  If the
 whole-path attempt fails, the march restarts from t = 0 with dt_init (at
 most half the failed step) and an adaptive controller: the t-step doubles
 after every step that Newton takes in few iterations and halves on a
-failure.
+failure.  A run that needs a step below dt_min stalls: it returns its last
+accepted state, with t < 1, the same way a finished run returns t = 1.
 
 A run sets only the residual tolerance, the Newton limit and the step
 controls (SolverConfig); damping, the cone margin and the GMRES limits are
@@ -65,7 +66,6 @@ _LINEAR_MAXITER = 400
 __all__ = [
     "SolverConfig",
     "NewtonFailure",
-    "ContinuationStall",
     "NewtonResult",
     "StepRecord",
     "ContinuationState",
@@ -108,15 +108,6 @@ class NewtonFailure(RuntimeError):
         self.residual = residual
         self.history = history
         self.damping_trials = damping_trials
-
-
-class ContinuationStall(RuntimeError):
-    """Step halving hit dt_min; the last accepted state is attached."""
-
-    def __init__(self, message, state=None, reports=None):
-        super().__init__(message)
-        self.state = state
-        self.reports = reports or []
 
 
 @dataclass(frozen=True)
@@ -264,6 +255,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             raise failure(f"Newton iteration limit {config.max_newton}")
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
         delta, info = _solve_linear(state, background, eta)
+        del state  # the trials need only u and rnorm; free its arrays for theirs
         if info != 0:
             raise failure(f"linear solver stagnated (info={info})")
         s = 1.0
@@ -310,28 +302,32 @@ def continuation_run(background, coeff, config):
     that took at most _GROW_NEWTON Newton iterations doubles dt, unless it is
     one of the first _HOLD_AFTER_REJECT accepted steps after a later
     rejection; the last step is clamped to t = 1.  A failed step halves the
-    step it tried, and when dt falls below dt_min a ContinuationStall
-    carrying the last accepted state is raised.  Each StepRecord holds the
-    step actually tried and the Newton iterations and damping backtracks
-    spent on it, rejected or not.  One MonitorReport is emitted per accepted
-    step, including the t = 0 anchor.
+    step it tried.  When dt falls below dt_min the march stops and the
+    state returned is the last accepted one, so state.t < 1 marks a stall
+    and the last StepRecord, the rejected step, gives the reason in its
+    note.  Each StepRecord holds the step actually tried and the Newton
+    iterations and damping backtracks spent on it, rejected or not.  One
+    MonitorReport is emitted per accepted step, including the t = 0 anchor.
     """
     from . import monitors
 
-    grid = background.grid
     log = []
     reports = []
 
-    res = newton_solve_at_t(grid.zeros(), 0.0, background, coeff, config)
-    u = res.u
-    total_iters = res.iterations
-    log.append(StepRecord(0.0, 0.0, True, res.iterations, res.residual_norm, res.damping_trials))
-    reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
+    def accept(res, t, step):
+        """Log and monitor an accepted step; returns its u, residual and
+        Newton iterations, all the march keeps of it."""
+        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm, res.damping_trials))
+        reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
+        return res.u, res.residual_norm, res.iterations
+
+    anchor = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
+    u, last_rnorm, total_iters = accept(anchor, 0.0, 0.0)
+    del anchor  # a NewtonResult holds a whole evaluated state
 
     t = 0.0
     dt = 1.0  # the whole path first
     hold = 0  # accepted steps still to take before dt may grow again
-    last_rnorm = res.residual_norm
     while t < 1.0:
         t_try = t + dt
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
@@ -350,27 +346,18 @@ def continuation_run(background, coeff, config):
             else:
                 dt, hold = 0.5 * step, _HOLD_AFTER_REJECT
             if dt < config.dt_min:
-                state = ContinuationState(
-                    t=t, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
-                )
-                raise ContinuationStall(
-                    f"continuation stalled at t={t}: step below dt_min={config.dt_min} ({exc})",
-                    state=state,
-                    reports=reports,
-                ) from exc
+                break
             continue
         t = t_try
-        u = res.u
-        last_rnorm = res.residual_norm
-        total_iters += res.iterations
-        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm, res.damping_trials))
-        reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
+        u, last_rnorm, iters = accept(res, t, step)
+        del res  # free its evaluated state before the next step builds one
+        total_iters += iters
         if hold:
             hold -= 1
-        elif res.iterations <= _GROW_NEWTON:
+        elif iters <= _GROW_NEWTON:
             dt *= 2.0
     state = ContinuationState(
-        t=1.0, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
+        t=t, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
     )
     return state, reports
 

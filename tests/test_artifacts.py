@@ -21,6 +21,7 @@ def good_report(t):
         trace_slack=0.0,
         max_sigma_ratio=1.0,
         eq33_slack=0.75,
+        residual=0.0,
         newton_iters=0,
     )
 
