@@ -17,7 +17,9 @@ formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
 functions take and return (..., n, n) arrays.  On the evaluate path the input
 U is already a view of contiguous planes (geometry.assemble_U), so the copy
 is a straight memory copy with no transpose, and quotient_eval's gradient is
-likewise a (..., n, n) view of planes.
+likewise a (..., n, n) view of planes.  quotient_eval always builds that
+gradient, from the stack T_1..T_{k-1}; the sigma-only functions
+(matrix_sigmas, matrix_cone_margin) keep two T buffers instead.
 
 Conventions:
     sigma_0 = 1 exactly.
@@ -179,21 +181,21 @@ def matrix_cone_margin(M, k):
 
 @dataclass(frozen=True)
 class QuotientEval:
-    """One batched evaluation of G and, optionally, its matrix gradient.
+    """One batched evaluation of G and its matrix gradient.
 
     sigma : (..., k+1) sigma_0..sigma_k
     value : (...) G(M)
     gl : (..., k-1) the quotients G_l = -sigma_l/sigma_{k-1}, l = 0..k-2
-    grad : (..., n, n) dG/dM, or None if not requested
+    grad : (..., n, n) dG/dM
     """
 
     sigma: np.ndarray
     value: np.ndarray
     gl: np.ndarray
-    grad: np.ndarray | None
+    grad: np.ndarray
 
 
-def quotient_eval(M, k, beta=None, want_grad=False):
+def quotient_eval(M, k, beta=None):
     """Evaluate G(M) = sigma_k/sigma_{k-1} + sum_l beta_l G_l and its gradient.
 
     beta is None (treated as zero) or an array broadcastable to (..., k-1);
@@ -214,7 +216,7 @@ def quotient_eval(M, k, beta=None, want_grad=False):
     if not 1 <= k <= n:
         raise ValueError(f"quotient order k={k} outside [1, {n}]")
     P = _planes(M)
-    T = np.empty((k - 1,) + P.shape) if want_grad else None  # T_1..T_{k-1}
+    T = np.empty((k - 1,) + P.shape)  # T_1..T_{k-1}
     sig = _recursion(P, k, T)
     sigma = np.moveaxis(sig, 0, -1)
     skm1 = sig[k - 1]
@@ -225,22 +227,20 @@ def quotient_eval(M, k, beta=None, want_grad=False):
         beta = np.asarray(beta, dtype=np.float64)
         num = sig[k] - sum(beta[..., l] * sig[l] for l in range(k - 1))
     value = num / skm1
-    grad = None
-    if want_grad:
-        # grad = sum_j coef_j T_j over j = 0..k-1, written over the planes of M
-        coef = np.zeros_like(sig[:k])
-        coef[k - 1] = 1.0 / skm1
-        if k >= 2:
-            coef[k - 2] = -num / skm1**2
-        if beta is not None:
-            for l in range(1, k - 1):
-                coef[l - 1] = -beta[..., l] / skm1
-        for a in range(n):
-            row = P[a, a:]
-            np.einsum("j...,jb...->b...", coef[1:], T[:, a, a:], out=row)
-            row[0] += coef[0]
-        mirror(P)
-        grad = np.moveaxis(P, (0, 1), (-2, -1))
+    # grad = sum_j coef_j T_j over j = 0..k-1, written over the planes of M
+    coef = np.zeros_like(sig[:k])
+    coef[k - 1] = 1.0 / skm1
+    if k >= 2:
+        coef[k - 2] = -num / skm1**2
+    if beta is not None:
+        for l in range(1, k - 1):
+            coef[l - 1] = -beta[..., l] / skm1
+    for a in range(n):
+        row = P[a, a:]
+        np.einsum("j...,jb...->b...", coef[1:], T[:, a, a:], out=row)
+        row[0] += coef[0]
+    mirror(P)
+    grad = np.moveaxis(P, (0, 1), (-2, -1))
     return QuotientEval(sigma=sigma, value=value, gl=gl, grad=grad)
 
 

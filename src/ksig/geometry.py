@@ -158,9 +158,21 @@ def validate_hypotheses(background, coeff):
     """Check the solvability hypotheses; raise HypothesisViolation naming the
     first one that fails.
 
-    Checks, in order: tau < 1; alpha_l > 0 at every node for every l;
+    Checks, in order: tau, alpha, every alpha_l and every entry B_ij finite
+    at every node; tau < 1; alpha_l > 0 at every node for every l;
     lambda(-B) in Gamma_k at every node.
     """
+    if not np.isfinite(background.tau):
+        raise HypothesisViolation(f"input data must be finite, but tau = {background.tau}")
+    n = background.grid.dim
+    named = [("alpha", coeff.alpha), *((f"alpha_{l}", a) for l, a in enumerate(coeff.alpha_l))]
+    named += [(f"B_{i}{j}", background.B_planes[i, j]) for i in range(n) for j in range(i, n)]
+    for name, values in named:
+        node, finite = worst_node(np.isfinite(values))
+        if not finite:
+            raise HypothesisViolation(
+                f"input data must be finite, but {name} = {values[node]} at node {node}"
+            )
     if not background.tau < 1.0:
         raise HypothesisViolation(
             f"hypothesis violated: tau < 1 required, got tau={background.tau}"

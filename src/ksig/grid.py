@@ -89,23 +89,13 @@ class JetField:
     The derivatives are stored as contiguous component planes, each of
     grid.shape: grad_planes[i] is D_i f, shape (n, *grid.shape), and
     hess_planes[i, j] is D_ij f, shape (n, n, *grid.shape), with both
-    triangles filled.  gradient (*grid.shape, n) and hessian
-    (*grid.shape, n, n) are zero-copy views of the planes.  laplacian is the
-    exact trace of the stored Hessian.
+    triangles filled.  laplacian is the exact trace of the stored Hessian.
     """
 
     value: np.ndarray
     grad_planes: np.ndarray
     hess_planes: np.ndarray
     laplacian: np.ndarray
-
-    @property
-    def gradient(self):
-        return np.moveaxis(self.grad_planes, 0, -1)
-
-    @property
-    def hessian(self):
-        return np.moveaxis(self.hess_planes, (0, 1), (-2, -1))
 
 
 def dot_planes(a, b):

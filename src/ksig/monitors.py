@@ -60,7 +60,7 @@ CSV_FIELDS = tuple(f.name for f in fields(MonitorReport))
 
 
 def snapshot_point(state, background, coeff, newton_iters):
-    """Build a MonitorReport from a PointState evaluated with want_grad=True."""
+    """Build a MonitorReport from a PointState (operator.evaluate)."""
     k = coeff.k
     sig = state.sigma
     grad_norm = np.sqrt(dot_planes(state.jet.grad_planes, state.jet.grad_planes))
@@ -387,13 +387,13 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     )
     total = mats.shape[0]
     beta = rng.uniform(0.0, 2.0, size=(total, k - 1))
-    ev = cones.quotient_eval(mats, k, beta, want_grad=True)
+    ev = cones.quotient_eval(mats, k, beta)
     eigs = np.linalg.eigvalsh(ev.grad)
     scale = np.abs(ev.grad).max(axis=(-2, -1))
     viol = -eigs[:, 0] / np.maximum(1.0, scale)
     record("weighted_gradient_spd", total, viol.max())
 
-    quot = cones.quotient_eval(mats, k, None, want_grad=True)
+    quot = cones.quotient_eval(mats, k, None)
     trace = np.trace(quot.grad, axis1=-2, axis2=-1)
     bound = (n - k + 1) / k
     viol = (bound - trace) / np.maximum(1.0, np.abs(trace))

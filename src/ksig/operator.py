@@ -2,7 +2,9 @@
 
 Both the solver and the monitors go through `evaluate`, so residuals,
 gradients, cone margins and inequality slacks always come from the same
-arithmetic.  The residual convention is
+arithmetic.  Every evaluation builds, with the residual, the gradient G^{ij}
+and the zeroth-order coefficient of the linearization.  The residual
+convention is
 
     F(u; t) = G(U^t) + t alpha e^{2u},
 
@@ -32,14 +34,13 @@ class PointState:
     U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
     sigma: np.ndarray  # (*shape, k+1)
     value: np.ndarray  # G(U^t)
-    gl: np.ndarray  # (*shape, k-1)
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
     residual: np.ndarray  # F(u; t)
-    grad: np.ndarray | None  # G^{ij}, (*shape, n, n) view of planes
-    zeroth: np.ndarray | None  # zeroth-order linearization coefficient
+    grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
+    zeroth: np.ndarray  # zeroth-order linearization coefficient
 
 
-def evaluate(u, t, background, coeff, want_grad=False, jet=None):
+def evaluate(u, t, background, coeff, jet=None):
     """Assemble U^t from the jet of u and evaluate the quotient operator.
 
     No cone check is performed here; `margin` carries min sigma_j so callers
@@ -52,14 +53,12 @@ def evaluate(u, t, background, coeff, want_grad=False, jet=None):
         jet = compute_jet(background.grid, u)
     U = assemble_U(jet, background, t)
     beta = beta_weights(coeff, u, t)
-    ev = cones.quotient_eval(U, k, beta, want_grad=want_grad)
+    ev = cones.quotient_eval(U, k, beta)
     margin = ev.sigma[..., 1:k].min(axis=-1)
     exp2u = np.exp(2.0 * u)
     residual = ev.value + t * coeff.alpha * exp2u
-    zeroth = None
-    if want_grad:
-        ls = np.arange(k - 1)
-        zeroth = np.sum(2.0 * (k - ls) * beta * ev.gl, axis=-1) + 2.0 * t * coeff.alpha * exp2u
+    ls = np.arange(k - 1)
+    zeroth = np.sum(2.0 * (k - ls) * beta * ev.gl, axis=-1) + 2.0 * t * coeff.alpha * exp2u
     return PointState(
         u=u,
         t=t,
@@ -67,7 +66,6 @@ def evaluate(u, t, background, coeff, want_grad=False, jet=None):
         U=U,
         sigma=ev.sigma,
         value=ev.value,
-        gl=ev.gl,
         margin=margin,
         residual=residual,
         grad=ev.grad,

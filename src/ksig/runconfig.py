@@ -1,6 +1,7 @@
 """Declarative run configuration: INI sections -> problem objects.
 
-Grammar (all keys optional unless noted):
+Grammar (all keys optional unless noted; the keys of each section are the
+fields of ProblemConfig, SolverConfig and OutputConfig):
 
     [problem]
     n = 3                 # required, ambient dimension, 3..5
@@ -15,7 +16,7 @@ Grammar (all keys optional unless noted):
     alpha_l = 1.0         # one entry broadcast to all l, or k-1 comma-separated
     u_star = 0.1*sin(x1)*cos(x2)   # manufacture only
 
-    [solver]              # keys mirror SolverConfig fields
+    [solver]
     residual_tol = 1e-9
     max_newton = 30
     dt_init = 0.1
@@ -59,11 +60,6 @@ class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
 
 
-_PROBLEM_KEYS = {"n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"}
-_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
-_OUTPUT_KEYS = {"directory"}
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     n: int
@@ -86,6 +82,11 @@ class RunConfig:
     problem: ProblemConfig
     solver: SolverConfig
     output: OutputConfig
+
+
+_PROBLEM_KEYS = {f.name for f in fields(ProblemConfig)}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
+_OUTPUT_KEYS = {f.name for f in fields(OutputConfig)}
 
 
 def _check_keys(parser, section, allowed):

@@ -20,6 +20,8 @@ most half the failed step) and an adaptive controller: the t-step doubles
 after every step that Newton takes in few iterations and halves on a
 failure.  A run that needs a step below dt_min stalls: it returns its last
 accepted state, with t < 1, the same way a finished run returns t = 1.
+A failed Newton solve is an expected outcome of the march, not an error: it
+returns a NewtonResult whose note gives the reason.
 
 A run sets only the residual tolerance, the Newton limit and the step
 controls (SolverConfig); damping, the cone margin and the GMRES limits are
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from . import cones, operator
+from . import monitors, operator
 from .grid import shift, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
@@ -65,7 +67,6 @@ _LINEAR_MAXITER = 400
 
 __all__ = [
     "SolverConfig",
-    "NewtonFailure",
     "NewtonResult",
     "StepRecord",
     "ContinuationState",
@@ -90,34 +91,23 @@ class SolverConfig:
     dt_min: float = 1e-4
 
     def __post_init__(self):
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
         if not 0.0 < self.dt_min < self.dt_init <= 1.0:
             raise ValueError("need 0 < dt_min < dt_init <= 1")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
 
 
-class NewtonFailure(RuntimeError):
-    """Newton did not reach tolerance: limit, damping floor, stalled
-    contraction, or a stuck linear solve.  Carries the final residual
-    sup-norm, the residual history and the damping backtracks spent."""
-
-    def __init__(self, message, residual, history, damping_trials):
-        super().__init__(message)
-        self.residual = residual
-        self.history = history
-        self.damping_trials = damping_trials
-
-
 @dataclass(frozen=True)
 class NewtonResult:
-    u: np.ndarray
+    u: np.ndarray  # the last iterate reached, converged or not
     iterations: int
     residual_norm: float
     history: tuple  # residual sup-norms, one per iterate including the start
-    state: operator.PointState
+    state: operator.PointState | None  # u evaluated; None when the solve failed
     damping_trials: int  # trial evaluations at a damping factor below 1
+    note: str  # empty when the solve converged, else why it failed
 
 
 @dataclass(frozen=True)
@@ -141,8 +131,8 @@ class ContinuationState:
 
 
 def jacobian(state, background):
-    """dF at `state`, an operator.evaluate result with want_grad=True, as
-    per-node weights on compute_jet's stencil, built once.
+    """dF at `state`, an operator.evaluate result, as per-node weights on
+    compute_jet's stencil, built once.
 
     dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
     b = (2-tau) tr(G) grad u - 2 G grad u, c = zeroth, G = G^{ij} and
@@ -223,48 +213,49 @@ def _forcing_term(rnorm, prev_rnorm, config):
 
 
 def newton_solve_at_t(u0, t, background, coeff, config):
-    """Damped Newton at fixed t; returns a NewtonResult or raises NewtonFailure.
+    """Damped Newton at fixed t; returns a NewtonResult, converged or not.
 
     Each linear solve stops at the forcing term of _forcing_term.  Damping
     shrinks the step until the trial iterate keeps every node inside
     Gamma_{k-1} with margin _CONE_MARGIN and strictly decreases the
     residual sup-norm; a factor below _DAMPING_FLOOR fails.  From the second
     iteration on, an iterate above tolerance whose residual exceeds
-    _STALL_RATIO times the previous one fails as a stall.  An inadmissible
-    starting iterate is a hard error.
+    _STALL_RATIO times the previous one fails as a stall.  The solve also
+    fails at the iteration limit, on a stuck linear solve and on an
+    inadmissible starting iterate.  A residual that is not <= residual_tol,
+    NaN included, is never converged.  A failed solve returns its reason in
+    `note` and no `state`.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
-    state = operator.evaluate(u, t, background, coeff, want_grad=True)
-    if not state.margin.min() > _CONE_MARGIN:
-        raise operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}")
+    state = operator.evaluate(u, t, background, coeff)
     rnorm = sup_norm(state.residual)
     history = [rnorm]
     iters = 0
     backtracks = 0
+    note = ""
+    if not state.margin.min() > _CONE_MARGIN:
+        note = str(operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}"))
 
     def failure(reason):
-        return NewtonFailure(
-            f"{reason} at t={t} (residual {rnorm:.3e})",
-            residual=rnorm,
-            history=history,
-            damping_trials=backtracks,
-        )
+        return f"{reason} at t={t} (residual {rnorm:.3e})"
 
-    while rnorm > config.residual_tol:
+    while not (note or rnorm <= config.residual_tol):
         if iters >= config.max_newton:
-            raise failure(f"Newton iteration limit {config.max_newton}")
+            note = failure(f"Newton iteration limit {config.max_newton}")
+            break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
         delta, info = _solve_linear(state, background, eta)
         del state  # the trials need only u and rnorm; free its arrays for theirs
         if info != 0:
-            raise failure(f"linear solver stagnated (info={info})")
+            note = failure(f"linear solver stagnated (info={info})")
+            break
         s = 1.0
         while True:
             trial_u = u + s * delta
             # overshooting trials may overflow exp or leave the cone; NaNs
             # compare False below and the step is simply rejected
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trial = operator.evaluate(trial_u, t, background, coeff, want_grad=True)
+                trial = operator.evaluate(trial_u, t, background, coeff)
                 ok = bool(
                     trial.margin.min() > _CONE_MARGIN
                     and np.isfinite(trial.residual).all()
@@ -274,21 +265,25 @@ def newton_solve_at_t(u0, t, background, coeff, config):
                 break
             s *= _DAMPING_SHRINK
             if s < _DAMPING_FLOOR:
-                raise failure(f"damping below {_DAMPING_FLOOR}")
+                note = failure(f"damping below {_DAMPING_FLOOR}")
+                break
             backtracks += 1
+        if note:
+            break
         u, state = trial_u, trial
         prev, rnorm = rnorm, sup_norm(state.residual)
         history.append(rnorm)
         iters += 1
         if iters >= 2 and rnorm > config.residual_tol and rnorm > _STALL_RATIO * prev:
-            raise failure(f"Newton stalled (contraction {rnorm / prev:.3f})")
+            note = failure(f"Newton stalled (contraction {rnorm / prev:.3f})")
     return NewtonResult(
         u=u,
         iterations=iters,
         residual_norm=rnorm,
         history=tuple(history),
-        state=state,
+        state=None if note else state,
         damping_trials=backtracks,
+        note=note,
     )
 
 
@@ -305,24 +300,29 @@ def continuation_run(background, coeff, config):
     step it tried.  When dt falls below dt_min the march stops and the
     state returned is the last accepted one, so state.t < 1 marks a stall
     and the last StepRecord, the rejected step, gives the reason in its
-    note.  Each StepRecord holds the step actually tried and the Newton
-    iterations and damping backtracks spent on it, rejected or not.  One
-    MonitorReport is emitted per accepted step, including the t = 0 anchor.
+    note.  Each StepRecord is built from the step's NewtonResult: the step
+    actually tried, the Newton iterations, final residual and damping
+    backtracks spent on it, and the note of a rejected step.  One
+    MonitorReport is emitted per accepted step, including the t = 0 anchor;
+    a failed anchor raises RuntimeError.
     """
-    from . import monitors
-
     log = []
     reports = []
 
-    def accept(res, t, step):
-        """Log and monitor an accepted step; returns its u, residual and
-        Newton iterations, all the march keeps of it."""
-        log.append(StepRecord(t, step, True, res.iterations, res.residual_norm, res.damping_trials))
-        reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
-        return res.u, res.residual_norm, res.iterations
+    def record(res, t, step):
+        """Log a step from its Newton result, and monitor it if accepted."""
+        accepted = not res.note
+        log.append(
+            StepRecord(t, step, accepted, res.iterations, res.residual_norm, res.damping_trials, res.note)
+        )
+        if accepted:
+            reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
 
     anchor = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
-    u, last_rnorm, total_iters = accept(anchor, 0.0, 0.0)
+    record(anchor, 0.0, 0.0)
+    if anchor.note:
+        raise RuntimeError(anchor.note)
+    u, last_rnorm, total_iters = anchor.u, anchor.residual_norm, anchor.iterations
     del anchor  # a NewtonResult holds a whole evaluated state
 
     t = 0.0
@@ -333,14 +333,9 @@ def continuation_run(background, coeff, config):
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
         step = t_try - t
-        try:
-            res = newton_solve_at_t(u, t_try, background, coeff, config)
-        except (NewtonFailure, cones.InadmissibleStateError) as exc:
-            if isinstance(exc, NewtonFailure):
-                spent, backtracks = len(exc.history) - 1, exc.damping_trials
-            else:
-                spent = backtracks = 0
-            log.append(StepRecord(t_try, step, False, spent, math.nan, backtracks, note=str(exc)))
+        res = newton_solve_at_t(u, t_try, background, coeff, config)
+        record(res, t_try, step)
+        if res.note:
             if step == 1.0:  # the whole-path attempt: hand over to the controller
                 dt, hold = min(config.dt_init, 0.5 * step), 0
             else:
@@ -349,7 +344,7 @@ def continuation_run(background, coeff, config):
                 break
             continue
         t = t_try
-        u, last_rnorm, iters = accept(res, t, step)
+        u, last_rnorm, iters = res.u, res.residual_norm, res.iterations
         del res  # free its evaluated state before the next step builds one
         total_iters += iters
         if hold:

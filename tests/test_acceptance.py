@@ -51,10 +51,10 @@ def default_coeff(grid, k=3):
     )
 
 
-def admissible_state(u, t, bg, coeff, want_grad=False):
+def admissible_state(u, t, bg, coeff):
     """operator.evaluate at (u, t), refusing a state within the solver's cone
     margin of the cone boundary."""
-    state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
+    state = operator.evaluate(u, t, bg, coeff)
     if not state.margin.min() > solver._CONE_MARGIN:
         raise operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}")
     return state
@@ -62,7 +62,7 @@ def admissible_state(u, t, bg, coeff, want_grad=False):
 
 def linearize(u, t, v, bg, coeff):
     """dF[v] at (u, t) through solver.jacobian, the operator GMRES applies."""
-    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, want_grad=True), bg)
+    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff), bg)
     return apply(v)
 
 

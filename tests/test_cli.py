@@ -96,6 +96,12 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha = 0.2*sin(x1)": "alpha = file:absent.ksig"}, "absent.ksig"),
         ({"resolution = 8": "resolution = 7"}, "resolution 7"),
         ({"background = hyperbolic-like": "background = conformal:0.1*cos(x1)"}, "unknown background spec"),
+        # non-finite input: 1e999 parses as inf, and inf * sin(0) is nan
+        ({"alpha = 0.2*sin(x1)": "alpha = 1e999*sin(x1)"}, "alpha = nan at node (0, 0, 0)"),
+        ({"[output]": "[solver]\nresidual_tol = inf\n\n[output]"}, "residual_tol"),
+        ({"alpha_l = 1.0": "alpha_l = 1e999"}, "alpha_0 = inf at node (0, 0, 0)"),
+        ({"tau = 0.0": "tau = -inf"}, "tau = -inf"),
+        ({"alpha = 0.2*sin(x1)": "alpha = 1e999"}, "alpha = inf at node (0, 0, 0)"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -127,6 +133,7 @@ def test_readme_example_config_loads(tmp_path):
     # the example lists every setting, so a knob cannot change without the docs
     parser = configparser.ConfigParser()
     parser.read_string(block)
+    assert set(parser["problem"]) <= {f.name for f in fields(runconfig.ProblemConfig)}
     assert set(parser["solver"]) == {f.name for f in fields(solver.SolverConfig)}
     assert set(parser["output"]) == {f.name for f in fields(runconfig.OutputConfig)}
 

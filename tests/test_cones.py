@@ -42,7 +42,7 @@ def g_value(M, k, beta=None):
 
 
 def g_grad(M, k, beta=None):
-    return cones.quotient_eval(M, k, beta, want_grad=True).grad
+    return cones.quotient_eval(M, k, beta).grad
 
 
 def perturb(M, i, j, eps):
@@ -385,7 +385,7 @@ def test_euler_homogeneity_identity():
     rng = sampling.generator(4)
     for n, k in [(3, 3), (4, 3), (5, 5)]:
         M = sampling.gamma_matrices(rng, 100, n, k - 1, margin=1e-4)
-        ev = cones.quotient_eval(M, k, None, want_grad=True)
+        ev = cones.quotient_eval(M, k, None)
         contraction = np.einsum("bij,bij->b", ev.grad, M)
         assert np.all(np.abs(contraction - ev.value) <= 1e-10 * np.maximum(1.0, np.abs(ev.value)))
 
@@ -395,11 +395,11 @@ def test_euler_homogeneity_per_gl():
     rng = sampling.generator(17)
     n, k = 4, 4
     M = sampling.gamma_matrices(rng, 60, n, k - 1, margin=1e-3)
-    base = cones.quotient_eval(M, k, None, want_grad=True)
+    base = cones.quotient_eval(M, k, None)
     for l in range(k - 1):
         onehot = np.zeros(k - 1)
         onehot[l] = 1.0
-        withl = cones.quotient_eval(M, k, onehot, want_grad=True)
+        withl = cones.quotient_eval(M, k, onehot)
         grad_gl = withl.grad - base.grad
         gl = base.gl[..., l]
         contraction = np.einsum("bij,bij->b", grad_gl, M)
@@ -478,7 +478,7 @@ def check_sigmas(M, kmax):
 
 def check_quotient(M, k, beta):
     before = M.copy()
-    ev = cones.quotient_eval(M, k, beta, want_grad=True)
+    ev = cones.quotient_eval(M, k, beta)
     assert np.array_equal(M, before)  # the gradient is built in a copy
     sig, value, gl, grad = reference_quotient(M, k, beta)
     for j in range(k + 1):
@@ -486,9 +486,6 @@ def check_quotient(M, k, beta):
     assert_oracle_close(ev.value, value)
     assert_oracle_close(ev.gl, gl)
     assert_oracle_close(ev.grad, grad)
-    plain = cones.quotient_eval(M, k, beta)
-    assert plain.grad is None
-    assert np.array_equal(plain.sigma, ev.sigma) and np.array_equal(plain.value, ev.value)
 
 
 @pytest.mark.parametrize("batch", ORACLE_BATCHES, ids=str)
@@ -534,7 +531,7 @@ def test_quotient_gradient_is_exactly_symmetric(n):
     for k in range(3, n + 1):
         M = sampling.gamma_matrices(rng, 500, n, k - 1, margin=1e-3)
         beta = rng.uniform(0.0, 2.0, size=(500, k - 1))
-        grad = cones.quotient_eval(M, k, beta, want_grad=True).grad
+        grad = cones.quotient_eval(M, k, beta).grad
         assert np.array_equal(grad, grad.swapaxes(-1, -2))
         assert np.any(grad != np.diagonal(grad, axis1=-2, axis2=-1)[..., None] * np.eye(n))
 

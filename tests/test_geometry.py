@@ -120,10 +120,10 @@ def stacked_U(jet, bg, t):
     plane assembly replaced."""
     n, tau = bg.grid.dim, bg.tau
     eye = np.eye(n)
-    g = np.ascontiguousarray(jet.gradient)
+    g = np.ascontiguousarray(np.moveaxis(jet.grad_planes, 0, -1))
     g2 = np.einsum("...i,...i->...", g, g)
     return (
-        jet.hessian
+        np.moveaxis(jet.hess_planes, (0, 1), (-2, -1))
         + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
         + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
         - g[..., :, None] * g[..., None, :]

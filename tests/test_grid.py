@@ -34,8 +34,8 @@ def test_grid_validation():
 def test_jet_of_constant_field():
     grid = PeriodicGrid(3, 8)
     jet = compute_jet(grid, np.full(grid.shape, 7.0))
-    assert np.all(jet.gradient == 0.0)
-    assert np.all(jet.hessian == 0.0)
+    assert np.all(jet.grad_planes == 0.0)
+    assert np.all(jet.hess_planes == 0.0)
     assert np.all(jet.laplacian == 0.0)
 
 
@@ -46,7 +46,7 @@ def test_jet_gradient_of_sine_second_order():
         x1 = coords(grid)[0]
         f = np.broadcast_to(np.sin(x1), grid.shape)
         jet = compute_jet(grid, f)
-        errs[N] = np.abs(jet.gradient[..., 0] - np.cos(x1)).max()
+        errs[N] = np.abs(jet.grad_planes[0] - np.cos(x1)).max()
         assert errs[N] <= 1.1 * grid.spacing**2
     ratio = errs[32] / errs[64]
     assert 3.5 <= ratio <= 4.5
@@ -58,17 +58,17 @@ def test_jet_cross_derivative():
     f = np.sin(x1) * np.sin(x2) * np.ones(grid.shape)
     jet = compute_jet(grid, f)
     exact = np.cos(x1) * np.cos(x2) * np.ones(grid.shape)
-    assert np.abs(jet.hessian[..., 0, 1] - exact).max() <= 1.1 * grid.spacing**2
+    assert np.abs(jet.hess_planes[0, 1] - exact).max() <= 1.1 * grid.spacing**2
     # node nearest (pi/2, pi/2, ...): N/4 steps along both axes
     q = grid.resolution // 4
-    assert jet.hessian[(q, q, 0)][0, 1] == pytest.approx(0.0, abs=grid.spacing**2)
+    assert jet.hess_planes[0, 1][q, q, 0] == pytest.approx(0.0, abs=grid.spacing**2)
 
 
 def test_jet_laplacian_is_exact_trace():
     grid = PeriodicGrid(4, 8)
     rng = np.random.default_rng(0)
     jet = compute_jet(grid, rng.standard_normal(grid.shape))
-    tr = np.trace(jet.hessian, axis1=-2, axis2=-1)
+    tr = np.trace(jet.hess_planes)
     assert np.array_equal(jet.laplacian, tr)
 
 
@@ -94,8 +94,8 @@ def test_jet_translation_equivariance():
     jet = compute_jet(grid, f)
     for axis in range(3):
         shifted = compute_jet(grid, np.roll(f, 5, axis=axis))
-        assert np.array_equal(shifted.gradient, np.roll(jet.gradient, 5, axis=axis))
-        assert np.array_equal(shifted.hessian, np.roll(jet.hessian, 5, axis=axis))
+        assert np.array_equal(shifted.grad_planes, np.roll(jet.grad_planes, 5, axis=1 + axis))
+        assert np.array_equal(shifted.hess_planes, np.roll(jet.hess_planes, 5, axis=2 + axis))
 
 
 def stacked_jet(grid, values):
@@ -127,13 +127,12 @@ def test_jet_planes_match_stacked_construction_bitwise(n):
     values = np.random.default_rng(n).standard_normal(grid.shape)
     jet = compute_jet(grid, values)
     grad, hess, lap = stacked_jet(grid, values)
-    assert np.array_equal(jet.gradient, grad)
-    assert np.array_equal(jet.hessian, hess)
+    assert np.array_equal(jet.grad_planes, np.moveaxis(grad, -1, 0))
+    assert np.array_equal(jet.hess_planes, np.moveaxis(hess, (-2, -1), (0, 1)))
     assert np.array_equal(jet.laplacian, lap)
-    # the public shapes are zero-copy views of contiguous planes
+    # the derivatives are stored as contiguous planes
     assert jet.grad_planes.shape == (n,) + grid.shape and jet.grad_planes.flags.c_contiguous
     assert jet.hess_planes.shape == (n, n) + grid.shape and jet.hess_planes.flags.c_contiguous
-    assert jet.gradient.base is jet.grad_planes and jet.hessian.base is jet.hess_planes
     exact = fieldexpr.analytic_jet("0.1*sin(x1)*cos(x2)", grid)
     assert exact.grad_planes.shape == jet.grad_planes.shape
     assert exact.hess_planes.shape == jet.hess_planes.shape
@@ -267,11 +266,11 @@ def test_analytic_jet_matches_hand_derivatives():
     jet = fieldexpr.analytic_jet("0.1*sin(x1)*cos(x2)", grid)
     ones = np.ones(grid.shape)
     assert np.allclose(jet.value, 0.1 * np.sin(x1) * np.cos(x2) * ones, atol=1e-15)
-    assert np.allclose(jet.gradient[..., 0], 0.1 * np.cos(x1) * np.cos(x2) * ones, atol=1e-15)
-    assert np.allclose(jet.gradient[..., 1], -0.1 * np.sin(x1) * np.sin(x2) * ones, atol=1e-15)
-    assert np.allclose(jet.gradient[..., 2], 0.0)
-    assert np.allclose(jet.hessian[..., 0, 0], -0.1 * np.sin(x1) * np.cos(x2) * ones, atol=1e-15)
-    assert np.allclose(jet.hessian[..., 0, 1], -0.1 * np.cos(x1) * np.sin(x2) * ones, atol=1e-15)
+    assert np.allclose(jet.grad_planes[0], 0.1 * np.cos(x1) * np.cos(x2) * ones, atol=1e-15)
+    assert np.allclose(jet.grad_planes[1], -0.1 * np.sin(x1) * np.sin(x2) * ones, atol=1e-15)
+    assert np.allclose(jet.grad_planes[2], 0.0)
+    assert np.allclose(jet.hess_planes[0, 0], -0.1 * np.sin(x1) * np.cos(x2) * ones, atol=1e-15)
+    assert np.allclose(jet.hess_planes[0, 1], -0.1 * np.cos(x1) * np.sin(x2) * ones, atol=1e-15)
     assert np.allclose(jet.laplacian, -0.2 * np.sin(x1) * np.cos(x2) * ones, atol=1e-15)
 
 
@@ -281,9 +280,9 @@ def test_analytic_jet_repeated_axis_product():
     jet = fieldexpr.analytic_jet("sin(x1)*sin(x1)", grid)
     ones = np.ones(grid.shape)
     assert np.allclose(jet.value, np.sin(x1) ** 2 * ones, atol=1e-15)
-    assert np.allclose(jet.gradient[..., 0], 2 * np.sin(x1) * np.cos(x1) * ones, atol=1e-14)
+    assert np.allclose(jet.grad_planes[0], 2 * np.sin(x1) * np.cos(x1) * ones, atol=1e-14)
     want = 2 * (np.cos(x1) ** 2 - np.sin(x1) ** 2) * ones
-    assert np.allclose(jet.hessian[..., 0, 0], want, atol=1e-14)
+    assert np.allclose(jet.hess_planes[0, 0], want, atol=1e-14)
 
 
 def test_analytic_jet_agrees_with_stencil_jet():
@@ -292,5 +291,5 @@ def test_analytic_jet_agrees_with_stencil_jet():
     exact = fieldexpr.analytic_jet(expr, grid)
     stencil = compute_jet(grid, exact.value)
     h2 = grid.spacing**2
-    assert np.abs(stencil.gradient - exact.gradient).max() <= h2
-    assert np.abs(stencil.hessian - exact.hessian).max() <= h2
+    assert np.abs(stencil.grad_planes - exact.grad_planes).max() <= h2
+    assert np.abs(stencil.hess_planes - exact.hess_planes).max() <= h2

@@ -1,9 +1,12 @@
 """Module boundaries: no ksig module reaches into another's private names,
-and every name a module exports has a caller inside the package.
+every name a module exports has a caller inside the package, and every
+import of a sibling module sits at module level.
 
 A name with a leading underscore is an implementation detail of its own
 module; a name in `__all__` that only tests reach is test scaffolding in the
-package.  Parsing each source file keeps both rules checked without a linter.
+package; an import inside a function hides a dependency that the package
+has no import cycle to excuse.  Parsing each source file keeps these rules
+checked without a linter.
 """
 
 import ast
@@ -62,6 +65,18 @@ def foreign_private_uses(path):
         if target != own and _private(attr):
             hits.append(f"{path.name}:{node.lineno}: {node.value.id}.{attr}")
     return hits
+
+
+def nested_sibling_imports(path):
+    """Imports of sibling ksig modules in the file at `path` that are not
+    top-level statements of the module: inside a function, a class or a
+    block."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = {node for node, _, _ in sibling_imports(tree, MODULES) if node not in tree.body}
+    return [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in sorted(nested, key=lambda node: node.lineno)
+    ]
 
 
 def global_references(table, inside=None):
@@ -131,6 +146,32 @@ def test_boundary_check_sees_attribute_and_import_forms(tmp_path):
     assert foreign_private_uses(probe) == [
         "cli.py:2: from grid import _HEADER",
         "cli.py:4: runconfig._helper",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sibling_imports_sit_at_module_level(path):
+    assert nested_sibling_imports(path) == []
+
+
+def test_import_check_sees_imports_inside_functions_and_classes(tmp_path):
+    probe = tmp_path / "solver.py"
+    probe.write_text(
+        "import math\n"
+        "from . import grid\n"
+        "from .cones import quotient_eval\n"
+        "def run():\n"
+        "    import json\n"
+        "    from . import monitors\n"
+        "    if True:\n"
+        "        from ksig.grid import shift, mirror\n"
+        "class Holder:\n"
+        "    from .operator import evaluate\n"
+    )
+    assert nested_sibling_imports(probe) == [
+        "solver.py:6: from . import monitors",
+        "solver.py:8: from ksig.grid import shift, mirror",
+        "solver.py:10: from .operator import evaluate",
     ]
 
 

@@ -49,7 +49,7 @@ def test_anchor_snapshot_frozen_values():
     #   ratios  = {sigma_0, sigma_1}/sigma_2 = {1/3, 1} -> max 1
     #   eq33    = trace(G) + 0 = 3/4
     grid, bg, coeff = anchor_setup()
-    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff, want_grad=True)
+    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff)
     rep = monitors.snapshot_point(state, bg, coeff, newton_iters=2)
     assert rep.t == 0.0
     assert rep.sup_u == 0.0 and rep.sup_grad_u == 0.0 and rep.sup_lap_u == 0.0
@@ -64,7 +64,7 @@ def test_anchor_snapshot_frozen_values():
 
 def test_snapshot_no_warning_on_admissible_run():
     grid, bg, coeff = anchor_setup()
-    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff, want_grad=True)
+    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         monitors.snapshot_point(state, bg, coeff, 0)
@@ -83,7 +83,7 @@ def test_quotient_trace_identity_matches_explicit_gradient(n, k):
     # tr T_j = (n-j) sigma_j turns the trace of the quotient gradient into sigmas
     rng = sampling.generator(900 + 10 * n + k)
     M = sampling.gamma_matrices(rng, 2000, n, k - 1, margin=1e-6)
-    ev = cones.quotient_eval(M, k, None, want_grad=True)
+    ev = cones.quotient_eval(M, k, None)
     explicit = np.trace(ev.grad, axis1=-2, axis2=-1)
     got = monitors._quotient_trace(ev.sigma, n, k)
     assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))

@@ -2,6 +2,7 @@
 quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -52,8 +53,8 @@ def manufactured(expr, bg, k=3):
     return jet.value, solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
 
 
-def admissible_state(u, t, bg, coeff, want_grad=False):
-    state = operator.evaluate(u, t, bg, coeff, want_grad=want_grad)
+def admissible_state(u, t, bg, coeff):
+    state = operator.evaluate(u, t, bg, coeff)
     assert state.margin.min() > solver._CONE_MARGIN
     return state
 
@@ -66,7 +67,7 @@ def residual(u, t, bg, coeff):
 def linearize(u, t, v, bg, coeff):
     """dF[v] at an admissible (u, t) through solver.jacobian, the operator
     GMRES applies."""
-    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff, want_grad=True), bg)
+    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff), bg)
     return apply(v)
 
 
@@ -89,6 +90,8 @@ def test_config_rejects_bad_step_bounds():
         solver.SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(max_newton=0)
+    with pytest.raises(ValueError):
+        solver.SolverConfig(residual_tol=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
         coeff = default_coeff(grid, k=k)
         if kind == "rotated":
             geometry.validate_hypotheses(bg, coeff)
-        state = admissible_state(u, t, bg, coeff, want_grad=True)
+        state = admissible_state(u, t, bg, coeff)
         rel = jacobian_error(state, v, dU, bg, coeff)
         assert rel <= 1e-12, f"k={k}: relative sup error {rel:.3e}"
 
@@ -240,7 +243,8 @@ def jacobian_error(state, v, dU, bg, coeff):
     beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
     k, u, t = coeff.k, state.u, state.t
     dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(coeff, u, t)
-    pointwise = np.sum(dbeta * state.gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
+    gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]
+    pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
     exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
     apply, _ = solver.jacobian(state, bg)
     return sup_norm(apply(v) - exact) / sup_norm(exact)
@@ -285,7 +289,7 @@ def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, se
     )
     geometry.validate_hypotheses(bg, coeff)
     u = random_field(grid, rng, amplitude)
-    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
+    state = operator.evaluate(u, t, bg, coeff)
     assume(state.margin.min() > solver._CONE_MARGIN)
     v = rng.standard_normal(grid.shape)
     rel = jacobian_error(state, v, central_dU(u, v, t, bg), bg, coeff)
@@ -301,9 +305,9 @@ def test_evaluate_leaves_its_inputs_untouched(n):
     coeff = default_coeff(grid, k=n)
     u = smooth_u(grid)
     t = 0.6
-    state = operator.evaluate(u, t, bg, coeff, want_grad=True)
+    state = operator.evaluate(u, t, bg, coeff)
     fresh = compute_jet(grid, u)
-    assert np.array_equal(state.jet.hessian, fresh.hessian)
+    assert np.array_equal(state.jet.hess_planes, fresh.hess_planes)
     assert np.array_equal(state.U, geometry.assemble_U(fresh, bg, t))
     assert not np.shares_memory(state.U, state.grad)
 
@@ -355,8 +359,9 @@ def test_newton_rejects_inadmissible_start():
     coeff = trivial_coeff(grid, 3)
     cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    with pytest.raises(cones.InadmissibleStateError, match="initial guess"):
-        solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
+    assert "initial guess" in res.note
+    assert res.state is None and res.iterations == 0 and res.damping_trials == 0
 
 
 def test_newton_iteration_limit_reported():
@@ -364,14 +369,29 @@ def test_newton_iteration_limit_reported():
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     cfg = solver.SolverConfig(max_newton=1)
-    with pytest.raises(solver.NewtonFailure, match="limit") as err:
-        solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, cfg)
-    assert err.value.residual is not None and err.value.residual > 0
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, cfg)
+    assert "limit" in res.note
+    assert res.residual_norm is not None and res.residual_norm > 0
+    assert res.state is None
+
+
+def test_newton_nan_residual_is_not_converged():
+    # NaN compares False against any tolerance: the solve must fail on it,
+    # not report convergence after 0 iterations
+    grid = make_grid()
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = geometry.CoefficientData(
+        grid=grid, k=3, alpha=np.full(grid.shape, np.nan), alpha_l=np.ones((2,) + grid.shape)
+    )
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    assert np.isnan(res.residual_norm)
+    assert res.note
+    assert res.state is None
 
 
 def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
     # the reversed Newton direction raises the residual for every damping
-    # factor: three halvings, four trial evaluations, then NewtonFailure
+    # factor: three halvings, four trial evaluations, then the solve fails
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
@@ -388,12 +408,12 @@ def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
 
     monkeypatch.setattr(solver, "_solve_linear", uphill)
     monkeypatch.setattr(operator, "evaluate", counting)
-    with pytest.raises(solver.NewtonFailure, match="damping") as err:
-        solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    assert "damping" in res.note
     # the first call evaluates the start, then s = 1, 1/2, 1/4, 1/8
     assert len(calls) - 1 == 4
-    assert err.value.history == [err.value.residual]
-    assert err.value.damping_trials == len(calls) - 2
+    assert res.history == (res.residual_norm,)
+    assert res.damping_trials == len(calls) - 2
 
 
 def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
@@ -409,11 +429,11 @@ def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
         return 0.05 * delta, info
 
     monkeypatch.setattr(solver, "_solve_linear", timid)
-    with pytest.raises(solver.NewtonFailure, match="stalled") as err:
-        solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
-    r0, r1, r2 = err.value.history
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    assert "stalled" in res.note
+    r0, r1, r2 = res.history
     assert r2 < r1 < r0
-    assert r2 > 0.9 * r1 and err.value.residual == r2
+    assert r2 > 0.9 * r1 and res.residual_norm == r2
 
 
 # ---------------------------------------------------------------------------
