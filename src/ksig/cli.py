@@ -96,6 +96,7 @@ def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed):
         "newton_iterations": state.newton_iters,
         "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
         "damping_trials": sum(rec.damping_trials for rec in state.step_log),
+        "linear_iterations": sum(rec.linear_iters for rec in state.step_log),
         "accepted_steps": len(reports),
         "rejected_steps": len(rejected),
         "rejected": [

@@ -4,10 +4,12 @@ quotient equation.
 The path follows the explicit one-parameter family: coefficient weights
 (1-t) c + t alpha_l and background blend -t B + (1-t) g0, anchored at the
 exactly known root u = 0 at t = 0.  Each t-step solves F(u; t) = 0 with a
-damped inexact Newton iteration: its linear systems are matrix-free
-restarted GMRES with diagonal preconditioning, solved only to an
-Eisenstat-Walker forcing term; damping keeps every iterate strictly inside
-Gamma_{k-1}.
+damped inexact Newton iteration: its linear systems are solved by the
+module's own matrix-free restarted GMRES (_gmres), left-preconditioned by
+the Jacobian's diagonal, only to an Eisenstat-Walker forcing term; damping
+keeps every iterate strictly inside Gamma_{k-1}.  A residual that is not
+finite, or whose 2-norm overflows, fails the Newton solve before GMRES
+iterates.
 
 The a priori estimates keep the whole path closed, so the run first tries
 t = 1 in one step from the anchor.  Newton gives up on a step as soon as
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import monitors, operator
 from .grid import shift, sup_norm
@@ -59,11 +60,12 @@ _CONE_MARGIN = 1e-10
 # Eisenstat-Walker forcing term "choice 2" (SIAM J. Sci. Comput. 17, 1996):
 # eta = gamma (|F_k| / |F_{k-1}|)^2, capped at eta_max, which is also eta_0,
 # and never below _LINEAR_RTOL.  One linear solve takes at most
-# _LINEAR_MAXITER GMRES iterations.
+# _LINEAR_MAXITER GMRES iterations, restarted every _LINEAR_RESTART.
 _EW_GAMMA = 0.9
 _EW_ETA_MAX = 0.01
 _LINEAR_RTOL = 1e-10
 _LINEAR_MAXITER = 400
+_LINEAR_RESTART = 50
 
 __all__ = [
     "SolverConfig",
@@ -107,6 +109,7 @@ class NewtonResult:
     history: tuple  # residual sup-norms, one per iterate including the start
     state: operator.PointState | None  # u evaluated; None when the solve failed
     damping_trials: int  # trial evaluations at a damping factor below 1
+    linear_iterations: int  # GMRES iterations over all its linear solves
     note: str  # empty when the solve converged, else why it failed
 
 
@@ -118,6 +121,7 @@ class StepRecord:
     newton_iters: int
     residual_norm: float
     damping_trials: int
+    linear_iters: int
     note: str = ""
 
 
@@ -179,24 +183,67 @@ def jacobian(state, background):
     return apply, centre
 
 
-def _solve_linear(state, background, rtol):
-    """GMRES for dF[delta] = -F to relative residual rtol; returns (delta, info)."""
-    shape = state.u.shape
-    nflat = state.u.size
-    apply, diagonal = jacobian(state, background)
+def _gmres(apply, diagonal, b, rtol):
+    """Restarted GMRES(_LINEAR_RESTART) for apply(x) = b, left-preconditioned
+    by the Jacobi `diagonal`, with modified Gram-Schmidt Arnoldi and Givens
+    rotations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 3).
 
-    def matvec(x):
-        return apply(x.reshape(shape)).ravel()
-
-    A = LinearOperator((nflat, nflat), matvec=matvec, dtype=np.float64)
-    centre = diagonal.ravel()
-    diag = np.where(np.abs(centre) < 1e-12, 1.0, centre)  # Jacobi on the stencil centre
-    M = LinearOperator((nflat, nflat), matvec=lambda x: x / diag, dtype=np.float64)
-    b = -state.residual.ravel()
-    restart = min(50, nflat)
-    cycles = math.ceil(_LINEAR_MAXITER / restart)
-    x, info = gmres(A, b, rtol=rtol, atol=0.0, restart=restart, maxiter=cycles, M=M)
-    return x.reshape(shape), info
+    Returns (x, iterations, note).  x has converged when |b - apply(x)|_2
+    <= rtol |b|_2, and note is then empty; otherwise it says why the solve
+    failed: _LINEAR_MAXITER iterations, or a |b|_2 that overflows.  A cycle
+    ends once its preconditioned residual has shrunk by the factor the true
+    residual at the cycle's start still needs, or on breakdown.
+    """
+    x = np.zeros_like(b)
+    with np.errstate(over="ignore"):
+        bnorm = np.linalg.norm(b)
+    if not math.isfinite(bnorm):
+        return x, 0, "the right-hand side's 2-norm overflows"
+    target = rtol * bnorm
+    d = np.where(np.abs(diagonal) < 1e-12, 1.0, diagonal)
+    m = min(_LINEAR_RESTART, b.size)
+    V = np.empty((m + 1,) + b.shape)
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    iters = 0
+    r, rnorm = b, bnorm
+    while rnorm > target and iters < _LINEAR_MAXITER:
+        V[0] = r / d
+        beta = np.linalg.norm(V[0])
+        V[0] *= 1.0 / beta
+        tol = beta * (target / rnorm)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        j = 0
+        while j < m and iters < _LINEAR_MAXITER:
+            w = apply(V[j]) / d
+            h0 = np.linalg.norm(w)
+            for i in range(j + 1):
+                H[i, j] = np.vdot(V[i], w)
+                w -= H[i, j] * V[i]
+            h1 = H[j + 1, j] = np.linalg.norm(w)
+            breakdown = h1 <= np.finfo(float).eps * h0  # the Krylov space holds the solution
+            if not breakdown:
+                np.multiply(w, 1.0 / h1, out=V[j + 1])
+            for i in range(j):  # the earlier rotations, then this column's own
+                a, c = H[i, j], H[i + 1, j]
+                H[i, j], H[i + 1, j] = cs[i] * a + sn[i] * c, cs[i] * c - sn[i] * a
+            mag = math.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / mag, H[j + 1, j] / mag
+            H[j, j], H[j + 1, j] = mag, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            j += 1
+            iters += 1
+            if abs(g[j]) <= tol or breakdown:
+                break
+        y = np.linalg.solve(H[:j, :j], g[:j])  # H[:j, :j] is upper triangular now
+        x += np.tensordot(y, V[:j], axes=1)
+        r = b - apply(x)
+        rnorm = np.linalg.norm(r)
+    if rnorm <= target:
+        return x, iters, ""
+    return x, iters, f"GMRES residual {rnorm / bnorm:.3e} above {rtol:.3e} after {iters} iterations"
 
 
 def _forcing_term(rnorm, prev_rnorm, config):
@@ -221,9 +268,10 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     residual sup-norm; a factor below _DAMPING_FLOOR fails.  From the second
     iteration on, an iterate above tolerance whose residual exceeds
     _STALL_RATIO times the previous one fails as a stall.  The solve also
-    fails at the iteration limit, on a stuck linear solve and on an
-    inadmissible starting iterate.  A residual that is not <= residual_tol,
-    NaN included, is never converged.  A failed solve returns its reason in
+    fails at the iteration limit, on a failed linear solve, on an
+    inadmissible starting iterate and on a non-finite starting residual,
+    before any linear solve.  A residual that is not <= residual_tol, NaN
+    included, is never converged.  A failed solve returns its reason in
     `note` and no `state`.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
@@ -232,22 +280,27 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     history = [rnorm]
     iters = 0
     backtracks = 0
+    linear_iters = 0
     note = ""
-    if not state.margin.min() > _CONE_MARGIN:
-        note = str(operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}"))
 
     def failure(reason):
         return f"{reason} at t={t} (residual {rnorm:.3e})"
+
+    if not state.margin.min() > _CONE_MARGIN:
+        note = str(operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}"))
+    elif not math.isfinite(rnorm):
+        note = failure("non-finite residual")
 
     while not (note or rnorm <= config.residual_tol):
         if iters >= config.max_newton:
             note = failure(f"Newton iteration limit {config.max_newton}")
             break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
-        delta, info = _solve_linear(state, background, eta)
+        delta, lin_iters, lin_note = _gmres(*jacobian(state, background), -state.residual, eta)
         del state  # the trials need only u and rnorm; free its arrays for theirs
-        if info != 0:
-            note = failure(f"linear solver stagnated (info={info})")
+        linear_iters += lin_iters
+        if lin_note:
+            note = failure(f"linear solve failed: {lin_note}")
             break
         s = 1.0
         while True:
@@ -283,6 +336,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
         history=tuple(history),
         state=None if note else state,
         damping_trials=backtracks,
+        linear_iterations=linear_iters,
         note=note,
     )
 
@@ -313,7 +367,8 @@ def continuation_run(background, coeff, config):
         """Log a step from its Newton result, and monitor it if accepted."""
         accepted = not res.note
         log.append(
-            StepRecord(t, step, accepted, res.iterations, res.residual_norm, res.damping_trials, res.note)
+            StepRecord(t, step, accepted, res.iterations, res.residual_norm, res.damping_trials,
+                       res.linear_iterations, res.note)
         )
         if accepted:
             reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))

@@ -12,6 +12,7 @@ import pytest
 
 from ksig import geometry, runconfig, solver
 from ksig.cli import main
+from ksig.grid import read_field
 from ksig.monitors import CSV_FIELDS
 
 CHARTS = ("residual.svg", "estimates.svg", "cone_margin.svg")
@@ -212,6 +213,30 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     ]
     assert all("iteration limit 1" in rec["note"] for rec in summary["rejected"])
     assert summary["damping_trials"] == 0
+    # no step was accepted after the anchor: these are the rejected steps' solves
+    assert summary["linear_iterations"] > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
+    # every value of alpha is finite, so gating passes, but the residual's
+    # 2-norm overflows: each step's linear solve fails before its first
+    # iteration, the march stalls at the anchor, and no warning is raised
+    cfg = default_config(tmp_path, **{"alpha = 0.2*sin(x1)": "alpha = 1e300*sin(x1)"})
+    assert main(["solve", str(cfg)]) == 3
+    out = tmp_path / "out"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: continuation stalled at t=0.0: step below dt_min=0.0001")
+    assert "2-norm overflows" in lines[0]
+    assert lines[1] == f"last accepted state written to {out}"
+    _, u = read_field(out / "u_final.ksig")
+    assert not u.any()  # the anchor u = 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stalled"] is True and summary["t_final"] == 0.0
+    assert summary["rejected_steps"] == len(summary["rejected"]) > 1
+    assert all("2-norm overflows" in rec["note"] for rec in summary["rejected"])
+    assert summary["linear_iterations"] == 0
 
 
 def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):

@@ -1,6 +1,7 @@
 """Module boundaries: no ksig module reaches into another's private names,
-every name a module exports has a caller inside the package, and every
-import of a sibling module sits at module level.
+every name a module exports has a caller inside the package, every
+import of a sibling module sits at module level, and the third-party
+packages the modules import are exactly the declared dependencies.
 
 A name with a leading underscore is an implementation detail of its own
 module; a name in `__all__` that only tests reach is test scaffolding in the
@@ -10,7 +11,11 @@ checked without a linter.
 """
 
 import ast
+import os
+import re
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ import pytest
 import ksig
 
 SRC = Path(ksig.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -200,3 +206,47 @@ def test_export_check_tells_globals_from_locals(tmp_path):
         "    return [imported() for _ in range(2)], grid.attribute\n"
     )
     assert unreferenced_exports(tmp_path) == ["grid.shadowed", "grid.recursive", "grid.unused"]
+
+
+def third_party_imports(src):
+    """Top-level names of the packages that modules under `src` import,
+    leaving out the standard library and the package itself."""
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"ksig"}
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert third_party_imports(SRC) == {re.match(r"[\w.-]+", spec).group() for spec in declared} == {"numpy"}
+
+
+def test_import_check_sees_every_import_form(tmp_path):
+    (tmp_path / "solver.py").write_text(
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from . import grid\n"
+        "from ksig.grid import shift\n"
+        "def solve():\n"
+        "    from scipy.sparse.linalg import gmres\n"
+    )
+    assert third_party_imports(tmp_path) == {"numpy", "scipy"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, ksig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

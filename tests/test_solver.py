@@ -375,18 +375,22 @@ def test_newton_iteration_limit_reported():
     assert res.state is None
 
 
-def test_newton_nan_residual_is_not_converged():
+def test_newton_nan_residual_is_not_converged(monkeypatch):
     # NaN compares False against any tolerance: the solve must fail on it,
-    # not report convergence after 0 iterations
+    # not report convergence after 0 iterations, and before any linear solve
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = geometry.CoefficientData(
         grid=grid, k=3, alpha=np.full(grid.shape, np.nan), alpha_l=np.ones((2,) + grid.shape)
     )
+    linear_solves = []
+    monkeypatch.setattr(solver, "_gmres", lambda *args: linear_solves.append(args))
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
     assert np.isnan(res.residual_norm)
-    assert res.note
+    assert "non-finite residual" in res.note
     assert res.state is None
+    assert linear_solves == []
+    assert res.iterations == 0 and res.linear_iterations == 0
 
 
 def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
@@ -395,18 +399,18 @@ def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    solve_linear, evaluate = solver._solve_linear, operator.evaluate
+    gmres, evaluate = solver._gmres, operator.evaluate
     calls = []
 
     def uphill(*args):
-        delta, info = solve_linear(*args)
-        return -delta, info
+        delta, iters, note = gmres(*args)
+        return -delta, iters, note
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_solve_linear", uphill)
+    monkeypatch.setattr(solver, "_gmres", uphill)
     monkeypatch.setattr(operator, "evaluate", counting)
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
     assert "damping" in res.note
@@ -422,18 +426,82 @@ def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
-    solve_linear = solver._solve_linear
+    gmres = solver._gmres
 
     def timid(*args):
-        delta, info = solve_linear(*args)
-        return 0.05 * delta, info
+        delta, iters, note = gmres(*args)
+        return 0.05 * delta, iters, note
 
-    monkeypatch.setattr(solver, "_solve_linear", timid)
+    monkeypatch.setattr(solver, "_gmres", timid)
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
     assert "stalled" in res.note
     r0, r1, r2 = res.history
     assert r2 < r1 < r0
     assert r2 > 0.9 * r1 and res.residual_norm == r2
+
+
+# ---------------------------------------------------------------------------
+# the linear solver, against dense solves
+
+
+def dense_gmres(A, b, rtol):
+    return solver._gmres(lambda v: A @ v, np.diag(A).copy(), b, rtol)
+
+
+def test_gmres_restarts_to_the_dense_solution():
+    # a nonsymmetric tridiagonal system with a small perturbation: about
+    # twice the restart length of iterations, so at least one restart
+    n = 100
+    rng = np.random.default_rng(0)
+    A = np.diag(np.full(n, 2.2)) + np.diag(np.full(n - 1, -1.3), 1) + np.diag(np.full(n - 1, -0.7), -1)
+    A += 0.01 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    x, iters, note = dense_gmres(A, b, 1e-10)
+    assert note == ""
+    assert solver._LINEAR_RESTART < iters < solver._LINEAR_MAXITER
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    exact = np.linalg.solve(A, b)
+    assert np.abs(x - exact).max() <= np.linalg.cond(A) * 1e-10 * np.abs(exact).max()
+
+
+def test_gmres_breakdown_is_an_exact_solve():
+    # A maps e_0 -> 2 e_1 -> 3 e_2 -> 5 e_0 and leaves span(e_0, e_1, e_2)
+    # invariant, so Arnoldi from b = e_0 breaks down exactly at its third
+    # iteration, inside the first cycle: the step has its exact solution
+    # and nothing is divided by the zero norm
+    n = 60
+    rng = np.random.default_rng(1)
+    A = 4.0 * np.eye(n) + rng.standard_normal((n, n))
+    A[:, :3] = 0.0
+    A[1, 0], A[2, 1], A[0, 2] = 2.0, 3.0, 5.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    with np.errstate(all="raise"):
+        x, iters, note = dense_gmres(A, b, 1e-12)
+    assert (iters, note) == (3, "")
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-15)
+
+
+def test_gmres_reports_failure_after_the_iteration_limit():
+    # the cyclic shift: GMRES(50) gains nothing on e_0 until its Krylov
+    # space spans all 60 dimensions, which no cycle reaches
+    n = 60
+    P = np.roll(np.eye(n), 1, axis=0)
+    b = np.zeros(n)
+    b[0] = 1.0
+    x, iters, note = dense_gmres(P, b, 1e-8)
+    assert iters == solver._LINEAR_MAXITER
+    assert f"after {solver._LINEAR_MAXITER} iterations" in note
+    assert np.linalg.norm(b - P @ x) == pytest.approx(1.0)
+
+
+def test_gmres_fails_on_an_overflowing_norm():
+    # every entry is finite, but the 2-norm is not: no zero step may pass
+    # as converged, and no overflow warning may escape
+    A = 4.0 * np.eye(8) + np.ones((8, 8))
+    with np.errstate(all="raise"):
+        _, iters, note = dense_gmres(A, np.full(8, 1e300), 1e-2)
+    assert iters == 0 and "overflows" in note
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +633,16 @@ def test_newton_forcing_terms(monkeypatch):
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     rtols = []
+    linear_iters = []
 
-    def recording_gmres(*args, rtol, **kwargs):
+    def recording_gmres(apply, diagonal, b, rtol):
         rtols.append(rtol)
-        return gmres(*args, rtol=rtol, **kwargs)
+        out = gmres(apply, diagonal, b, rtol)
+        linear_iters.append(out[1])
+        return out
 
-    gmres = solver.gmres
-    monkeypatch.setattr(solver, "gmres", recording_gmres)
+    gmres = solver._gmres
+    monkeypatch.setattr(solver, "_gmres", recording_gmres)
     cfg = solver.SolverConfig()
     res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, cfg)
     assert res.residual_norm <= cfg.residual_tol
@@ -582,6 +653,7 @@ def test_newton_forcing_terms(monkeypatch):
         assert eta == max(min(0.01, 0.9 * (r / r_prev) ** 2), floor)
     assert min(rtols) < 1e-3  # the forcing term tightens as Newton converges
     assert rtols[-1] > 0.01  # the last solve stops at what residual_tol needs
+    assert res.linear_iterations == sum(linear_iters) > 0
 
     rtols.clear()
     monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.05)
