@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, cones, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
@@ -23,7 +23,6 @@ from .runconfig import ConfigError
 _VALIDATION_ERRORS = (
     ConfigError,
     geometry.HypothesisViolation,
-    cones.InadmissibleStateError,
     fieldexpr.ExprError,
     FieldFormatError,
 )
@@ -116,7 +115,7 @@ def _load_problem(config_path):
     -> validate_hypotheses -> resolve_output_dir.  Writes nothing."""
     cfg = runconfig.load_config(config_path)
     base = Path(config_path).resolve().parent
-    grid, background, coeff = runconfig.build_problem(cfg, base=base)
+    grid, background, coeff = runconfig.build_problem(cfg, base)
     geometry.validate_hypotheses(background, coeff)
     return cfg, base, grid, background, coeff, runconfig.resolve_output_dir(cfg.output.directory)
 
@@ -189,14 +188,15 @@ def cmd_manufacture(args):
         cfg, base, grid, background, coeff, outdir = _load_problem(args.config)
         p = cfg.problem
         if p.u_star is None:
-            raise ConfigError("[problem] u_star is required for manufacture")
+            raise ConfigError("u_star is required for manufacture")
         spec = p.u_star.strip()
         if spec.startswith("file:"):
-            u_star = runconfig.field_from_spec(spec, grid, base=base)
+            u_star = runconfig.field_from_spec(spec, grid, base)
             jet = None  # stencil jet: u_star becomes an exact discrete root
         else:
             jet = fieldexpr.analytic_jet(spec, grid)
             u_star = jet.value
+        geometry.require_finite("u_star", u_star)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
     # outside the catch above: a plain ValueError from here is a bug, not bad input
@@ -208,27 +208,20 @@ def cmd_manufacture(args):
     outdir.mkdir(parents=True, exist_ok=True)
     write_field(outdir / "u_star.ksig", grid, u_star)
     write_field(outdir / "alpha.ksig", grid, coeff.alpha)
-    alpha_l_specs = []
-    for l in range(p.k - 1):
-        name = f"alpha_l_{l}.ksig"
-        write_field(outdir / name, grid, coeff.alpha_l[l])
-        alpha_l_specs.append(f"file:{name}")
-    lines = [
-        "[problem]",
-        f"n = {p.n}",
-        f"k = {p.k}",
-        f"tau = {p.tau!r}",
-        f"resolution = {p.resolution}",
-        f"background = {p.background}",
-        "alpha = file:alpha.ksig",
-        f"alpha_l = {', '.join(alpha_l_specs)}",
-        "",
-        "[output]",
-        "directory = manufactured-run",
-        "",
-    ]
-    with replacing(outdir / "manufactured.ini") as tmp:
-        tmp.write_text("\n".join(lines))
+    names = [f"alpha_l_{l}.ksig" for l in range(p.k - 1)]
+    for name, values in zip(names, coeff.alpha_l):
+        write_field(outdir / name, grid, values)
+    package = replace(
+        cfg,
+        problem=replace(
+            p,
+            alpha="file:alpha.ksig",
+            alpha_l=", ".join(f"file:{name}" for name in names),
+            u_star=None,
+        ),
+        output=replace(cfg.output, directory="manufactured-run"),
+    )
+    runconfig.write_config(outdir / "manufactured.ini", package)
 
     state = operator.evaluate(u_star, 1.0, background, coeff)
     res = sup_norm(state.residual)
@@ -284,7 +277,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("manufacture", help="back-solve alpha so a chosen u is an exact root")
-    p.add_argument("config", help="INI configuration with [problem] u_star")
+    p.add_argument("config", help="INI configuration that sets u_star")
     p.set_defaults(func=cmd_manufacture)
 
     p = sub.add_parser("report", help="render SVG charts from a run directory")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,17 +51,7 @@ __all__ = [
 
 
 class InadmissibleStateError(ValueError):
-    """An eigenvalue vector or matrix left the required Garding cone.
-
-    Carries the sigma values at the worst offending element (and the grid
-    node, when the caller knows it) so drivers can decide whether to damp,
-    reject the input, or abort.
-    """
-
-    def __init__(self, message, *, sigma=None, node=None):
-        super().__init__(message)
-        self.sigma = sigma
-        self.node = node
+    """An eigenvalue vector or matrix left the required Garding cone."""
 
 
 def _check_order(k, n):
@@ -253,7 +242,7 @@ def homotopy_constant(n, k):
     if not 3 <= k <= n:
         raise ValueError(f"homotopy constant needs 3 <= k <= n, got k={k}, n={n}")
     denom = sum(math.comb(n, l) for l in range(k - 1))
-    return float(Fraction(math.comb(n, k), denom))
+    return math.comb(n, k) / denom  # int true division rounds correctly
 
 
 def newton_maclaurin_constant(n, k, l):
@@ -264,6 +253,5 @@ def newton_maclaurin_constant(n, k, l):
     """
     if not (0 <= l <= k - 2 <= n - 2):
         raise ValueError(f"need 0 <= l <= k-2 <= n-2, got n={n}, k={k}, l={l}")
-    num = Fraction(math.comb(n, k)) ** (k - 1 - l) * math.comb(n, l)
-    den = Fraction(math.comb(n, k - 1)) ** (k - l)
-    return float(num / den)
+    num = math.comb(n, k) ** (k - 1 - l) * math.comb(n, l)
+    return num / math.comb(n, k - 1) ** (k - l)  # int true division rounds correctly

@@ -133,6 +133,12 @@ def _check_axes(expr, grid):
         )
 
 
+# a coefficient such as 1e999 (inf) makes non-finite entries, which the
+# gating of the inputs names; computing them raises no warning
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def evaluate(expr, grid):
     """Field values of shape grid.shape."""
     if isinstance(expr, str):
@@ -147,6 +153,7 @@ def evaluate(expr, grid):
     return out
 
 
+@_QUIET
 def analytic_jet(expr, grid):
     """Exact value/gradient/Hessian/Laplacian of the expression at the nodes,
     in the component-plane layout of grid.JetField.

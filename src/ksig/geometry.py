@@ -28,6 +28,7 @@ __all__ = [
     "flat_background",
     "beta_weights",
     "assemble_U",
+    "require_finite",
     "validate_hypotheses",
 ]
 
@@ -154,6 +155,16 @@ def assemble_U(jet, background, t):
     return np.moveaxis(U, (0, 1), (-2, -1))
 
 
+def require_finite(name, values):
+    """Raise HypothesisViolation naming the first node where the input field
+    `values` is not finite."""
+    node, finite = worst_node(np.isfinite(values))
+    if not finite:
+        raise HypothesisViolation(
+            f"input data must be finite, but {name} = {values[node]} at node {node}"
+        )
+
+
 def validate_hypotheses(background, coeff):
     """Check the solvability hypotheses; raise HypothesisViolation naming the
     first one that fails.
@@ -168,11 +179,7 @@ def validate_hypotheses(background, coeff):
     named = [("alpha", coeff.alpha), *((f"alpha_{l}", a) for l, a in enumerate(coeff.alpha_l))]
     named += [(f"B_{i}{j}", background.B_planes[i, j]) for i in range(n) for j in range(i, n)]
     for name, values in named:
-        node, finite = worst_node(np.isfinite(values))
-        if not finite:
-            raise HypothesisViolation(
-                f"input data must be finite, but {name} = {values[node]} at node {node}"
-            )
+        require_finite(name, values)
     if not background.tau < 1.0:
         raise HypothesisViolation(
             f"hypothesis violated: tau < 1 required, got tau={background.tau}"

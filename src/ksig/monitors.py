@@ -256,6 +256,24 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     n_boundary = min(500, max(1, samples // 10))
     checks = []
 
+    def eigenvalue_pool(j):
+        """`samples` eigenvalue vectors in Gamma_j, then `n_boundary` near its boundary."""
+        return np.concatenate(
+            [
+                sampling.gamma_eigenvalues(rng, samples, n, j),
+                sampling.boundary_biased_eigenvalues(rng, n_boundary, n, j),
+            ]
+        )
+
+    def matrix_pool(j):
+        """`samples` matrices in Gamma_j, then `n_boundary` near its boundary."""
+        return np.concatenate(
+            [
+                sampling.gamma_matrices(rng, samples, n, j),
+                sampling.boundary_biased_matrices(rng, n_boundary, n, j),
+            ]
+        )
+
     def record(name, count, violation, tol=tolerance):
         violation = float(violation)
         checks.append(
@@ -297,23 +315,13 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     record("cone_nesting", samples, worst)
 
     # --- Gamma_2 pinching: max |lambda_i| < sigma_1
-    lam2 = np.concatenate(
-        [
-            sampling.gamma_eigenvalues(rng, samples, n, 2),
-            sampling.boundary_biased_eigenvalues(rng, n_boundary, n, 2),
-        ]
-    )
+    lam2 = eigenvalue_pool(2)
     viol = (np.abs(lam2).max(axis=1) - lam2.sum(axis=1)) / _norm_scale(lam2.sum(axis=1))
     record("gamma2_pinching", lam2.shape[0], viol.max())
 
     # --- monotonicity along PSD perturbations (base pool includes
     #     near-boundary draws; probes stay O(1) so the true gap dominates)
-    base = np.concatenate(
-        [
-            sampling.gamma_matrices(rng, samples, n, k - 1),
-            sampling.boundary_biased_matrices(rng, n_boundary, n, k - 1),
-        ]
-    )
+    base = matrix_pool(k - 1)
     total = base.shape[0]
     probe = sampling.psd_matrices(rng, total, n, eig_low=0.1, eig_high=1.0)
     up = base + probe
@@ -335,18 +343,8 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     record("power_ratio_monotone_subtract_psd", int(keep.sum()), viol.max())
 
     # --- concavity of the quotient on Gamma_{k-1}
-    left = np.concatenate(
-        [
-            sampling.gamma_matrices(rng, samples, n, k - 1),
-            sampling.boundary_biased_matrices(rng, n_boundary, n, k - 1),
-        ]
-    )
-    right = np.concatenate(
-        [
-            sampling.gamma_matrices(rng, samples, n, k - 1),
-            sampling.boundary_biased_matrices(rng, n_boundary, n, k - 1),
-        ]
-    )
+    left = matrix_pool(k - 1)
+    right = matrix_pool(k - 1)
     q_l, _ = _quotient_values(left, k)
     q_r, _ = _quotient_values(right, k)
     q_mid, _ = _quotient_values(0.5 * (left + right), k)
@@ -357,12 +355,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     record("quotient_superadditivity", left.shape[0], viol.max())
 
     # --- Newton-MacLaurin power bound on Gamma_k, polynomial form
-    lam_k = np.concatenate(
-        [
-            sampling.gamma_eigenvalues(rng, samples, n, k),
-            sampling.boundary_biased_eigenvalues(rng, n_boundary, n, k),
-        ]
-    )
+    lam_k = eigenvalue_pool(k)
     sig = cones.all_elementary_symmetric(lam_k)
     worst = -np.inf
     for l in range(k - 1):
@@ -379,12 +372,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     record("newton_maclaurin_equality_at_e", 1, worst)
 
     # --- ellipticity: weighted gradient SPD, quotient trace bound, Euler
-    mats = np.concatenate(
-        [
-            sampling.gamma_matrices(rng, samples, n, k - 1),
-            sampling.boundary_biased_matrices(rng, n_boundary, n, k - 1),
-        ]
-    )
+    mats = matrix_pool(k - 1)
     total = mats.shape[0]
     beta = rng.uniform(0.0, 2.0, size=(total, k - 1))
     ev = cones.quotient_eval(mats, k, beta)

@@ -79,7 +79,5 @@ def admissibility_failure(state, floor, context):
     eigs = np.linalg.eigvalsh(state.U[node])
     return cones.InadmissibleStateError(
         f"{context}: cone margin {value:.3e} <= {floor:.3e} at node {node}; "
-        f"eigenvalues of U there: {eigs.tolist()}",
-        sigma=state.sigma[node],
-        node=node,
+        f"eigenvalues of U there: {eigs.tolist()}"
     )

@@ -1,20 +1,24 @@
 """Declarative run configuration: INI sections -> problem objects.
 
-Grammar (all keys optional unless noted; the keys of each section are the
-fields of ProblemConfig, SolverConfig and OutputConfig):
+The dataclasses are the schema.  Section [problem] holds the fields of
+ProblemConfig, [solver] those of SolverConfig and [output] those of
+OutputConfig; each value is cast to its field's type, an absent key takes
+its field's default, and a field without a default is required.
+`write_config` writes a RunConfig as the INI that `load_config` reads back.
+The keys, at their defaults:
 
     [problem]
-    n = 3                 # required, ambient dimension, 3..5
-    k = 3                 # required, cone index, 3 <= k <= n
+    n                     # required, ambient dimension, 3..5
+    k                     # required, cone index, 3 <= k <= n
     tau = 0.0
     resolution = 16       # nodes per axis, even, >= 8
     background = hyperbolic-like
         # hyperbolic-like        constant tensor B = -g0
         # spaceform:<kappa>      constant-curvature tensor (kappa < 0 usable)
         # file:<prefix>          per-node tensor from <prefix>_B<i><j>.ksig
-    alpha = 0.2*sin(x1)   # expression or file:<path>
-    alpha_l = 1.0         # one entry broadcast to all l, or k-1 comma-separated
-    u_star = 0.1*sin(x1)*cos(x2)   # manufacture only
+    alpha = 0             # expression or file:<path>
+    alpha_l = 1           # one entry broadcast to all l, or k-1 comma-separated
+    u_star                # manufacture only, no default
 
     [solver]
     residual_tol = 1e-9
@@ -23,23 +27,23 @@ fields of ProblemConfig, SolverConfig and OutputConfig):
     dt_min = 1e-4
 
     [output]
-    directory = runs/out  # overridden by $KSIG_OUTDIR when set
+    directory = ksig-out  # overridden by $KSIG_OUTDIR when set
 
 Field expressions are sums of terms `coeff * factor * ...` where each factor
 is sin(xJ) or cos(xJ); that closed set covers every built-in problem.
 """
 
-from __future__ import annotations
-
 import configparser
 import os
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fieldexpr, geometry
+from .artifacts import replacing
 from .grid import PeriodicGrid, read_field
 from .solver import SolverConfig
 
@@ -49,6 +53,7 @@ __all__ = [
     "OutputConfig",
     "RunConfig",
     "load_config",
+    "write_config",
     "build_problem",
     "field_from_spec",
     "background_from_spec",
@@ -64,17 +69,17 @@ class ConfigError(ValueError):
 class ProblemConfig:
     n: int
     k: int
-    tau: float
-    resolution: int
-    background: str
-    alpha: str
-    alpha_l: str
-    u_star: str | None
+    tau: float = 0.0
+    resolution: int = 16
+    background: str = "hyperbolic-like"
+    alpha: str = "0"
+    alpha_l: str = "1"
+    u_star: str | None = None
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str
+    directory: str = "ksig-out"
 
 
 @dataclass(frozen=True)
@@ -82,29 +87,6 @@ class RunConfig:
     problem: ProblemConfig
     solver: SolverConfig
     output: OutputConfig
-
-
-_PROBLEM_KEYS = {f.name for f in fields(ProblemConfig)}
-_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
-_OUTPUT_KEYS = {f.name for f in fields(OutputConfig)}
-
-
-def _check_keys(parser, section, allowed):
-    if not parser.has_section(section):
-        return
-    unknown = set(parser.options(section)) - allowed
-    if unknown:
-        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
-
-
-def _get(parser, section, key, cast, default):
-    if parser.has_section(section) and parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
 
 
 @contextmanager
@@ -125,64 +107,79 @@ def _read_values(path, grid):
     return values
 
 
+def _read_section(parser, section, schema):
+    """The `schema` dataclass from INI section `section`: each key's text is
+    cast to its field's type, and an absent key leaves its field's default."""
+    keys = parser.options(section) if parser.has_section(section) else []
+    unknown = set(keys) - {f.name for f in fields(schema)}
+    if unknown:
+        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+    types = typing.get_type_hints(schema)
+    values = {}
+    for f in fields(schema):
+        if f.name in keys:
+            hint = types[f.name]
+            # an optional field (`T | None`) casts its text to T
+            cast = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+            raw = parser.get(section, f.name)
+            try:
+                values[f.name] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {f.name} = {raw!r}: {exc}") from exc
+        elif f.default is MISSING:
+            if not parser.has_section(section):
+                raise ConfigError(f"missing [{section}] section")
+            raise ConfigError(f"[{section}] {f.name} is required")
+    with _input_error(f"[{section}]"):
+        return schema(**values)
+
+
 def load_config(path):
     """Parse an INI run configuration; unknown sections or keys are errors."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no interpolation: every value is its text, so a `%` is not a syntax error
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    extra = set(parser.sections()) - {"problem", "solver", "output"}
+    sections = typing.get_type_hints(RunConfig)
+    extra = set(parser.sections()) - set(sections)
     if extra:
         raise ConfigError(f"unknown sections: {sorted(extra)}")
-    _check_keys(parser, "problem", _PROBLEM_KEYS)
-    _check_keys(parser, "solver", _SOLVER_KEYS)
-    _check_keys(parser, "output", _OUTPUT_KEYS)
-
-    if not parser.has_section("problem"):
-        raise ConfigError("missing [problem] section")
-    for key in ("n", "k"):
-        if not parser.has_option("problem", key):
-            raise ConfigError(f"[problem] {key} is required")
-
-    problem = ProblemConfig(
-        n=_get(parser, "problem", "n", int, None),
-        k=_get(parser, "problem", "k", int, None),
-        tau=_get(parser, "problem", "tau", float, 0.0),
-        resolution=_get(parser, "problem", "resolution", int, 16),
-        background=_get(parser, "problem", "background", str, "hyperbolic-like").strip(),
-        alpha=_get(parser, "problem", "alpha", str, "0").strip(),
-        alpha_l=_get(parser, "problem", "alpha_l", str, "1").strip(),
-        u_star=_get(parser, "problem", "u_star", str, None),
-    )
-    # every SolverConfig field has a default, whose type is the key's type
-    settings = {
-        f.name: _get(parser, "solver", f.name, type(f.default), f.default)
-        for f in fields(SolverConfig)
-    }
-    with _input_error("[solver]"):
-        solver_cfg = SolverConfig(**settings)
-    output = OutputConfig(directory=_get(parser, "output", "directory", str, "ksig-out"))
-    return RunConfig(problem=problem, solver=solver_cfg, output=output)
+    return RunConfig(**{name: _read_section(parser, name, schema) for name, schema in sections.items()})
 
 
-def field_from_spec(spec, grid, base=None):
-    """Evaluate `file:<path>` or a field expression on the grid."""
+def write_config(path, cfg):
+    """Write the RunConfig `cfg` as the INI that load_config reads back:
+    one section per RunConfig field, with None values left out."""
+    lines = []
+    for section in fields(cfg):
+        settings = getattr(cfg, section.name)
+        lines.append(f"[{section.name}]")
+        for f in fields(settings):
+            value = getattr(settings, f.name)
+            if value is not None:
+                # a float formats as its repr, which reads back exactly
+                lines.append(f"{f.name} = {value}")
+        lines.append("")
+    with replacing(path) as tmp:
+        tmp.write_text("\n".join(lines))
+
+
+def field_from_spec(spec, grid, base):
+    """Evaluate `file:<path>`, relative to the directory `base`, or a field
+    expression on the grid."""
     spec = spec.strip()
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):].strip())
-        if base is not None and not path.is_absolute():
-            path = Path(base) / path
-        return _read_values(path, grid)
+        return _read_values(Path(base, spec[len("file:"):].strip()), grid)
     return fieldexpr.evaluate(spec, grid)
 
 
-def background_from_spec(spec, grid, tau, base=None):
+def background_from_spec(spec, grid, tau, base):
     spec = spec.strip()
     if spec == "hyperbolic-like":
         return geometry.flat_background(grid, tau=tau)
@@ -194,10 +191,7 @@ def background_from_spec(spec, grid, tau, base=None):
         B = geometry.spaceform_schouten(kappa, grid.dim, tau)
         return geometry.flat_background(grid, tau=tau, B=B)
     if spec.startswith("file:"):
-        prefix = spec[len("file:"):].strip()
-        pre = Path(prefix)
-        if base is not None and not pre.is_absolute():
-            pre = Path(base) / pre
+        pre = Path(base, spec[len("file:"):].strip())
         n = grid.dim
         B = np.zeros(grid.shape + (n, n))
         for i in range(n):
@@ -219,18 +213,16 @@ def _split_alpha_l(spec, k):
     return parts
 
 
-def build_problem(cfg, base=None):
-    """Instantiate (grid, background, coeff) from a RunConfig.
-
-    `base` resolves relative file: paths (defaults to the working directory).
-    """
+def build_problem(cfg, base):
+    """Instantiate (grid, background, coeff) from a RunConfig; relative
+    file: paths resolve against the directory `base`."""
     p = cfg.problem
     with _input_error("[problem]"):
         grid = PeriodicGrid(dim=p.n, resolution=p.resolution)
-    background = background_from_spec(p.background, grid, p.tau, base=base)
-    alpha = field_from_spec(p.alpha, grid, base=base)
+    background = background_from_spec(p.background, grid, p.tau, base)
+    alpha = field_from_spec(p.alpha, grid, base)
     parts = _split_alpha_l(p.alpha_l, p.k)
-    alpha_l = np.stack([field_from_spec(s, grid, base=base) for s in parts])
+    alpha_l = np.stack([field_from_spec(s, grid, base) for s in parts])
     with _input_error("[problem]"):
         coeff = geometry.CoefficientData(grid=grid, k=p.k, alpha=alpha, alpha_l=alpha_l)
     return grid, background, coeff

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .artifacts import replacing
 
@@ -102,7 +102,7 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{escape(title)}</text>'
+        f'font-family="monospace" font-size="14">{escape(title, quote=False)}</text>'
     )
     # frame
     out.append(
@@ -118,7 +118,7 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
         )
         out.append(
             f'<text x="{xp:.2f}" y="{MARGIN_T + inner_h + 18}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{escape(_tick_label(xv))}</text>'
+            f'font-family="monospace" font-size="10">{escape(_tick_label(xv), quote=False)}</text>'
         )
     for yv in _tick_values(y_lo, y_hi):
         yp = py(yv)
@@ -128,15 +128,15 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
         )
         out.append(
             f'<text x="{MARGIN_L - 8}" y="{yp + 3:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{escape(_tick_label(yv, log_y))}</text>'
+            f'font-family="monospace" font-size="10">{escape(_tick_label(yv, log_y), quote=False)}</text>'
         )
     if x_label:
         out.append(
             f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{escape(x_label)}</text>'
+            f'font-family="monospace" font-size="11">{escape(x_label, quote=False)}</text>'
         )
     if y_label:
-        label = escape(y_label + (" (log10)" if log_y else ""))
+        label = escape(y_label + (" (log10)" if log_y else ""), quote=False)
         out.append(
             f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-family="monospace" '
             f'font-size="11" transform="rotate(-90 14 {HEIGHT // 2})">{label}</text>'
@@ -155,7 +155,7 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
         )
         out.append(
             f'<text x="{MARGIN_L + 33}" y="{ly}" font-family="monospace" '
-            f'font-size="10">{escape(label)}</text>'
+            f'font-size="10">{escape(label, quote=False)}</text>'
         )
     if not plotted:
         out.append(

@@ -103,12 +103,17 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha_l = 1.0": "alpha_l = 1e999"}, "alpha_0 = inf at node (0, 0, 0)"),
         ({"tau = 0.0": "tau = -inf"}, "tau = -inf"),
         ({"alpha = 0.2*sin(x1)": "alpha = 1e999"}, "alpha = inf at node (0, 0, 0)"),
+        # a value is its text: `%` is no interpolation syntax
+        ({"alpha = 0.2*sin(x1)": "alpha = 50%"}, "cannot parse field expression at '%'"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
+    # no warning is raised on the way: stderr is the error line alone
     cfg = default_config(tmp_path, **edit)
     assert main(["solve", str(cfg)]) == 2
-    assert needle in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and needle in line
     assert not (tmp_path / "out").exists()
 
 
@@ -120,11 +125,17 @@ def test_solve_spaceform_negative_curvature(tmp_path):
     assert main(["solve", str(cfg)]) == 0
 
 
+def readme_example():
+    """The INI block of README.md."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    return block
+
+
 def test_readme_example_config_loads(tmp_path):
     # configparser takes no inline comments, so the documented example keeps
     # each comment on a line of its own
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    block = readme_example()
     (tmp_path / "example.ini").write_text(block)
     cfg = runconfig.load_config(tmp_path / "example.ini")
     assert (cfg.problem.n, cfg.problem.k, cfg.problem.tau, cfg.problem.resolution) == (3, 3, 0.0, 16)
@@ -137,6 +148,90 @@ def test_readme_example_config_loads(tmp_path):
     assert set(parser["problem"]) <= {f.name for f in fields(runconfig.ProblemConfig)}
     assert set(parser["solver"]) == {f.name for f in fields(solver.SolverConfig)}
     assert set(parser["output"]) == {f.name for f in fields(runconfig.OutputConfig)}
+
+
+EVERY_KEY_CONFIG = """\
+[problem]
+n = 5
+k = 4
+tau = -0.30000000000000004
+resolution = 10
+background = spaceform:-1.5
+alpha = 0.1*sin(x1) - 3e-2*cos(x5)
+alpha_l = 1.0, 2, file:a.ksig
+u_star = 0.1*sin(x1)*cos(x2)
+
+[solver]
+residual_tol = 1.5e-11
+max_newton = 7
+dt_init = 0.3
+dt_min = 0.001
+
+[output]
+directory = elsewhere/run
+"""
+
+
+def test_config_round_trips_through_write_config(tmp_path):
+    for name, text in (("readme", readme_example()), ("every-key", EVERY_KEY_CONFIG)):
+        (tmp_path / f"{name}.ini").write_text(text)
+        cfg = runconfig.load_config(tmp_path / f"{name}.ini")
+        runconfig.write_config(tmp_path / f"{name}-copy.ini", cfg)
+        assert runconfig.load_config(tmp_path / f"{name}-copy.ini") == cfg, name
+    parser = configparser.ConfigParser()
+    parser.read_string(EVERY_KEY_CONFIG)
+    for section in fields(cfg):  # the last config sets every key
+        assert set(parser[section.name]) == {f.name for f in fields(getattr(cfg, section.name))}
+    # None is left out; floats read back exactly
+    assert "u_star" not in (tmp_path / "readme-copy.ini").read_text()
+    assert "tau = -0.30000000000000004\n" in (tmp_path / "every-key-copy.ini").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "every-key-copy.ini", "every-key.ini", "readme-copy.ini", "readme.ini"
+    ]
+
+
+def test_config_defaults_are_the_field_defaults(tmp_path):
+    cfg = write_config(tmp_path, "[problem]\nn = 3\nk = 3\n")
+    assert runconfig.load_config(cfg) == runconfig.RunConfig(
+        problem=runconfig.ProblemConfig(n=3, k=3),
+        solver=solver.SolverConfig(),
+        output=runconfig.OutputConfig(),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[problem]\nn = 3\nk = 3\n[extra]\n", "unknown sections: ['extra']"),
+        ("[problem]\nn = 3\nk = 3\nalhpa = 1\n", "unknown [problem] keys: ['alhpa']"),
+        ("[problem]\nn = 3\nk = 3\n[solver]\ntol = 1\n", "unknown [solver] keys: ['tol']"),
+        ("[problem]\nn = 3\nk = 3\n[output]\ndir = x\n", "unknown [output] keys: ['dir']"),
+        ("[solver]\nmax_newton = 3\n", "missing [problem] section"),
+        ("[problem]\nk = 3\n", "[problem] n is required"),
+        ("[problem]\nn = 3\n", "[problem] k is required"),
+        (
+            "[problem]\nn = three\nk = 3\n",
+            "[problem] n = 'three': invalid literal for int() with base 10: 'three'",
+        ),
+        (
+            "[problem]\nn = 3\nk = 3\ntau = x\n",
+            "[problem] tau = 'x': could not convert string to float: 'x'",
+        ),
+        (
+            "[problem]\nn = 3\nk = 3\n[solver]\nmax_newton = 2.5\n",
+            "[solver] max_newton = '2.5': invalid literal for int() with base 10: '2.5'",
+        ),
+        (
+            "[problem]\nn = 3\nk = 3\n[solver]\ndt_init = 1e-5\n",
+            "[solver]: need 0 < dt_min < dt_init <= 1",
+        ),
+    ],
+)
+def test_config_errors_name_the_section_and_key(tmp_path, text, message):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(runconfig.ConfigError) as exc:
+        runconfig.load_config(cfg)
+    assert str(exc.value) == message
 
 
 def test_solve_missing_config(tmp_path, capsys):
@@ -365,6 +460,30 @@ def test_manufacture_writes_solvable_package(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(outdir / "manufactured.ini")]) == 0
     summary = json.loads((tmp_path / "solved" / "summary.json").read_text())
     assert summary["residual_sup"] <= 1e-9
+
+
+def test_manufacture_package_keeps_the_solver_settings(tmp_path, monkeypatch):
+    outdir = tmp_path / "manu"
+    text = MANU_CONFIG.format(outdir=outdir).replace("[output]", "[solver]\nresidual_tol = 1e-11\n\n[output]")
+    assert main(["manufacture", str(write_config(tmp_path, text))]) == 0
+    monkeypatch.setenv("KSIG_OUTDIR", str(tmp_path / "solved"))
+    assert main(["solve", str(outdir / "manufactured.ini")]) == 0
+    summary = json.loads((tmp_path / "solved" / "summary.json").read_text())
+    assert summary["config"]["solver"]["residual_tol"] == 1e-11
+    assert summary["residual_sup"] <= 1e-11
+
+
+@pytest.mark.filterwarnings("error")
+def test_manufacture_rejects_non_finite_u_star(tmp_path, capsys):
+    # 1e999 parses as inf, and inf * sin(0) is nan
+    outdir = tmp_path / "manu"
+    cfg = write_config(
+        tmp_path, MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", "1e999*sin(x1)")
+    )
+    assert main(["manufacture", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: input data must be finite, but u_star = nan at node (0, 0, 0)\n"
+    assert not outdir.exists()
 
 
 def test_manufacture_rejects_inadmissible_amplitude(tmp_path, capsys):

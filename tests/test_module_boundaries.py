@@ -239,8 +239,13 @@ def test_import_check_sees_every_import_form(tmp_path):
     assert third_party_imports(tmp_path) == {"numpy", "scipy"}
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, ksig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def loaded_by_cli_import(packages):
+    """The modules of `packages`, each with everything under it, that a
+    fresh interpreter holds after `import ksig.cli`."""
+    code = (
+        "import sys, ksig.cli\n"
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -249,4 +254,14 @@ def test_cli_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert loaded_by_cli_import(["scipy"]) == []
+
+
+def test_cli_import_leaves_unused_stdlib_packages_unloaded():
+    # fractions, and the XML, URL, mail and TLS modules that
+    # xml.sax.saxutils imports, serve no command and cost import time
+    assert loaded_by_cli_import(["fractions", "xml", "urllib.request", "http", "ssl", "email"]) == []
