@@ -2,13 +2,15 @@
 
 Exit codes: 0 success; 1 property violation from `verify`; 2 invalid
 configuration, usage, or hypothesis failure (nothing is written); 3
-continuation stall (the last accepted state is still persisted).
+continuation stall (the last accepted state is still persisted); 130
+`solve` interrupted (the last accepted state is persisted, if there is one).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -83,31 +85,37 @@ def _write_charts(rundir, reports):
 # solve
 
 
-def _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed):
-    write_field(outdir / "u_final.ksig", grid, state.u)
+def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
+    """The artifact set of the last accepted record of a run's step log;
+    returns the summary.  Every summary value is worked out here, from the log."""
+    accepted = [rec for rec in log if rec.accepted]
+    rejected = [rec for rec in log if not rec.accepted]
+    reports = [rec.report for rec in accepted]
+    last = accepted[-1]
+    write_field(outdir / "u_final.ksig", grid, last.u)
     monitors.write_monitor_csv(outdir / "monitors.csv", reports)
-    rejected = [rec for rec in state.step_log if not rec.accepted]
     summary = {
         "version": __version__,
         "config": asdict(cfg),
-        "t_final": state.t,
-        "residual_sup": state.residual_norm,
-        "newton_iterations": state.newton_iters,
+        "t_final": last.t,
+        "residual_sup": last.residual_norm,
+        "newton_iterations": sum(rec.newton_iters for rec in accepted),
         "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
-        "damping_trials": sum(rec.damping_trials for rec in state.step_log),
-        "linear_iterations": sum(rec.linear_iters for rec in state.step_log),
-        "accepted_steps": len(reports),
+        "damping_trials": sum(rec.damping_trials for rec in log),
+        "linear_iterations": sum(rec.linear_iters for rec in log),
+        "accepted_steps": len(accepted),
         "rejected_steps": len(rejected),
         "rejected": [
             {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
             for rec in rejected
         ],
-        "stalled": state.t < 1.0,
+        "stalled": stalled,
         "trace_summary": monitors.estimate_trace_series(reports).to_dict(),
         "timings": {"total_seconds": elapsed},
     }
     _dump_json(outdir / "summary.json", summary)
     _write_charts(outdir, reports)
+    return summary
 
 
 def _load_problem(config_path):
@@ -127,20 +135,37 @@ def cmd_solve(args):
         return _fail(exc)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    state, reports = solver.continuation_run(background, coeff, cfg.solver)
-    elapsed = time.perf_counter() - start
-    _write_run_artifacts(outdir, cfg, grid, state, reports, elapsed)
-    if state.t < 1.0:  # the last record is the step that fell below dt_min
+    log = []
+    interrupted = False
+    try:
+        for rec in solver.continuation_steps(background, coeff, cfg.solver):
+            log.append(rec)
+    except KeyboardInterrupt:
+        interrupted = True
+    if not log:  # interrupted before the anchor, which is always accepted
+        print("interrupted before the anchor step; nothing written", file=sys.stderr)
+        return 130
+    # an uninterrupted march ends on the step that reaches t = 1 or on the
+    # rejected step that fell below dt_min
+    stalled = not (interrupted or log[-1].accepted)
+    summary = _write_run_artifacts(outdir, cfg, grid, log, time.perf_counter() - start, stalled)
+    if interrupted:
         print(
-            f"error: continuation stalled at t={state.t}: step below "
-            f"dt_min={cfg.solver.dt_min} ({state.step_log[-1].note})",
+            f"interrupted at t={summary['t_final']}; last accepted state written to {outdir}",
+            file=sys.stderr,
+        )
+        return 130
+    if stalled:
+        print(
+            f"error: continuation stalled at t={summary['t_final']}: step below "
+            f"dt_min={cfg.solver.dt_min} ({log[-1].note})",
             file=sys.stderr,
         )
         print(f"last accepted state written to {outdir}", file=sys.stderr)
         return 3
     print(
-        f"reached t={state.t} with residual {state.residual_norm:.3e} "
-        f"in {state.newton_iters} Newton iterations -> {outdir}"
+        f"reached t={summary['t_final']} with residual {summary['residual_sup']:.3e} "
+        f"in {summary['newton_iterations']} Newton iterations -> {outdir}"
     )
     return 0
 
@@ -211,10 +236,16 @@ def cmd_manufacture(args):
     names = [f"alpha_l_{l}.ksig" for l in range(p.k - 1)]
     for name, values in zip(names, coeff.alpha_l):
         write_field(outdir / name, grid, values)
+    # the package resolves file: paths against its own directory
+    bg_spec = p.background.strip()
+    prefix = Path(bg_spec[len("file:"):].strip())
+    if bg_spec.startswith("file:") and not prefix.is_absolute():
+        bg_spec = f"file:{os.path.relpath(base / prefix, outdir.resolve())}"
     package = replace(
         cfg,
         problem=replace(
             p,
+            background=bg_spec,
             alpha="file:alpha.ksig",
             alpha_l=", ".join(f"file:{name}" for name in names),
             u_star=None,

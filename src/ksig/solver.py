@@ -20,8 +20,9 @@ after the first cuts the residual by less than 1 - _STALL_RATIO.  If the
 whole-path attempt fails, the march restarts from t = 0 with dt_init (at
 most half the failed step) and an adaptive controller: the t-step doubles
 after every step that Newton takes in few iterations and halves on a
-failure.  A run that needs a step below dt_min stalls: it returns its last
-accepted state, with t < 1, the same way a finished run returns t = 1.
+failure.  A run that needs a step below dt_min stalls: its last record is
+that rejected step, and its last accepted state has t < 1, the same way a
+finished run ends on its accepted step at t = 1.
 A failed Newton solve is an expected outcome of the march, not an error: it
 returns a NewtonResult whose note gives the reason.
 
@@ -33,7 +34,7 @@ the module constants below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,10 +72,9 @@ __all__ = [
     "SolverConfig",
     "NewtonResult",
     "StepRecord",
-    "ContinuationState",
     "jacobian",
     "newton_solve_at_t",
-    "continuation_run",
+    "continuation_steps",
     "manufacture_alpha",
 ]
 
@@ -116,22 +116,18 @@ class NewtonResult:
 @dataclass(frozen=True)
 class StepRecord:
     t: float
-    dt: float
-    accepted: bool
+    dt: float  # the step tried: t minus the last accepted t
     newton_iters: int
     residual_norm: float
     damping_trials: int
     linear_iters: int
-    note: str = ""
+    note: str = ""  # empty when the step was accepted, else why it failed
+    u: np.ndarray | None = None  # the accepted root; None on a rejected step
+    report: monitors.MonitorReport | None = None  # likewise
 
-
-@dataclass
-class ContinuationState:
-    t: float
-    u: np.ndarray
-    residual_norm: float
-    newton_iters: int
-    step_log: list = field(default_factory=list)
+    @property
+    def accepted(self):
+        return not self.note
 
 
 def jacobian(state, background):
@@ -341,75 +337,62 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     )
 
 
-def continuation_run(background, coeff, config):
-    """March t from 0 to 1 with adaptive steps; returns (state, reports).
+def continuation_steps(background, coeff, config):
+    """March t from 0 to 1 with adaptive steps, yielding one StepRecord per
+    Newton solve, the t = 0 anchor first.
 
     Callers validate the hypotheses (geometry.validate_hypotheses) first;
-    this routine does not repeat the check.  The first step is the whole
-    path, t = 1 from the anchor.  If it fails, the next step is dt_init, or
+    this routine does not repeat the check.  The first step after the anchor
+    is the whole path, t = 1.  If it fails, the next step is dt_init, or
     half the failed step if that is smaller, and from there an accepted step
     that took at most _GROW_NEWTON Newton iterations doubles dt, unless it is
     one of the first _HOLD_AFTER_REJECT accepted steps after a later
     rejection; the last step is clamped to t = 1.  A failed step halves the
-    step it tried.  When dt falls below dt_min the march stops and the
-    state returned is the last accepted one, so state.t < 1 marks a stall
-    and the last StepRecord, the rejected step, gives the reason in its
-    note.  Each StepRecord is built from the step's NewtonResult: the step
-    actually tried, the Newton iterations, final residual and damping
-    backtracks spent on it, and the note of a rejected step.  One
-    MonitorReport is emitted per accepted step, including the t = 0 anchor;
-    a failed anchor raises RuntimeError.
+    step it tried.  The march ends after the step that reaches t = 1, or
+    after the rejected step that leaves dt below dt_min: a log that ends on a
+    rejected record is a stall, and its note gives the reason.  Each record
+    holds the step actually tried, the Newton iterations, final residual,
+    damping backtracks and GMRES iterations spent on it, and the note of a
+    rejected step; an accepted record also holds its root u and its
+    MonitorReport.  A failed anchor raises RuntimeError.
     """
-    log = []
-    reports = []
 
-    def record(res, t, step):
-        """Log a step from its Newton result, and monitor it if accepted."""
-        accepted = not res.note
-        log.append(
-            StepRecord(t, step, accepted, res.iterations, res.residual_norm, res.damping_trials,
-                       res.linear_iterations, res.note)
-        )
-        if accepted:
-            reports.append(monitors.snapshot_point(res.state, background, coeff, res.iterations))
+    def step(u, t, dt):
+        """The record of one Newton solve; its NewtonResult, which holds a
+        whole evaluated state, is freed on return, before the next solve."""
+        res = newton_solve_at_t(u, t, background, coeff, config)
+        if res.note:
+            return StepRecord(t, dt, res.iterations, res.residual_norm, res.damping_trials,
+                              res.linear_iterations, res.note)
+        report = monitors.snapshot_point(res.state, background, coeff, res.iterations)
+        return StepRecord(t, dt, res.iterations, res.residual_norm, res.damping_trials,
+                          res.linear_iterations, "", res.u, report)
 
-    anchor = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
-    record(anchor, 0.0, 0.0)
-    if anchor.note:
-        raise RuntimeError(anchor.note)
-    u, last_rnorm, total_iters = anchor.u, anchor.residual_norm, anchor.iterations
-    del anchor  # a NewtonResult holds a whole evaluated state
-
-    t = 0.0
+    last = step(background.grid.zeros(), 0.0, 0.0)  # the last accepted record
+    if last.note:
+        raise RuntimeError(last.note)
+    yield last
     dt = 1.0  # the whole path first
     hold = 0  # accepted steps still to take before dt may grow again
-    while t < 1.0:
-        t_try = t + dt
+    while last.t < 1.0:
+        t_try = last.t + dt
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
-        step = t_try - t
-        res = newton_solve_at_t(u, t_try, background, coeff, config)
-        record(res, t_try, step)
-        if res.note:
-            if step == 1.0:  # the whole-path attempt: hand over to the controller
-                dt, hold = min(config.dt_init, 0.5 * step), 0
-            else:
-                dt, hold = 0.5 * step, _HOLD_AFTER_REJECT
-            if dt < config.dt_min:
-                break
+        rec = step(last.u, t_try, t_try - last.t)
+        yield rec
+        if rec.accepted:
+            last = rec
+            if hold:
+                hold -= 1
+            elif rec.newton_iters <= _GROW_NEWTON:
+                dt *= 2.0
             continue
-        t = t_try
-        u, last_rnorm, iters = res.u, res.residual_norm, res.iterations
-        del res  # free its evaluated state before the next step builds one
-        total_iters += iters
-        if hold:
-            hold -= 1
-        elif iters <= _GROW_NEWTON:
-            dt *= 2.0
-    state = ContinuationState(
-        t=t, u=u, residual_norm=last_rnorm, newton_iters=total_iters, step_log=log
-    )
-    return state, reports
+        if rec.dt == 1.0:  # the whole-path attempt: hand over to the controller
+            dt, hold = min(config.dt_init, 0.5 * rec.dt), 0
+        else:
+            dt, hold = 0.5 * rec.dt, _HOLD_AFTER_REJECT
+        if dt < config.dt_min:
+            return
 
 
 def manufacture_alpha(u_star, background, coeff, *, jet=None):
@@ -425,8 +408,10 @@ def manufacture_alpha(u_star, background, coeff, *, jet=None):
     construction residual is identically zero at this resolution.  Rejects
     u_star whose U* leaves Gamma_{k-1}.
     """
-    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly
-    state = operator.evaluate(u_star, 1.0, background, coeff, jet=jet)
+    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly; a huge
+    # u_star may overflow to a NaN margin, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = operator.evaluate(u_star, 1.0, background, coeff, jet=jet)
     if not state.margin.min() > 0.0:
         raise operator.admissibility_failure(state, 0.0, "u_star rejected")
     return replace(coeff, alpha=-np.exp(-2.0 * state.u) * state.value)

@@ -176,13 +176,13 @@ def test_criterion_4_manufactured_convergence(capsys):
     assert elapsed <= 300.0
 
 
-def test_criterion_5_continuation_to_t1(capsys):
+def test_criterion_5_continuation_to_t1(capsys, march):
     t0 = time.perf_counter()
     grid = make_grid(3, 16)
     bg = geometry.flat_background(grid, tau=0.0)  # B = -identity
     coeff = default_coeff(grid)
     cfg = solver.SolverConfig()
-    state, reports = solver.continuation_run(bg, coeff, cfg)
+    _, last, reports = march(bg, coeff, cfg)
     elapsed = time.perf_counter() - t0
     # the cone margin is the node-wise minimum over sigma_1..sigma_{k-1},
     # so margin >= 1e-10 bounds sigma_{k-1} away from zero as well
@@ -190,8 +190,8 @@ def test_criterion_5_continuation_to_t1(capsys):
     eigs = min(r.min_eig_Gij for r in reports)
     slack = min(r.eq33_slack for r in reports)
     ok = (
-        state.t == 1.0
-        and state.residual_norm <= 1e-9
+        last.t == 1.0
+        and last.residual_norm <= 1e-9
         and margins >= 1e-10
         and eigs > 0.0
         and slack >= -1e-8
@@ -199,11 +199,11 @@ def test_criterion_5_continuation_to_t1(capsys):
     )
     verdict(
         capsys, 5, "continuation to t=1", ok,
-        f"{len(reports)} steps, final residual {state.residual_norm:.2e}, "
+        f"{len(reports)} steps, final residual {last.residual_norm:.2e}, "
         f"min margin {margins:.2e}, min eig {eigs:.2e}, min slack {slack:.2e}, {elapsed:.1f}s",
     )
-    assert state.t == 1.0
-    assert state.residual_norm <= 1e-9
+    assert last.t == 1.0
+    assert last.residual_norm <= 1e-9
     assert margins > 0.0 and margins >= 1e-10
     assert eigs > 0.0
     assert slack >= -1e-8

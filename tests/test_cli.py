@@ -8,11 +8,12 @@ from dataclasses import fields
 from pathlib import Path
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 from ksig import geometry, runconfig, solver
 from ksig.cli import main
-from ksig.grid import read_field
+from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
 
 CHARTS = ("residual.svg", "estimates.svg", "cone_margin.svg")
@@ -107,7 +108,6 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha = 0.2*sin(x1)": "alpha = 50%"}, "cannot parse field expression at '%'"),
     ],
 )
-@pytest.mark.filterwarnings("error")
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
     # no warning is raised on the way: stderr is the error line alone
     cfg = default_config(tmp_path, **edit)
@@ -312,7 +312,6 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     assert summary["linear_iterations"] > 0
 
 
-@pytest.mark.filterwarnings("error")
 def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
     # every value of alpha is finite, so gating passes, but the residual's
     # 2-norm overflows: each step's linear solve fails before its first
@@ -332,6 +331,43 @@ def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
     assert summary["rejected_steps"] == len(summary["rejected"]) > 1
     assert all("2-norm overflows" in rec["note"] for rec in summary["rejected"])
     assert summary["linear_iterations"] == 0
+
+
+@pytest.mark.parametrize("at", [1, 2])
+def test_solve_interrupt_writes_the_last_accepted_state(tmp_path, capsys, monkeypatch, at):
+    # a KeyboardInterrupt in the Newton solve number `at`: the first is the
+    # anchor, which leaves no accepted state; the second is the whole-path
+    # attempt, which leaves the anchor
+    newton = solver.newton_solve_at_t
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == at:
+            raise KeyboardInterrupt
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve_at_t", interrupted)
+    try:
+        code = main(["solve", str(default_config(tmp_path))])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("the interrupt escaped solve")
+    assert code == 130
+    out = tmp_path / "out"
+    err = capsys.readouterr().err
+    if at == 1:
+        assert err == "interrupted before the anchor step; nothing written\n"
+        assert not any(out.iterdir())
+        return
+    assert err == f"interrupted at t=0.0; last accepted state written to {out}\n"
+    _, u = read_field(out / "u_final.ksig")
+    assert not u.any()  # the anchor u = 0
+    assert len((out / "monitors.csv").read_text().splitlines()) == 2  # header and anchor
+    for name in CHARTS:
+        assert (out / name).is_file(), name
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] == 0.0 and summary["stalled"] is False
+    assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
 
 
 def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):
@@ -473,7 +509,6 @@ def test_manufacture_package_keeps_the_solver_settings(tmp_path, monkeypatch):
     assert summary["residual_sup"] <= 1e-11
 
 
-@pytest.mark.filterwarnings("error")
 def test_manufacture_rejects_non_finite_u_star(tmp_path, capsys):
     # 1e999 parses as inf, and inf * sin(0) is nan
     outdir = tmp_path / "manu"
@@ -484,6 +519,44 @@ def test_manufacture_rejects_non_finite_u_star(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: input data must be finite, but u_star = nan at node (0, 0, 0)\n"
     assert not outdir.exists()
+
+
+def test_manufacture_rejects_huge_u_star_without_warnings(tmp_path, capsys):
+    # finite but huge: U* overflows to a NaN cone margin, rejected with no
+    # warning before the error line (the suite turns warnings into errors)
+    outdir = tmp_path / "manu"
+    cfg = write_config(
+        tmp_path, MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", "1e300*sin(x1)")
+    )
+    assert main(["manufacture", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: u_star rejected: cone margin nan")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_manufacture_package_finds_a_file_background(tmp_path, monkeypatch, absolute):
+    # B = -I as component files beside the config; the package lies in
+    # another directory and resolves file: paths against that one
+    confdir = tmp_path / "conf"
+    confdir.mkdir()
+    grid = PeriodicGrid(dim=3, resolution=8)
+    for i in range(3):
+        for j in range(i, 3):
+            write_field(confdir / f"bg_B{i}{j}.ksig", grid, np.full(grid.shape, -float(i == j)))
+    prefix = confdir / "bg" if absolute else "bg"
+    outdir = tmp_path / "manu"
+    text = MANU_CONFIG.format(outdir=outdir).replace("hyperbolic-like", f"file:{prefix}")
+    assert main(["manufacture", str(write_config(confdir, text))]) == 0
+    package = configparser.ConfigParser(interpolation=None)
+    package.read(outdir / "manufactured.ini")
+    # a relative prefix is rewritten to resolve from the package, an absolute one kept
+    assert package["problem"]["background"] == f"file:{prefix if absolute else '../conf/bg'}"
+    monkeypatch.setenv("KSIG_OUTDIR", str(tmp_path / "solved"))
+    assert main(["solve", str(outdir / "manufactured.ini")]) == 0
+    summary = json.loads((tmp_path / "solved" / "summary.json").read_text())
+    assert summary["residual_sup"] <= 1e-9
 
 
 def test_manufacture_rejects_inadmissible_amplitude(tmp_path, capsys):

@@ -101,14 +101,14 @@ def test_csv_header_is_stable():
     )
 
 
-def test_monitor_csv_roundtrip(tmp_path):
+def test_monitor_csv_roundtrip(tmp_path, march):
     grid, bg, coeff = anchor_setup()
     cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     coeff2 = geometry.CoefficientData(
         grid=grid, k=3, alpha=0.2 * np.sin(x1), alpha_l=np.ones((2,) + grid.shape)
     )
-    _, reports = solver.continuation_run(bg, coeff2, cfg)
+    reports = march(bg, coeff2, cfg).reports
     path = tmp_path / "monitors.csv"
     monitors.write_monitor_csv(path, reports)
     back = monitors.read_monitor_csv(path)

@@ -508,28 +508,28 @@ def test_gmres_fails_on_an_overflowing_norm():
 # continuation
 
 
-def test_continuation_stationary_path_stays_at_zero():
+def test_continuation_stationary_path_stays_at_zero(march):
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = trivial_coeff(grid, 3)
     cfg = solver.SolverConfig()
-    state, reports = solver.continuation_run(bg, coeff, cfg)
-    assert state.t == 1.0
-    assert np.array_equal(state.u, np.zeros(grid.shape))
-    assert state.newton_iters == 0
+    log, last, reports = march(bg, coeff, cfg)
+    assert last.t == 1.0
+    assert np.array_equal(last.u, np.zeros(grid.shape))
+    assert sum(rec.newton_iters for rec in log) == 0
     assert all(r.sup_u == 0.0 for r in reports)
 
 
-def test_continuation_default_problem():
+def test_continuation_default_problem(march):
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     cfg = solver.SolverConfig()
-    state, reports = solver.continuation_run(bg, coeff, cfg)
-    assert state.t == 1.0
-    assert state.residual_norm <= 1e-9
-    assert sup_norm(state.u) > 0.1  # honest deformation, not a no-op
-    accepted = [rec for rec in state.step_log if rec.accepted]
+    log, last, reports = march(bg, coeff, cfg)
+    assert last.t == 1.0
+    assert last.residual_norm <= 1e-9
+    assert sup_norm(last.u) > 0.1  # honest deformation, not a no-op
+    accepted = [rec for rec in log if rec.accepted]
     assert len(reports) == len(accepted)
     # each report carries its step's final residual, bit for bit
     assert [(r.t, r.residual) for r in reports] == [(rec.t, rec.residual_norm) for rec in accepted]
@@ -539,9 +539,9 @@ def test_continuation_default_problem():
     # the whole path is one step: fixed 0.1-steps took 34 Newton iterations
     # on this problem, the doubling controller 16, the t = 1 attempt 6
     assert ts == [0.0, 1.0]
-    assert len(accepted) == len(state.step_log)
+    assert len(accepted) == len(log)
     assert any(rec.dt > cfg.dt_init for rec in accepted)
-    assert state.newton_iters <= 8
+    assert sum(rec.newton_iters for rec in accepted) <= 8
     # each record holds the step taken, the last one clamped to t = 1
     assert [rec.dt for rec in accepted[1:]] == [b - a for a, b in zip(ts, ts[1:])]
     for rep in reports:
@@ -550,59 +550,66 @@ def test_continuation_default_problem():
         assert rep.eq33_slack >= -1e-8
 
 
-def test_continuation_stall_carries_last_state():
+def test_continuation_stall_carries_last_state(march):
     grid = make_grid()
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     # one Newton iteration is never enough at t = 1 nor at t = 0.2, and
     # dt_min forbids halving below 0.15, so the march stalls at the anchor
     cfg = solver.SolverConfig(max_newton=1, dt_init=0.2, dt_min=0.15)
-    state, reports = solver.continuation_run(bg, coeff, cfg)
-    assert state is not None
-    assert state.t == 0.0
-    assert np.array_equal(state.u, np.zeros(grid.shape))
+    log, last, reports = march(bg, coeff, cfg)
+    assert last is not None
+    assert last.t == 0.0
+    assert np.array_equal(last.u, np.zeros(grid.shape))
     assert len(reports) == 1  # the anchor was still monitored
-    rejected = [rec for rec in state.step_log if not rec.accepted]
+    # the anchor is the first record, and it holds its root and report
+    assert log[0] is last and (last.t, last.dt, last.accepted) == (0.0, 0.0, True)
+    assert last.report is reports[0]
+    rejected = [rec for rec in log if not rec.accepted]
     # the whole-path attempt, then dt_init
     assert [(rec.t, rec.dt) for rec in rejected] == [(1.0, 1.0), (0.2, 0.2)]
     assert all(rec.note for rec in rejected)
     # a rejected step logs the Newton iterations it spent, not zero
     assert all(rec.newton_iters == 1 for rec in rejected)
-    # the run ends on the step that fell below dt_min
-    assert state.step_log[-1] is rejected[-1]
+    # a rejected record holds neither a state nor a report
+    assert all(rec.u is None and rec.report is None for rec in rejected)
+    # the run ends on the step that fell below dt_min: nothing is yielded
+    # after the stall record
+    assert log[-1] is rejected[-1]
+    assert [rec.t for rec in log] == [0.0, 1.0, 0.2] and 0.5 * log[-1].dt < cfg.dt_min
 
 
-def test_continuation_recovers_after_rejected_enlarged_step():
+def test_continuation_recovers_after_rejected_enlarged_step(march):
     # with three Newton iterations allowed, a doubled step fails and has to
     # be halved again, more than once along the path
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     cfg = solver.SolverConfig(max_newton=3)
-    state, _ = solver.continuation_run(bg, coeff, cfg)
-    assert state.t == 1.0
-    assert state.residual_norm <= cfg.residual_tol
-    accepted = [rec for rec in state.step_log if rec.accepted]
-    rejected = [rec for rec in state.step_log if not rec.accepted]
+    log, last, _ = march(bg, coeff, cfg)
+    assert last.t == 1.0
+    assert last.residual_norm <= cfg.residual_tol
+    accepted = [rec for rec in log if rec.accepted]
+    rejected = [rec for rec in log if not rec.accepted]
     ts = [rec.t for rec in accepted]
     assert ts[-1] == 1.0 and all(a < b for a, b in zip(ts, ts[1:]))
     assert rejected and all(rec.note for rec in rejected)
     assert all(rec.newton_iters == cfg.max_newton for rec in rejected)
     # the whole path is tried first and hands over to dt_init
-    whole, after = state.step_log[1:3]
+    whole, after = log[1:3]
     assert (whole.t, whole.dt, whole.accepted) == (1.0, 1.0, False)
     assert after.dt == cfg.dt_init
     # doubling after every accepted step oscillates between a failing step
     # and its half: 12 rejections here, 7 when only the first accepted step
     # after a rejection keeps dt, 6 with the two steps of the controller
     assert len(rejected[1:]) <= 6
-    for prev, rec in zip(state.step_log[2:], state.step_log[3:]):
+    for prev, rec in zip(log[2:], log[3:]):
         # dt is the step actually tried: the rejected one is halved, not retried
         if not prev.accepted:
             assert rec.dt == pytest.approx(0.5 * prev.dt)
 
 
-def test_continuation_falls_back_after_the_whole_path_fails():
+def test_continuation_falls_back_after_the_whole_path_fails(march):
     # a forcing 100x the default's: t = 1 is out of Newton's reach from
     # u = 0, so the attempt fails fast and the controller takes the path
     grid = make_grid(3, 8)
@@ -613,16 +620,16 @@ def test_continuation_falls_back_after_the_whole_path_fails():
         grid=grid, k=3, alpha=20.0 * np.sin(x1) * np.cos(x2), alpha_l=np.ones((2,) + grid.shape)
     )
     cfg = solver.SolverConfig()
-    state, _ = solver.continuation_run(bg, coeff, cfg)
-    assert state.t == 1.0
-    assert state.residual_norm <= cfg.residual_tol
-    rejected = [rec for rec in state.step_log if not rec.accepted]
+    log, last, _ = march(bg, coeff, cfg)
+    assert last.t == 1.0
+    assert last.residual_norm <= cfg.residual_tol
+    rejected = [rec for rec in log if not rec.accepted]
     assert (rejected[0].t, rejected[0].dt) == (1.0, 1.0)
-    assert state.step_log[2].dt == cfg.dt_init
+    assert log[2].dt == cfg.dt_init
     # Newton iterations, accepted + rejected: 28 + 0 with the doubling
     # controller alone; 36 + 5 measured with the whole-path attempt, whose
     # damping floor also rejects the first step of dt_init
-    assert state.newton_iters + sum(rec.newton_iters for rec in rejected) <= 41
+    assert sum(rec.newton_iters for rec in log) <= 41
 
 
 def test_newton_forcing_terms(monkeypatch):
@@ -662,18 +669,18 @@ def test_newton_forcing_terms(monkeypatch):
     assert rtols and min(rtols) >= 0.05
 
 
-def test_continuation_is_deterministic():
+def test_continuation_is_deterministic(march):
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
     coeff = default_coeff(grid)
     cfg = solver.SolverConfig()
     runs = []
     for _ in range(2):
-        state, reports = solver.continuation_run(bg, coeff, cfg)
+        log, last, reports = march(bg, coeff, cfg)
         runs.append(
             (
-                state.u.tobytes(),
-                tuple((rec.t, rec.residual_norm, rec.newton_iters) for rec in state.step_log),
+                last.u.tobytes(),
+                tuple((rec.t, rec.residual_norm, rec.newton_iters) for rec in log),
                 tuple(astuple(rep) for rep in reports),
             )
         )
