@@ -1,9 +1,9 @@
 """Batch front door: solve / verify / manufacture / report.
 
-Exit codes: 0 success; 1 property violation from `verify`; 2 invalid
-configuration, usage, or hypothesis failure (nothing is written); 3
-continuation stall (the last accepted state is still persisted); 130
-`solve` interrupted (the last accepted state is persisted, if there is one).
+Exit codes: 0 success; 1 property violation from `verify`, or an exception
+escaping `solve`, with its traceback; 2 invalid configuration, usage, or
+hypothesis failure (nothing is written); 3 continuation stall; 130 `solve`
+interrupted.  Stall, interrupt and crash persist the last accepted state.
 """
 
 from __future__ import annotations
@@ -99,14 +99,14 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
         "config": asdict(cfg),
         "t_final": last.t,
         "residual_sup": last.residual_norm,
-        "newton_iterations": sum(rec.newton_iters for rec in accepted),
-        "rejected_newton_iterations": sum(rec.newton_iters for rec in rejected),
+        "newton_iterations": sum(rec.iterations for rec in accepted),
+        "rejected_newton_iterations": sum(rec.iterations for rec in rejected),
         "damping_trials": sum(rec.damping_trials for rec in log),
-        "linear_iterations": sum(rec.linear_iters for rec in log),
+        "linear_iterations": sum(rec.linear_iterations for rec in log),
         "accepted_steps": len(accepted),
         "rejected_steps": len(rejected),
         "rejected": [
-            {"t": rec.t, "dt": rec.dt, "newton_iters": rec.newton_iters, "note": rec.note}
+            {"t": rec.t, "dt": rec.dt, "newton_iters": rec.iterations, "note": rec.note}
             for rec in rejected
         ],
         "stalled": stalled,
@@ -142,6 +142,10 @@ def cmd_solve(args):
             log.append(rec)
     except KeyboardInterrupt:
         interrupted = True
+    except Exception:  # a crash keeps what was accepted, then propagates
+        if log:
+            _write_run_artifacts(outdir, cfg, grid, log, time.perf_counter() - start, False)
+        raise
     if not log:  # interrupted before the anchor, which is always accepted
         print("interrupted before the anchor step; nothing written", file=sys.stderr)
         return 130

@@ -24,7 +24,7 @@ failure.  A run that needs a step below dt_min stalls: its last record is
 that rejected step, and its last accepted state has t < 1, the same way a
 finished run ends on its accepted step at t = 1.
 A failed Newton solve is an expected outcome of the march, not an error: it
-returns a NewtonResult whose note gives the reason.
+returns a StepRecord whose note gives the reason.
 
 A run sets only the residual tolerance, the Newton limit and the step
 controls (SolverConfig); damping, the cone margin and the GMRES limits are
@@ -70,7 +70,6 @@ _LINEAR_RESTART = 50
 
 __all__ = [
     "SolverConfig",
-    "NewtonResult",
     "StepRecord",
     "jacobian",
     "newton_solve_at_t",
@@ -102,28 +101,19 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class NewtonResult:
-    u: np.ndarray  # the last iterate reached, converged or not
+class StepRecord:
+    """One Newton solve at fixed t, converged or not: a continuation step."""
+
+    t: float
     iterations: int
     residual_norm: float
     history: tuple  # residual sup-norms, one per iterate including the start
-    state: operator.PointState | None  # u evaluated; None when the solve failed
     damping_trials: int  # trial evaluations at a damping factor below 1
     linear_iterations: int  # GMRES iterations over all its linear solves
-    note: str  # empty when the solve converged, else why it failed
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    t: float
-    dt: float  # the step tried: t minus the last accepted t
-    newton_iters: int
-    residual_norm: float
-    damping_trials: int
-    linear_iters: int
-    note: str = ""  # empty when the step was accepted, else why it failed
-    u: np.ndarray | None = None  # the accepted root; None on a rejected step
-    report: monitors.MonitorReport | None = None  # likewise
+    note: str = ""  # empty when the solve converged, else why it failed
+    u: np.ndarray | None = None  # the root; None when the solve failed
+    report: monitors.MonitorReport | None = None  # the root's monitors; likewise
+    dt: float = 0.0  # the step tried: t minus the last accepted t
 
     @property
     def accepted(self):
@@ -256,7 +246,7 @@ def _forcing_term(rnorm, prev_rnorm, config):
 
 
 def newton_solve_at_t(u0, t, background, coeff, config):
-    """Damped Newton at fixed t; returns a NewtonResult, converged or not.
+    """Damped Newton at fixed t; returns its StepRecord, converged or not.
 
     Each linear solve stops at the forcing term of _forcing_term.  Damping
     shrinks the step until the trial iterate keeps every node inside
@@ -267,8 +257,9 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     fails at the iteration limit, on a failed linear solve, on an
     inadmissible starting iterate and on a non-finite starting residual,
     before any linear solve.  A residual that is not <= residual_tol, NaN
-    included, is never converged.  A failed solve returns its reason in
-    `note` and no `state`.
+    included, is never converged.  A converged solve returns its root `u`
+    and the MonitorReport of its final evaluated state, which does not
+    outlive the call; a failed one returns its reason in `note` and neither.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     state = operator.evaluate(u, t, background, coeff)
@@ -325,15 +316,16 @@ def newton_solve_at_t(u0, t, background, coeff, config):
         iters += 1
         if iters >= 2 and rnorm > config.residual_tol and rnorm > _STALL_RATIO * prev:
             note = failure(f"Newton stalled (contraction {rnorm / prev:.3f})")
-    return NewtonResult(
-        u=u,
+    return StepRecord(
+        t=t,
         iterations=iters,
         residual_norm=rnorm,
         history=tuple(history),
-        state=None if note else state,
         damping_trials=backtracks,
         linear_iterations=linear_iters,
         note=note,
+        u=None if note else u,
+        report=None if note else monitors.snapshot_point(state, background, coeff, iters),
     )
 
 
@@ -351,24 +343,14 @@ def continuation_steps(background, coeff, config):
     step it tried.  The march ends after the step that reaches t = 1, or
     after the rejected step that leaves dt below dt_min: a log that ends on a
     rejected record is a stall, and its note gives the reason.  Each record
-    holds the step actually tried, the Newton iterations, final residual,
-    damping backtracks and GMRES iterations spent on it, and the note of a
-    rejected step; an accepted record also holds its root u and its
-    MonitorReport.  A failed anchor raises RuntimeError.
+    is newton_solve_at_t's own with dt, the step actually tried, filled in:
+    the Newton iterations, final residual, damping backtracks and GMRES
+    iterations spent on it, and the note of a rejected step; an accepted
+    record also holds its root u and its MonitorReport.  A failed anchor
+    raises RuntimeError.
     """
-
-    def step(u, t, dt):
-        """The record of one Newton solve; its NewtonResult, which holds a
-        whole evaluated state, is freed on return, before the next solve."""
-        res = newton_solve_at_t(u, t, background, coeff, config)
-        if res.note:
-            return StepRecord(t, dt, res.iterations, res.residual_norm, res.damping_trials,
-                              res.linear_iterations, res.note)
-        report = monitors.snapshot_point(res.state, background, coeff, res.iterations)
-        return StepRecord(t, dt, res.iterations, res.residual_norm, res.damping_trials,
-                          res.linear_iterations, "", res.u, report)
-
-    last = step(background.grid.zeros(), 0.0, 0.0)  # the last accepted record
+    # the anchor, and from then on the last accepted record
+    last = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
     if last.note:
         raise RuntimeError(last.note)
     yield last
@@ -378,13 +360,14 @@ def continuation_steps(background, coeff, config):
         t_try = last.t + dt
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
-        rec = step(last.u, t_try, t_try - last.t)
+        rec = newton_solve_at_t(last.u, t_try, background, coeff, config)
+        rec = replace(rec, dt=t_try - last.t)
         yield rec
         if rec.accepted:
             last = rec
             if hold:
                 hold -= 1
-            elif rec.newton_iters <= _GROW_NEWTON:
+            elif rec.iterations <= _GROW_NEWTON:
                 dt *= 2.0
             continue
         if rec.dt == 1.0:  # the whole-path attempt: hand over to the controller

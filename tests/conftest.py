@@ -8,9 +8,9 @@ from ksig import solver
 
 
 class March(NamedTuple):
-    log: list  # every StepRecord, the t = 0 anchor first
-    last: solver.StepRecord  # the last accepted record
-    reports: list  # the MonitorReport of each accepted record
+    log: list  # the StepRecord of every Newton solve, the t = 0 anchor first
+    last: solver.StepRecord  # the last accepted record, holding its u and report
+    reports: list  # the MonitorReport of each accepted record, in t order
 
 
 @pytest.fixture

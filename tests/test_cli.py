@@ -370,6 +370,35 @@ def test_solve_interrupt_writes_the_last_accepted_state(tmp_path, capsys, monkey
     assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
 
 
+def test_solve_crash_writes_the_last_accepted_state(tmp_path, capsys, monkeypatch):
+    # a LinAlgError in the second Newton solve, the whole-path attempt: the
+    # anchor's artifact set is written, then the exception escapes as it was
+    newton = solver.newton_solve_at_t
+    calls = []
+
+    def crashing(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve_at_t", crashing)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        main(["solve", str(default_config(tmp_path))])
+    out = tmp_path / "out"
+    assert capsys.readouterr().err == ""  # the traceback is the message
+    # the whole set, and no temporary file
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ("u_final.ksig", "monitors.csv", "summary.json", *CHARTS)
+    )
+    _, u = read_field(out / "u_final.ksig")
+    assert not u.any()  # the anchor u = 0
+    assert len((out / "monitors.csv").read_text().splitlines()) == 2  # header and anchor
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] == 0.0 and summary["stalled"] is False
+    assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
+
+
 def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):
     # a forcing 100x the default's: the whole-path attempt fails at the
     # damping floor, after three backtracks in its last iteration

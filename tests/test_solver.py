@@ -3,14 +3,14 @@ quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ksig import cones, geometry, operator, solver
+from ksig import cones, geometry, monitors, operator, solver
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, compute_jet, sup_norm
 
@@ -41,6 +41,13 @@ def default_coeff(grid, k=3, amplitude=0.2):
         alpha_l=np.ones((k - 1,) + grid.shape),
     )
 
+
+def hard_coeff(grid):
+    """alpha = 20 sin x1 cos x2, alpha_l = 1, k = 3: a forcing 100x the
+    default's, so a march from u = 0 rejects steps."""
+    return geometry.CoefficientData(
+        grid=grid, k=3, alpha=smooth_u(grid, 20.0), alpha_l=np.ones((2,) + grid.shape)
+    )
 
 def manufactured(expr, bg, k=3):
     """u_star from `expr` and coefficients built around it from its analytic
@@ -361,7 +368,8 @@ def test_newton_rejects_inadmissible_start():
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     res = solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
     assert "initial guess" in res.note
-    assert res.state is None and res.iterations == 0 and res.damping_trials == 0
+    assert res.u is None and res.report is None
+    assert res.iterations == 0 and res.damping_trials == 0
 
 
 def test_newton_iteration_limit_reported():
@@ -372,7 +380,7 @@ def test_newton_iteration_limit_reported():
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, cfg)
     assert "limit" in res.note
     assert res.residual_norm is not None and res.residual_norm > 0
-    assert res.state is None
+    assert res.u is None and res.report is None
 
 
 def test_newton_nan_residual_is_not_converged(monkeypatch):
@@ -388,7 +396,7 @@ def test_newton_nan_residual_is_not_converged(monkeypatch):
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
     assert np.isnan(res.residual_norm)
     assert "non-finite residual" in res.note
-    assert res.state is None
+    assert res.u is None and res.report is None
     assert linear_solves == []
     assert res.iterations == 0 and res.linear_iterations == 0
 
@@ -516,7 +524,7 @@ def test_continuation_stationary_path_stays_at_zero(march):
     log, last, reports = march(bg, coeff, cfg)
     assert last.t == 1.0
     assert np.array_equal(last.u, np.zeros(grid.shape))
-    assert sum(rec.newton_iters for rec in log) == 0
+    assert sum(rec.iterations for rec in log) == 0
     assert all(r.sup_u == 0.0 for r in reports)
 
 
@@ -541,7 +549,7 @@ def test_continuation_default_problem(march):
     assert ts == [0.0, 1.0]
     assert len(accepted) == len(log)
     assert any(rec.dt > cfg.dt_init for rec in accepted)
-    assert sum(rec.newton_iters for rec in accepted) <= 8
+    assert sum(rec.iterations for rec in accepted) <= 8
     # each record holds the step taken, the last one clamped to t = 1
     assert [rec.dt for rec in accepted[1:]] == [b - a for a, b in zip(ts, ts[1:])]
     for rep in reports:
@@ -570,7 +578,7 @@ def test_continuation_stall_carries_last_state(march):
     assert [(rec.t, rec.dt) for rec in rejected] == [(1.0, 1.0), (0.2, 0.2)]
     assert all(rec.note for rec in rejected)
     # a rejected step logs the Newton iterations it spent, not zero
-    assert all(rec.newton_iters == 1 for rec in rejected)
+    assert all(rec.iterations == 1 for rec in rejected)
     # a rejected record holds neither a state nor a report
     assert all(rec.u is None and rec.report is None for rec in rejected)
     # the run ends on the step that fell below dt_min: nothing is yielded
@@ -594,7 +602,7 @@ def test_continuation_recovers_after_rejected_enlarged_step(march):
     ts = [rec.t for rec in accepted]
     assert ts[-1] == 1.0 and all(a < b for a, b in zip(ts, ts[1:]))
     assert rejected and all(rec.note for rec in rejected)
-    assert all(rec.newton_iters == cfg.max_newton for rec in rejected)
+    assert all(rec.iterations == cfg.max_newton for rec in rejected)
     # the whole path is tried first and hands over to dt_init
     whole, after = log[1:3]
     assert (whole.t, whole.dt, whole.accepted) == (1.0, 1.0, False)
@@ -614,11 +622,7 @@ def test_continuation_falls_back_after_the_whole_path_fails(march):
     # u = 0, so the attempt fails fast and the controller takes the path
     grid = make_grid(3, 8)
     bg = geometry.flat_background(grid, tau=0.0)
-    x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    x2 = grid.coordinate(1) + np.zeros(grid.shape)
-    coeff = geometry.CoefficientData(
-        grid=grid, k=3, alpha=20.0 * np.sin(x1) * np.cos(x2), alpha_l=np.ones((2,) + grid.shape)
-    )
+    coeff = hard_coeff(grid)
     cfg = solver.SolverConfig()
     log, last, _ = march(bg, coeff, cfg)
     assert last.t == 1.0
@@ -629,8 +633,26 @@ def test_continuation_falls_back_after_the_whole_path_fails(march):
     # Newton iterations, accepted + rejected: 28 + 0 with the doubling
     # controller alone; 36 + 5 measured with the whole-path attempt, whose
     # damping floor also rejects the first step of dt_init
-    assert sum(rec.newton_iters for rec in log) <= 41
+    assert sum(rec.iterations for rec in log) <= 41
 
+
+def test_continuation_records_hold_no_evaluated_state(march):
+    # no record, rejected ones included, holds an evaluated state, and an
+    # accepted record's report is the snapshot of its root evaluated afresh,
+    # field for field
+    grid = make_grid(3, 8)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = hard_coeff(grid)
+    log, _, _ = march(bg, coeff, solver.SolverConfig())
+    assert any(not rec.accepted for rec in log)
+    for rec in log:
+        for f in fields(rec):
+            assert not isinstance(getattr(rec, f.name), operator.PointState), f.name
+    for rec in (rec for rec in log if rec.accepted):
+        state = operator.evaluate(rec.u, rec.t, bg, coeff)
+        fresh = monitors.snapshot_point(state, bg, coeff, rec.iterations)
+        assert astuple(rec.report) == astuple(fresh)
+        assert rec.report.residual == rec.residual_norm and rec.report.t == rec.t
 
 def test_newton_forcing_terms(monkeypatch):
     # inexact Newton: GMRES is asked for eta_0 = 0.01 first, then for
@@ -680,7 +702,7 @@ def test_continuation_is_deterministic(march):
         runs.append(
             (
                 last.u.tobytes(),
-                tuple((rec.t, rec.residual_norm, rec.newton_iters) for rec in log),
+                tuple((rec.t, rec.residual_norm, rec.iterations) for rec in log),
                 tuple(astuple(rep) for rep in reports),
             )
         )
