@@ -172,15 +172,13 @@ def matrix_cone_margin(M, k):
 class QuotientEval:
     """One batched evaluation of G and its matrix gradient.
 
-    sigma : (..., k+1) sigma_0..sigma_k
+    sigma : (..., k+1) sigma_0..sigma_k, from which G_l = -sigma_l/sigma_{k-1}
     value : (...) G(M)
-    gl : (..., k-1) the quotients G_l = -sigma_l/sigma_{k-1}, l = 0..k-2
     grad : (..., n, n) dG/dM
     """
 
     sigma: np.ndarray
     value: np.ndarray
-    gl: np.ndarray
     grad: np.ndarray
 
 
@@ -209,7 +207,6 @@ def quotient_eval(M, k, beta=None):
     sig = _recursion(P, k, T)
     sigma = np.moveaxis(sig, 0, -1)
     skm1 = sig[k - 1]
-    gl = np.moveaxis(-sig[: k - 1] / skm1, 0, -1)
     if beta is None:
         num = sig[k]
     else:
@@ -230,7 +227,7 @@ def quotient_eval(M, k, beta=None):
         row[0] += coef[0]
     mirror(P)
     grad = np.moveaxis(P, (0, 1), (-2, -1))
-    return QuotientEval(sigma=sigma, value=value, gl=gl, grad=grad)
+    return QuotientEval(sigma=sigma, value=value, grad=grad)
 
 
 def homotopy_constant(n, k):

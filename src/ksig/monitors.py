@@ -195,14 +195,7 @@ class LemmaSuiteResult:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "requested_samples": self.requested_samples,
-            "all_passed": self.all_passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def _norm_scale(*arrays):

@@ -1,10 +1,10 @@
-"""One canonical pointwise evaluation of the deformed equation.
+"""The discrete operator F and its exact derivative dF, in one module.
 
-Both the solver and the monitors go through `evaluate`, so residuals,
+`evaluate` builds F at one (u, t), with the cone margin and the gradient
+G^{ij}; both the solver and the monitors go through it, so residuals,
 gradients, cone margins and inequality slacks always come from the same
-arithmetic.  Every evaluation builds, with the residual, the gradient G^{ij}
-and the zeroth-order coefficient of the linearization.  The residual
-convention is
+arithmetic.  `jacobian` builds dF at an evaluated state, once per Newton
+step.  The residual convention is
 
     F(u; t) = G(U^t) + t alpha e^{2u},
 
@@ -19,9 +19,9 @@ import numpy as np
 
 from . import cones
 from .geometry import assemble_U, beta_weights
-from .grid import JetField, compute_jet, worst_node
+from .grid import JetField, compute_jet, shift, worst_node
 
-__all__ = ["PointState", "evaluate", "admissibility_failure"]
+__all__ = ["PointState", "evaluate", "jacobian", "admissibility_failure"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class PointState:
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
     residual: np.ndarray  # F(u; t)
     grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
-    zeroth: np.ndarray  # zeroth-order linearization coefficient
 
 
 def evaluate(u, t, background, coeff, jet=None):
@@ -55,10 +54,7 @@ def evaluate(u, t, background, coeff, jet=None):
     beta = beta_weights(coeff, u, t)
     ev = cones.quotient_eval(U, k, beta)
     margin = ev.sigma[..., 1:k].min(axis=-1)
-    exp2u = np.exp(2.0 * u)
-    residual = ev.value + t * coeff.alpha * exp2u
-    ls = np.arange(k - 1)
-    zeroth = np.sum(2.0 * (k - ls) * beta * ev.gl, axis=-1) + 2.0 * t * coeff.alpha * exp2u
+    residual = ev.value + t * coeff.alpha * np.exp(2.0 * u)
     return PointState(
         u=u,
         t=t,
@@ -69,8 +65,62 @@ def evaluate(u, t, background, coeff, jet=None):
         margin=margin,
         residual=residual,
         grad=ev.grad,
-        zeroth=zeroth,
     )
+
+
+def jacobian(state, background, coeff):
+    """dF at `state`, an evaluate result, as per-node weights on
+    compute_jet's stencil, built once.
+
+    dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
+    b = (2-tau) tr(G) grad u - 2 G grad u, G = G^{ij}, c1 = (1-tau)/(n-2)
+    and c = sum_l 2(k-l) beta_l G_l + 2 t alpha e^{2u}, where
+    G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
+    (apply, diagonal): apply(v) is dF[v] for a grid field v, summed from the
+    weights of v(x), of v(x +- h e_i) and of the four-point cross
+    differences; diagonal is the weight of v(x), dF's diagonal.
+    """
+    grid = background.grid
+    n = grid.dim
+    h = grid.spacing
+    k, t = coeff.k, state.t
+    c1 = (1.0 - background.tau) / (n - 2.0)
+    # G^{ij} as component planes: quotient_eval builds the gradient on
+    # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
+    G = np.moveaxis(state.grad, (-2, -1), (0, 1))
+    trace_g = np.trace(G)
+    g = state.jet.grad_planes
+    b = (2.0 - background.tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
+    # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
+    diag_g = np.moveaxis(np.diagonal(G), -1, 0)
+    # weights multiply by the reciprocal of the stencil denominators; dividing
+    # instead rounds differently and moves the stored solutions' last bits
+    axial = (diag_g + c1 * trace_g) * (1.0 / (h * h))
+    drift = b * (1.0 / (2.0 * h))
+    gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
+    beta = beta_weights(coeff, state.u, t)
+    zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * beta * gl, axis=-1)
+    zeroth += 2.0 * t * coeff.alpha * np.exp(2.0 * state.u)
+    centre = zeroth - 2.0 * axial.sum(axis=0)
+    plus = axial + drift
+    minus = axial - drift
+    cross = [(i, j, G[i, j] * (1.0 / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
+    fwd, back = grid.zeros(), grid.zeros()  # v shifted by +-1 node, reused by every apply
+
+    def apply(v):
+        out = centre * v
+        diffs = []
+        for i in range(n):
+            shift(v, 1, i, fwd)
+            shift(v, -1, i, back)
+            out += plus[i] * fwd + minus[i] * back
+            diffs.append(fwd - back)
+        for i, j, w in cross:
+            np.subtract(shift(diffs[i], 1, j, fwd), shift(diffs[i], -1, j, back), out=fwd)
+            out += np.multiply(w, fwd, out=fwd)
+        return out
+
+    return apply, centre
 
 
 def admissibility_failure(state, floor, context):

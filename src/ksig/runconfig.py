@@ -145,7 +145,9 @@ def load_config(path):
         with open(path) as fh:
             parser.read_file(fh)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        # configparser lists each bad line on a line of its own; the error is one line
+        reason = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse {path}: {reason}") from exc
     sections = typing.get_type_hints(RunConfig)
     extra = set(parser.sections()) - set(sections)
     if extra:

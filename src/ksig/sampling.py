@@ -136,6 +136,10 @@ def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1
         s_hi[need] *= 2.0
     for _ in range(80):
         mid = 0.5 * (s_lo + s_hi)
+        # s_lo only ever holds points above target and s_hi only points that
+        # are not, so once every midpoint is an endpoint no halving moves one
+        if ((mid == s_lo) | (mid == s_hi)).all():
+            break
         above = margins(mid) > target
         s_lo = np.where(above, mid, s_lo)
         s_hi = np.where(above, s_hi, mid)

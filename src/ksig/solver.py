@@ -4,12 +4,12 @@ quotient equation.
 The path follows the explicit one-parameter family: coefficient weights
 (1-t) c + t alpha_l and background blend -t B + (1-t) g0, anchored at the
 exactly known root u = 0 at t = 0.  Each t-step solves F(u; t) = 0 with a
-damped inexact Newton iteration: its linear systems are solved by the
-module's own matrix-free restarted GMRES (_gmres), left-preconditioned by
-the Jacobian's diagonal, only to an Eisenstat-Walker forcing term; damping
-keeps every iterate strictly inside Gamma_{k-1}.  A residual that is not
-finite, or whose 2-norm overflows, fails the Newton solve before GMRES
-iterates.
+damped inexact Newton iteration: its linear systems, dF from
+operator.jacobian at the current iterate, are solved by the module's own
+matrix-free restarted GMRES (_gmres), left-preconditioned by dF's diagonal,
+only to an Eisenstat-Walker forcing term; damping keeps every iterate
+strictly inside Gamma_{k-1}.  A residual that is not finite, or whose
+2-norm overflows, fails the Newton solve before GMRES iterates.
 
 The a priori estimates keep the whole path closed, so the run first tries
 t = 1 in one step from the anchor.  Newton gives up on a step as soon as
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import monitors, operator
-from .grid import shift, sup_norm
+from .grid import sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
 # Georg, Introduction to Numerical Continuation Methods, SIAM 2003): an
@@ -71,7 +71,6 @@ _LINEAR_RESTART = 50
 __all__ = [
     "SolverConfig",
     "StepRecord",
-    "jacobian",
     "newton_solve_at_t",
     "continuation_steps",
     "manufacture_alpha",
@@ -118,55 +117,6 @@ class StepRecord:
     @property
     def accepted(self):
         return not self.note
-
-
-def jacobian(state, background):
-    """dF at `state`, an operator.evaluate result, as per-node weights on
-    compute_jet's stencil, built once.
-
-    dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
-    b = (2-tau) tr(G) grad u - 2 G grad u, c = zeroth, G = G^{ij} and
-    c1 = (1-tau)/(n-2), all on the flat chart.  Returns (apply, diagonal):
-    apply(v) is dF[v] for a grid field v, summed from the weights of v(x),
-    of v(x +- h e_i) and of the four-point cross differences; diagonal is
-    the weight of v(x), dF's diagonal.
-    """
-    grid = background.grid
-    n = grid.dim
-    h = grid.spacing
-    c1 = (1.0 - background.tau) / (n - 2.0)
-    # G^{ij} as component planes: quotient_eval builds the gradient on
-    # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
-    G = np.moveaxis(state.grad, (-2, -1), (0, 1))
-    trace_g = np.trace(G)
-    g = state.jet.grad_planes
-    b = (2.0 - background.tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
-    # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
-    diag_g = np.moveaxis(np.diagonal(G), -1, 0)
-    # weights multiply by the reciprocal of the stencil denominators; dividing
-    # instead rounds differently and moves the stored solutions' last bits
-    axial = (diag_g + c1 * trace_g) * (1.0 / (h * h))
-    drift = b * (1.0 / (2.0 * h))
-    centre = state.zeroth - 2.0 * axial.sum(axis=0)
-    plus = axial + drift
-    minus = axial - drift
-    cross = [(i, j, G[i, j] * (1.0 / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
-    fwd, back = grid.zeros(), grid.zeros()  # v shifted by +-1 node, reused by every apply
-
-    def apply(v):
-        out = centre * v
-        diffs = []
-        for i in range(n):
-            shift(v, 1, i, fwd)
-            shift(v, -1, i, back)
-            out += plus[i] * fwd + minus[i] * back
-            diffs.append(fwd - back)
-        for i, j, w in cross:
-            np.subtract(shift(diffs[i], 1, j, fwd), shift(diffs[i], -1, j, back), out=fwd)
-            out += np.multiply(w, fwd, out=fwd)
-        return out
-
-    return apply, centre
 
 
 def _gmres(apply, diagonal, b, rtol):
@@ -283,7 +233,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             note = failure(f"Newton iteration limit {config.max_newton}")
             break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
-        delta, lin_iters, lin_note = _gmres(*jacobian(state, background), -state.residual, eta)
+        delta, lin_iters, lin_note = _gmres(*operator.jacobian(state, background, coeff), -state.residual, eta)
         del state  # the trials need only u and rnorm; free its arrays for theirs
         linear_iters += lin_iters
         if lin_note:

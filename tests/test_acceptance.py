@@ -61,8 +61,8 @@ def admissible_state(u, t, bg, coeff):
 
 
 def linearize(u, t, v, bg, coeff):
-    """dF[v] at (u, t) through solver.jacobian, the operator GMRES applies."""
-    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff), bg)
+    """dF[v] at (u, t) through operator.jacobian, the operator GMRES applies."""
+    apply, _ = operator.jacobian(admissible_state(u, t, bg, coeff), bg, coeff)
     return apply(v)
 
 

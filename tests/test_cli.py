@@ -106,6 +106,10 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha = 0.2*sin(x1)": "alpha = 1e999"}, "alpha = inf at node (0, 0, 0)"),
         # a value is its text: `%` is no interpolation syntax
         ({"alpha = 0.2*sin(x1)": "alpha = 50%"}, "cannot parse field expression at '%'"),
+        # configparser's message for a line with no `=` spans several lines
+        ({"[output]": "oops\n\n[output]"}, "cannot parse"),
+        ({"alpha_l = 1.0": "alpha_l = 1, 2, 3"}, "alpha_l needs 1 or k-1=2 entries"),
+        ({"background = hyperbolic-like": "background = spaceform:abc"}, "bad spaceform curvature"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -525,6 +529,25 @@ def test_manufacture_writes_solvable_package(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(outdir / "manufactured.ini")]) == 0
     summary = json.loads((tmp_path / "solved" / "summary.json").read_text())
     assert summary["residual_sup"] <= 1e-9
+
+
+def test_manufacture_from_a_file_u_star_is_an_exact_discrete_root(tmp_path, capsys, monkeypatch):
+    # a file: u_star is manufactured against the stencil jet, so its discrete
+    # residual is zero to machine precision and solve recovers it
+    grid = PeriodicGrid(3, 12)
+    u_star = grid.zeros() + 0.1 * np.sin(grid.coordinate(0)) * np.cos(grid.coordinate(1))
+    write_field(tmp_path / "u_star_in.ksig", grid, u_star)
+    outdir = tmp_path / "manu"
+    text = MANU_CONFIG.format(outdir=outdir).replace("resolution = 8", "resolution = 12")
+    text = text.replace("u_star = 0.1*sin(x1)*cos(x2)", "u_star = file:u_star_in.ksig")
+    assert main(["manufacture", str(write_config(tmp_path, text))]) == 0
+    out = capsys.readouterr().out
+    res = float(re.search(r"manufactured residual at t=1: (\S+)", out).group(1))
+    assert res <= 1e-14
+    monkeypatch.setenv("KSIG_OUTDIR", str(tmp_path / "solved"))
+    assert main(["solve", str(outdir / "manufactured.ini")]) == 0
+    _, u = read_field(tmp_path / "solved" / "u_final.ksig")
+    assert np.abs(u - u_star).max() <= 1e-9
 
 
 def test_manufacture_package_keeps_the_solver_settings(tmp_path, monkeypatch):

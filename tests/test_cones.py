@@ -401,7 +401,7 @@ def test_euler_homogeneity_per_gl():
         onehot[l] = 1.0
         withl = cones.quotient_eval(M, k, onehot)
         grad_gl = withl.grad - base.grad
-        gl = base.gl[..., l]
+        gl = -base.sigma[..., l] / base.sigma[..., k - 1]
         contraction = np.einsum("bij,bij->b", grad_gl, M)
         want = (l - k + 1) * gl
         assert np.all(np.abs(contraction - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
@@ -429,10 +429,9 @@ def reference_sigma_and_transforms(M, kmax):
 
 
 def reference_quotient(M, k, beta):
-    """(sigma, value, gl, grad) of G from the reference recursion and the quotient rule."""
+    """(sigma, value, grad) of G from the reference recursion and the quotient rule."""
     sig, T = reference_sigma_and_transforms(M, k)
     skm1 = sig[..., k - 1]
-    gl = -sig[..., : k - 1] / skm1[..., None]
     num = sig[..., k]
     grad_num = T[k - 1].copy()
     if beta is not None:
@@ -442,7 +441,7 @@ def reference_quotient(M, k, beta):
     grad = grad_num / skm1[..., None, None]
     if k >= 2:
         grad -= (num / skm1**2)[..., None, None] * T[k - 2]
-    return sig, num / skm1, gl, grad
+    return sig, num / skm1, grad
 
 
 def assert_oracle_close(got, want, rtol=1e-13):
@@ -480,11 +479,10 @@ def check_quotient(M, k, beta):
     before = M.copy()
     ev = cones.quotient_eval(M, k, beta)
     assert np.array_equal(M, before)  # the gradient is built in a copy
-    sig, value, gl, grad = reference_quotient(M, k, beta)
+    sig, value, grad = reference_quotient(M, k, beta)
     for j in range(k + 1):
         assert_oracle_close(ev.sigma[..., j], sig[..., j])
     assert_oracle_close(ev.value, value)
-    assert_oracle_close(ev.gl, gl)
     assert_oracle_close(ev.grad, grad)
 
 
@@ -664,6 +662,38 @@ def test_boundary_biased_sampler_lands_in_window():
     assert np.all(m > 1e-12)
     assert np.all(m < 1e-5)
     assert np.median(m) < 1e-6
+
+
+def boundary_biased_reference(rng, count, n, k, margin_low=1e-9, margin_high=1e-6):
+    """boundary_biased_eigenvalues with all 80 halvings of its bisection, on
+    the same draws."""
+    lam = sampling.gamma_eigenvalues(rng, count, n, k, margin=1e-3)
+    target = 10.0 ** rng.uniform(np.log10(margin_low), np.log10(margin_high), count)
+    s_lo = np.zeros(count)
+    s_hi = np.full(count, 1.0)
+    for _ in range(30):
+        need = cones.cone_margin(lam - s_hi[:, None], k) > target
+        if not need.any():
+            break
+        s_hi[need] *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (s_lo + s_hi)
+        above = cones.cone_margin(lam - mid[:, None], k) > target
+        s_lo = np.where(above, mid, s_lo)
+        s_hi = np.where(above, s_hi, mid)
+    pulled = lam - s_lo[:, None]
+    m = cones.cone_margin(pulled, k)
+    return pulled[(m > 1e-12) & (m < 10.0 * margin_high)]
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 2, 8), (3, 3, 42), (4, 3, 43), (5, 4, 44), (5, 5, 57)])
+def test_boundary_bisection_stops_on_the_fixed_halving_result(n, k, seed):
+    # the bisection ends once every midpoint is an endpoint; the samples are
+    # bit for bit those of the full 80 halvings
+    got = sampling.boundary_biased_eigenvalues(sampling.generator(seed), 300, n, k)
+    want = boundary_biased_reference(sampling.generator(seed), 300, n, k)
+    assert len(want) > 0
+    assert np.array_equal(got, want)
 
 
 def sign_fixed_qr(a):

@@ -1,5 +1,7 @@
 """Grid jets against exact-derivative oracles, norms, and field file I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,22 @@ def test_field_bad_magic(tmp_path):
         read_field(p)
 
 
+@pytest.mark.parametrize(
+    "raw,needle",
+    [
+        (b"KSI", "truncated header"),
+        (struct.pack("<4sBBI", b"KSIG", 2, 3, 8), "unsupported format version 2"),
+        (struct.pack("<4sBBI", b"KSIG", 1, 9, 8), "invalid header"),
+    ],
+    ids=["short", "version", "dim"],
+)
+def test_field_bad_header(tmp_path, raw, needle):
+    p = tmp_path / "f.ksig"
+    p.write_bytes(raw)
+    with pytest.raises(FieldFormatError, match=needle):
+        read_field(p)
+
+
 def test_field_truncated_payload(tmp_path):
     grid = PeriodicGrid(3, 8)
     p = tmp_path / "f.ksig"
@@ -214,8 +232,6 @@ def test_field_nan_names_node(tmp_path):
     values = np.zeros(grid.shape)
     values[1, 2, 3] = np.nan
     p = tmp_path / "f.ksig"
-    import struct
-
     header = struct.pack("<4sBBI", b"KSIG", 1, 3, 8)
     p.write_bytes(header + np.ascontiguousarray(values, dtype="<f8").tobytes())
     with pytest.raises(FieldFormatError, match=r"\(1, 2, 3\)"):

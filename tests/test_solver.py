@@ -72,9 +72,9 @@ def residual(u, t, bg, coeff):
 
 
 def linearize(u, t, v, bg, coeff):
-    """dF[v] at an admissible (u, t) through solver.jacobian, the operator
+    """dF[v] at an admissible (u, t) through operator.jacobian, the operator
     GMRES applies."""
-    apply, _ = solver.jacobian(admissible_state(u, t, bg, coeff), bg)
+    apply, _ = operator.jacobian(admissible_state(u, t, bg, coeff), bg, coeff)
     return apply(v)
 
 
@@ -245,7 +245,7 @@ def central_dU(u, v, t, bg):
 
 
 def jacobian_error(state, v, dU, bg, coeff):
-    """Relative sup error of solver.jacobian's apply(v) against dF[v]: dU
+    """Relative sup error of operator.jacobian's apply(v) against dF[v]: dU
     contracted with G^{ij}, plus the pointwise derivative in u of
     beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
     k, u, t = coeff.k, state.u, state.t
@@ -253,7 +253,7 @@ def jacobian_error(state, v, dU, bg, coeff):
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]
     pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
     exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
-    apply, _ = solver.jacobian(state, bg)
+    apply, _ = operator.jacobian(state, bg, coeff)
     return sup_norm(apply(v) - exact) / sup_norm(exact)
 
 
