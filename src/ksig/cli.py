@@ -1,9 +1,10 @@
 """Batch front door: solve / verify / manufacture / report.
 
 Exit codes: 0 success; 1 property violation from `verify`, or an exception
-escaping `solve`, with its traceback; 2 invalid configuration, usage, or
-hypothesis failure (nothing is written); 3 continuation stall; 130 `solve`
-interrupted.  Stall, interrupt and crash persist the last accepted state.
+escaping `solve`, with its traceback; 2 invalid configuration, usage,
+hypothesis failure, or an output directory that cannot be created (nothing
+is written); 3 continuation stall; 130 `solve` interrupted.  Stall,
+interrupt and crash persist the last accepted state.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ _VALIDATION_ERRORS = (
 def _fail(exc):
     print(f"error: {exc}", file=sys.stderr)
     return 2
+
+
+def _make_outdir(outdir):
+    """Create the output directory; a path that cannot be one is an input error."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
 
 
 def _dump_json(path, payload):
@@ -110,7 +119,6 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
             for rec in rejected
         ],
         "stalled": stalled,
-        "trace_summary": monitors.estimate_trace_series(reports).to_dict(),
         "timings": {"total_seconds": elapsed},
     }
     _dump_json(outdir / "summary.json", summary)
@@ -131,9 +139,9 @@ def _load_problem(config_path):
 def cmd_solve(args):
     try:
         cfg, _, grid, background, coeff, outdir = _load_problem(args.config)
+        _make_outdir(outdir)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     log = []
     interrupted = False
@@ -187,10 +195,10 @@ def cmd_verify(args):
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         outdir = runconfig.resolve_output_dir(args.out)
+        _make_outdir(outdir)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
     result = monitors.run_lemma_suite(args.n, args.k, samples=args.samples, seed=args.seed)
-    outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "lemmas.json", result.to_dict())
     if result.all_passed:
         print(
@@ -231,10 +239,10 @@ def cmd_manufacture(args):
     # outside the catch above: a plain ValueError from here is a bug, not bad input
     try:
         coeff = solver.manufacture_alpha(u_star, background, coeff, jet=jet)
-    except cones.InadmissibleStateError as exc:
+        _make_outdir(outdir)
+    except (cones.InadmissibleStateError, ConfigError) as exc:
         return _fail(exc)
 
-    outdir.mkdir(parents=True, exist_ok=True)
     write_field(outdir / "u_star.ksig", grid, u_star)
     write_field(outdir / "alpha.ksig", grid, coeff.alpha)
     names = [f"alpha_l_{l}.ksig" for l in range(p.k - 1)]

@@ -66,22 +66,27 @@ def _square(M):
     return M
 
 
+def _symmetric_planes(lam, kmax):
+    """sigma_0..sigma_kmax of the last axis of float64 `lam` as contiguous
+    planes (kmax+1, ...), by the incremental recurrence over the entries.
+    Each step reads only sigma_j and sigma_{j-1}, so stopping at kmax keeps
+    the bits of the full recurrence."""
+    sig = np.zeros((kmax + 1,) + lam.shape[:-1], dtype=np.float64)
+    sig[0] = 1.0
+    for i in range(lam.shape[-1]):
+        top = min(i + 1, kmax)  # e_j <- e_j + x * e_{j-1} for j <= top, in one slice
+        sig[1 : top + 1] = sig[1 : top + 1] + lam[..., i] * sig[0:top]
+    return sig
+
+
 def all_elementary_symmetric(lam):
     """All sigma_0..sigma_n of the last axis of `lam`, shape (..., n+1).
 
-    Incremental recurrence over the entries, run on contiguous planes
-    (n+1, ...) and returned as a (..., n+1) view of them; exact in floating
-    point for small-integer inputs, which the enumeration-oracle tests rely
-    on.
+    A (..., n+1) view of the recurrence's planes; exact in floating point
+    for small-integer inputs, which the enumeration-oracle tests rely on.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    n = lam.shape[-1]
-    sig = np.zeros((n + 1,) + lam.shape[:-1], dtype=np.float64)
-    sig[0] = 1.0
-    for i in range(n):
-        # e_j <- e_j + x * e_{j-1} for the first i+1 planes, done in one slice
-        sig[1 : i + 2] = sig[1 : i + 2] + lam[..., i] * sig[0 : i + 1]
-    return np.moveaxis(sig, 0, -1)
+    return np.moveaxis(_symmetric_planes(lam, lam.shape[-1]), 0, -1)
 
 
 def _planes(M):
@@ -150,22 +155,18 @@ def matrix_sigmas(M, kmax):
 
 
 def cone_margin(lam, k):
-    """min_{1<=j<=k} sigma_j for eigenvalue vectors: > 0 iff inside Gamma_k."""
+    """min_{1<=j<=k} sigma_j for eigenvalue vectors (inf for k = 0): > 0 iff
+    inside Gamma_k."""
     lam = np.asarray(lam, dtype=np.float64)
     _check_order(k, lam.shape[-1])
-    if k == 0:
-        return np.full(lam.shape[:-1], np.inf)
-    sig = np.moveaxis(all_elementary_symmetric(lam), -1, 0)  # the planes
-    return sig[1 : k + 1].min(axis=0)
+    return _symmetric_planes(lam, k)[1:].min(axis=0, initial=np.inf)
 
 
 def matrix_cone_margin(M, k):
-    """min_{1<=j<=k} sigma_j(M) via the trace recursion."""
+    """min_{1<=j<=k} sigma_j(M) via the trace recursion (inf for k = 0)."""
     M = _square(M)
     _check_order(k, M.shape[-1])
-    if k == 0:
-        return np.full(M.shape[:-2], np.inf)
-    return _recursion(_planes(M), k)[1:].min(axis=0)
+    return _recursion(_planes(M), k)[1:].min(axis=0, initial=np.inf)
 
 
 @dataclass(frozen=True)

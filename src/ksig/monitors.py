@@ -1,11 +1,12 @@
 """Per-step estimate traces and a randomized algebraic property suite.
 
 Monitors report the quantities the a priori estimates control (sup-norms,
-cone margins, ellipticity eigenvalues, ratio bounds) as observed values
-along the homotopy; nothing here asserts the non-explicit constants, and
-diagnostics warn instead of aborting a solve.  The lemma suite re-checks
-the cone algebra on random and adversarially boundary-biased samples with
-a counter-based generator so results are reproducible from the seed alone.
+cone margins, ellipticity eigenvalues, ratio bounds) once per accepted
+step, in monitors.csv and nowhere else; nothing here asserts the
+non-explicit constants, and diagnostics warn instead of aborting a solve.
+The lemma suite re-checks the cone algebra on random and adversarially
+boundary-biased samples with a counter-based generator so results are
+reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -28,8 +30,6 @@ __all__ = [
     "PropertyCheck",
     "LemmaSuiteResult",
     "run_lemma_suite",
-    "TraceSummary",
-    "estimate_trace_series",
 ]
 
 @dataclass(frozen=True)
@@ -172,6 +172,10 @@ def read_monitor_csv(path):
 # ---------------------------------------------------------------------------
 # randomized property suite
 
+_TOLERANCE = 1e-10  # the largest normalised violation a property passes with
+_ADMISSIBLE_FLOOR = 1e-12  # the cone margin base - s*probe must keep
+_SHRINK_ROUNDS = 60  # halvings of s before _shrink_until_admissible drops a row
+
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -218,7 +222,7 @@ def _power_family(sig, k):
     return np.stack(rows)
 
 
-def _shrink_until_admissible(base, probe, k, floor=1e-12, rounds=60):
+def _shrink_until_admissible(base, probe, k):
     """Largest s (by halving from 1) with base - s*probe still in Gamma_k.
 
     Each round re-checks only the rows that were still outside the cone:
@@ -226,21 +230,22 @@ def _shrink_until_admissible(base, probe, k, floor=1e-12, rounds=60):
     """
     s = np.ones(base.shape[0])
     active = np.arange(base.shape[0])
-    for _ in range(rounds):
+    for _ in range(_SHRINK_ROUNDS):
         trial = base[active] - s[active, None, None] * probe[active]
-        active = active[cones.matrix_cone_margin(trial, k) <= floor]
+        active = active[cones.matrix_cone_margin(trial, k) <= _ADMISSIBLE_FLOOR]
         if not active.size:
             break
         s[active] *= 0.5
     trial = base - s[:, None, None] * probe
-    keep = cones.matrix_cone_margin(trial, k) > floor
+    keep = cones.matrix_cone_margin(trial, k) > _ADMISSIBLE_FLOOR
     return trial, keep
 
 
-def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
+def run_lemma_suite(n, k, samples=10_000, seed=42):
     """Re-check the cone algebra on `samples` random draws plus adversarial
     near-boundary draws and the equality point e; returns per-property
-    maxima.  Failures are recorded in the result, never raised.
+    maxima, each passing at or below _TOLERANCE.  Failures are recorded in
+    the result, never raised.
 
     The draw order is fixed, so (n, k, samples, seed) fully determine the
     result.  The caller checks 3 <= k <= n <= 5 and samples >= 1.
@@ -267,17 +272,9 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
             ]
         )
 
-    def record(name, count, violation, tol=tolerance):
+    def record(name, count, violation):
         violation = float(violation)
-        checks.append(
-            PropertyCheck(
-                name=name,
-                samples=int(count),
-                max_violation=violation,
-                tolerance=tol,
-                passed=violation <= tol,
-            )
-        )
+        checks.append(PropertyCheck(name, int(count), violation, _TOLERANCE, violation <= _TOLERANCE))
 
     # --- sigma recursion vs subset enumeration, through rotations
     lam = rng.uniform(-2.0, 2.0, size=(samples, n))
@@ -285,8 +282,6 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     sig_mat = cones.matrix_sigmas(mats, n)
     sig_enum = np.zeros((samples, n + 1))
     sig_enum[:, 0] = 1.0
-    from itertools import combinations
-
     for j in range(1, n + 1):
         acc = np.zeros(samples)
         for combo in combinations(range(n), j):
@@ -390,57 +385,3 @@ def run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10):
     return LemmaSuiteResult(
         n=n, k=k, seed=seed, requested_samples=samples, checks=tuple(checks)
     )
-
-
-# ---------------------------------------------------------------------------
-# series summaries
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    maxima: dict
-    minima: dict
-    blow_up: dict
-    warnings: tuple
-
-    def to_dict(self):
-        return {
-            "maxima": self.maxima,
-            "minima": self.minima,
-            "blow_up": self.blow_up,
-            "warnings": list(self.warnings),
-        }
-
-
-_GROWING = ("sup_u", "sup_grad_u", "sup_lap_u", "max_sigma_ratio")
-_SHRINKING = ("cone_margin", "min_eig_Gij", "trace_slack", "eq33_slack")
-
-
-def estimate_trace_series(reports):
-    """Maxima/minima of each traced quantity across the homotopy, with a
-    blow-up flag when a growing trace jumps by more than 10x in one step."""
-    if not reports:
-        raise ValueError("need at least one monitor report")
-    maxima = {}
-    minima = {}
-    blow_up = {}
-    notes = []
-    for name in _GROWING:
-        series = np.array([getattr(r, name) for r in reports])
-        maxima[name] = float(series.max())
-        flag = False
-        for i in range(len(series) - 1):
-            # a ratio only means something from a nonzero baseline: the t=0
-            # anchor rows are exactly 0.0 and any lift-off would trip it
-            if series[i] > 1e-9 and series[i + 1] > 10.0 * series[i]:
-                flag = True
-        blow_up[name] = flag
-        if flag:
-            notes.append(f"{name} grew by more than 10x across one continuation step")
-    for name in _SHRINKING:
-        series = np.array([getattr(r, name) for r in reports])
-        minima[name] = float(series.min())
-    return TraceSummary(
-        maxima=maxima, minima=minima, blow_up=blow_up, warnings=tuple(notes)
-    )
-

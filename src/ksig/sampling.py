@@ -30,12 +30,16 @@ __all__ = [
 ]
 
 
+_MAX_ROUNDS = 2000  # rejection chunks gamma_eigenvalues draws before it gives up
+_BOUNDARY_LOW, _BOUNDARY_HIGH = 1e-9, 1e-6  # boundary_biased_eigenvalues' margin window
+
+
 def generator(seed):
     """Counter-based RNG; reproducible and insensitive to draw interleaving."""
     return np.random.Generator(np.random.Philox(seed))
 
 
-def gamma_eigenvalues(rng, count, n, k, margin=0.0, max_rounds=2000):
+def gamma_eigenvalues(rng, count, n, k, margin=0.0):
     """Rejection-sample eigenvalue vectors uniform on [-1, 2]^n inside Gamma_k.
 
     `margin` shrinks the cone: kept samples satisfy min_j sigma_j > margin.
@@ -44,7 +48,7 @@ def gamma_eigenvalues(rng, count, n, k, margin=0.0, max_rounds=2000):
     """
     out = np.empty((0, n))
     chunk = max(1024, 2 * count)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         lam = rng.uniform(-1.0, 2.0, size=(chunk, n))
         keep = lam[cones.cone_margin(lam, k) > margin]
         if keep.size:
@@ -110,9 +114,9 @@ def psd_matrices(rng, count, n, eig_low=0.0, eig_high=1.0):
     return conjugate_by_rotations(rng, lam)
 
 
-def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1e-6):
-    """Eigenvalue vectors pulled to within [margin_low, margin_high] of the
-    Gamma_k boundary.
+def boundary_biased_eigenvalues(rng, count, n, k):
+    """Eigenvalue vectors pulled to within [_BOUNDARY_LOW, _BOUNDARY_HIGH] of
+    the Gamma_k boundary.
 
     Starts from comfortably interior samples and bisects along lambda - s*e
     (the all-ones ray exits every Gamma_k) until the cone margin lands near a
@@ -121,7 +125,7 @@ def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1
     dropped.
     """
     lam = gamma_eigenvalues(rng, count, n, k, margin=1e-3)
-    target = 10.0 ** rng.uniform(np.log10(margin_low), np.log10(margin_high), count)
+    target = 10.0 ** rng.uniform(np.log10(_BOUNDARY_LOW), np.log10(_BOUNDARY_HIGH), count)
     planes = lam.T.copy()  # lambda_i of every sample is one contiguous row
 
     def margins(s):
@@ -145,13 +149,13 @@ def boundary_biased_eigenvalues(rng, count, n, k, margin_low=1e-9, margin_high=1
         s_hi = np.where(above, s_hi, mid)
     pulled = (planes - s_lo).T
     m = cones.cone_margin(pulled, k)
-    keep = (m > 1e-12) & (m < 10.0 * margin_high)
+    keep = (m > 1e-12) & (m < 10.0 * _BOUNDARY_HIGH)
     return pulled[keep]
 
 
-def boundary_biased_matrices(rng, count, n, k, margin_low=1e-9, margin_high=1e-6):
+def boundary_biased_matrices(rng, count, n, k):
     """Matrix version of boundary_biased_eigenvalues (rotation-conjugated)."""
-    lam = boundary_biased_eigenvalues(rng, count, n, k, margin_low, margin_high)
+    lam = boundary_biased_eigenvalues(rng, count, n, k)
     if not len(lam):
         return np.empty((0, n, n))
     return conjugate_by_rotations(rng, lam)

@@ -24,6 +24,8 @@ MARGIN_L = 64
 MARGIN_R = 16
 MARGIN_T = 36
 MARGIN_B = 48
+TICKS = 5  # per axis, evenly spaced from the low to the high end
+FLAT_PAD = 1.0  # half-width given to an axis whose data are all one value
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,16 @@ def _finite_points(series):
     return pts
 
 
-def _data_range(values, pad_if_flat=1.0):
+def _data_range(values):
     lo, hi = min(values), max(values)
     if hi == lo:
-        lo -= pad_if_flat
-        hi += pad_if_flat
+        lo -= FLAT_PAD
+        hi += FLAT_PAD
     return lo, hi
 
 
-def _tick_values(lo, hi, count=5):
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _tick_values(lo, hi):
+    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 
 def _tick_label(value, log_y=False):

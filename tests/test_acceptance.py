@@ -71,7 +71,7 @@ def test_criterion_1_inequality_suite(capsys):
     worst = 0.0
     failed = []
     for n, k in CONE_PAIRS:
-        result = monitors.run_lemma_suite(n, k, samples=10_000, seed=42, tolerance=1e-10)
+        result = monitors.run_lemma_suite(n, k, samples=10_000, seed=42)
         worst = max(worst, max(c.max_violation for c in result.checks))
         failed += [f"({n},{k}):{c.name}" for c in result.checks if not c.passed]
     elapsed = time.perf_counter() - t0

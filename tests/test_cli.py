@@ -11,7 +11,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from ksig import geometry, runconfig, solver
+from ksig import geometry, monitors, runconfig, solver
 from ksig.cli import main
 from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
@@ -75,7 +75,12 @@ def test_solve_default_problem(tmp_path, capsys):
     }
     assert set(config["solver"]) == {"residual_tol", "max_newton", "dt_init", "dt_min"}
     assert set(config["output"]) == {"directory"}
-    assert "version" in summary
+    # the keys README lists; the per-step estimates live in monitors.csv only
+    assert set(summary) == {
+        "version", "config", "t_final", "residual_sup", "newton_iterations",
+        "rejected_newton_iterations", "damping_trials", "linear_iterations",
+        "accepted_steps", "rejected_steps", "rejected", "stalled", "timings",
+    }
     assert "reached t=1.0" in capsys.readouterr().out
 
 
@@ -649,6 +654,31 @@ def test_manufacture_requires_u_star(tmp_path, capsys):
     cfg = default_config(tmp_path)
     assert main(["manufacture", str(cfg)]) == 2
     assert "u_star" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["solve", "manufacture", "verify"])
+def test_output_path_that_cannot_be_created_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, under_file
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    outdir = blocker / "out" if under_file else blocker
+    if command == "verify":
+        def never(*args, **kwargs):
+            raise AssertionError("the lemma suite ran")
+
+        monkeypatch.setattr(monitors, "run_lemma_suite", never)
+        argv = ["verify", "--n", "3", "--k", "3", "--out", str(outdir)]
+    else:
+        text = MANU_CONFIG if command == "manufacture" else BASE_CONFIG
+        argv = [command, str(write_config(tmp_path, text.format(outdir=outdir)))]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [lines[0]] and lines[0].startswith("error: cannot create output directory")
+    assert str(outdir) in lines[0]
+    assert blocker.read_text() == "not a directory"
+    assert {p.name for p in tmp_path.iterdir()} <= {"blocker", "run.ini"}  # nothing written
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,16 @@ def reference_elementary_symmetric(lam):
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (4, 4, 4)], ids=["scalar", "7", "4x4x4"])
-@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_elementary_symmetric_planes_match_reference_bitwise(n, batch):
     rng = np.random.default_rng(n + len(batch))
     for lam in (rng.uniform(-2.0, 2.0, batch + (n,)), rng.integers(-9, 10, batch + (n,)).astype(float)):
         out = cones.all_elementary_symmetric(lam)
         assert out.shape == batch + (n + 1,)
         assert np.array_equal(out, reference_elementary_symmetric(lam))
+        # the margin's recurrence stops at sigma_k with the same bits
+        for k in range(1, n + 1):
+            assert np.array_equal(cones.cone_margin(lam, k), out[..., 1 : k + 1].min(-1))
 
 
 def test_sigma_batched_shape():
@@ -656,7 +659,7 @@ def test_gamma_sampler_respects_margin():
 
 def test_boundary_biased_sampler_lands_in_window():
     rng = sampling.generator(8)
-    lam = sampling.boundary_biased_eigenvalues(rng, 400, 3, 2, 1e-9, 1e-6)
+    lam = sampling.boundary_biased_eigenvalues(rng, 400, 3, 2)
     assert len(lam) > 200
     m = cones.cone_margin(lam, 2)
     assert np.all(m > 1e-12)
@@ -664,11 +667,11 @@ def test_boundary_biased_sampler_lands_in_window():
     assert np.median(m) < 1e-6
 
 
-def boundary_biased_reference(rng, count, n, k, margin_low=1e-9, margin_high=1e-6):
+def boundary_biased_reference(rng, count, n, k):
     """boundary_biased_eigenvalues with all 80 halvings of its bisection, on
-    the same draws."""
+    the same draws, pulled into the margin window [1e-9, 1e-6]."""
     lam = sampling.gamma_eigenvalues(rng, count, n, k, margin=1e-3)
-    target = 10.0 ** rng.uniform(np.log10(margin_low), np.log10(margin_high), count)
+    target = 10.0 ** rng.uniform(np.log10(1e-9), np.log10(1e-6), count)
     s_lo = np.zeros(count)
     s_hi = np.full(count, 1.0)
     for _ in range(30):
@@ -683,7 +686,7 @@ def boundary_biased_reference(rng, count, n, k, margin_low=1e-9, margin_high=1e-
         s_hi = np.where(above, s_hi, mid)
     pulled = lam - s_lo[:, None]
     m = cones.cone_margin(pulled, k)
-    return pulled[(m > 1e-12) & (m < 10.0 * margin_high)]
+    return pulled[(m > 1e-12) & (m < 10.0 * 1e-6)]
 
 
 @pytest.mark.parametrize("n,k,seed", [(3, 2, 8), (3, 3, 42), (4, 3, 43), (5, 4, 44), (5, 5, 57)])

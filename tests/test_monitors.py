@@ -1,5 +1,4 @@
-"""Monitor snapshots, the CSV trace format, the randomized lemma suite,
-and series summaries."""
+"""Monitor snapshots, the CSV trace format and the randomized lemma suite."""
 
 import warnings
 
@@ -175,59 +174,3 @@ def test_lemma_suite_result_serializes():
     import json
 
     json.dumps(d)  # must be JSON-clean
-
-
-# ---------------------------------------------------------------------------
-# trace series
-
-
-def make_report(**kw):
-    base = dict(
-        t=0.0,
-        sup_u=0.0,
-        sup_grad_u=0.0,
-        sup_lap_u=0.0,
-        cone_margin=3.0,
-        min_eig_Gij=0.25,
-        trace_slack=0.0,
-        max_sigma_ratio=1.0,
-        eq33_slack=0.75,
-        residual=0.0,
-        newton_iters=0,
-    )
-    base.update(kw)
-    return monitors.MonitorReport(**base)
-
-
-def test_trace_series_stationary():
-    reports = [make_report(t=t / 10) for t in range(11)]
-    summary = monitors.estimate_trace_series(reports)
-    assert summary.maxima["sup_u"] == 0.0
-    assert summary.minima["cone_margin"] == 3.0
-    assert not any(summary.blow_up.values())
-    assert summary.warnings == ()
-
-
-def test_trace_series_flags_blow_up():
-    reports = [
-        make_report(t=0.0, sup_u=0.001),
-        make_report(t=0.1, sup_u=0.002),
-        make_report(t=0.2, sup_u=0.5),  # 250x in one step
-    ]
-    summary = monitors.estimate_trace_series(reports)
-    assert summary.blow_up["sup_u"]
-    assert any("sup_u" in w for w in summary.warnings)
-    assert summary.maxima["sup_u"] == 0.5
-
-
-def test_trace_series_growth_floor_suppresses_noise():
-    # 1e-16 -> 1e-14 is a huge factor but far below anything meaningful
-    reports = [make_report(sup_u=1e-16), make_report(sup_u=1e-14)]
-    summary = monitors.estimate_trace_series(reports)
-    assert not summary.blow_up["sup_u"]
-
-
-def test_trace_series_needs_input():
-    with pytest.raises(ValueError):
-        monitors.estimate_trace_series([])
-
