@@ -101,6 +101,7 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
     rejected = [rec for rec in log if not rec.accepted]
     reports = [rec.report for rec in accepted]
     last = accepted[-1]
+    coarse = next((rec.coarse for rec in log if rec.coarse), None)
     write_field(outdir / "u_final.ksig", grid, last.u)
     monitors.write_monitor_csv(outdir / "monitors.csv", reports)
     summary = {
@@ -119,6 +120,15 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
             for rec in rejected
         ],
         "stalled": stalled,
+        # the N/2 solve that chose the whole-path attempt's start; the
+        # counters above and monitors.csv are the fine grid's alone
+        "coarse": None if coarse is None else {
+            "resolution": grid.resolution // 2,
+            "newton_iterations": coarse.iterations,
+            "damping_trials": coarse.damping_trials,
+            "linear_iterations": coarse.linear_iterations,
+            "note": coarse.note,
+        },
         "timings": {"total_seconds": elapsed},
     }
     _dump_json(outdir / "summary.json", summary)

@@ -12,7 +12,13 @@ strictly inside Gamma_{k-1}.  A residual that is not finite, or whose
 2-norm overflows, fails the Newton solve before GMRES iterates.
 
 The a priori estimates keep the whole path closed, so the run first tries
-t = 1 in one step from the anchor.  Newton gives up on a step as soon as
+t = 1 in one step.  Those estimates do not depend on the grid either, so on
+a resolved problem the t = 1 root on the N/2 grid lies within O(h^2) of the
+root on N (nested iteration: Hackbusch, Multi-Grid Methods and
+Applications, Springer 1985).  Whenever N/2 is a grid itself, the whole-path
+attempt therefore starts from the prolonged root of one Newton solve at
+t = 1 on the data injected onto N/2, and from the anchor when that solve
+fails.  Newton gives up on a step as soon as
 its own contraction shows the step has left the convergence region
 (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004, ch. 5):
 when damping needs a factor below _DAMPING_FLOOR, or when an iteration
@@ -39,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import monitors, operator
-from .grid import sup_norm
+from .grid import PeriodicGrid, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
 # Georg, Introduction to Numerical Continuation Methods, SIAM 2003): an
@@ -113,6 +119,9 @@ class StepRecord:
     u: np.ndarray | None = None  # the root; None when the solve failed
     report: monitors.MonitorReport | None = None  # the root's monitors; likewise
     dt: float = 0.0  # the step tried: t minus the last accepted t
+    # the whole-path attempt's N/2 solve that chose its start, without its u
+    # and report; None on every other record and where N/2 is not a grid
+    coarse: StepRecord | None = None
 
     @property
     def accepted(self):
@@ -279,34 +288,81 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     )
 
 
+def _coarse_problem(background, coeff):
+    """The problem injected onto the N/2 grid, as (background, coeff), or
+    None when N/2 is not a grid.  The coarse nodes are every other fine
+    node, so the data need no validation of their own."""
+    grid = background.grid
+    if grid.resolution % 4 or grid.resolution < 16:
+        return None
+    coarse = PeriodicGrid(dim=grid.dim, resolution=grid.resolution // 2)
+    every_other = (Ellipsis,) + (slice(None, None, 2),) * grid.dim
+    return (
+        replace(background, grid=coarse, B_planes=np.ascontiguousarray(background.B_planes[every_other])),
+        replace(
+            coeff,
+            grid=coarse,
+            alpha=np.ascontiguousarray(coeff.alpha[every_other]),
+            alpha_l=np.ascontiguousarray(coeff.alpha_l[every_other]),
+        ),
+    )
+
+
+def _prolong(u):
+    """Trigonometric interpolation of the periodic field u onto twice its
+    resolution, one axis at a time: the coarse Nyquist mode is split evenly
+    between its two frequencies, so the result takes u's values at the
+    coarse nodes.  numpy.fft is loaded here, on first use."""
+    for axis in range(u.ndim):
+        m = u.shape[axis]
+        c = np.fft.rfft(u, axis=axis)
+        c[(slice(None),) * axis + (m // 2,)] *= 0.5
+        u = np.fft.irfft(c, n=2 * m, axis=axis) * 2.0
+    return u
+
+
 def continuation_steps(background, coeff, config):
     """March t from 0 to 1 with adaptive steps, yielding one StepRecord per
     Newton solve, the t = 0 anchor first.
 
     Callers validate the hypotheses (geometry.validate_hypotheses) first;
     this routine does not repeat the check.  The first step after the anchor
-    is the whole path, t = 1.  If it fails, the next step is dt_init, or
-    half the failed step if that is smaller, and from there an accepted step
-    that took at most _GROW_NEWTON Newton iterations doubles dt, unless it is
-    one of the first _HOLD_AFTER_REJECT accepted steps after a later
-    rejection; the last step is clamped to t = 1.  A failed step halves the
-    step it tried.  The march ends after the step that reaches t = 1, or
-    after the rejected step that leaves dt below dt_min: a log that ends on a
-    rejected record is a stall, and its note gives the reason.  Each record
-    is newton_solve_at_t's own with dt, the step actually tried, filled in:
-    the Newton iterations, final residual, damping backtracks and GMRES
-    iterations spent on it, and the note of a rejected step; an accepted
-    record also holds its root u and its MonitorReport.  A failed anchor
-    raises RuntimeError.
+    is the whole path, t = 1.  Where N/2 is a grid, it starts from the
+    prolonged root of a Newton solve at t = 1 from u = 0 on the data
+    injected onto N/2, and from the anchor if that solve fails; its record
+    carries that solve's record in `coarse`.  If the whole-path attempt
+    fails, the next step is dt_init, or half the failed step if that is
+    smaller, and from there an accepted step that took at most _GROW_NEWTON
+    Newton iterations doubles dt, unless it is one of the first
+    _HOLD_AFTER_REJECT accepted steps after a later rejection; the last step
+    is clamped to t = 1.  A failed step halves the step it tried.  The march
+    ends after the step that reaches t = 1, or after the rejected step that
+    leaves dt below dt_min: a log that ends on a rejected record is a stall,
+    and its note gives the reason.  Each record is newton_solve_at_t's own
+    with dt, the step actually tried, filled in: the Newton iterations, final
+    residual, damping backtracks and GMRES iterations spent on it, and the
+    note of a rejected step; an accepted record also holds its root u and
+    its MonitorReport.  A failed anchor raises RuntimeError.
     """
     # the anchor, and from then on the last accepted record
     last = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
     if last.note:
         raise RuntimeError(last.note)
     yield last
-    dt = 1.0  # the whole path first
+    start, coarse = last.u, None
+    problem = _coarse_problem(background, coeff)
+    if problem is not None:
+        coarse = newton_solve_at_t(problem[0].grid.zeros(), 1.0, *problem, config)
+        if coarse.accepted:
+            start = _prolong(coarse.u)
+        coarse = replace(coarse, u=None, report=None)
+    rec = replace(newton_solve_at_t(start, 1.0, background, coeff, config), dt=1.0, coarse=coarse)
+    yield rec
+    if rec.accepted:
+        return
+    dt = min(config.dt_init, 0.5)  # at most half the failed whole path
     hold = 0  # accepted steps still to take before dt may grow again
-    while last.t < 1.0:
+    while last.t < 1.0 and dt >= config.dt_min:
         t_try = last.t + dt
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
@@ -319,13 +375,8 @@ def continuation_steps(background, coeff, config):
                 hold -= 1
             elif rec.iterations <= _GROW_NEWTON:
                 dt *= 2.0
-            continue
-        if rec.dt == 1.0:  # the whole-path attempt: hand over to the controller
-            dt, hold = min(config.dt_init, 0.5 * rec.dt), 0
         else:
             dt, hold = 0.5 * rec.dt, _HOLD_AFTER_REJECT
-        if dt < config.dt_min:
-            return
 
 
 def manufacture_alpha(u_star, background, coeff, *, jet=None):

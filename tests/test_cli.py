@@ -79,8 +79,9 @@ def test_solve_default_problem(tmp_path, capsys):
     assert set(summary) == {
         "version", "config", "t_final", "residual_sup", "newton_iterations",
         "rejected_newton_iterations", "damping_trials", "linear_iterations",
-        "accepted_steps", "rejected_steps", "rejected", "stalled", "timings",
+        "accepted_steps", "rejected_steps", "rejected", "stalled", "coarse", "timings",
     }
+    assert summary["coarse"] is None  # N/2 = 4 is not a grid
     assert "reached t=1.0" in capsys.readouterr().out
 
 
@@ -406,6 +407,54 @@ def test_solve_crash_writes_the_last_accepted_state(tmp_path, capsys, monkeypatc
     summary = json.loads((out / "summary.json").read_text())
     assert summary["t_final"] == 0.0 and summary["stalled"] is False
     assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
+
+
+def test_solve_summary_records_the_coarse_solve(tmp_path):
+    # N = 16: the whole-path attempt starts from the root on N/2 = 8, whose
+    # counts get their own key; the run's counters are the fine grid's
+    cfg = default_config(tmp_path, **{"resolution = 8": "resolution = 16"})
+    assert main(["solve", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    coarse = summary["coarse"]
+    assert set(coarse) == {"resolution", "newton_iterations", "damping_trials", "linear_iterations", "note"}
+    assert coarse["resolution"] == 8 and coarse["note"] == ""
+    assert coarse["newton_iterations"] > summary["newton_iterations"]
+    assert summary["accepted_steps"] == 2 and summary["rejected_steps"] == 0
+    assert len((tmp_path / "out" / "monitors.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_solve_ending_inside_the_coarse_solve_keeps_the_anchor(tmp_path, capsys, monkeypatch, error):
+    # the Newton solve on N/2 = 8 runs after the anchor: an interrupt there
+    # exits 130 and an exception escapes, each after writing the anchor's
+    # full artifact set
+    newton = solver.newton_solve_at_t
+
+    def ending(u0, t, background, *args):
+        if background.grid.resolution == 8:
+            raise error("inside the coarse solve")
+        return newton(u0, t, background, *args)
+
+    monkeypatch.setattr(solver, "newton_solve_at_t", ending)
+    cfg = default_config(tmp_path, **{"resolution = 8": "resolution = 16"})
+    out = tmp_path / "out"
+    if error is KeyboardInterrupt:
+        assert main(["solve", str(cfg)]) == 130
+        assert capsys.readouterr().err == f"interrupted at t=0.0; last accepted state written to {out}\n"
+    else:
+        with pytest.raises(RuntimeError, match="inside the coarse solve"):
+            main(["solve", str(cfg)])
+        assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ("u_final.ksig", "monitors.csv", "summary.json", *CHARTS)
+    )
+    grid, u = read_field(out / "u_final.ksig")
+    assert grid.resolution == 16 and not u.any()  # the anchor u = 0
+    assert len((out / "monitors.csv").read_text().splitlines()) == 2  # header and anchor
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] == 0.0 and summary["stalled"] is False
+    assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
+    assert summary["coarse"] is None  # no whole-path record was written
 
 
 def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):

@@ -265,3 +265,8 @@ def test_cli_import_leaves_unused_stdlib_packages_unloaded():
     # fractions, and the XML, URL, mail and TLS modules that
     # xml.sax.saxutils imports, serve no command and cost import time
     assert loaded_by_cli_import(["fractions", "xml", "urllib.request", "http", "ssl", "email"]) == []
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # only the nested-grid start of a solve needs the FFT, and loads it there
+    assert loaded_by_cli_import(["numpy.fft"]) == []

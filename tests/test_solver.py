@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ksig import cones, geometry, monitors, operator, solver
+from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, compute_jet, sup_norm
 
@@ -707,6 +708,120 @@ def test_continuation_is_deterministic(march):
             )
         )
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# nested grids: the whole-path attempt starts from the root on N/2
+
+
+@pytest.mark.parametrize("n, coarse_N", [(3, 16), (3, 10), (4, 8), (5, 8)])
+def test_prolongation_keeps_the_coarse_values(n, coarse_N):
+    u = np.random.default_rng(coarse_N + n).standard_normal((coarse_N,) * n)
+    fine = solver._prolong(u)
+    assert fine.shape == (2 * coarse_N,) * n
+    assert np.abs(fine[(slice(None, None, 2),) * n] - u).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, coarse_N", [(3, 8), (3, 10), (4, 8)])
+def test_prolongation_is_exact_on_resolved_trig_polynomials(n, coarse_N):
+    # every mode is below the coarse Nyquist frequency coarse_N / 2
+    top = (coarse_N - 1) // 2
+
+    def field(grid):
+        x = [grid.coordinate(a) for a in range(grid.dim)]
+        return (
+            0.3 + np.sin(top * x[0]) * np.cos(x[1])
+            - 0.5 * np.cos(2 * x[1]) * np.sin(top * x[2])
+            + 0.2 * np.sin(x[0] + top * x[n - 1])
+        )
+
+    fine = solver._prolong(field(make_grid(n, coarse_N)))
+    assert np.abs(fine - field(make_grid(n, 2 * coarse_N))).max() <= 1e-13
+
+
+def expression_problem(n, N):
+    """A problem with every datum a non-constant expression field."""
+    grid = make_grid(n, N)
+    B = np.zeros(grid.shape + (n, n))
+    for i in range(n):
+        for j in range(i, n):
+            spec = f"{-1.0 if i == j else 0.0} + 0.1*sin(x{i + 1})*cos(x{j + 1})"
+            B[..., i, j] = B[..., j, i] = fieldexpr.evaluate(spec, grid)
+    alpha_l = ["1 + 0.2*cos(x2)", "2 - 0.3*sin(x1)*sin(x3)", "1.5 + 0.1*cos(x1)"][: n - 1]
+    coeff = geometry.CoefficientData(
+        grid=grid,
+        k=n,
+        alpha=fieldexpr.evaluate("0.3*sin(x1)*cos(x2) - 0.1*cos(x3)", grid),
+        alpha_l=np.stack([fieldexpr.evaluate(spec, grid) for spec in alpha_l]),
+    )
+    return geometry.flat_background(grid, tau=0.25, B=B), coeff
+
+
+@pytest.mark.parametrize("n, N", [(3, 16), (3, 20), (4, 16)])
+def test_injected_problem_is_the_problem_built_on_the_coarse_grid(n, N):
+    coarse_bg, coarse_coeff = solver._coarse_problem(*expression_problem(n, N))
+    bg, coeff = expression_problem(n, N // 2)
+    assert coarse_bg.grid == bg.grid and coarse_coeff.grid == coeff.grid
+    assert coarse_bg.tau == bg.tau and coarse_coeff.k == coeff.k
+    assert coarse_bg.B_planes.tobytes() == bg.B_planes.tobytes()
+    assert coarse_coeff.alpha.tobytes() == coeff.alpha.tobytes()
+    assert coarse_coeff.alpha_l.tobytes() == coeff.alpha_l.tobytes()
+
+
+def test_continuation_starts_the_whole_path_from_the_coarse_root(march):
+    grid = make_grid(3, 32)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    cfg = solver.SolverConfig()
+    log, last, _ = march(bg, coeff, cfg)
+    assert [(rec.t, rec.accepted) for rec in log] == [(0.0, True), (1.0, True)]
+    whole = log[1]
+    # the coarse record is the N = 16 problem's own whole-path solve, bit
+    # for bit, with its root and report dropped
+    coarse_grid = make_grid(3, 16)
+    direct = solver.newton_solve_at_t(
+        coarse_grid.zeros(), 1.0, geometry.flat_background(coarse_grid, tau=0.0),
+        default_coeff(coarse_grid), cfg,
+    )
+    assert whole.coarse.accepted and whole.coarse.history == direct.history
+    assert (whole.coarse.iterations, whole.coarse.linear_iterations) == (direct.iterations, direct.linear_iterations)
+    assert whole.coarse.u is None and whole.coarse.report is None
+    assert log[0].coarse is None and whole.coarse.coarse is None
+    # from u = 0 this step took 6 Newton iterations
+    assert whole.iterations <= 3
+    from_zero = solver.newton_solve_at_t(grid.zeros(), 1.0, bg, coeff, cfg)
+    assert sup_norm(last.u - from_zero.u) <= 100 * cfg.residual_tol
+
+
+def test_continuation_falls_back_to_the_anchor_when_the_coarse_solve_fails(march):
+    # on N/2 = 8 the hard forcing is out of reach from u = 0 as well, so the
+    # whole-path attempt starts from the anchor and the march is the one
+    # that runs without a coarse solve
+    grid = make_grid(3, 16)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = hard_coeff(grid)
+    log, last, _ = march(bg, coeff, solver.SolverConfig())
+    assert log[1].coarse.note and log[1].coarse.u is None
+    assert all(rec.coarse is None for rec in log[:1] + log[2:])
+    accepted = [rec for rec in log if rec.accepted]
+    rejected = [rec for rec in log if not rec.accepted]
+    assert last.t == 1.0 and len(accepted) == 8
+    assert sum(rec.iterations for rec in accepted) == 39
+    assert sum(rec.iterations for rec in rejected) == 0
+    assert len(rejected) == 2
+    assert sum(rec.linear_iterations for rec in log) == 612
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_continuation_without_a_coarse_grid(march, N):
+    # N/2 = 4 and 6 are not grids
+    grid = make_grid(3, N)
+    bg = geometry.flat_background(grid, tau=0.0)
+    coeff = default_coeff(grid)
+    assert solver._coarse_problem(bg, coeff) is None
+    log, last, _ = march(bg, coeff, solver.SolverConfig())
+    assert last.t == 1.0
+    assert all(rec.coarse is None for rec in log)
 
 
 # ---------------------------------------------------------------------------
