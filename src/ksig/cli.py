@@ -131,8 +131,10 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
         },
         "timings": {"total_seconds": elapsed},
     }
-    _dump_json(outdir / "summary.json", summary)
     _write_charts(outdir, reports)
+    # written last: a summary.json on disk means every other artifact is
+    # this run's (cmd_solve removes a stale one before the march)
+    _dump_json(outdir / "summary.json", summary)
     return summary
 
 
@@ -152,6 +154,7 @@ def cmd_solve(args):
         _make_outdir(outdir)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
+    (outdir / "summary.json").unlink(missing_ok=True)
     start = time.perf_counter()
     log = []
     interrupted = False

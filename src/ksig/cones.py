@@ -6,20 +6,26 @@ Matrix invariants sigma_k are computed with the Faddeev-LeVerrier trace
 recursion rather than eigendecomposition, so repeated eigenvalues need no
 special treatment and the gradient tensors fall out of the same recursion.
 
-The recursion runs in one private kernel on component planes: the input is
-copied once into a contiguous (n, n, ...) array, so entry (a, b) of every
-matrix in the batch is one contiguous plane and each step is a handful of
-whole-plane operations.  Three products of the textbook recursion are
-skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and only
-its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of n^3) and
-then mirrored (grid.mirror).  M T_0 = M needs no product.  T_k is never
-formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
-functions take and return (..., n, n) arrays.  On the evaluate path the input
-U is already a view of contiguous planes (geometry.assemble_U), so the copy
-is a straight memory copy with no transpose, and quotient_eval's gradient is
-likewise a (..., n, n) view of planes.  quotient_eval always builds that
-gradient, from the stack T_1..T_{k-1}; the sigma-only functions
-(matrix_sigmas, matrix_cone_margin) keep two T buffers instead.
+The recursion runs in one private kernel on component planes, one block of
+at most _BLOCK_NODES matrices at a time: each block is copied into a
+contiguous (n, n, block) workspace, so entry (a, b) of every matrix in the
+block is one contiguous plane and each step is a handful of whole-plane
+operations.  One workspace, allocated per call and a block in size, serves
+every block: the planes of M and either the stack T_1..T_{k-1}
+(quotient_eval) or two T buffers that take turns (matrix_sigmas,
+matrix_cone_margin).  No T stack of the whole batch is ever formed: each
+block's sigmas, value and gradient are written straight into full-size
+outputs while its T_j are in the workspace.  A node's arithmetic does not
+depend on its block, so the bits do not either.  Three products of the
+textbook recursion are skipped.  Every T_j is a polynomial in M, so
+M T_{j-1} is symmetric and only its upper triangle is formed
+(n^2 (n+1)/2 multiply-adds instead of n^3) and then mirrored
+(grid.mirror).  M T_0 = M needs no product.  T_k is never formed:
+sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public functions take and
+return (..., n, n) arrays.  On the evaluate path the input U is already a
+view of contiguous planes (geometry.assemble_U), so each block's copy is a
+straight memory copy with no transpose, and quotient_eval's gradient is
+likewise a (..., n, n) view of planes.
 
 Conventions:
     sigma_0 = 1 exactly.
@@ -89,10 +95,7 @@ def all_elementary_symmetric(lam):
     return np.moveaxis(_symmetric_planes(lam, lam.shape[-1]), 0, -1)
 
 
-def _planes(M):
-    """Component planes (n, n, ...) of the matrices M (..., n, n), in a new
-    contiguous array that never shares memory with M."""
-    return np.moveaxis(M, (-2, -1), (0, 1)).copy()
+_BLOCK_NODES = 4096  # matrices per block; at n = k = 5 the workspace is 3.9 MiB
 
 
 def _product(P, T, out):
@@ -117,41 +120,69 @@ def _transform(out, sj):
     mirror(out)
 
 
-def _recursion(P, kmax, T=None):
+def _recursion(P, kmax, sig, T):
     """Faddeev-LeVerrier on the component planes P of symmetric M.
 
         T_0 = I,   sigma_j = trace(M T_{j-1}) / j,   T_j = sigma_j I - M T_{j-1}.
 
-    Returns sigma_0..sigma_kmax, shape (kmax+1, ...).  T_j for 1 <= j < kmax
-    is formed in T[j-1] when a stack T is given, else in two buffers that
-    take turns.  M T_0 = M needs no product, and T_kmax is never formed:
+    Writes sigma_0..sigma_kmax into sig, shape (kmax+1, ...).  T_j for
+    1 <= j < kmax is formed in T[(j-1) % len(T)]: in T[j-1] of a stack
+    T_1..T_{kmax-1}, or in two buffers that take turns.  M T_0 = M needs no
+    product, and T_kmax is never formed:
     sigma_kmax = sum_ab M_ab (T_{kmax-1})_ab / kmax.
     """
-    sig = np.empty((kmax + 1,) + P.shape[2:])
     sig[0] = 1.0
-    prev = spare = None  # T_{j-1} (None for T_0 = I) and a free buffer
+    prev = None  # T_{j-1}, None for T_0 = I
     for j in range(1, kmax):
-        if T is not None:
-            out = T[j - 1]
-        elif spare is not None:
-            out = spare
-        else:
-            out = np.empty_like(P)
+        out = T[(j - 1) % len(T)]
         _product(P, prev, out)
         sig[j] = np.einsum("aa...->...", out) / j
         _transform(out, sig[j])
-        prev, spare = out, prev
+        prev = out
     if kmax:
         last = np.einsum("aa...->...", P) if prev is None else np.einsum("ab...,ab...->...", P, prev)
         sig[kmax] = last / kmax
-    return sig
+
+
+def _blocks(M, kmax, sig, stack):
+    """Run the recursion over M (..., n, n) one block of at most _BLOCK_NODES
+    matrices at a time, writing sigma_0..sigma_kmax into sig (kmax+1, count),
+    count matrices in the batch's row-major order.
+
+    One workspace serves every block: the block's component planes of M and
+    either its stack T_1..T_{kmax-1} (`stack`) or two T buffers.  Yields
+    (nodes, T) after each block's recursion: its slice of the batch and its
+    T buffers, valid until the next block starts.
+    """
+    n = M.shape[-1]
+    flat = M.reshape((-1, n, n))
+    size = min(len(flat), _BLOCK_NODES)
+    P = np.empty((n, n, size))
+    depth = max(kmax - 1, 0)  # T_1..T_{kmax-1}
+    T = np.empty((depth if stack else min(depth, 2), n, n, size))
+    for lo in range(0, len(flat), _BLOCK_NODES):
+        nodes = slice(lo, min(lo + _BLOCK_NODES, len(flat)))
+        width = nodes.stop - lo
+        p, t = P[..., :width], T[..., :width]
+        np.copyto(p, flat[nodes].transpose(1, 2, 0))
+        _recursion(p, kmax, sig[:, nodes], t)
+        yield nodes, t
+
+
+def _sigma_planes(M, kmax):
+    """sigma_0..sigma_kmax of symmetric M as planes (kmax+1, ...)."""
+    M = _square(M)
+    _check_order(kmax, M.shape[-1])
+    batch = M.shape[:-2]
+    sig = np.empty((kmax + 1, math.prod(batch)))
+    for _ in _blocks(M, kmax, sig, stack=False):
+        pass
+    return sig.reshape((kmax + 1,) + batch)
 
 
 def matrix_sigmas(M, kmax):
     """sigma_0..sigma_kmax of symmetric M, shape (..., kmax+1)."""
-    M = _square(M)
-    _check_order(kmax, M.shape[-1])
-    return np.moveaxis(_recursion(_planes(M), kmax), 0, -1)
+    return np.moveaxis(_sigma_planes(M, kmax), 0, -1)
 
 
 def cone_margin(lam, k):
@@ -164,9 +195,7 @@ def cone_margin(lam, k):
 
 def matrix_cone_margin(M, k):
     """min_{1<=j<=k} sigma_j(M) via the trace recursion (inf for k = 0)."""
-    M = _square(M)
-    _check_order(k, M.shape[-1])
-    return _recursion(_planes(M), k)[1:].min(axis=0, initial=np.inf)
+    return _sigma_planes(M, k)[1:].min(axis=0, initial=np.inf)
 
 
 @dataclass(frozen=True)
@@ -197,38 +226,51 @@ def quotient_eval(M, k, beta=None):
 
     with T_{-1} = 0, assembled once for the weighted numerator as one sum over
     T_0..T_{k-1} on the upper triangle of the component planes, then mirrored,
-    so it is exactly symmetric.
+    so it is exactly symmetric.  Each block of matrices is finished, value
+    and gradient included, while its T stack is in the workspace.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"quotient order k={k} outside [1, {n}]")
-    P = _planes(M)
-    T = np.empty((k - 1,) + P.shape)  # T_1..T_{k-1}
-    sig = _recursion(P, k, T)
-    sigma = np.moveaxis(sig, 0, -1)
-    skm1 = sig[k - 1]
-    if beta is None:
-        num = sig[k]
-    else:
-        beta = np.asarray(beta, dtype=np.float64)
-        num = sig[k] - sum(beta[..., l] * sig[l] for l in range(k - 1))
-    value = num / skm1
-    # grad = sum_j coef_j T_j over j = 0..k-1, written over the planes of M
-    coef = np.zeros_like(sig[:k])
-    coef[k - 1] = 1.0 / skm1
-    if k >= 2:
-        coef[k - 2] = -num / skm1**2
+    batch = M.shape[:-2]
+    count = math.prod(batch)
     if beta is not None:
-        for l in range(1, k - 1):
-            coef[l - 1] = -beta[..., l] / skm1
-    for a in range(n):
-        row = P[a, a:]
-        np.einsum("j...,jb...->b...", coef[1:], T[:, a, a:], out=row)
-        row[0] += coef[0]
-    mirror(P)
-    grad = np.moveaxis(P, (0, 1), (-2, -1))
-    return QuotientEval(sigma=sigma, value=value, grad=grad)
+        beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), batch + (k - 1,))
+        beta = beta.reshape(count, k - 1)
+    sig = np.empty((k + 1, count))
+    value = np.empty(count)
+    grad = np.empty((n, n, count))
+    coef = np.empty((k, min(count, _BLOCK_NODES)))
+    for nodes, T in _blocks(M, k, sig, stack=True):
+        s = sig[:, nodes]
+        skm1 = s[k - 1]
+        if beta is None:
+            num = s[k]
+        else:
+            b = beta[nodes]
+            num = s[k] - sum(b[:, l] * s[l] for l in range(k - 1))
+        np.divide(num, skm1, out=value[nodes])
+        # grad = sum_j c_j T_j over j = 0..k-1, written into the planes of grad
+        c = coef[:, : nodes.stop - nodes.start]
+        c.fill(0.0)
+        c[k - 1] = 1.0 / skm1
+        if k >= 2:
+            c[k - 2] = -num / skm1**2
+        if beta is not None:
+            for l in range(1, k - 1):
+                c[l - 1] = -b[:, l] / skm1
+        G = grad[:, :, nodes]
+        for a in range(n):
+            row = G[a, a:]
+            np.einsum("j...,jb...->b...", c[1:], T[:, a, a:], out=row)
+            row[0] += c[0]
+        mirror(G)
+    return QuotientEval(
+        sigma=np.moveaxis(sig.reshape((k + 1,) + batch), 0, -1),
+        value=value.reshape(batch),
+        grad=np.moveaxis(grad.reshape((n, n) + batch), (0, 1), (-2, -1)),
+    )
 
 
 def homotopy_constant(n, k):

@@ -3,7 +3,7 @@
 Monitors report the quantities the a priori estimates control (sup-norms,
 cone margins, ellipticity eigenvalues, ratio bounds) once per accepted
 step, in monitors.csv and nowhere else; nothing here asserts the
-non-explicit constants, and diagnostics warn instead of aborting a solve.
+non-explicit constants, and nothing here aborts a solve.
 The lemma suite re-checks the cone algebra on random and adversarially
 boundary-biased samples with a counter-based generator so results are
 reproducible from the seed alone.
@@ -12,7 +12,6 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import combinations
 
@@ -78,8 +77,6 @@ def snapshot_point(state, background, coeff, newton_iters):
     forcing = state.t * coeff.alpha * np.exp(2.0 * state.u)
     eq33 = float((contraction + forcing).min())
 
-    _warn_ratio_branch(sig, k, n)
-
     return MonitorReport(
         t=float(state.t),
         sup_u=sup_norm(state.u),
@@ -103,30 +100,6 @@ def _quotient_trace(sig, n, k):
     """
     skm1 = sig[..., k - 1]
     return ((n - k + 1) * skm1**2 - (n - k + 2) * sig[..., k] * sig[..., k - 2]) / skm1**2
-
-
-def _warn_ratio_branch(sig, k, n):
-    """Where sigma_k/sigma_{k-1} > 1 the ratio family must obey the
-    Newton-MacLaurin power bound; report (never raise) any excess."""
-    quotient = sig[..., k] / sig[..., k - 1]
-    branch = quotient > 1.0
-    if not branch.any():
-        return
-    worst = 0.0
-    count = 0
-    for l in range(k - 1):
-        excess = _newton_maclaurin_excess(sig, n, k, l)
-        bad = branch & (excess > 1e-8)
-        if bad.any():
-            count += int(bad.sum())
-            worst = max(worst, float(excess[bad].max()))
-    if count:
-        warnings.warn(
-            f"ratio bound exceeds the Newton-MacLaurin branch at {count} node(s), "
-            f"max excess {worst:.3e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _newton_maclaurin_excess(sig, n, k, l):

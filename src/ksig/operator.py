@@ -32,6 +32,7 @@ class PointState:
     t: float
     jet: JetField
     U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
+    beta: np.ndarray  # beta_l per node, (*shape, k-1)
     sigma: np.ndarray  # (*shape, k+1)
     value: np.ndarray  # G(U^t)
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
@@ -60,6 +61,7 @@ def evaluate(u, t, background, coeff, jet=None):
         t=t,
         jet=jet,
         U=U,
+        beta=beta,
         sigma=ev.sigma,
         value=ev.value,
         margin=margin,
@@ -98,8 +100,7 @@ def jacobian(state, background, coeff):
     axial = (diag_g + c1 * trace_g) * (1.0 / (h * h))
     drift = b * (1.0 / (2.0 * h))
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
-    beta = beta_weights(coeff, state.u, t)
-    zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * beta * gl, axis=-1)
+    zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * state.beta * gl, axis=-1)
     zeroth += 2.0 * t * coeff.alpha * np.exp(2.0 * state.u)
     centre = zeroth - 2.0 * axial.sum(axis=0)
     plus = axial + drift

@@ -2,8 +2,11 @@
 no partial output, and byte-level reproducibility of reruns."""
 
 import configparser
+import hashlib
 import json
+import os
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 from textwrap import dedent
@@ -487,6 +490,65 @@ def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):
     sa.pop("timings")
     sb.pop("timings")
     assert sa == sb
+
+
+ARTIFACTS = ("u_final.ksig", "monitors.csv", *CHARTS, "summary.json")
+
+
+def artifact_set(out):
+    """Digests of the run directory's artifacts, and summary.json without
+    its timings."""
+    names = [name for name in ARTIFACTS if name != "summary.json"]
+    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    summary = json.loads((out / "summary.json").read_text())
+    summary.pop("timings")
+    return files, summary
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+def test_summary_marks_a_complete_artifact_set(tmp_path, monkeypatch, error):
+    # run a, then run b with another forcing, into one directory; b's write
+    # number `at` fails.  After each failure either no summary.json exists or
+    # every artifact comes from one run
+    real_replace = os.replace
+    refs, order = {}, []
+
+    def recording(src, dst):
+        order.append(Path(dst).name)
+        return real_replace(src, dst)
+
+    for name, alpha in (("a", "0.2*sin(x1)"), ("b", "0.3*sin(x1)")):
+        cfg = default_config(tmp_path, **{"alpha = 0.2*sin(x1)": f"alpha = {alpha}"})
+        monkeypatch.setenv("KSIG_OUTDIR", str(tmp_path / name))
+        order.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", recording)
+            assert main(["solve", str(cfg)]) == 0
+        refs[name] = artifact_set(tmp_path / name)
+    assert sorted(order) == sorted(ARTIFACTS) and order[-1] == "summary.json"
+    assert refs["a"][0]["u_final.ksig"] != refs["b"][0]["u_final.ksig"]
+
+    for at in range(len(ARTIFACTS)):
+        out = tmp_path / f"fault{at}"
+        shutil.copytree(tmp_path / "a", out)
+        monkeypatch.setenv("KSIG_OUTDIR", str(out))
+        writes = []
+
+        def failing(src, dst):
+            writes.append(dst)
+            if len(writes) == at + 1:
+                raise error(f"write {at} failed")
+            return real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing)
+            with pytest.raises(error, match=f"write {at} failed"):
+                main(["solve", str(cfg)])
+        assert len(writes) == at + 1
+        names = sorted(p.name for p in out.iterdir())
+        assert set(names) <= set(ARTIFACTS), names  # no temporary file left
+        if (out / "summary.json").exists():
+            assert artifact_set(out) in (refs["a"], refs["b"]), at
 
 
 # ---------------------------------------------------------------------------

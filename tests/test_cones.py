@@ -3,6 +3,7 @@ fractions, eigendecomposition, and finite differences."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksig import cones, sampling
+from ksig import cones, geometry, sampling
+from ksig.grid import PeriodicGrid, compute_jet
 
 
 def sigma_enum(lam, k):
@@ -535,6 +537,76 @@ def test_quotient_gradient_is_exactly_symmetric(n):
         grad = cones.quotient_eval(M, k, beta).grad
         assert np.array_equal(grad, grad.swapaxes(-1, -2))
         assert np.any(grad != np.diagonal(grad, axis1=-2, axis2=-1)[..., None] * np.eye(n))
+
+
+# ---------------------------------------------------------------- node blocks
+
+BLOCK = cones._BLOCK_NODES
+# batch sizes around the block edges; None is a single matrix, a 0-d batch
+BLOCK_SIZES = [0, 1, None, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+def as_plane_view(M):
+    """M (..., n, n) as the view of contiguous planes (n, n, ...) that
+    geometry.assemble_U returns."""
+    planes = np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def blocked_and_unblocked(monkeypatch, fn, M, *args):
+    """fn(M, *args) as blocked, and again as one block holding the whole batch."""
+    blocked = fn(M, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(cones, "_BLOCK_NODES", max(math.prod(M.shape[:-2]), 1))
+        return blocked, fn(M, *args)
+
+
+@pytest.mark.parametrize("layout", ["samples", "planes"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_node_blocks_match_one_unblocked_pass_bitwise(monkeypatch, n, layout):
+    rng = sampling.generator(1100 + n)
+    for size in BLOCK_SIZES:
+        batch = () if size is None else (size,)
+        A = rng.standard_normal(batch + (n, n))
+        M = A @ A.swapaxes(-1, -2) / n + 0.5 * np.eye(n)  # positive definite: every k is admissible
+        if layout == "planes":
+            M = as_plane_view(M)
+        for kmax in range(n + 1):
+            got, want = blocked_and_unblocked(monkeypatch, cones.matrix_sigmas, M, kmax)
+            assert same_bits(got, want), (size, kmax)
+            got, want = blocked_and_unblocked(monkeypatch, cones.matrix_cone_margin, M, kmax)
+            assert same_bits(got, want), (size, kmax)
+        for k in range(1, n + 1):
+            for beta in (None, rng.uniform(0.0, 2.0, size=k - 1), rng.uniform(0.0, 2.0, size=batch + (k - 1,))):
+                got, want = blocked_and_unblocked(monkeypatch, cones.quotient_eval, M, k, beta)
+                for name in ("sigma", "value", "grad"):
+                    assert same_bits(getattr(got, name), getattr(want, name)), (size, k, name)
+                # the gradient stays a view of contiguous component planes
+                assert np.moveaxis(got.grad, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def test_quotient_eval_transient_memory_is_block_sized():
+    # n = k = 5, N = 8: 32768 nodes.  Outputs are 8.0 MiB; a full T stack
+    # (k-1) n^2 N^n doubles would add 25 MiB
+    grid = PeriodicGrid(dim=5, resolution=8)
+    u = 0.05 * np.sin(grid.coordinate(0)) * np.cos(grid.coordinate(1)) + grid.zeros()
+    U = geometry.assemble_U(compute_jet(grid, u), geometry.flat_background(grid), 0.5)
+    beta = np.full(grid.shape + (4,), 0.3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ev = cones.quotient_eval(U, 5, beta)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ev.grad.shape == grid.shape + (5, 5)
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------- constants

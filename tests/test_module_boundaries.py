@@ -1,7 +1,8 @@
 """Module boundaries: no ksig module reaches into another's private names,
 every name a module exports has a caller inside the package, every
-import of a sibling module sits at module level, and the third-party
-packages the modules import are exactly the declared dependencies.
+import of a sibling module sits at module level, the third-party
+packages the modules import are exactly the declared dependencies, and no
+module holds an array at module level.
 
 A name with a leading underscore is an implementation detail of its own
 module; a name in `__all__` that only tests reach is test scaffolding in the
@@ -11,16 +12,21 @@ checked without a linter.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import symtable
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ksig
+from ksig import geometry, monitors, solver
+from ksig.grid import PeriodicGrid
 
 SRC = Path(ksig.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -270,3 +276,44 @@ def test_cli_import_leaves_unused_stdlib_packages_unloaded():
 def test_cli_import_leaves_numpy_fft_unloaded():
     # only the nested-grid start of a solve needs the FFT, and loads it there
     assert loaded_by_cli_import(["numpy.fft"]) == []
+
+
+def module_arrays(module):
+    """Names of the module's globals that are numpy arrays or hold one in a
+    dict, list, tuple or set, at any depth."""
+
+    def holds(value):
+        if isinstance(value, np.ndarray):
+            return True
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, (list, tuple, set, frozenset)):
+            return False
+        return any(holds(item) for item in value)
+
+    return [name for name, value in vars(module).items() if holds(value)]
+
+
+def test_no_module_holds_an_array(march):
+    # workspaces live and die with one call: a module-level array would be
+    # hidden state shared between runs.  A solve and a lemma suite run
+    # first, so a cache filled at run time shows too
+    grid = PeriodicGrid(dim=3, resolution=8)
+    coeff = geometry.CoefficientData(
+        grid=grid, k=3, alpha=0.2 * np.sin(grid.coordinate(0)) + grid.zeros(), alpha_l=np.ones((2,) + grid.shape)
+    )
+    march(geometry.flat_background(grid), coeff, solver.SolverConfig())
+    monitors.run_lemma_suite(3, 3, samples=100)
+    held = {
+        name: module_arrays(importlib.import_module(f"ksig.{name}")) for name in sorted(MODULES - {"__main__"})
+    }
+    assert {name: found for name, found in held.items() if found} == {}
+
+
+def test_array_check_sees_nested_arrays():
+    module = types.ModuleType("fake")
+    module.plain = np.zeros(2)
+    module.cache = {"key": [(1, np.zeros(2))]}
+    module.names = ("a", "b")
+    module.count = 3
+    assert module_arrays(module) == ["plain", "cache"]

@@ -69,14 +69,6 @@ def test_snapshot_no_warning_on_admissible_run():
         monitors.snapshot_point(state, bg, coeff, 0)
 
 
-def test_ratio_branch_warning_fires_on_violation():
-    # synthetic sigma table (not from any matrix): quotient 5 > 1 while the
-    # power bound is badly broken, so the defensive diagnostic must speak up
-    sig = np.array([[1.0, 10.0, 1.0, 5.0]])
-    with pytest.warns(RuntimeWarning, match="Newton-MacLaurin"):
-        monitors._warn_ratio_branch(sig, k=3, n=3)
-
-
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)])
 def test_quotient_trace_identity_matches_explicit_gradient(n, k):
     # tr T_j = (n-j) sigma_j turns the trace of the quotient gradient into sigmas
