@@ -212,13 +212,13 @@ class QuotientEval:
     grad: np.ndarray
 
 
-def quotient_eval(M, k, beta=None):
+def quotient_eval(M, k, beta):
     """Evaluate G(M) = sigma_k/sigma_{k-1} + sum_l beta_l G_l and its gradient.
 
-    beta is None (treated as zero) or an array broadcastable to (..., k-1);
-    entries are the nonnegative weights multiplying G_l = -sigma_l/sigma_{k-1}.
-    Admissibility is not checked here: callers keep their own margins and
-    read the returned sigmas.
+    beta is broadcastable to (..., k-1); entries are the nonnegative weights
+    multiplying G_l = -sigma_l/sigma_{k-1}, and beta = 0 gives the plain
+    quotient sigma_k/sigma_{k-1}.  Admissibility is not checked here:
+    callers keep their own margins and read the returned sigmas.
 
     The gradient uses dsigma_a/dM = T_{a-1}(M) and the quotient rule
 
@@ -229,15 +229,14 @@ def quotient_eval(M, k, beta=None):
     so it is exactly symmetric.  Each block of matrices is finished, value
     and gradient included, while its T stack is in the workspace.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = _square(M)
     n = M.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"quotient order k={k} outside [1, {n}]")
     batch = M.shape[:-2]
     count = math.prod(batch)
-    if beta is not None:
-        beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), batch + (k - 1,))
-        beta = beta.reshape(count, k - 1)
+    beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), batch + (k - 1,))
+    beta = beta.reshape(count, k - 1)
     sig = np.empty((k + 1, count))
     value = np.empty(count)
     grad = np.empty((n, n, count))
@@ -245,11 +244,8 @@ def quotient_eval(M, k, beta=None):
     for nodes, T in _blocks(M, k, sig, stack=True):
         s = sig[:, nodes]
         skm1 = s[k - 1]
-        if beta is None:
-            num = s[k]
-        else:
-            b = beta[nodes]
-            num = s[k] - sum(b[:, l] * s[l] for l in range(k - 1))
+        b = beta[nodes]
+        num = s[k] - sum(b[:, l] * s[l] for l in range(k - 1))
         np.divide(num, skm1, out=value[nodes])
         # grad = sum_j c_j T_j over j = 0..k-1, written into the planes of grad
         c = coef[:, : nodes.stop - nodes.start]
@@ -257,9 +253,8 @@ def quotient_eval(M, k, beta=None):
         c[k - 1] = 1.0 / skm1
         if k >= 2:
             c[k - 2] = -num / skm1**2
-        if beta is not None:
-            for l in range(1, k - 1):
-                c[l - 1] = -b[:, l] / skm1
+        for l in range(1, k - 1):
+            c[l - 1] = -b[:, l] / skm1
         G = grad[:, :, nodes]
         for a in range(n):
             row = G[a, a:]

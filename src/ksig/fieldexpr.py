@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import JetField
 
-__all__ = ["ExprError", "FieldExpr", "parse_field_expr", "evaluate", "analytic_jet"]
+__all__ = ["ExprError", "evaluate", "analytic_jet"]
 
 
 class ExprError(ValueError):
@@ -40,15 +40,6 @@ _TOKEN = re.compile(
 class _Term:
     coeff: float
     factors: tuple  # of (kind, axis0) with kind in {"sin", "cos"}, axis0 zero-based
-
-
-@dataclass(frozen=True)
-class FieldExpr:
-    text: str
-    terms: tuple  # of _Term
-
-    def max_axis(self):
-        return max((a for t in self.terms for _, a in t.factors), default=-1)
 
 
 def _tokens(text):
@@ -73,8 +64,9 @@ def _tokens(text):
     return out
 
 
-def parse_field_expr(text):
-    """Parse into a sum of product terms; raises ExprError on anything else."""
+def _parse(text, grid):
+    """The product terms of `text`, whose axes all lie on `grid`; raises
+    ExprError on anything else."""
     toks = _tokens(text)
     if not toks:
         raise ExprError("empty field expression")
@@ -111,7 +103,10 @@ def parse_field_expr(text):
         if expecting_factor:
             raise ExprError(f"dangling operator in {text!r}")
         terms.append(_Term(coeff=coeff, factors=tuple(factors)))
-    return FieldExpr(text=text, terms=tuple(terms))
+    top = max((a for t in terms for _, a in t.factors), default=-1)
+    if top >= grid.dim:
+        raise ExprError(f"expression {text!r} uses x{top + 1} but the grid has {grid.dim} axes")
+    return terms
 
 
 def _factor_tables(factor, grid):
@@ -125,27 +120,16 @@ def _factor_tables(factor, grid):
     return c, -s, -c
 
 
-def _check_axes(expr, grid):
-    top = expr.max_axis()
-    if top >= grid.dim:
-        raise ExprError(
-            f"expression {expr.text!r} uses x{top + 1} but the grid has {grid.dim} axes"
-        )
-
-
 # a coefficient such as 1e999 (inf) makes non-finite entries, which the
 # gating of the inputs names; computing them raises no warning
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET
-def evaluate(expr, grid):
-    """Field values of shape grid.shape."""
-    if isinstance(expr, str):
-        expr = parse_field_expr(expr)
-    _check_axes(expr, grid)
+def evaluate(text, grid):
+    """Field values of the expression `text`, shape grid.shape."""
     out = np.zeros(grid.shape)
-    for term in expr.terms:
+    for term in _parse(text, grid):
         acc = np.full((1,) * grid.dim, term.coeff)
         for factor in term.factors:
             acc = acc * _factor_tables(factor, grid)[0]
@@ -154,7 +138,7 @@ def evaluate(expr, grid):
 
 
 @_QUIET
-def analytic_jet(expr, grid):
+def analytic_jet(text, grid):
     """Exact value/gradient/Hessian/Laplacian of the expression at the nodes,
     in the component-plane layout of grid.JetField.
 
@@ -162,14 +146,11 @@ def analytic_jet(expr, grid):
     axis are handled by the general pairwise expansion, so repeated-axis
     products like sin(x1)*sin(x1) differentiate correctly.
     """
-    if isinstance(expr, str):
-        expr = parse_field_expr(expr)
-    _check_axes(expr, grid)
     n = grid.dim
     value = np.zeros(grid.shape)
     grad = np.zeros((n,) + grid.shape)
     hess = np.zeros((n, n) + grid.shape)
-    for term in expr.terms:
+    for term in _parse(text, grid):
         tables = [_factor_tables(f, grid) for f in term.factors]
         axes = [f[1] for f in term.factors]
         m = len(tables)

@@ -55,6 +55,8 @@ class BackgroundField:
         return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
 
+# an infinite factor leaves nan off the diagonal, which the gating of the inputs names
+@np.errstate(invalid="ignore")
 def spaceform_schouten(kappa, n, tau):
     """The modified Schouten tensor of a space form of curvature kappa.
 
@@ -69,8 +71,9 @@ def flat_background(grid, tau=0.0, B=None):
     """Prescribed-tensor background on the flat torus chart.
 
     B may be None (hyperbolic-like default -I), a constant (n, n) matrix, or
-    a full per-node field (*shape, n, n).  Only its symmetric part
-    (B + B^T)/2 is kept, which is B itself, bit for bit, when B is symmetric.
+    a full per-node field (*shape, n, n).  Only its symmetric part is kept:
+    B itself, bit for bit, where B is symmetric, and B/2 + B^T/2, which
+    cannot overflow, elsewhere.
     """
     n = grid.dim
     if B is None:
@@ -81,9 +84,12 @@ def flat_background(grid, tau=0.0, B=None):
     if B.shape != grid.shape + (n, n):
         raise ValueError(f"background tensor shape {B.shape} does not match grid")
     P = np.moveaxis(B, (-2, -1), (0, 1))
+    Q = P.swapaxes(0, 1)
     planes = np.empty((n, n) + grid.shape)
-    np.add(P, P.swapaxes(0, 1), out=planes)
-    planes *= 0.5
+    np.copyto(planes, P)
+    odd = P != Q
+    planes[odd] = 0.5 * P[odd] + 0.5 * Q[odd]
+    mirror(planes)
     return BackgroundField(grid=grid, tau=float(tau), B_planes=planes)
 
 
@@ -171,7 +177,7 @@ def validate_hypotheses(background, coeff):
 
     Checks, in order: tau, alpha, every alpha_l and every entry B_ij finite
     at every node; tau < 1; alpha_l > 0 at every node for every l;
-    lambda(-B) in Gamma_k at every node.
+    sigma_1..sigma_k of -B finite and lambda(-B) in Gamma_k at every node.
     """
     if not np.isfinite(background.tau):
         raise HypothesisViolation(f"input data must be finite, but tau = {background.tau}")
@@ -192,7 +198,12 @@ def validate_hypotheses(background, coeff):
                 f"hypothesis violated: alpha_l > 0 required everywhere, but "
                 f"alpha_{l} = {low} at node {node}"
             )
-    node, worst = worst_node(cones.matrix_cone_margin(-background.B, k))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
+        sig = cones.matrix_sigmas(-background.B, k)[..., 1:]
+    node, finite = worst_node(np.isfinite(sig).all(axis=-1))
+    if not finite:
+        raise HypothesisViolation(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
+    node, worst = worst_node(sig.min(axis=-1))
     if not worst > 0.0:
         raise HypothesisViolation(
             f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "

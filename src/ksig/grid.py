@@ -66,17 +66,13 @@ class PeriodicGrid:
     def node_count(self):
         return self.resolution**self.dim
 
-    def axis_coordinates(self):
-        """The N node coordinates along one axis."""
-        return self.spacing * np.arange(self.resolution)
-
     def coordinate(self, axis):
         """Node coordinate x_{axis} as a broadcastable array (1-based axis ok via caller)."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} outside [0, {self.dim})")
         shape = [1] * self.dim
         shape[axis] = self.resolution
-        return self.axis_coordinates().reshape(shape)
+        return (self.spacing * np.arange(self.resolution)).reshape(shape)
 
     def zeros(self):
         return np.zeros(self.shape)

@@ -241,7 +241,9 @@ def run_lemma_suite(n, k, samples=10_000, seed=42):
         return np.concatenate(
             [
                 sampling.gamma_matrices(rng, samples, n, j),
-                sampling.boundary_biased_matrices(rng, n_boundary, n, j),
+                sampling.conjugate_by_rotations(
+                    rng, sampling.boundary_biased_eigenvalues(rng, n_boundary, n, j)
+                ),
             ]
         )
 
@@ -342,7 +344,7 @@ def run_lemma_suite(n, k, samples=10_000, seed=42):
     viol = -eigs[:, 0] / np.maximum(1.0, scale)
     record("weighted_gradient_spd", total, viol.max())
 
-    quot = cones.quotient_eval(mats, k, None)
+    quot = cones.quotient_eval(mats, k, 0.0)
     trace = np.trace(quot.grad, axis1=-2, axis2=-1)
     bound = (n - k + 1) / k
     viol = (bound - trace) / np.maximum(1.0, np.abs(trace))

@@ -26,7 +26,6 @@ __all__ = [
     "gamma_matrices",
     "psd_matrices",
     "boundary_biased_eigenvalues",
-    "boundary_biased_matrices",
 ]
 
 
@@ -151,11 +150,3 @@ def boundary_biased_eigenvalues(rng, count, n, k):
     m = cones.cone_margin(pulled, k)
     keep = (m > 1e-12) & (m < 10.0 * _BOUNDARY_HIGH)
     return pulled[keep]
-
-
-def boundary_biased_matrices(rng, count, n, k):
-    """Matrix version of boundary_biased_eigenvalues (rotation-conjugated)."""
-    lam = boundary_biased_eigenvalues(rng, count, n, k)
-    if not len(lam):
-        return np.empty((0, n, n))
-    return conjugate_by_rotations(rng, lam)

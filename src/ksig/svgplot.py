@@ -14,7 +14,7 @@ from html import escape
 
 from .artifacts import replacing
 
-__all__ = ["Series", "render_chart", "write_chart"]
+__all__ = ["Series", "write_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -69,8 +69,8 @@ def _tick_label(value, log_y=False):
     return f"{value:.4g}"
 
 
-def render_chart(title, series, x_label="", y_label="", log_y=False):
-    """Render a list of Series to an SVG document string."""
+def write_chart(path, title, series, x_label="", y_label="", log_y=False):
+    """Write a list of Series to `path` as an SVG document."""
     plotted = []
     for s in series:
         pts = _finite_points(s)
@@ -165,10 +165,5 @@ def render_chart(title, series, x_label="", y_label="", log_y=False):
             'font-family="monospace" font-size="12">no data</text>'
         )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def write_chart(path, title, series, **kwargs):
-    text = render_chart(title, series, **kwargs)
     with replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(out) + "\n")

@@ -119,6 +119,9 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"[output]": "oops\n\n[output]"}, "cannot parse"),
         ({"alpha_l = 1.0": "alpha_l = 1, 2, 3"}, "alpha_l needs 1 or k-1=2 entries"),
         ({"background = hyperbolic-like": "background = spaceform:abc"}, "bad spaceform curvature"),
+        # finite curvatures whose tensor, or whose Gamma_k check, leaves the float range
+        ({"background = hyperbolic-like": "background = spaceform:-1e308"}, "B_00 = -inf at node (0, 0, 0)"),
+        ({"background = hyperbolic-like": "background = spaceform:-1e300"}, "hypothesis check overflows"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -127,6 +130,23 @@ def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle)
     assert main(["solve", str(cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and needle in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_gating_keeps_a_huge_file_background_finite(tmp_path, capsys):
+    # B_01 = 1e308 is finite, and so is its symmetric part, though B + B^T
+    # is not; the Gamma_k check on -B is what overflows
+    grid = PeriodicGrid(dim=3, resolution=8)
+    for i in range(3):
+        for j in range(i, 3):
+            entry = 1e308 if (i, j) == (0, 1) else -float(i == j)
+            write_field(tmp_path / f"bg_B{i}{j}.ksig", grid, np.full(grid.shape, entry))
+    background = runconfig.background_from_spec("file:bg", grid, 0.0, tmp_path)
+    assert np.all(background.B[..., 0, 1] == 1e308) and np.all(background.B[..., 1, 0] == 1e308)
+    cfg = default_config(tmp_path, **{"background = hyperbolic-like": "background = file:bg"})
+    assert main(["solve", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "hypothesis check overflows" in line
     assert not (tmp_path / "out").exists()
 
 

@@ -39,11 +39,11 @@ def transform(M, k):
     return reference_sigma_and_transforms(M, k)[1][k]
 
 
-def g_value(M, k, beta=None):
+def g_value(M, k, beta=0.0):
     return cones.quotient_eval(M, k, beta).value
 
 
-def g_grad(M, k, beta=None):
+def g_grad(M, k, beta=0.0):
     return cones.quotient_eval(M, k, beta).grad
 
 
@@ -130,6 +130,13 @@ def test_sigma_batched_shape():
 
 
 # ---------------------------------------------------------------- matrix path
+
+
+def test_matrix_functions_reject_a_non_square_batch():
+    M = np.ones((4, 3, 2))
+    for call in (lambda: cones.matrix_sigmas(M, 2), lambda: cones.quotient_eval(M, 2, 0.0)):
+        with pytest.raises(ValueError, match="expected square matrices in the trailing two axes"):
+            call()
 
 
 def test_matrix_sigma_diag_123():
@@ -390,7 +397,7 @@ def test_euler_homogeneity_identity():
     rng = sampling.generator(4)
     for n, k in [(3, 3), (4, 3), (5, 5)]:
         M = sampling.gamma_matrices(rng, 100, n, k - 1, margin=1e-4)
-        ev = cones.quotient_eval(M, k, None)
+        ev = cones.quotient_eval(M, k, 0.0)
         contraction = np.einsum("bij,bij->b", ev.grad, M)
         assert np.all(np.abs(contraction - ev.value) <= 1e-10 * np.maximum(1.0, np.abs(ev.value)))
 
@@ -400,7 +407,7 @@ def test_euler_homogeneity_per_gl():
     rng = sampling.generator(17)
     n, k = 4, 4
     M = sampling.gamma_matrices(rng, 60, n, k - 1, margin=1e-3)
-    base = cones.quotient_eval(M, k, None)
+    base = cones.quotient_eval(M, k, 0.0)
     for l in range(k - 1):
         onehot = np.zeros(k - 1)
         onehot[l] = 1.0
@@ -506,7 +513,7 @@ def test_quotient_eval_matches_reference_recursion(n, batch):
     rng = sampling.generator(600 + n)
     for k in range(1, n + 1):
         M = admissible_batch(rng, batch, n, k)
-        check_quotient(M, k, None)
+        check_quotient(M, k, np.zeros(k - 1))
         check_quotient(M, k, rng.uniform(0.0, 2.0, size=k - 1))
         check_quotient(M, k, rng.uniform(0.0, 2.0, size=batch + (k - 1,)))
 
@@ -582,7 +589,7 @@ def test_node_blocks_match_one_unblocked_pass_bitwise(monkeypatch, n, layout):
             got, want = blocked_and_unblocked(monkeypatch, cones.matrix_cone_margin, M, kmax)
             assert same_bits(got, want), (size, kmax)
         for k in range(1, n + 1):
-            for beta in (None, rng.uniform(0.0, 2.0, size=k - 1), rng.uniform(0.0, 2.0, size=batch + (k - 1,))):
+            for beta in (0.0, rng.uniform(0.0, 2.0, size=k - 1), rng.uniform(0.0, 2.0, size=batch + (k - 1,))):
                 got, want = blocked_and_unblocked(monkeypatch, cones.quotient_eval, M, k, beta)
                 for name in ("sigma", "value", "grad"):
                     assert same_bits(getattr(got, name), getattr(want, name)), (size, k, name)
@@ -800,6 +807,16 @@ def test_conjugation_is_exactly_symmetric_with_the_drawn_spectrum(n):
     eig = np.linalg.eigvalsh(M)
     expected = np.sort(lam, axis=-1)
     assert np.all(np.abs(eig - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conjugation_of_an_empty_batch_draws_nothing(n):
+    # the lemma suite conjugates its near-boundary draws, which can all miss
+    # their window
+    rng = sampling.generator(7)
+    M = sampling.conjugate_by_rotations(rng, np.empty((0, n)))
+    assert M.shape == (0, n, n)
+    assert rng.random() == sampling.generator(7).random()
 
 
 def test_sampler_reproducibility():

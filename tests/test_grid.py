@@ -265,9 +265,10 @@ def test_expr_constant_and_signs():
 
 
 def test_expr_rejects_garbage():
+    grid = PeriodicGrid(3, 8)
     for bad in ("", "sin(y1)", "sin(x1", "1 +", "2 ** 3", "sin(x1) sin(x2)", "exp(x1)"):
         with pytest.raises(fieldexpr.ExprError):
-            fieldexpr.parse_field_expr(bad)
+            fieldexpr.evaluate(bad, grid)
 
 
 def test_expr_axis_out_of_range():

@@ -74,7 +74,7 @@ def test_quotient_trace_identity_matches_explicit_gradient(n, k):
     # tr T_j = (n-j) sigma_j turns the trace of the quotient gradient into sigmas
     rng = sampling.generator(900 + 10 * n + k)
     M = sampling.gamma_matrices(rng, 2000, n, k - 1, margin=1e-6)
-    ev = cones.quotient_eval(M, k, None)
+    ev = cones.quotient_eval(M, k, 0.0)
     explicit = np.trace(ev.grad, axis1=-2, axis2=-1)
     got = monitors._quotient_trace(ev.sigma, n, k)
     assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))

@@ -824,6 +824,52 @@ def test_continuation_without_a_coarse_grid(march, N):
     assert all(rec.coarse is None for rec in log)
 
 
+# The hard panel: alpha = A sin x1 (first row) or A sin x1 cos x2, alpha_l = 1,
+# k = n, B = -I, SolverConfig().  Newton iterations (accepted and rejected
+# steps) and GMRES iterations are summed over the records the march yields, a
+# coarse N/2 solve's own not included; evaluations and node-evaluations count
+# every operator.evaluate call, coarse solves included.  Totals: 320 Newton,
+# 16 rejected, 3641 GMRES, 550 evaluations and 1 580 800 node-evaluations.
+HARD_PANEL = [
+    # A, cos x2 factor, tau, n, N: Newton, rejected, GMRES, evaluations, node-evaluations
+    ((0.2, False, 0.0, 3, 8), (6, 0, 22, 8, 4096)),
+    ((20.0, True, 0.0, 3, 8), (41, 2, 329, 74, 37888)),
+    ((20.0, True, 0.0, 3, 16), (39, 2, 612, 85, 269312)),
+    ((40.0, True, 0.0, 3, 8), (61, 4, 518, 98, 50176)),
+    ((40.0, True, 0.0, 3, 16), (61, 4, 1127, 111, 418816)),
+    ((10.0, True, 0.5, 3, 12), (29, 1, 331, 48, 82944)),
+    ((10.0, True, -0.5, 3, 12), (23, 1, 255, 36, 62208)),
+    ((10.0, True, 0.0, 4, 8), (24, 1, 170, 36, 147456)),
+    ((20.0, True, -0.5, 4, 8), (28, 1, 230, 44, 180224)),
+    ((5.0, True, 0.0, 5, 8), (8, 0, 47, 10, 327680)),
+]
+
+
+@pytest.mark.parametrize("problem, counts", HARD_PANEL, ids=["-".join(map(str, p)) for p, _ in HARD_PANEL])
+def test_hard_panel_counts(monkeypatch, problem, counts):
+    amplitude, cos_x2, tau, n, N = problem
+    grid = make_grid(n, N)
+    alpha = amplitude * np.sin(grid.coordinate(0)) + grid.zeros()
+    if cos_x2:
+        alpha *= np.cos(grid.coordinate(1))
+    bg = geometry.flat_background(grid, tau=tau)
+    coeff = geometry.CoefficientData(grid=grid, k=n, alpha=alpha, alpha_l=np.ones((n - 1,) + grid.shape))
+    nodes = []
+    evaluate = operator.evaluate
+
+    def counted(u, *args, **kwargs):
+        nodes.append(np.size(u))
+        return evaluate(u, *args, **kwargs)
+
+    monkeypatch.setattr(operator, "evaluate", counted)
+    log = list(solver.continuation_steps(bg, coeff, solver.SolverConfig()))
+    assert log[-1].accepted and log[-1].t == 1.0
+    newton = sum(rec.iterations for rec in log)
+    rejected = sum(not rec.accepted for rec in log)
+    gmres = sum(rec.linear_iterations for rec in log)
+    assert (newton, rejected, gmres, len(nodes), sum(nodes)) == counts
+
+
 # ---------------------------------------------------------------------------
 # manufactured problems
 
