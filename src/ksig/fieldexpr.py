@@ -1,11 +1,12 @@
 """A tiny closed expression language for grid fields.
 
-Grammar (whitespace-insensitive):
+Grammar (whitespace may stand between the quoted pieces, NUMBER and AXIS):
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
+    expr   := SIGN* term (SIGN+ term)*
     term   := factor ('*' factor)*
     factor := NUMBER | 'sin(' AXIS ')' | 'cos(' AXIS ')'
-    AXIS   := 'x' DIGIT            # 1-based coordinate index
+    SIGN   := '+' | '-'
+    AXIS   := 'x' DIGITS           # 1-based coordinate index
 
 i.e. sums of signed products of constants and single-coordinate sine/cosine
 waves: "1", "0.2*sin(x1)", "1 + 0.1*cos(x2)*sin(x1) - 3e-2*sin(x3)".  The
@@ -16,7 +17,6 @@ so manufactured solutions get analytic jets rather than stencil jets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,83 +29,50 @@ class ExprError(ValueError):
     """Unparseable field expression."""
 
 
-_TOKEN = re.compile(
+# the grammar's three pieces, each matched where the one before stopped
+_SIGNS = re.compile(r"(?:\s*[+-])*")
+_FACTOR = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<trig>sin|cos)\(\s*x(?P<axis>\d+)\s*\)"
-    r"|(?P<op>[+\-*]))"
+    r"|(?P<trig>sin|cos)\(\s*x(?P<axis>\d+)\s*\))"
 )
+_TIMES = re.compile(r"\s*\*")
 
 
-@dataclass(frozen=True)
-class _Term:
-    coeff: float
-    factors: tuple  # of (kind, axis0) with kind in {"sin", "cos"}, axis0 zero-based
-
-
-def _tokens(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprError(f"cannot parse field expression at '{text[pos:].strip()[:20]}'")
-            break
-        if m.group("num") is not None:
-            out.append(("num", float(m.group("num"))))
-        elif m.group("trig") is not None:
-            axis = int(m.group("axis"))
-            if axis < 1:
-                raise ExprError(f"coordinate index must be >= 1, got x{axis}")
-            out.append(("trig", (m.group("trig"), axis - 1)))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
+def _stopped(text, pos):
+    """The ExprError for reading `text` that stopped at `pos`."""
+    rest = text[pos:].strip()
+    if rest:
+        return ExprError(f"cannot parse field expression at '{rest[:20]}'")
+    if text.strip():
+        return ExprError(f"dangling operator in {text!r}")
+    return ExprError("empty field expression")
 
 
 def _parse(text, grid):
-    """The product terms of `text`, whose axes all lie on `grid`; raises
-    ExprError on anything else."""
-    toks = _tokens(text)
-    if not toks:
-        raise ExprError("empty field expression")
-    terms = []
-    i = 0
-    while i < len(toks):
-        sign = 1.0
-        while i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff = sign
-        factors = []
-        expecting_factor = True
-        while i < len(toks):
-            kind, val = toks[i]
-            if expecting_factor:
-                if kind == "num":
-                    coeff *= val
-                elif kind == "trig":
-                    factors.append(val)
-                else:
-                    raise ExprError(f"expected a number or sin/cos, got '{val}' in {text!r}")
-                expecting_factor = False
-                i += 1
+    """The (coeff, factors) terms of `text`: coeff is +-1.0 times each number
+    in turn, factors the (kind, axis0) of each sin/cos, axis0 zero-based and
+    on `grid`.  Raises ExprError on anything else."""
+    terms, pos = [], 0
+    while not terms or text[pos:].strip():
+        signs = _SIGNS.match(text, pos)
+        if terms and not signs.group():
+            raise _stopped(text, pos)  # only + or - ends a term
+        coeff = -1.0 if signs.group().count("-") % 2 else 1.0
+        factors, op = [], signs  # op: the match after which a factor is due
+        while op:
+            m = _FACTOR.match(text, op.end())
+            if not m:
+                raise _stopped(text, op.end())
+            if m["num"] is not None:
+                coeff *= float(m["num"])
             else:
-                if kind == "op" and val == "*":
-                    expecting_factor = True
-                    i += 1
-                elif kind == "op":
-                    break  # +/- starts the next term
-                else:
-                    raise ExprError(f"missing operator before '{val}' in {text!r}")
-        if expecting_factor:
-            raise ExprError(f"dangling operator in {text!r}")
-        terms.append(_Term(coeff=coeff, factors=tuple(factors)))
-    top = max((a for t in terms for _, a in t.factors), default=-1)
-    if top >= grid.dim:
-        raise ExprError(f"expression {text!r} uses x{top + 1} but the grid has {grid.dim} axes")
+                axis = int(m["axis"])
+                if not 1 <= axis <= grid.dim:
+                    raise ExprError(f"expression {text!r} uses x{axis}, outside x1..x{grid.dim}")
+                factors.append((m["trig"], axis - 1))
+            op = _TIMES.match(text, m.end())
+        terms.append((coeff, tuple(factors)))
+        pos = m.end()
     return terms
 
 
@@ -129,9 +96,9 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 def evaluate(text, grid):
     """Field values of the expression `text`, shape grid.shape."""
     out = np.zeros(grid.shape)
-    for term in _parse(text, grid):
-        acc = np.full((1,) * grid.dim, term.coeff)
-        for factor in term.factors:
+    for coeff, factors in _parse(text, grid):
+        acc = np.full((1,) * grid.dim, coeff)
+        for factor in factors:
             acc = acc * _factor_tables(factor, grid)[0]
         out += acc
     return out
@@ -147,31 +114,26 @@ def analytic_jet(text, grid):
     products like sin(x1)*sin(x1) differentiate correctly.
     """
     n = grid.dim
-    value = np.zeros(grid.shape)
     grad = np.zeros((n,) + grid.shape)
     hess = np.zeros((n, n) + grid.shape)
-    for term in _parse(text, grid):
-        tables = [_factor_tables(f, grid) for f in term.factors]
-        axes = [f[1] for f in term.factors]
+    for coeff, factors in _parse(text, grid):
+        tables = [_factor_tables(f, grid) for f in factors]
+        axes = [f[1] for f in factors]
         m = len(tables)
 
         def product_except(skip):
-            acc = np.full((1,) * n, term.coeff)
+            acc = np.full((1,) * n, coeff)
             for r in range(m):
-                if r in skip:
-                    continue
-                acc = acc * tables[r][0]
+                if r not in skip:
+                    acc = acc * tables[r][0]
             return acc
 
-        value += product_except(())
         for a in range(m):
-            d1 = tables[a][1] * product_except((a,))
-            grad[axes[a]] += d1
+            grad[axes[a]] += tables[a][1] * product_except((a,))
             hess[axes[a], axes[a]] += tables[a][2] * product_except((a,))
             for b in range(m):
                 if b == a:
                     continue
-                cross = tables[a][1] * tables[b][1] * product_except((a, b))
-                hess[axes[a], axes[b]] += cross
+                hess[axes[a], axes[b]] += tables[a][1] * tables[b][1] * product_except((a, b))
     lap = np.trace(hess)
-    return JetField(value=value, grad_planes=grad, hess_planes=hess, laplacian=lap)
+    return JetField(value=evaluate(text, grid), grad_planes=grad, hess_planes=hess, laplacian=lap)

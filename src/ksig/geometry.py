@@ -177,7 +177,8 @@ def validate_hypotheses(background, coeff):
 
     Checks, in order: tau, alpha, every alpha_l and every entry B_ij finite
     at every node; tau < 1; alpha_l > 0 at every node for every l;
-    sigma_1..sigma_k of -B finite and lambda(-B) in Gamma_k at every node.
+    sigma_1..sigma_k of -B and sigma_{k-1}(-B)^2 finite and lambda(-B) in
+    Gamma_k at every node.
     """
     if not np.isfinite(background.tau):
         raise HypothesisViolation(f"input data must be finite, but tau = {background.tau}")
@@ -200,9 +201,13 @@ def validate_hypotheses(background, coeff):
             )
     with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
         sig = cones.matrix_sigmas(-background.B, k)[..., 1:]
+        skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
     node, finite = worst_node(np.isfinite(sig).all(axis=-1))
     if not finite:
         raise HypothesisViolation(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
+    node, finite = worst_node(np.isfinite(skm1_squared))
+    if not finite:
+        raise HypothesisViolation(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
     node, worst = worst_node(sig.min(axis=-1))
     if not worst > 0.0:
         raise HypothesisViolation(

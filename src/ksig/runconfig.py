@@ -207,7 +207,9 @@ def background_from_spec(spec, grid, tau, base):
 
 
 def _split_alpha_l(spec, k):
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
+    parts = [p.strip() for p in spec.split(",")]
+    if not all(parts):
+        raise ConfigError(f"alpha_l = {spec!r} has an empty entry")
     if len(parts) == 1:
         return parts * (k - 1)
     if len(parts) != k - 1:

@@ -136,9 +136,11 @@ def _gmres(apply, diagonal, b, rtol):
 
     Returns (x, iterations, note).  x has converged when |b - apply(x)|_2
     <= rtol |b|_2, and note is then empty; otherwise it says why the solve
-    failed: _LINEAR_MAXITER iterations, or a |b|_2 that overflows.  A cycle
-    ends once its preconditioned residual has shrunk by the factor the true
-    residual at the cycle's start still needs, or on breakdown.
+    failed: _LINEAR_MAXITER iterations, a |b|_2 that overflows, or a
+    singular Krylov matrix (apply maps the Krylov space into a smaller one,
+    e.g. the start vector to 0).  A cycle ends once its preconditioned
+    residual has shrunk by the factor the true residual at the cycle's start
+    still needs, or on breakdown.
     """
     x = np.zeros_like(b)
     with np.errstate(over="ignore"):
@@ -175,6 +177,8 @@ def _gmres(apply, diagonal, b, rtol):
                 a, c = H[i, j], H[i + 1, j]
                 H[i, j], H[i + 1, j] = cs[i] * a + sn[i] * c, cs[i] * c - sn[i] * a
             mag = math.hypot(H[j, j], H[j + 1, j])
+            if mag == 0.0:  # H[:j+1, :j+1] is singular, and a restart would start over
+                return x, iters, f"GMRES breakdown: the Krylov matrix is singular after {iters} iterations"
             cs[j], sn[j] = H[j, j] / mag, H[j + 1, j] / mag
             H[j, j], H[j + 1, j] = mag, 0.0
             g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]

@@ -122,6 +122,12 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         # finite curvatures whose tensor, or whose Gamma_k check, leaves the float range
         ({"background = hyperbolic-like": "background = spaceform:-1e308"}, "B_00 = -inf at node (0, 0, 0)"),
         ({"background = hyperbolic-like": "background = spaceform:-1e300"}, "hypothesis check overflows"),
+        # sigma_2(-B) = 3e200 is finite, but F divides by its square
+        ({"background = hyperbolic-like": "background = spaceform:-1e100"}, "sigma_2(-B)^2 is not finite"),
+        # one entry or k-1 entries, none of them empty
+        ({"alpha_l = 1.0": "alpha_l = 1,,2"}, "empty entry"),
+        ({"alpha_l = 1.0": "alpha_l = 1, 2,"}, "empty entry"),
+        ({"alpha_l = 1.0": "alpha_l = 1,"}, "empty entry"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -364,6 +370,18 @@ def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
     assert summary["rejected_steps"] == len(summary["rejected"]) > 1
     assert all("2-norm overflows" in rec["note"] for rec in summary["rejected"])
     assert summary["linear_iterations"] == 0
+
+
+def test_solve_singular_jacobian_stalls_cleanly(tmp_path, capsys):
+    # alpha_l = 1e-20 > 0 passes gating, but dF's zeroth-order weight falls
+    # below round-off against the stencil's, so dF maps a constant to 0: the
+    # linear solves that meet this fail with a note, and the march stalls
+    cfg = default_config(tmp_path, **{"alpha = 0.2*sin(x1)": "alpha = 0", "alpha_l = 1.0": "alpha_l = 1e-20"})
+    assert main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: continuation stalled at t=")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert any("GMRES breakdown" in rec["note"] for rec in summary["rejected"])
 
 
 @pytest.mark.parametrize("at", [1, 2])

@@ -266,9 +266,50 @@ def test_expr_constant_and_signs():
 
 def test_expr_rejects_garbage():
     grid = PeriodicGrid(3, 8)
-    for bad in ("", "sin(y1)", "sin(x1", "1 +", "2 ** 3", "sin(x1) sin(x2)", "exp(x1)"):
+    for bad in (
+        "", "sin(y1)", "sin(x1", "1 +", "2 ** 3", "sin(x1) sin(x2)", "exp(x1)",
+        "sin (x1)", "sin(x0)", "cos(2*x3)", "1 2", "1e5e5", "*2", "-", "sin(x1)cos(x2)",
+    ):
         with pytest.raises(fieldexpr.ExprError):
             fieldexpr.evaluate(bad, grid)
+
+
+def test_expr_accepts_edge_cases():
+    # every accepted text gives the bits of its plain numpy spelling, through
+    # either entry point
+    grid = PeriodicGrid(3, 8)
+    s1, _, s3 = (np.sin(x) for x in coords(grid))
+    _, c2, c3 = (np.cos(x) for x in coords(grid))
+    accepted = {
+        "1 - -2": 3.0,
+        "+-1": -1.0,
+        "2*3*sin(x1)*4": 24.0 * s1,
+        "sin(x1)*2": 2.0 * s1,
+        ".5*cos( x3 )": 0.5 * c3,
+        "1.": 1.0,
+        "3E+1": 30.0,
+        "  0.2*sin(x1)  ": 0.2 * s1,
+        "1 + 0.1*cos(x2)*sin(x1) - 3e-2*sin(x3)": 1.0 + 0.1 * c2 * s1 - 3e-2 * s3,
+    }
+    for text, want in accepted.items():
+        value = fieldexpr.evaluate(text, grid)
+        assert np.array_equal(value, np.broadcast_to(want, grid.shape)), text
+        assert np.array_equal(fieldexpr.analytic_jet(text, grid).value, value), text
+
+
+def test_expr_errors_name_where_reading_stopped():
+    grid = PeriodicGrid(3, 8)
+    for bad, message in [
+        ("1 2", "cannot parse field expression at '2'"),
+        ("sin(x1)cos(x2)", "cannot parse field expression at 'cos(x2)'"),
+        ("2 ** 3", "cannot parse field expression at '* 3'"),
+        ("1 +", "dangling operator in '1 +'"),
+        ("sin(x0)", "uses x0, outside x1..x3"),
+        (" ", "empty field expression"),
+    ]:
+        with pytest.raises(fieldexpr.ExprError) as err:
+            fieldexpr.evaluate(bad, grid)
+        assert message in str(err.value), bad
 
 
 def test_expr_axis_out_of_range():

@@ -513,6 +513,17 @@ def test_gmres_fails_on_an_overflowing_norm():
     assert iters == 0 and "overflows" in note
 
 
+def test_gmres_fails_on_a_singular_krylov_matrix():
+    # the zero operator maps the first Krylov vector to 0, so the first
+    # Givens rotation has nothing to rotate: a note, with no 0/0 warning,
+    # no singular triangular solve and no endless restart
+    b = np.arange(1.0, 9.0)
+    with np.errstate(all="raise"):
+        x, iters, note = solver._gmres(lambda v: np.zeros_like(v), np.ones(8), b, 1e-2)
+    assert iters == 0 and "singular" in note
+    assert not x.any()
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
