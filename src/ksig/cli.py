@@ -143,14 +143,14 @@ def _load_problem(config_path):
     -> validate_hypotheses -> resolve_output_dir.  Writes nothing."""
     cfg = runconfig.load_config(config_path)
     base = Path(config_path).resolve().parent
-    grid, background, coeff = runconfig.build_problem(cfg, base)
-    geometry.validate_hypotheses(background, coeff)
-    return cfg, base, grid, background, coeff, runconfig.resolve_output_dir(cfg.output.directory)
+    problem = runconfig.build_problem(cfg, base)
+    geometry.validate_hypotheses(problem)
+    return cfg, base, problem, runconfig.resolve_output_dir(cfg.output.directory)
 
 
 def cmd_solve(args):
     try:
-        cfg, _, grid, background, coeff, outdir = _load_problem(args.config)
+        cfg, _, problem, outdir = _load_problem(args.config)
         _make_outdir(outdir)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc)
@@ -159,13 +159,13 @@ def cmd_solve(args):
     log = []
     interrupted = False
     try:
-        for rec in solver.continuation_steps(background, coeff, cfg.solver):
+        for rec in solver.continuation_steps(problem, cfg.solver):
             log.append(rec)
     except KeyboardInterrupt:
         interrupted = True
     except Exception:  # a crash keeps what was accepted, then propagates
         if log:
-            _write_run_artifacts(outdir, cfg, grid, log, time.perf_counter() - start, False)
+            _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, False)
         raise
     if not log:  # interrupted before the anchor, which is always accepted
         print("interrupted before the anchor step; nothing written", file=sys.stderr)
@@ -173,7 +173,7 @@ def cmd_solve(args):
     # an uninterrupted march ends on the step that reaches t = 1 or on the
     # rejected step that fell below dt_min
     stalled = not (interrupted or log[-1].accepted)
-    summary = _write_run_artifacts(outdir, cfg, grid, log, time.perf_counter() - start, stalled)
+    summary = _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, stalled)
     if interrupted:
         print(
             f"interrupted at t={summary['t_final']}; last accepted state written to {outdir}",
@@ -235,8 +235,8 @@ def cmd_verify(args):
 
 def cmd_manufacture(args):
     try:
-        cfg, base, grid, background, coeff, outdir = _load_problem(args.config)
-        p = cfg.problem
+        cfg, base, problem, outdir = _load_problem(args.config)
+        grid, p = problem.grid, cfg.problem
         if p.u_star is None:
             raise ConfigError("u_star is required for manufacture")
         spec = p.u_star.strip()
@@ -251,15 +251,15 @@ def cmd_manufacture(args):
         return _fail(exc)
     # outside the catch above: a plain ValueError from here is a bug, not bad input
     try:
-        coeff = solver.manufacture_alpha(u_star, background, coeff, jet=jet)
+        problem = solver.manufacture_alpha(u_star, problem, jet=jet)
         _make_outdir(outdir)
     except (cones.InadmissibleStateError, ConfigError) as exc:
         return _fail(exc)
 
     write_field(outdir / "u_star.ksig", grid, u_star)
-    write_field(outdir / "alpha.ksig", grid, coeff.alpha)
+    write_field(outdir / "alpha.ksig", grid, problem.alpha)
     names = [f"alpha_l_{l}.ksig" for l in range(p.k - 1)]
-    for name, values in zip(names, coeff.alpha_l):
+    for name, values in zip(names, problem.alpha_l):
         write_field(outdir / name, grid, values)
     # the package resolves file: paths against its own directory
     bg_spec = p.background.strip()
@@ -279,7 +279,7 @@ def cmd_manufacture(args):
     )
     runconfig.write_config(outdir / "manufactured.ini", package)
 
-    state = operator.evaluate(u_star, 1.0, background, coeff)
+    state = operator.evaluate(u_star, 1.0, problem)
     res = sup_norm(state.residual)
     print(f"manufactured residual at t=1: {res:.6e} (sup-norm) -> {outdir}")
     return 0

@@ -1,4 +1,5 @@
-"""Background data and pointwise assembly of the deformed conformal tensor.
+"""One problem's data (Problem) and pointwise assembly of the deformed
+conformal tensor.
 
 The reference metric g0 is the flat torus chart and the tensor B playing the
 modified-Schouten role is prescribed: the builtin "hyperbolic-like" choice
@@ -22,10 +23,9 @@ from .grid import PeriodicGrid, dot_planes, mirror, worst_node
 
 __all__ = [
     "HypothesisViolation",
-    "BackgroundField",
-    "CoefficientData",
+    "Problem",
     "spaceform_schouten",
-    "flat_background",
+    "background_planes",
     "beta_weights",
     "assemble_U",
     "require_finite",
@@ -35,24 +35,6 @@ __all__ = [
 
 class HypothesisViolation(ValueError):
     """A solvability hypothesis on the input data fails; nothing was computed."""
-
-
-@dataclass(frozen=True)
-class BackgroundField:
-    """Reference geometry on the flat chart: tau and the tensor B per node.
-
-    B is stored as exactly symmetric contiguous component planes
-    B_planes[i, j], shape (n, n, *grid.shape); B is the zero-copy
-    (*grid.shape, n, n) view of them.
-    """
-
-    grid: PeriodicGrid
-    tau: float
-    B_planes: np.ndarray
-
-    @property
-    def B(self):
-        return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
 
 # an infinite factor leaves nan off the diagonal, which the gating of the inputs names
@@ -67,47 +49,29 @@ def spaceform_schouten(kappa, n, tau):
     return factor * np.eye(n)
 
 
-def flat_background(grid, tau=0.0, B=None):
-    """Prescribed-tensor background on the flat torus chart.
-
-    B may be None (hyperbolic-like default -I), a constant (n, n) matrix, or
-    a full per-node field (*shape, n, n).  Only its symmetric part is kept:
-    B itself, bit for bit, where B is symmetric, and B/2 + B^T/2, which
-    cannot overflow, elsewhere.
-    """
-    n = grid.dim
-    if B is None:
-        B = -np.eye(n)
-    B = np.asarray(B, dtype=np.float64)
-    if B.shape == (n, n):
-        B = np.broadcast_to(B, grid.shape + (n, n))
-    if B.shape != grid.shape + (n, n):
-        raise ValueError(f"background tensor shape {B.shape} does not match grid")
-    P = np.moveaxis(B, (-2, -1), (0, 1))
-    Q = P.swapaxes(0, 1)
-    planes = np.empty((n, n) + grid.shape)
-    np.copyto(planes, P)
-    odd = P != Q
-    planes[odd] = 0.5 * P[odd] + 0.5 * Q[odd]
-    mirror(planes)
-    return BackgroundField(grid=grid, tau=float(tau), B_planes=planes)
-
-
 @dataclass(frozen=True)
-class CoefficientData:
-    """Right-hand-side data: alpha (any sign) and the k-1 positive alpha_l.
+class Problem:
+    """One equation of the family on the flat chart: the grid, the cone index
+    k, tau, the tensor B, alpha (any sign) and the k-1 positive alpha_l.
 
-    alpha_l is stacked with the l index first: shape (k-1, *grid.shape).
+    B_planes holds B as the exactly symmetric component planes that
+    background_planes builds, shape (n, n, *grid.shape); B is their zero-copy
+    (*grid.shape, n, n) view.  alpha_l stacks l first: (k-1, *grid.shape).
     """
 
     grid: PeriodicGrid
     k: int
+    tau: float
+    B_planes: np.ndarray
     alpha: np.ndarray
     alpha_l: np.ndarray
 
     def __post_init__(self):
-        if not 3 <= self.k <= self.grid.dim:
-            raise ValueError(f"cone index k={self.k} outside [3, n={self.grid.dim}]")
+        n = self.grid.dim
+        if not 3 <= self.k <= n:
+            raise ValueError(f"cone index k={self.k} outside [3, n={n}]")
+        if self.B_planes.shape != (n, n) + self.grid.shape:
+            raise ValueError(f"background tensor planes {self.B_planes.shape} do not match grid")
         if self.alpha.shape != self.grid.shape:
             raise ValueError("alpha shape does not match grid")
         if self.alpha_l.shape != (self.k - 1,) + self.grid.shape:
@@ -115,19 +79,35 @@ class CoefficientData:
                 f"alpha_l must stack k-1={self.k - 1} fields, got {self.alpha_l.shape}"
             )
 
+    @property
+    def B(self):
+        return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
-def beta_weights(coeff, u, t):
+
+def background_planes(grid, entry):
+    """The component planes (n, n, *grid.shape) of a symmetric tensor B:
+    plane (i, j) is entry(i, j), a constant or a grid field, for i <= j, and
+    the lower triangle mirrors the upper one."""
+    n = grid.dim
+    planes = np.empty((n, n) + grid.shape)
+    for i in range(n):
+        for j in range(i, n):
+            planes[i, j] = entry(i, j)
+    mirror(planes)
+    return planes
+
+
+def beta_weights(problem, u, t):
     """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2."""
-    n = coeff.grid.dim
-    k = coeff.k
-    c = cones.homotopy_constant(n, k)
-    al = np.moveaxis(coeff.alpha_l, 0, -1)
+    k = problem.k
+    c = cones.homotopy_constant(problem.grid.dim, k)
+    al = np.moveaxis(problem.alpha_l, 0, -1)
     ls = np.arange(k - 1)
     u = np.asarray(u, dtype=np.float64)
     return ((1.0 - t) * c + t * al) * np.exp(2.0 * (k - ls) * u[..., None])
 
 
-def assemble_U(jet, background, t):
+def assemble_U(jet, problem, t):
     """The matrix of U^t at every node, a (*shape, n, n) view of contiguous
     component planes (n, n, *shape).
 
@@ -138,11 +118,11 @@ def assemble_U(jet, background, t):
     terms are added on the diagonal only, and the lower triangle is a copy,
     so the result is exactly symmetric.
     """
-    n = background.grid.dim
-    tau = background.tau
+    n = problem.grid.dim
+    tau = problem.tau
     g = jet.grad_planes
     hess = jet.hess_planes
-    B = background.B_planes
+    B = problem.B_planes
     U = np.empty((n, n) + g.shape[1:])
     c1_lap = ((1.0 - tau) / (n - 2.0)) * jet.laplacian
     c2_g2 = 0.5 * (2.0 - tau) * dot_planes(g, g)
@@ -171,7 +151,7 @@ def require_finite(name, values):
         )
 
 
-def validate_hypotheses(background, coeff):
+def validate_hypotheses(problem):
     """Check the solvability hypotheses; raise HypothesisViolation naming the
     first one that fails.
 
@@ -180,27 +160,26 @@ def validate_hypotheses(background, coeff):
     sigma_1..sigma_k of -B and sigma_{k-1}(-B)^2 finite and lambda(-B) in
     Gamma_k at every node.
     """
-    if not np.isfinite(background.tau):
-        raise HypothesisViolation(f"input data must be finite, but tau = {background.tau}")
-    n = background.grid.dim
-    named = [("alpha", coeff.alpha), *((f"alpha_{l}", a) for l, a in enumerate(coeff.alpha_l))]
-    named += [(f"B_{i}{j}", background.B_planes[i, j]) for i in range(n) for j in range(i, n)]
+    tau = problem.tau
+    if not np.isfinite(tau):
+        raise HypothesisViolation(f"input data must be finite, but tau = {tau}")
+    n = problem.grid.dim
+    named = [("alpha", problem.alpha), *((f"alpha_{l}", a) for l, a in enumerate(problem.alpha_l))]
+    named += [(f"B_{i}{j}", problem.B_planes[i, j]) for i in range(n) for j in range(i, n)]
     for name, values in named:
         require_finite(name, values)
-    if not background.tau < 1.0:
-        raise HypothesisViolation(
-            f"hypothesis violated: tau < 1 required, got tau={background.tau}"
-        )
-    k = coeff.k
+    if not tau < 1.0:
+        raise HypothesisViolation(f"hypothesis violated: tau < 1 required, got tau={tau}")
+    k = problem.k
     for l in range(k - 1):
-        node, low = worst_node(coeff.alpha_l[l])
+        node, low = worst_node(problem.alpha_l[l])
         if not low > 0.0:
             raise HypothesisViolation(
                 f"hypothesis violated: alpha_l > 0 required everywhere, but "
                 f"alpha_{l} = {low} at node {node}"
             )
     with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
-        sig = cones.matrix_sigmas(-background.B, k)[..., 1:]
+        sig = cones.matrix_sigmas(-problem.B, k)[..., 1:]
         skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
     node, finite = worst_node(np.isfinite(sig).all(axis=-1))
     if not finite:

@@ -58,23 +58,23 @@ class MonitorReport:
 CSV_FIELDS = tuple(f.name for f in fields(MonitorReport))
 
 
-def snapshot_point(state, background, coeff, newton_iters):
+def snapshot_point(state, problem, newton_iters):
     """Build a MonitorReport from a PointState (operator.evaluate)."""
-    k = coeff.k
+    k = problem.k
     sig = state.sigma
     grad_norm = np.sqrt(dot_planes(state.jet.grad_planes, state.jet.grad_planes))
 
     eigs = np.linalg.eigvalsh(state.grad)
     min_eig = float(eigs[..., 0].min())
 
-    n = background.grid.dim
+    n = problem.grid.dim
     trace_slack = float((_quotient_trace(sig, n, k) - (n - k + 1) / k).min())
 
     ratios = sig[..., :k - 1] / sig[..., k - 1:k]
     max_ratio = float(ratios.max())
 
     contraction = np.einsum("...ij,...ij->...", state.grad, state.U)
-    forcing = state.t * coeff.alpha * np.exp(2.0 * state.u)
+    forcing = state.t * problem.alpha * np.exp(2.0 * state.u)
     eq33 = float((contraction + forcing).min())
 
     return MonitorReport(
@@ -341,20 +341,18 @@ def run_lemma_suite(n, k, samples=10_000, seed=42):
     ev = cones.quotient_eval(mats, k, beta)
     eigs = np.linalg.eigvalsh(ev.grad)
     scale = np.abs(ev.grad).max(axis=(-2, -1))
-    viol = -eigs[:, 0] / np.maximum(1.0, scale)
+    viol = -eigs[:, 0] / _norm_scale(scale)
     record("weighted_gradient_spd", total, viol.max())
 
     quot = cones.quotient_eval(mats, k, 0.0)
     trace = np.trace(quot.grad, axis1=-2, axis2=-1)
     bound = (n - k + 1) / k
-    viol = (bound - trace) / np.maximum(1.0, np.abs(trace))
+    viol = (bound - trace) / _norm_scale(trace)
     record("quotient_trace_lower_bound", total, viol.max())
 
     contraction = np.einsum("...ij,...ij->...", quot.grad, mats)
     inner_scale = np.einsum("...ij,...ij->...", np.abs(quot.grad), np.abs(mats))
-    viol = np.abs(contraction - quot.value) / np.maximum(
-        1.0, np.maximum(np.abs(quot.value), inner_scale)
-    )
+    viol = np.abs(contraction - quot.value) / _norm_scale(quot.value, inner_scale)
     record("quotient_euler_identity", total, viol.max())
 
     return LemmaSuiteResult(

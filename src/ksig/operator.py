@@ -40,7 +40,7 @@ class PointState:
     grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
 
 
-def evaluate(u, t, background, coeff, jet=None):
+def evaluate(u, t, problem, jet=None):
     """Assemble U^t from the jet of u and evaluate the quotient operator.
 
     No cone check is performed here; `margin` carries min sigma_j so callers
@@ -48,14 +48,14 @@ def evaluate(u, t, background, coeff, jet=None):
     bypass the stencil.
     """
     u = np.asarray(u, dtype=np.float64)
-    k = coeff.k
+    k = problem.k
     if jet is None:
-        jet = compute_jet(background.grid, u)
-    U = assemble_U(jet, background, t)
-    beta = beta_weights(coeff, u, t)
+        jet = compute_jet(problem.grid, u)
+    U = assemble_U(jet, problem, t)
+    beta = beta_weights(problem, u, t)
     ev = cones.quotient_eval(U, k, beta)
     margin = ev.sigma[..., 1:k].min(axis=-1)
-    residual = ev.value + t * coeff.alpha * np.exp(2.0 * u)
+    residual = ev.value + t * problem.alpha * np.exp(2.0 * u)
     return PointState(
         u=u,
         t=t,
@@ -70,7 +70,9 @@ def evaluate(u, t, background, coeff, jet=None):
     )
 
 
-def jacobian(state, background, coeff):
+# a tau far below 0 overflows the weights; solver._gmres refuses a non-finite diagonal
+@np.errstate(over="ignore", invalid="ignore")
+def jacobian(state, problem):
     """dF at `state`, an evaluate result, as per-node weights on
     compute_jet's stencil, built once.
 
@@ -82,17 +84,17 @@ def jacobian(state, background, coeff):
     weights of v(x), of v(x +- h e_i) and of the four-point cross
     differences; diagonal is the weight of v(x), dF's diagonal.
     """
-    grid = background.grid
+    grid = problem.grid
     n = grid.dim
     h = grid.spacing
-    k, t = coeff.k, state.t
-    c1 = (1.0 - background.tau) / (n - 2.0)
+    k, t, tau = problem.k, state.t, problem.tau
+    c1 = (1.0 - tau) / (n - 2.0)
     # G^{ij} as component planes: quotient_eval builds the gradient on
     # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
     G = np.moveaxis(state.grad, (-2, -1), (0, 1))
     trace_g = np.trace(G)
     g = state.jet.grad_planes
-    b = (2.0 - background.tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
+    b = (2.0 - tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
     # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
     diag_g = np.moveaxis(np.diagonal(G), -1, 0)
     # weights multiply by the reciprocal of the stencil denominators; dividing
@@ -101,7 +103,7 @@ def jacobian(state, background, coeff):
     drift = b * (1.0 / (2.0 * h))
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
     zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * state.beta * gl, axis=-1)
-    zeroth += 2.0 * t * coeff.alpha * np.exp(2.0 * state.u)
+    zeroth += 2.0 * t * problem.alpha * np.exp(2.0 * state.u)
     centre = zeroth - 2.0 * axial.sum(axis=0)
     plus = axial + drift
     minus = axial - drift

@@ -56,7 +56,6 @@ __all__ = [
     "write_config",
     "build_problem",
     "field_from_spec",
-    "background_from_spec",
     "resolve_output_dir",
 ]
 
@@ -157,7 +156,8 @@ def load_config(path):
 
 def write_config(path, cfg):
     """Write the RunConfig `cfg` as the INI that load_config reads back:
-    one section per RunConfig field, with None values left out."""
+    one section per RunConfig field, with None values left out and every
+    line of a multi-line value after its first indented, as a continuation."""
     lines = []
     for section in fields(cfg):
         settings = getattr(cfg, section.name)
@@ -166,7 +166,8 @@ def write_config(path, cfg):
             value = getattr(settings, f.name)
             if value is not None:
                 # a float formats as its repr, which reads back exactly
-                lines.append(f"{f.name} = {value}")
+                text = str(value).replace("\n", "\n    ")
+                lines.append(f"{f.name} = {text}")
         lines.append("")
     with replacing(path) as tmp:
         tmp.write_text("\n".join(lines))
@@ -181,29 +182,24 @@ def field_from_spec(spec, grid, base):
     return fieldexpr.evaluate(spec, grid)
 
 
-def background_from_spec(spec, grid, tau, base):
+def _background_planes(spec, grid, tau, base):
+    """B's component planes from the background spec, entry by entry for
+    i <= j: -I, the space-form tensor, or the files <prefix>_B<i><j>.ksig."""
     spec = spec.strip()
     if spec == "hyperbolic-like":
-        return geometry.flat_background(grid, tau=tau)
-    if spec.startswith("spaceform:"):
+        B = -np.eye(grid.dim)
+    elif spec.startswith("spaceform:"):
         try:
             kappa = float(spec[len("spaceform:"):])
         except ValueError as exc:
             raise ConfigError(f"bad spaceform curvature in {spec!r}") from exc
         B = geometry.spaceform_schouten(kappa, grid.dim, tau)
-        return geometry.flat_background(grid, tau=tau, B=B)
-    if spec.startswith("file:"):
+    elif spec.startswith("file:"):
         pre = Path(base, spec[len("file:"):].strip())
-        n = grid.dim
-        B = np.zeros(grid.shape + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                comp = _read_values(Path(f"{pre}_B{i}{j}.ksig"), grid)
-                B[..., i, j] = comp
-                B[..., j, i] = comp
-        with _input_error(f"background {spec!r}"):
-            return geometry.flat_background(grid, tau=tau, B=B)
-    raise ConfigError(f"unknown background spec: {spec!r}")
+        return geometry.background_planes(grid, lambda i, j: _read_values(Path(f"{pre}_B{i}{j}.ksig"), grid))
+    else:
+        raise ConfigError(f"unknown background spec: {spec!r}")
+    return geometry.background_planes(grid, lambda i, j: B[i, j])
 
 
 def _split_alpha_l(spec, k):
@@ -218,18 +214,17 @@ def _split_alpha_l(spec, k):
 
 
 def build_problem(cfg, base):
-    """Instantiate (grid, background, coeff) from a RunConfig; relative
-    file: paths resolve against the directory `base`."""
+    """The geometry.Problem of a RunConfig; relative file: paths resolve
+    against the directory `base`."""
     p = cfg.problem
     with _input_error("[problem]"):
         grid = PeriodicGrid(dim=p.n, resolution=p.resolution)
-    background = background_from_spec(p.background, grid, p.tau, base)
+    B_planes = _background_planes(p.background, grid, p.tau, base)
     alpha = field_from_spec(p.alpha, grid, base)
     parts = _split_alpha_l(p.alpha_l, p.k)
     alpha_l = np.stack([field_from_spec(s, grid, base) for s in parts])
     with _input_error("[problem]"):
-        coeff = geometry.CoefficientData(grid=grid, k=p.k, alpha=alpha, alpha_l=alpha_l)
-    return grid, background, coeff
+        return geometry.Problem(grid=grid, k=p.k, tau=p.tau, B_planes=B_planes, alpha=alpha, alpha_l=alpha_l)
 
 
 def resolve_output_dir(directory):

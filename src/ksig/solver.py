@@ -8,8 +8,8 @@ damped inexact Newton iteration: its linear systems, dF from
 operator.jacobian at the current iterate, are solved by the module's own
 matrix-free restarted GMRES (_gmres), left-preconditioned by dF's diagonal,
 only to an Eisenstat-Walker forcing term; damping keeps every iterate
-strictly inside Gamma_{k-1}.  A residual that is not finite, or whose
-2-norm overflows, fails the Newton solve before GMRES iterates.
+strictly inside Gamma_{k-1}.  A residual that is not finite or whose 2-norm
+overflows, and a dF diagonal that is not finite, fail before GMRES iterates.
 
 The a priori estimates keep the whole path closed, so the run first tries
 t = 1 in one step.  Those estimates do not depend on the grid either, so on
@@ -87,8 +87,8 @@ __all__ = [
 class SolverConfig:
     """Tolerance and step controls for one continuation run.
 
-    k and tau are not settings here: the solver reads coeff.k and
-    background.tau.
+    k and tau are not settings here: the solver reads problem.k and
+    problem.tau.
     """
 
     residual_tol: float = 1e-9
@@ -136,17 +136,20 @@ def _gmres(apply, diagonal, b, rtol):
 
     Returns (x, iterations, note).  x has converged when |b - apply(x)|_2
     <= rtol |b|_2, and note is then empty; otherwise it says why the solve
-    failed: _LINEAR_MAXITER iterations, a |b|_2 that overflows, or a
-    singular Krylov matrix (apply maps the Krylov space into a smaller one,
-    e.g. the start vector to 0).  A cycle ends once its preconditioned
-    residual has shrunk by the factor the true residual at the cycle's start
-    still needs, or on breakdown.
+    failed: _LINEAR_MAXITER iterations, a |b|_2 that overflows or a diagonal
+    that is not finite, a preconditioned residual r / diagonal whose 2-norm
+    underflows to 0 or overflows, or a singular Krylov matrix (apply maps
+    the Krylov space into a smaller one, e.g. the start vector to 0).  A
+    cycle ends once its preconditioned residual has shrunk by the factor
+    the true residual at the cycle's start still needs, or on breakdown.
     """
     x = np.zeros_like(b)
     with np.errstate(over="ignore"):
         bnorm = np.linalg.norm(b)
     if not math.isfinite(bnorm):
         return x, 0, "the right-hand side's 2-norm overflows"
+    if not np.isfinite(diagonal).all():
+        return x, 0, "non-finite Jacobian diagonal"
     target = rtol * bnorm
     d = np.where(np.abs(diagonal) < 1e-12, 1.0, diagonal)
     m = min(_LINEAR_RESTART, b.size)
@@ -156,8 +159,11 @@ def _gmres(apply, diagonal, b, rtol):
     iters = 0
     r, rnorm = b, bnorm
     while rnorm > target and iters < _LINEAR_MAXITER:
-        V[0] = r / d
-        beta = np.linalg.norm(V[0])
+        with np.errstate(over="ignore", under="ignore"):
+            V[0] = r / d
+            beta = np.linalg.norm(V[0])
+        if not 0.0 < beta < math.inf:
+            return x, iters, f"the preconditioned residual's 2-norm is {beta} after {iters} iterations"
         V[0] *= 1.0 / beta
         tol = beta * (target / rnorm)
         g = np.zeros(m + 1)
@@ -208,7 +214,7 @@ def _forcing_term(rnorm, prev_rnorm, config):
     return max(eta, 0.5 * config.residual_tol / rnorm, _LINEAR_RTOL)
 
 
-def newton_solve_at_t(u0, t, background, coeff, config):
+def newton_solve_at_t(u0, t, problem, config):
     """Damped Newton at fixed t; returns its StepRecord, converged or not.
 
     Each linear solve stops at the forcing term of _forcing_term.  Damping
@@ -225,7 +231,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
     outlive the call; a failed one returns its reason in `note` and neither.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
-    state = operator.evaluate(u, t, background, coeff)
+    state = operator.evaluate(u, t, problem)
     rnorm = sup_norm(state.residual)
     history = [rnorm]
     iters = 0
@@ -246,7 +252,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             note = failure(f"Newton iteration limit {config.max_newton}")
             break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
-        delta, lin_iters, lin_note = _gmres(*operator.jacobian(state, background, coeff), -state.residual, eta)
+        delta, lin_iters, lin_note = _gmres(*operator.jacobian(state, problem), -state.residual, eta)
         del state  # the trials need only u and rnorm; free its arrays for theirs
         linear_iters += lin_iters
         if lin_note:
@@ -258,7 +264,7 @@ def newton_solve_at_t(u0, t, background, coeff, config):
             # overshooting trials may overflow exp or leave the cone; NaNs
             # compare False below and the step is simply rejected
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trial = operator.evaluate(trial_u, t, background, coeff)
+                trial = operator.evaluate(trial_u, t, problem)
                 ok = bool(
                     trial.margin.min() > _CONE_MARGIN
                     and np.isfinite(trial.residual).all()
@@ -288,27 +294,24 @@ def newton_solve_at_t(u0, t, background, coeff, config):
         linear_iterations=linear_iters,
         note=note,
         u=None if note else u,
-        report=None if note else monitors.snapshot_point(state, background, coeff, iters),
+        report=None if note else monitors.snapshot_point(state, problem, iters),
     )
 
 
-def _coarse_problem(background, coeff):
-    """The problem injected onto the N/2 grid, as (background, coeff), or
-    None when N/2 is not a grid.  The coarse nodes are every other fine
-    node, so the data need no validation of their own."""
-    grid = background.grid
+def _coarse_problem(problem):
+    """The problem injected onto the N/2 grid, or None when N/2 is not a
+    grid.  The coarse nodes are every other fine node, so the data need no
+    validation of their own."""
+    grid = problem.grid
     if grid.resolution % 4 or grid.resolution < 16:
         return None
-    coarse = PeriodicGrid(dim=grid.dim, resolution=grid.resolution // 2)
     every_other = (Ellipsis,) + (slice(None, None, 2),) * grid.dim
-    return (
-        replace(background, grid=coarse, B_planes=np.ascontiguousarray(background.B_planes[every_other])),
-        replace(
-            coeff,
-            grid=coarse,
-            alpha=np.ascontiguousarray(coeff.alpha[every_other]),
-            alpha_l=np.ascontiguousarray(coeff.alpha_l[every_other]),
-        ),
+    return replace(
+        problem,
+        grid=PeriodicGrid(dim=grid.dim, resolution=grid.resolution // 2),
+        B_planes=np.ascontiguousarray(problem.B_planes[every_other]),
+        alpha=np.ascontiguousarray(problem.alpha[every_other]),
+        alpha_l=np.ascontiguousarray(problem.alpha_l[every_other]),
     )
 
 
@@ -325,7 +328,7 @@ def _prolong(u):
     return u
 
 
-def continuation_steps(background, coeff, config):
+def continuation_steps(problem, config):
     """March t from 0 to 1 with adaptive steps, yielding one StepRecord per
     Newton solve, the t = 0 anchor first.
 
@@ -349,18 +352,18 @@ def continuation_steps(background, coeff, config):
     its MonitorReport.  A failed anchor raises RuntimeError.
     """
     # the anchor, and from then on the last accepted record
-    last = newton_solve_at_t(background.grid.zeros(), 0.0, background, coeff, config)
+    last = newton_solve_at_t(problem.grid.zeros(), 0.0, problem, config)
     if last.note:
         raise RuntimeError(last.note)
     yield last
     start, coarse = last.u, None
-    problem = _coarse_problem(background, coeff)
-    if problem is not None:
-        coarse = newton_solve_at_t(problem[0].grid.zeros(), 1.0, *problem, config)
+    coarse_problem = _coarse_problem(problem)
+    if coarse_problem is not None:
+        coarse = newton_solve_at_t(coarse_problem.grid.zeros(), 1.0, coarse_problem, config)
         if coarse.accepted:
             start = _prolong(coarse.u)
         coarse = replace(coarse, u=None, report=None)
-    rec = replace(newton_solve_at_t(start, 1.0, background, coeff, config), dt=1.0, coarse=coarse)
+    rec = replace(newton_solve_at_t(start, 1.0, problem, config), dt=1.0, coarse=coarse)
     yield rec
     if rec.accepted:
         return
@@ -370,7 +373,7 @@ def continuation_steps(background, coeff, config):
         t_try = last.t + dt
         if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
-        rec = newton_solve_at_t(last.u, t_try, background, coeff, config)
+        rec = newton_solve_at_t(last.u, t_try, problem, config)
         rec = replace(rec, dt=t_try - last.t)
         yield rec
         if rec.accepted:
@@ -383,14 +386,14 @@ def continuation_steps(background, coeff, config):
             dt, hold = 0.5 * rec.dt, _HOLD_AFTER_REJECT
 
 
-def manufacture_alpha(u_star, background, coeff, *, jet=None):
+def manufacture_alpha(u_star, problem, *, jet=None):
     """Back-solve the t=1 equation for alpha so u_star is its exact root.
 
         alpha = -e^{-2 u*} [sigma_k/sigma_{k-1}(U*) - sum_l alpha_l e^{2(k-l)u*}
                             sigma_l/sigma_{k-1}(U*)]
 
-    Returns `coeff` with alpha replaced; its alpha_l enter the equation and
-    its own alpha is ignored.  alpha carries no sign constraint.  Pass the
+    Returns `problem` with alpha replaced; its alpha_l enter the equation
+    and its own alpha is ignored.  alpha carries no sign constraint.  Pass the
     analytic `jet` of u_star to manufacture against exact derivatives
     (convergence studies); otherwise the stencil jet is used and the
     construction residual is identically zero at this resolution.  Rejects
@@ -399,7 +402,7 @@ def manufacture_alpha(u_star, background, coeff, *, jet=None):
     # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly; a huge
     # u_star may overflow to a NaN margin, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        state = operator.evaluate(u_star, 1.0, background, coeff, jet=jet)
+        state = operator.evaluate(u_star, 1.0, problem, jet=jet)
     if not state.margin.min() > 0.0:
         raise operator.admissibility_failure(state, 0.0, "u_star rejected")
-    return replace(coeff, alpha=-np.exp(-2.0 * state.u) * state.value)
+    return replace(problem, alpha=-np.exp(-2.0 * state.u) * state.value)

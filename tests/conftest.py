@@ -1,10 +1,26 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the problem factory shared by the test modules."""
 
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from ksig import solver
+from ksig import geometry, solver
+
+
+def make_problem(grid, k=3, tau=0.0, B=None, alpha=None, alpha_l=None):
+    """geometry.Problem with defaults for what is not given: B = -I,
+    alpha = 0 and alpha_l = 1.  B is a constant (n, n) matrix or a per-node
+    (*grid.shape, n, n) field; its upper triangle becomes B's planes."""
+    B = -np.eye(grid.dim) if B is None else np.asarray(B)
+    return geometry.Problem(
+        grid=grid,
+        k=k,
+        tau=tau,
+        B_planes=geometry.background_planes(grid, lambda i, j: B[..., i, j]),
+        alpha=grid.zeros() if alpha is None else alpha,
+        alpha_l=np.ones((k - 1,) + grid.shape) if alpha_l is None else alpha_l,
+    )
 
 
 class March(NamedTuple):
@@ -17,8 +33,8 @@ class March(NamedTuple):
 def march():
     """Run solver.continuation_steps to its end; returns a March."""
 
-    def run(background, coeff, config):
-        log = list(solver.continuation_steps(background, coeff, config))
+    def run(problem, config):
+        log = list(solver.continuation_steps(problem, config))
         accepted = [rec for rec in log if rec.accepted]
         return March(log, accepted[-1], [rec.report for rec in accepted])
 

@@ -9,6 +9,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
+from conftest import make_problem
 from ksig import cones, geometry, monitors, operator, solver
 from ksig.cli import main
 from ksig.fieldexpr import analytic_jet
@@ -35,34 +36,27 @@ def coordinate_field(grid, axis):
     return grid.coordinate(axis) + np.zeros(grid.shape)
 
 
-def trivial_coeff(grid, k):
+def trivial_problem(grid, k, **background):
     c = cones.homotopy_constant(grid.dim, k)
-    return geometry.CoefficientData(
-        grid=grid, k=k, alpha=np.zeros(grid.shape), alpha_l=np.full((k - 1,) + grid.shape, c)
-    )
+    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c), **background)
 
 
-def default_coeff(grid, k=3):
-    return geometry.CoefficientData(
-        grid=grid,
-        k=k,
-        alpha=0.2 * np.sin(coordinate_field(grid, 0)),
-        alpha_l=np.ones((k - 1,) + grid.shape),
-    )
+def default_problem(grid, k=3):
+    return make_problem(grid, k=k, alpha=0.2 * np.sin(coordinate_field(grid, 0)))
 
 
-def admissible_state(u, t, bg, coeff):
+def admissible_state(u, t, problem):
     """operator.evaluate at (u, t), refusing a state within the solver's cone
     margin of the cone boundary."""
-    state = operator.evaluate(u, t, bg, coeff)
+    state = operator.evaluate(u, t, problem)
     if not state.margin.min() > solver._CONE_MARGIN:
         raise operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}")
     return state
 
 
-def linearize(u, t, v, bg, coeff):
+def linearize(u, t, v, problem):
     """dF[v] at (u, t) through operator.jacobian, the operator GMRES applies."""
-    apply, _ = operator.jacobian(admissible_state(u, t, bg, coeff), bg, coeff)
+    apply, _ = operator.jacobian(admissible_state(u, t, problem), problem)
     return apply(v)
 
 
@@ -88,8 +82,7 @@ def test_criterion_1_inequality_suite(capsys):
 def test_criterion_2_linearization(capsys):
     t0 = time.perf_counter()
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     rng = np.random.default_rng(2024)
     eps = 1e-6
     worst_rel = 0.0
@@ -99,14 +92,14 @@ def test_criterion_2_linearization(capsys):
         )
         t = float(rng.uniform(0.0, 1.0))
         v = rng.standard_normal(grid.shape)
-        lin = linearize(u, t, v, bg, coeff)
+        lin = linearize(u, t, v, problem)
         fd = (
-            admissible_state(u + eps * v, t, bg, coeff).residual
-            - admissible_state(u - eps * v, t, bg, coeff).residual
+            admissible_state(u + eps * v, t, problem).residual
+            - admissible_state(u - eps * v, t, problem).residual
         ) / (2.0 * eps)
         worst_rel = max(worst_rel, l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd)))
     # constant direction at the anchor: pure zeroth-order response, known exactly
-    const = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, trivial_coeff(grid, 3))
+    const = linearize(grid.zeros(), 0.0, np.ones(grid.shape), trivial_problem(grid, 3))
     const_dev = float(np.abs(const + 1.5).max())
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-5 and const_dev <= 1e-12 and elapsed <= 30.0
@@ -124,21 +117,20 @@ def test_criterion_3_trivial_anchor(capsys):
     grid = make_grid(3, 16)
     wiggle = -(1.0 + 0.2 * np.sin(coordinate_field(grid, 0)))
     backgrounds = [
-        geometry.flat_background(grid, tau=0.0),
-        geometry.flat_background(grid, tau=0.5),
-        geometry.flat_background(grid, tau=0.2, B=rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T),
-        geometry.flat_background(grid, tau=0.0, B=geometry.spaceform_schouten(-1.0, 3, 0.0)),
-        geometry.flat_background(grid, tau=0.0, B=wiggle[..., None, None] * np.eye(3)),
+        trivial_problem(grid, 3, tau=0.0),
+        trivial_problem(grid, 3, tau=0.5),
+        trivial_problem(grid, 3, tau=0.2, B=rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T),
+        trivial_problem(grid, 3, tau=0.0, B=geometry.spaceform_schouten(-1.0, 3, 0.0)),
+        trivial_problem(grid, 3, tau=0.0, B=wiggle[..., None, None] * np.eye(3)),
     ]
     cfg = solver.SolverConfig()
     worst_anchor = 0.0
-    for bg in backgrounds:
-        r = admissible_state(grid.zeros(), 0.0, bg, trivial_coeff(grid, 3)).residual
+    for problem in backgrounds:
+        r = admissible_state(grid.zeros(), 0.0, problem).residual
         worst_anchor = max(worst_anchor, sup_norm(r))
     # perturb off the root and watch Newton walk back
-    bg = geometry.flat_background(grid, tau=0.0)
     res = solver.newton_solve_at_t(
-        0.01 * np.sin(coordinate_field(grid, 0)), 0.0, bg, trivial_coeff(grid, 3), cfg
+        0.01 * np.sin(coordinate_field(grid, 0)), 0.0, trivial_problem(grid, 3), cfg
     )
     returned = sup_norm(res.u)
     ok = worst_anchor <= 1e-12 and returned <= 1e-8
@@ -157,13 +149,9 @@ def test_criterion_4_manufactured_convergence(capsys):
     errs = {}
     for N in (16, 32):
         grid = make_grid(3, N)
-        bg = geometry.flat_background(grid, tau=0.0)
         jet = analytic_jet("0.1*sin(x1)*cos(x2)", grid)
-        coeff = geometry.CoefficientData(
-            grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((2,) + grid.shape)
-        )
-        coeff = solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
-        res = solver.newton_solve_at_t(jet.value, 1.0, bg, coeff, cfg)
+        problem = solver.manufacture_alpha(jet.value, make_problem(grid), jet=jet)
+        res = solver.newton_solve_at_t(jet.value, 1.0, problem, cfg)
         errs[N] = sup_norm(res.u - jet.value)
     order = float(np.log2(errs[16] / errs[32]))
     elapsed = time.perf_counter() - t0
@@ -179,10 +167,9 @@ def test_criterion_4_manufactured_convergence(capsys):
 def test_criterion_5_continuation_to_t1(capsys, march):
     t0 = time.perf_counter()
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)  # B = -identity
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)  # B = -identity
     cfg = solver.SolverConfig()
-    _, last, reports = march(bg, coeff, cfg)
+    _, last, reports = march(problem, cfg)
     elapsed = time.perf_counter() - t0
     # the cone margin is the node-wise minimum over sigma_1..sigma_{k-1},
     # so margin >= 1e-10 bounds sigma_{k-1} away from zero as well

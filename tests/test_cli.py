@@ -128,6 +128,8 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha_l = 1.0": "alpha_l = 1,,2"}, "empty entry"),
         ({"alpha_l = 1.0": "alpha_l = 1, 2,"}, "empty entry"),
         ({"alpha_l = 1.0": "alpha_l = 1,"}, "empty entry"),
+        # geometry.Problem's own checks reach the user as invalid input
+        ({"k = 3": "k = 2"}, "[problem]: cone index k=2 outside [3, n=3]"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -147,9 +149,9 @@ def test_solve_gating_keeps_a_huge_file_background_finite(tmp_path, capsys):
         for j in range(i, 3):
             entry = 1e308 if (i, j) == (0, 1) else -float(i == j)
             write_field(tmp_path / f"bg_B{i}{j}.ksig", grid, np.full(grid.shape, entry))
-    background = runconfig.background_from_spec("file:bg", grid, 0.0, tmp_path)
-    assert np.all(background.B[..., 0, 1] == 1e308) and np.all(background.B[..., 1, 0] == 1e308)
     cfg = default_config(tmp_path, **{"background = hyperbolic-like": "background = file:bg"})
+    problem = runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
+    assert np.all(problem.B[..., 0, 1] == 1e308) and np.all(problem.B[..., 1, 0] == 1e308)
     assert main(["solve", str(cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "hypothesis check overflows" in line
@@ -227,6 +229,62 @@ def test_config_round_trips_through_write_config(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "every-key-copy.ini", "every-key.ini", "readme-copy.ini", "readme.ini"
     ]
+    # a value with an indented continuation line is one value across lines
+    (tmp_path / "multi-line.ini").write_text(MULTI_LINE_CONFIG)
+    cfg = runconfig.load_config(tmp_path / "multi-line.ini")
+    assert cfg.problem.background == "spaceform:\n-0.5"
+    runconfig.write_config(tmp_path / "multi-line-copy.ini", cfg)
+    assert runconfig.load_config(tmp_path / "multi-line-copy.ini") == cfg
+
+
+MULTI_LINE_CONFIG = """\
+[problem]
+n = 3
+k = 3
+resolution = 8
+background = spaceform:
+   -0.5
+u_star = 0.1*sin(x1)
+
+[output]
+directory = package
+"""
+
+
+def test_manufacture_then_solve_a_multi_line_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manufacture.ini").write_text(MULTI_LINE_CONFIG)
+    assert main(["manufacture", "manufacture.ini"]) == 0
+    assert main(["solve", str(tmp_path / "package" / "manufactured.ini")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def expected_planes(n, N, entry):
+    """B's planes (n, n, N, ..., N), plane (i, j) filled with entry(i, j)."""
+    return np.stack([np.stack([np.full((N,) * n, entry(i, j)) for j in range(n)]) for i in range(n)])
+
+
+def test_build_problem_builds_B_planes_from_the_spec(tmp_path):
+    # B's planes are the spec's upper triangle, mirrored; they are compared
+    # as bytes, since array_equal would not see the sign of a zero
+    def planes(background, tau="0.0"):
+        edits = {"background = hyperbolic-like": f"background = {background}", "tau = 0.0": f"tau = {tau}"}
+        return runconfig.build_problem(runconfig.load_config(default_config(tmp_path, **edits)), tmp_path).B_planes
+
+    minus_identity = expected_planes(3, 8, lambda i, j: -float(i == j))
+    assert np.signbit(minus_identity[0, 1]).all()  # -I is -0.0 off the diagonal
+    assert planes("hyperbolic-like").tobytes() == minus_identity.tobytes()
+    factor = (-0.7 / 1.0) * (2.0 - 0.2 * 3 / 2.0)  # spaceform_schouten's, at n = 3
+    want = expected_planes(3, 8, lambda i, j: factor * float(i == j))
+    assert planes("spaceform:-0.7", tau="0.2").tobytes() == want.tobytes()
+    grid = PeriodicGrid(dim=3, resolution=8)
+    rng = np.random.default_rng(3)
+    upper = {(i, j): -float(i == j) + 0.1 * rng.standard_normal(grid.shape) for i in range(3) for j in range(i, 3)}
+    upper[0, 2][1, 2, 3] = -0.0
+    for (i, j), values in upper.items():
+        write_field(tmp_path / f"bg_B{i}{j}.ksig", grid, values)
+    want = np.stack([np.stack([upper[min(i, j), max(i, j)] for j in range(3)]) for i in range(3)])
+    assert planes("file:bg").tobytes() == want.tobytes()
 
 
 def test_config_defaults_are_the_field_defaults(tmp_path):
@@ -372,6 +430,19 @@ def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
     assert summary["linear_iterations"] == 0
 
 
+@pytest.mark.parametrize("tau, note", [("-1e200", "preconditioned residual"), ("-1e308", "non-finite Jacobian")])
+def test_solve_huge_negative_tau_stalls_cleanly(tmp_path, capsys, tau, note):
+    # a finite tau far below 0 passes gating, but dF's weights, or the
+    # Jacobi-scaled residual, leave the float range: each linear solve fails
+    # with a note before it iterates on them, and no warning is raised
+    cfg = default_config(tmp_path, **{"tau = 0.0": f"tau = {tau}", "alpha = 0.2*sin(x1)": "alpha = 0.1*sin(x1)"})
+    assert main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: continuation stalled at t=")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["rejected"] and all(note in rec["note"] for rec in summary["rejected"])
+
+
 def test_solve_singular_jacobian_stalls_cleanly(tmp_path, capsys):
     # alpha_l = 1e-20 > 0 passes gating, but dF's zeroth-order weight falls
     # below round-off against the stencil's, so dF maps a constant to 0: the
@@ -471,10 +542,10 @@ def test_solve_ending_inside_the_coarse_solve_keeps_the_anchor(tmp_path, capsys,
     # full artifact set
     newton = solver.newton_solve_at_t
 
-    def ending(u0, t, background, *args):
-        if background.grid.resolution == 8:
+    def ending(u0, t, problem, *args):
+        if problem.grid.resolution == 8:
             raise error("inside the coarse solve")
-        return newton(u0, t, background, *args)
+        return newton(u0, t, problem, *args)
 
     monkeypatch.setattr(solver, "newton_solve_at_t", ending)
     cfg = default_config(tmp_path, **{"resolution = 8": "resolution = 16"})

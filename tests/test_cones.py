@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_problem
 from ksig import cones, geometry, sampling
 from ksig.grid import PeriodicGrid, compute_jet
 
@@ -602,7 +603,7 @@ def test_quotient_eval_transient_memory_is_block_sized():
     # (k-1) n^2 N^n doubles would add 25 MiB
     grid = PeriodicGrid(dim=5, resolution=8)
     u = 0.05 * np.sin(grid.coordinate(0)) * np.cos(grid.coordinate(1)) + grid.zeros()
-    U = geometry.assemble_U(compute_jet(grid, u), geometry.flat_background(grid), 0.5)
+    U = geometry.assemble_U(compute_jet(grid, u), make_problem(grid), 0.5)
     beta = np.full(grid.shape + (4,), 0.3)
     tracemalloc.start()
     try:

@@ -1,16 +1,17 @@
 """Prescribed backgrounds and tensor assembly: space forms, exact
 identities, hypothesis gating."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import make_problem
 from ksig import cones
 from ksig.geometry import (
-    CoefficientData,
     HypothesisViolation,
     assemble_U,
     beta_weights,
-    flat_background,
     spaceform_schouten,
     validate_hypotheses,
 )
@@ -44,41 +45,36 @@ def test_spaceform_linear_in_kappa_affine_in_tau():
 # ---------------------------------------------------------------- beta weights
 
 
-def default_coeff(grid, k=3, alpha_l_value=1.0):
-    return CoefficientData(
-        grid=grid,
-        k=k,
-        alpha=grid.zeros(),
-        alpha_l=np.full((k - 1,) + grid.shape, alpha_l_value),
-    )
+def default_problem(grid, k=3, alpha_l_value=1.0, **kw):
+    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, alpha_l_value), **kw)
 
 
 def test_beta_weights_endpoints():
     grid = PeriodicGrid(3, 8)
-    coeff = default_coeff(grid, alpha_l_value=2.0)
+    problem = default_problem(grid, alpha_l_value=2.0)
     c = cones.homotopy_constant(3, 3)
-    b0 = beta_weights(coeff, grid.zeros(), t=0.0)
+    b0 = beta_weights(problem, grid.zeros(), t=0.0)
     assert np.all(b0 == c)
-    b1 = beta_weights(coeff, grid.zeros(), t=1.0)
+    b1 = beta_weights(problem, grid.zeros(), t=1.0)
     assert np.all(b1 == 2.0)
 
 
 def test_beta_weights_midpoint_example():
     # t=0.5, u=0.1, n=3, k=3, l=1, alpha_1=2: (0.5*0.25 + 0.5*2) e^{0.4}
     grid = PeriodicGrid(3, 8)
-    coeff = default_coeff(grid, alpha_l_value=2.0)
-    b = beta_weights(coeff, np.full(grid.shape, 0.1), t=0.5)
+    problem = default_problem(grid, alpha_l_value=2.0)
+    b = beta_weights(problem, np.full(grid.shape, 0.1), t=0.5)
     assert np.allclose(b[..., 1], 1.125 * np.exp(0.4), rtol=1e-15)
     assert np.allclose(b[..., 0], 1.125 * np.exp(0.6), rtol=1e-15)
 
 
 def test_beta_weights_nonnegative_on_unit_interval():
     grid = PeriodicGrid(3, 8)
-    coeff = default_coeff(grid, alpha_l_value=0.3)
+    problem = default_problem(grid, alpha_l_value=0.3)
     rng = np.random.default_rng(5)
     u = rng.uniform(-1.0, 1.0, grid.shape)
     for t in (0.0, 0.25, 0.9, 1.0):
-        assert np.all(beta_weights(coeff, u, t) >= 0.0)
+        assert np.all(beta_weights(problem, u, t) >= 0.0)
 
 
 # ---------------------------------------------------------------- assemble_U
@@ -86,10 +82,10 @@ def test_beta_weights_nonnegative_on_unit_interval():
 
 def test_assemble_identity_when_B_is_minus_metric():
     grid = PeriodicGrid(3, 8)
-    bg = flat_background(grid)  # B = -I
+    problem = make_problem(grid)  # B = -I
     jet = compute_jet(grid, grid.zeros())
     for t in (0.0, 0.3, 1.0):
-        U = assemble_U(jet, bg, t)
+        U = assemble_U(jet, problem, t)
         assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
 
 
@@ -98,8 +94,8 @@ def test_assemble_any_B_drops_out_at_t_zero():
     rng = np.random.default_rng(2)
     B = rng.standard_normal(grid.shape + (3, 3))
     B = 0.5 * (B + B.swapaxes(-1, -2))
-    bg = flat_background(grid, tau=0.3, B=B)
-    U = assemble_U(compute_jet(grid, grid.zeros()), bg, t=0.0)
+    problem = make_problem(grid, tau=0.3, B=B)
+    U = assemble_U(compute_jet(grid, grid.zeros()), problem, t=0.0)
     assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
 
 
@@ -108,17 +104,17 @@ def test_assemble_constant_u_reduces_to_background():
     rng = np.random.default_rng(4)
     B = rng.standard_normal(grid.shape + (3, 3))
     B = 0.5 * (B + B.swapaxes(-1, -2))
-    bg = flat_background(grid, tau=0.1, B=B)
+    problem = make_problem(grid, tau=0.1, B=B)
     jet = compute_jet(grid, np.full(grid.shape, 0.8))
-    U = assemble_U(jet, bg, t=1.0)
+    U = assemble_U(jet, problem, t=1.0)
     assert np.array_equal(U, -B)
 
 
-def stacked_U(jet, bg, t):
+def stacked_U(jet, problem, t):
     """assemble_U built in the (..., n, n) layout with broadcast identity terms
     and einsum contractions over contiguous gradients: the construction the
     plane assembly replaced."""
-    n, tau = bg.grid.dim, bg.tau
+    n, tau = problem.grid.dim, problem.tau
     eye = np.eye(n)
     g = np.ascontiguousarray(np.moveaxis(jet.grad_planes, 0, -1))
     g2 = np.einsum("...i,...i->...", g, g)
@@ -127,7 +123,7 @@ def stacked_U(jet, bg, t):
         + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
         + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
         - g[..., :, None] * g[..., None, :]
-        - t * bg.B
+        - t * problem.B
         + (1.0 - t) * eye
     )
 
@@ -140,19 +136,19 @@ def test_assemble_flat_matches_hand_formula():
         grid = PeriodicGrid(n, 8)
         B = rng.standard_normal(grid.shape + (n, n))
         B = 0.5 * (B + B.swapaxes(-1, -2))
-        backgrounds = {
-            "flat": flat_background(grid, tau=0.2),
-            "per-node": flat_background(grid, tau=-0.4, B=B),
+        problems = {
+            "flat": make_problem(grid, k=3, tau=0.2),
+            "per-node": make_problem(grid, k=3, tau=-0.4, B=B),
         }
-        assert np.array_equal(backgrounds["per-node"].B, B)
+        assert np.array_equal(problems["per-node"].B, B)
         u = 0.1 * rng.standard_normal(grid.shape)
         jet = compute_jet(grid, u)
-        for name, bg in backgrounds.items():
+        for name, problem in problems.items():
             for t in (0.0, 0.6, 1.0):
-                U = assemble_U(jet, bg, t)
+                U = assemble_U(jet, problem, t)
                 assert U.shape == grid.shape + (n, n)
                 assert np.array_equal(U, U.swapaxes(-1, -2)), (n, name, t)
-                assert np.array_equal(U, stacked_U(jet, bg, t)), (n, name, t)
+                assert np.array_equal(U, stacked_U(jet, problem, t)), (n, name, t)
 
 
 # ---------------------------------------------------------------- gating
@@ -160,36 +156,45 @@ def test_assemble_flat_matches_hand_formula():
 
 def test_validate_accepts_default_background():
     grid = PeriodicGrid(3, 8)
-    margin = validate_hypotheses(flat_background(grid), default_coeff(grid))
+    margin = validate_hypotheses(default_problem(grid))
     assert margin == 1.0  # -B = I has sigma = (3, 3, 1)
 
 
 def test_validate_rejects_tau_at_one():
     grid = PeriodicGrid(3, 8)
     with pytest.raises(HypothesisViolation, match="tau"):
-        validate_hypotheses(flat_background(grid, tau=1.0), default_coeff(grid))
+        validate_hypotheses(default_problem(grid, tau=1.0))
 
 
 def test_validate_rejects_nonpositive_alpha_l():
     grid = PeriodicGrid(3, 8)
     alpha_l = np.ones((2,) + grid.shape)
     alpha_l[1, 0, 3, 2] = 0.0
-    coeff = CoefficientData(grid=grid, k=3, alpha=grid.zeros(), alpha_l=alpha_l)
+    problem = make_problem(grid, alpha_l=alpha_l)
     with pytest.raises(HypothesisViolation, match=r"alpha_1.*\(0, 3, 2\)"):
-        validate_hypotheses(flat_background(grid), coeff)
+        validate_hypotheses(problem)
 
 
 def test_validate_rejects_cone_failure():
     grid = PeriodicGrid(3, 8)
-    bg = flat_background(grid, B=np.eye(3))  # -B = -I, far outside Gamma_3
+    problem = default_problem(grid, B=np.eye(3))  # -B = -I, far outside Gamma_3
     with pytest.raises(HypothesisViolation, match="Gamma_3"):
-        validate_hypotheses(bg, default_coeff(grid))
+        validate_hypotheses(problem)
 
 
 def test_coefficient_data_validation():
     grid = PeriodicGrid(3, 8)
     with pytest.raises(ValueError):
-        CoefficientData(grid=grid, k=2, alpha=grid.zeros(), alpha_l=np.ones((1,) + grid.shape))
+        make_problem(grid, k=2, alpha_l=np.ones((1,) + grid.shape))
     with pytest.raises(ValueError):
-        CoefficientData(grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((3,) + grid.shape))
-
+        make_problem(grid, k=3, alpha_l=np.ones((3,) + grid.shape))
+    # each field is checked against the grid, B's planes included
+    good, other = make_problem(grid), PeriodicGrid(3, 10)
+    for field, value in (
+        ("alpha", other.zeros()),
+        ("alpha_l", np.ones((2,) + other.shape)),
+        ("B_planes", np.zeros((3, 3) + other.shape)),
+        ("B_planes", np.zeros(grid.shape + (3, 3))),  # the per-node layout, not planes
+    ):
+        with pytest.raises(ValueError, match="match grid|must stack"):
+            replace(good, **{field: value})

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 import ksig
-from ksig import geometry, monitors, solver
+from conftest import make_problem
+from ksig import monitors, solver
 from ksig.grid import PeriodicGrid
 
 SRC = Path(ksig.__file__).parent
@@ -299,10 +300,7 @@ def test_no_module_holds_an_array(march):
     # hidden state shared between runs.  A solve and a lemma suite run
     # first, so a cache filled at run time shows too
     grid = PeriodicGrid(dim=3, resolution=8)
-    coeff = geometry.CoefficientData(
-        grid=grid, k=3, alpha=0.2 * np.sin(grid.coordinate(0)) + grid.zeros(), alpha_l=np.ones((2,) + grid.shape)
-    )
-    march(geometry.flat_background(grid), coeff, solver.SolverConfig())
+    march(make_problem(grid, alpha=0.2 * np.sin(grid.coordinate(0)) + grid.zeros()), solver.SolverConfig())
     monitors.run_lemma_suite(3, 3, samples=100)
     held = {
         name: module_arrays(importlib.import_module(f"ksig.{name}")) for name in sorted(MODULES - {"__main__"})

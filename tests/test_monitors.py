@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ksig import cones, geometry, monitors, operator, sampling, solver
+from conftest import make_problem
+from ksig import cones, monitors, operator, sampling, solver
 from ksig.grid import PeriodicGrid
 
 EXPECTED_CHECKS = {
@@ -28,12 +29,8 @@ EXPECTED_CHECKS = {
 
 def anchor_setup(n=3, k=3, N=8):
     grid = PeriodicGrid(dim=n, resolution=N)
-    bg = geometry.flat_background(grid, tau=0.0)
     c = cones.homotopy_constant(n, k)
-    coeff = geometry.CoefficientData(
-        grid=grid, k=k, alpha=np.zeros(grid.shape), alpha_l=np.full((k - 1,) + grid.shape, c)
-    )
-    return grid, bg, coeff
+    return grid, make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c))
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +44,9 @@ def test_anchor_snapshot_frozen_values():
     #   quotient gradient trace = (3*3 - 1*6)/9 = 1/3 = (n-k+1)/k -> slack 0
     #   ratios  = {sigma_0, sigma_1}/sigma_2 = {1/3, 1} -> max 1
     #   eq33    = trace(G) + 0 = 3/4
-    grid, bg, coeff = anchor_setup()
-    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff)
-    rep = monitors.snapshot_point(state, bg, coeff, newton_iters=2)
+    grid, problem = anchor_setup()
+    state = operator.evaluate(grid.zeros(), 0.0, problem)
+    rep = monitors.snapshot_point(state, problem, newton_iters=2)
     assert rep.t == 0.0
     assert rep.sup_u == 0.0 and rep.sup_grad_u == 0.0 and rep.sup_lap_u == 0.0
     assert rep.cone_margin == 3.0
@@ -62,11 +59,11 @@ def test_anchor_snapshot_frozen_values():
 
 
 def test_snapshot_no_warning_on_admissible_run():
-    grid, bg, coeff = anchor_setup()
-    state = operator.evaluate(grid.zeros(), 0.0, bg, coeff)
+    grid, problem = anchor_setup()
+    state = operator.evaluate(grid.zeros(), 0.0, problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        monitors.snapshot_point(state, bg, coeff, 0)
+        monitors.snapshot_point(state, problem, 0)
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)])
@@ -93,13 +90,10 @@ def test_csv_header_is_stable():
 
 
 def test_monitor_csv_roundtrip(tmp_path, march):
-    grid, bg, coeff = anchor_setup()
+    grid = PeriodicGrid(dim=3, resolution=8)
     cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    coeff2 = geometry.CoefficientData(
-        grid=grid, k=3, alpha=0.2 * np.sin(x1), alpha_l=np.ones((2,) + grid.shape)
-    )
-    reports = march(bg, coeff2, cfg).reports
+    reports = march(make_problem(grid, alpha=0.2 * np.sin(x1)), cfg).reports
     path = tmp_path / "monitors.csv"
     monitors.write_monitor_csv(path, reports)
     back = monitors.read_monitor_csv(path)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_problem
 from ksig import cones, geometry, monitors, operator, solver
 from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
@@ -25,57 +26,44 @@ def make_grid(n=3, N=8):
     return PeriodicGrid(dim=n, resolution=N)
 
 
-def trivial_coeff(grid, k):
+def trivial_problem(grid, k, **background):
     """alpha = 0, alpha_l = c: the homotopy is stationary at u = 0."""
     c = cones.homotopy_constant(grid.dim, k)
-    return geometry.CoefficientData(
-        grid=grid, k=k, alpha=np.zeros(grid.shape), alpha_l=np.full((k - 1,) + grid.shape, c)
-    )
+    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c), **background)
 
 
-def default_coeff(grid, k=3, amplitude=0.2):
+def default_problem(grid, k=3, amplitude=0.2, **background):
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    return geometry.CoefficientData(
-        grid=grid,
-        k=k,
-        alpha=amplitude * np.sin(x1),
-        alpha_l=np.ones((k - 1,) + grid.shape),
-    )
+    return make_problem(grid, k=k, alpha=amplitude * np.sin(x1), **background)
 
 
-def hard_coeff(grid):
+def hard_problem(grid):
     """alpha = 20 sin x1 cos x2, alpha_l = 1, k = 3: a forcing 100x the
     default's, so a march from u = 0 rejects steps."""
-    return geometry.CoefficientData(
-        grid=grid, k=3, alpha=smooth_u(grid, 20.0), alpha_l=np.ones((2,) + grid.shape)
-    )
+    return make_problem(grid, alpha=smooth_u(grid, 20.0))
 
-def manufactured(expr, bg, k=3):
-    """u_star from `expr` and coefficients built around it from its analytic
+def manufactured(expr, grid, k=3, **background):
+    """u_star from `expr` and the problem built around it from its analytic
     jet, with alpha_l = 1."""
-    grid = bg.grid
     jet = analytic_jet(expr, grid)
-    coeff = geometry.CoefficientData(
-        grid=grid, k=k, alpha=grid.zeros(), alpha_l=np.ones((k - 1,) + grid.shape)
-    )
-    return jet.value, solver.manufacture_alpha(jet.value, bg, coeff, jet=jet)
+    return jet.value, solver.manufacture_alpha(jet.value, make_problem(grid, k=k, **background), jet=jet)
 
 
-def admissible_state(u, t, bg, coeff):
-    state = operator.evaluate(u, t, bg, coeff)
+def admissible_state(u, t, problem):
+    state = operator.evaluate(u, t, problem)
     assert state.margin.min() > solver._CONE_MARGIN
     return state
 
 
-def residual(u, t, bg, coeff):
+def residual(u, t, problem):
     """F(u; t) per node at an admissible u."""
-    return admissible_state(u, t, bg, coeff).residual
+    return admissible_state(u, t, problem).residual
 
 
-def linearize(u, t, v, bg, coeff):
+def linearize(u, t, v, problem):
     """dF[v] at an admissible (u, t) through operator.jacobian, the operator
     GMRES applies."""
-    apply, _ = operator.jacobian(admissible_state(u, t, bg, coeff), bg, coeff)
+    apply, _ = operator.jacobian(admissible_state(u, t, problem), problem)
     return apply(v)
 
 
@@ -111,9 +99,8 @@ def test_anchor_residual_zero(n, k):
     # at t=0 the background drops out, U = identity, and the homotopy
     # constant is defined so sigma_k(e) = c * sum sigma_l(e) exactly
     grid = make_grid(n, 8 if n < 5 else 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, k)
-    r = residual(grid.zeros(), 0.0, bg, coeff)
+    problem = trivial_problem(grid, k)
+    r = residual(grid.zeros(), 0.0, problem)
     assert sup_norm(r) <= 1e-12
 
 
@@ -121,17 +108,15 @@ def test_anchor_independent_of_background():
     grid = make_grid()
     rot = np.array([[0.8, 0.6, 0.0], [-0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
     B = rot @ np.diag([-1.3, -0.9, -0.7]) @ rot.T
-    bg = geometry.flat_background(grid, tau=0.2, B=B)
-    coeff = trivial_coeff(grid, 3)
-    assert sup_norm(residual(grid.zeros(), 0.0, bg, coeff)) <= 1e-12
+    problem = trivial_problem(grid, 3, tau=0.2, B=B)
+    assert sup_norm(residual(grid.zeros(), 0.0, problem)) <= 1e-12
 
 
 def test_anchor_t1_with_matching_coefficients():
     # u = 0, t = 1, B = -g0, alpha_l = c, alpha = 0: same cancellation at t=1
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
-    assert sup_norm(residual(grid.zeros(), 1.0, bg, coeff)) <= 1e-12
+    problem = trivial_problem(grid, 3)
+    assert sup_norm(residual(grid.zeros(), 1.0, problem)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -144,54 +129,50 @@ def test_linearize_constant_direction_exact_value():
     #   = -(1/4) * (2*3*(1/3) + 2*2*(3/3)) = -(1/4)*(2 + 4) = -3/2
     for N in (8, 16):
         grid = make_grid(3, N)
-        bg = geometry.flat_background(grid, tau=0.0)
-        coeff = trivial_coeff(grid, 3)
-        out = linearize(grid.zeros(), 0.0, np.ones(grid.shape), bg, coeff)
+        problem = trivial_problem(grid, 3)
+        out = linearize(grid.zeros(), 0.0, np.ones(grid.shape), problem)
         assert np.abs(out + 1.5).max() <= 1e-12
 
 
 def test_linearize_zero_direction():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
-    out = linearize(smooth_u(grid), 0.5, np.zeros(grid.shape), bg, coeff)
+    problem = default_problem(grid)
+    out = linearize(smooth_u(grid), 0.5, np.zeros(grid.shape), problem)
     assert np.array_equal(out, np.zeros(grid.shape))
 
 
 def test_linearize_is_linear_in_direction():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     rng = np.random.default_rng(11)
     u = smooth_u(grid)
     v = rng.standard_normal(grid.shape)
     w = rng.standard_normal(grid.shape)
-    lv = linearize(u, 0.7, v, bg, coeff)
-    lw = linearize(u, 0.7, w, bg, coeff)
-    combo = linearize(u, 0.7, 2.0 * v - 3.0 * w, bg, coeff)
+    lv = linearize(u, 0.7, v, problem)
+    lw = linearize(u, 0.7, w, problem)
+    combo = linearize(u, 0.7, 2.0 * v - 3.0 * w, problem)
     assert np.abs(combo - (2.0 * lv - 3.0 * lw)).max() <= 1e-10 * max(1.0, np.abs(combo).max())
 
 
 def test_linearize_matches_difference_quotient():
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     rng = np.random.default_rng(5)
     eps = 1e-6
     for trial in range(6):
         u = smooth_u(grid, amp=rng.uniform(0.01, 0.08))
         v = rng.standard_normal(grid.shape)
         t = rng.uniform(0.0, 1.0)
-        lin = linearize(u, t, v, bg, coeff)
+        lin = linearize(u, t, v, problem)
         fd = (
-            residual(u + eps * v, t, bg, coeff)
-            - residual(u - eps * v, t, bg, coeff)
+            residual(u + eps * v, t, problem)
+            - residual(u - eps * v, t, problem)
         ) / (2.0 * eps)
         rel = l2_norm(grid, lin - fd) / max(1.0, l2_norm(grid, fd))
         assert rel <= 1e-5, f"trial {trial}: rel {rel:.3e}"
 
 
-def rotated_background(grid, tau):
+def rotated_background(grid):
     """B = Q D(x) Q^T: a fixed rotation Q conjugating a diagonal with entries
     that vary over the grid, so every entry of B does; -B is positive
     definite."""
@@ -200,7 +181,7 @@ def rotated_background(grid, tau):
     x2 = grid.coordinate(1) + np.zeros(grid.shape)
     Q, _ = np.linalg.qr(np.random.default_rng(100 + n).standard_normal((n, n)))
     d = np.stack([-(1.0 + 0.3 * np.sin(x1 + i) * np.cos(x2)) for i in range(n)], axis=-1)
-    return geometry.flat_background(grid, tau=tau, B=(Q * d[..., None, :]) @ Q.T)
+    return (Q * d[..., None, :]) @ Q.T
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -216,45 +197,45 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
     t = 0.7
     if kind == "minus-identity":
-        bg = geometry.flat_background(grid, tau=tau)
+        B = None
     elif kind == "per-node":
-        bg = geometry.flat_background(grid, tau=tau, B=-(1.0 + 0.2 * np.sin(x1))[..., None, None] * np.eye(n))
+        B = -(1.0 + 0.2 * np.sin(x1))[..., None, None] * np.eye(n)
     else:
-        bg = rotated_background(grid, tau)
+        B = rotated_background(grid)
         # every off-diagonal entry is nonzero somewhere and varies over the grid
-        assert all(np.ptp(bg.B_planes[i, j]) > 0.01 for i in range(n) for j in range(i + 1, n))
+        assert all(np.ptp(B[..., i, j]) > 0.01 for i in range(n) for j in range(i + 1, n))
     u = smooth_u(grid)
     v = np.random.default_rng(n).standard_normal(grid.shape)
-    dU = central_dU(u, v, t, bg)
+    dU = central_dU(u, v, t, make_problem(grid, tau=tau, B=B))
     for k in range(3, n + 1):
-        coeff = default_coeff(grid, k=k)
+        problem = default_problem(grid, k=k, tau=tau, B=B)
         if kind == "rotated":
-            geometry.validate_hypotheses(bg, coeff)
-        state = admissible_state(u, t, bg, coeff)
-        rel = jacobian_error(state, v, dU, bg, coeff)
+            geometry.validate_hypotheses(problem)
+        state = admissible_state(u, t, problem)
+        rel = jacobian_error(state, v, dU, problem)
         assert rel <= 1e-12, f"k={k}: relative sup error {rel:.3e}"
 
 
-def central_dU(u, v, t, bg):
+def central_dU(u, v, t, problem):
     """The central difference of assemble_U along v: U^t is quadratic in the
     stencil jet, so this is its exact derivative for any step."""
-    grid = bg.grid
+    grid = problem.grid
     return 0.5 * (
-        geometry.assemble_U(compute_jet(grid, u + v), bg, t)
-        - geometry.assemble_U(compute_jet(grid, u - v), bg, t)
+        geometry.assemble_U(compute_jet(grid, u + v), problem, t)
+        - geometry.assemble_U(compute_jet(grid, u - v), problem, t)
     )
 
 
-def jacobian_error(state, v, dU, bg, coeff):
+def jacobian_error(state, v, dU, problem):
     """Relative sup error of operator.jacobian's apply(v) against dF[v]: dU
     contracted with G^{ij}, plus the pointwise derivative in u of
     beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
-    k, u, t = coeff.k, state.u, state.t
-    dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(coeff, u, t)
+    k, u, t = problem.k, state.u, state.t
+    dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(problem, u, t)
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]
-    pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * coeff.alpha * np.exp(2.0 * u)
+    pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * problem.alpha * np.exp(2.0 * u)
     exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
-    apply, _ = operator.jacobian(state, bg, coeff)
+    apply, _ = operator.jacobian(state, problem)
     return sup_norm(apply(v) - exact) / sup_norm(exact)
 
 
@@ -288,19 +269,20 @@ def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, se
     rng = np.random.default_rng(seed)
     # -B = I + E with |E_ij| <= 0.16, so -B is positive definite (Gershgorin)
     E = rng.uniform(-0.08, 0.08, grid.shape + (n, n))
-    bg = geometry.flat_background(grid, tau=tau, B=-(np.eye(n) + E + E.swapaxes(-1, -2)))
-    coeff = geometry.CoefficientData(
-        grid=grid,
+    problem = make_problem(
+        grid,
         k=k,
+        tau=tau,
+        B=-(np.eye(n) + E + E.swapaxes(-1, -2)),
         alpha=random_field(grid, rng, 1.0),
         alpha_l=rng.uniform(0.5, 2.0, (k - 1,) + grid.shape),
     )
-    geometry.validate_hypotheses(bg, coeff)
+    geometry.validate_hypotheses(problem)
     u = random_field(grid, rng, amplitude)
-    state = operator.evaluate(u, t, bg, coeff)
+    state = operator.evaluate(u, t, problem)
     assume(state.margin.min() > solver._CONE_MARGIN)
     v = rng.standard_normal(grid.shape)
-    rel = jacobian_error(state, v, central_dU(u, v, t, bg), bg, coeff)
+    rel = jacobian_error(state, v, central_dU(u, v, t, problem), problem)
     assert rel <= 1e-12, f"relative sup error {rel:.3e}"
 
 
@@ -309,14 +291,13 @@ def test_evaluate_leaves_its_inputs_untouched(n):
     # quotient_eval builds the gradient in its own copy of U's planes; the
     # stored U and jet must survive it, and G must not alias U
     grid = make_grid(n, 8)
-    bg = geometry.flat_background(grid, tau=0.3)
-    coeff = default_coeff(grid, k=n)
+    problem = default_problem(grid, k=n, tau=0.3)
     u = smooth_u(grid)
     t = 0.6
-    state = operator.evaluate(u, t, bg, coeff)
+    state = operator.evaluate(u, t, problem)
     fresh = compute_jet(grid, u)
     assert np.array_equal(state.jet.hess_planes, fresh.hess_planes)
-    assert np.array_equal(state.U, geometry.assemble_U(fresh, bg, t))
+    assert np.array_equal(state.U, geometry.assemble_U(fresh, problem, t))
     assert not np.shares_memory(state.U, state.grad)
 
 
@@ -326,10 +307,9 @@ def test_evaluate_leaves_its_inputs_untouched(n):
 
 def test_newton_at_anchor_zero_iterations():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
+    problem = trivial_problem(grid, 3)
     cfg = solver.SolverConfig()
-    res = solver.newton_solve_at_t(grid.zeros(), 0.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.0, problem, cfg)
     assert res.iterations == 0
     assert res.residual_norm <= 1e-12
 
@@ -337,22 +317,20 @@ def test_newton_at_anchor_zero_iterations():
 def test_newton_returns_to_zero():
     # the t=0 problem has u=0 as its only root; Newton must find its way back
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
+    problem = trivial_problem(grid, 3)
     cfg = solver.SolverConfig()
     u0 = 0.01 * np.sin(grid.coordinate(0) + np.zeros(grid.shape))
-    res = solver.newton_solve_at_t(u0, 0.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(u0, 0.0, problem, cfg)
     assert sup_norm(res.u) <= 1e-8
     assert res.iterations <= 6
 
 
 def test_newton_quadratic_tail():
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
+    problem = trivial_problem(grid, 3)
     cfg = solver.SolverConfig()
     u0 = 0.01 * np.sin(grid.coordinate(0) + np.zeros(grid.shape))
-    res = solver.newton_solve_at_t(u0, 0.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(u0, 0.0, problem, cfg)
     rs = res.history
     assert len(rs) >= 3
     # observed contraction constants sit near 1.1; 50 leaves slack for
@@ -363,11 +341,10 @@ def test_newton_quadratic_tail():
 
 def test_newton_rejects_inadmissible_start():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
+    problem = trivial_problem(grid, 3)
     cfg = solver.SolverConfig()
     x1 = grid.coordinate(0) + np.zeros(grid.shape)
-    res = solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(5.0 * np.sin(x1), 0.0, problem, cfg)
     assert "initial guess" in res.note
     assert res.u is None and res.report is None
     assert res.iterations == 0 and res.damping_trials == 0
@@ -375,10 +352,9 @@ def test_newton_rejects_inadmissible_start():
 
 def test_newton_iteration_limit_reported():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     cfg = solver.SolverConfig(max_newton=1)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, cfg)
     assert "limit" in res.note
     assert res.residual_norm is not None and res.residual_norm > 0
     assert res.u is None and res.report is None
@@ -388,13 +364,10 @@ def test_newton_nan_residual_is_not_converged(monkeypatch):
     # NaN compares False against any tolerance: the solve must fail on it,
     # not report convergence after 0 iterations, and before any linear solve
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = geometry.CoefficientData(
-        grid=grid, k=3, alpha=np.full(grid.shape, np.nan), alpha_l=np.ones((2,) + grid.shape)
-    )
+    problem = make_problem(grid, alpha=np.full(grid.shape, np.nan))
     linear_solves = []
     monkeypatch.setattr(solver, "_gmres", lambda *args: linear_solves.append(args))
-    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, solver.SolverConfig())
     assert np.isnan(res.residual_norm)
     assert "non-finite residual" in res.note
     assert res.u is None and res.report is None
@@ -406,8 +379,7 @@ def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
     # the reversed Newton direction raises the residual for every damping
     # factor: three halvings, four trial evaluations, then the solve fails
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     gmres, evaluate = solver._gmres, operator.evaluate
     calls = []
 
@@ -421,7 +393,7 @@ def test_newton_fails_fast_at_the_damping_floor(monkeypatch):
 
     monkeypatch.setattr(solver, "_gmres", uphill)
     monkeypatch.setattr(operator, "evaluate", counting)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, solver.SolverConfig())
     assert "damping" in res.note
     # the first call evaluates the start, then s = 1, 1/2, 1/4, 1/8
     assert len(calls) - 1 == 4
@@ -433,8 +405,7 @@ def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
     # a twentieth of the Newton step cuts the residual by about 5%: the first
     # iteration may do that, the second may not
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     gmres = solver._gmres
 
     def timid(*args):
@@ -442,7 +413,7 @@ def test_newton_fails_fast_on_a_stalled_iteration(monkeypatch):
         return 0.05 * delta, iters, note
 
     monkeypatch.setattr(solver, "_gmres", timid)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.6, bg, coeff, solver.SolverConfig())
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, solver.SolverConfig())
     assert "stalled" in res.note
     r0, r1, r2 = res.history
     assert r2 < r1 < r0
@@ -524,16 +495,26 @@ def test_gmres_fails_on_a_singular_krylov_matrix():
     assert not x.any()
 
 
+def test_gmres_fails_when_the_preconditioned_residual_underflows():
+    # every entry of r / diagonal is subnormal, so the squares in its 2-norm
+    # underflow to 0 although b is not 0: a note, and no division by the norm
+    b = 1e-20 * np.arange(1.0, 9.0)
+    diagonal = np.full(8, 1e300)
+    with np.errstate(all="raise"):
+        x, iters, note = solver._gmres(lambda v: diagonal * v, diagonal, b, 1e-2)
+    assert iters == 0 and "preconditioned residual" in note
+    assert not x.any()
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
 
 def test_continuation_stationary_path_stays_at_zero(march):
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = trivial_coeff(grid, 3)
+    problem = trivial_problem(grid, 3)
     cfg = solver.SolverConfig()
-    log, last, reports = march(bg, coeff, cfg)
+    log, last, reports = march(problem, cfg)
     assert last.t == 1.0
     assert np.array_equal(last.u, np.zeros(grid.shape))
     assert sum(rec.iterations for rec in log) == 0
@@ -542,10 +523,9 @@ def test_continuation_stationary_path_stays_at_zero(march):
 
 def test_continuation_default_problem(march):
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     cfg = solver.SolverConfig()
-    log, last, reports = march(bg, coeff, cfg)
+    log, last, reports = march(problem, cfg)
     assert last.t == 1.0
     assert last.residual_norm <= 1e-9
     assert sup_norm(last.u) > 0.1  # honest deformation, not a no-op
@@ -572,12 +552,11 @@ def test_continuation_default_problem(march):
 
 def test_continuation_stall_carries_last_state(march):
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     # one Newton iteration is never enough at t = 1 nor at t = 0.2, and
     # dt_min forbids halving below 0.15, so the march stalls at the anchor
     cfg = solver.SolverConfig(max_newton=1, dt_init=0.2, dt_min=0.15)
-    log, last, reports = march(bg, coeff, cfg)
+    log, last, reports = march(problem, cfg)
     assert last is not None
     assert last.t == 0.0
     assert np.array_equal(last.u, np.zeros(grid.shape))
@@ -603,10 +582,9 @@ def test_continuation_recovers_after_rejected_enlarged_step(march):
     # with three Newton iterations allowed, a doubled step fails and has to
     # be halved again, more than once along the path
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     cfg = solver.SolverConfig(max_newton=3)
-    log, last, _ = march(bg, coeff, cfg)
+    log, last, _ = march(problem, cfg)
     assert last.t == 1.0
     assert last.residual_norm <= cfg.residual_tol
     accepted = [rec for rec in log if rec.accepted]
@@ -633,10 +611,9 @@ def test_continuation_falls_back_after_the_whole_path_fails(march):
     # a forcing 100x the default's: t = 1 is out of Newton's reach from
     # u = 0, so the attempt fails fast and the controller takes the path
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = hard_coeff(grid)
+    problem = hard_problem(grid)
     cfg = solver.SolverConfig()
-    log, last, _ = march(bg, coeff, cfg)
+    log, last, _ = march(problem, cfg)
     assert last.t == 1.0
     assert last.residual_norm <= cfg.residual_tol
     rejected = [rec for rec in log if not rec.accepted]
@@ -653,16 +630,15 @@ def test_continuation_records_hold_no_evaluated_state(march):
     # accepted record's report is the snapshot of its root evaluated afresh,
     # field for field
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = hard_coeff(grid)
-    log, _, _ = march(bg, coeff, solver.SolverConfig())
+    problem = hard_problem(grid)
+    log, _, _ = march(problem, solver.SolverConfig())
     assert any(not rec.accepted for rec in log)
     for rec in log:
         for f in fields(rec):
             assert not isinstance(getattr(rec, f.name), operator.PointState), f.name
     for rec in (rec for rec in log if rec.accepted):
-        state = operator.evaluate(rec.u, rec.t, bg, coeff)
-        fresh = monitors.snapshot_point(state, bg, coeff, rec.iterations)
+        state = operator.evaluate(rec.u, rec.t, problem)
+        fresh = monitors.snapshot_point(state, problem, rec.iterations)
         assert astuple(rec.report) == astuple(fresh)
         assert rec.report.residual == rec.residual_norm and rec.report.t == rec.t
 
@@ -671,8 +647,7 @@ def test_newton_forcing_terms(monkeypatch):
     # Eisenstat-Walker terms, never for less than _LINEAR_RTOL or than what
     # reaching residual_tol needs
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     rtols = []
     linear_iters = []
 
@@ -685,7 +660,7 @@ def test_newton_forcing_terms(monkeypatch):
     gmres = solver._gmres
     monkeypatch.setattr(solver, "_gmres", recording_gmres)
     cfg = solver.SolverConfig()
-    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.3, problem, cfg)
     assert res.residual_norm <= cfg.residual_tol
     assert len(rtols) == res.iterations >= 3
     assert rtols[0] == 0.01
@@ -698,19 +673,18 @@ def test_newton_forcing_terms(monkeypatch):
 
     rtols.clear()
     monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.05)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.3, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.3, problem, cfg)
     assert res.residual_norm <= cfg.residual_tol
     assert rtols and min(rtols) >= 0.05
 
 
 def test_continuation_is_deterministic(march):
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     cfg = solver.SolverConfig()
     runs = []
     for _ in range(2):
-        log, last, reports = march(bg, coeff, cfg)
+        log, last, reports = march(problem, cfg)
         runs.append(
             (
                 last.u.tobytes(),
@@ -757,42 +731,41 @@ def expression_problem(n, N):
     for i in range(n):
         for j in range(i, n):
             spec = f"{-1.0 if i == j else 0.0} + 0.1*sin(x{i + 1})*cos(x{j + 1})"
-            B[..., i, j] = B[..., j, i] = fieldexpr.evaluate(spec, grid)
+            B[..., i, j] = fieldexpr.evaluate(spec, grid)
     alpha_l = ["1 + 0.2*cos(x2)", "2 - 0.3*sin(x1)*sin(x3)", "1.5 + 0.1*cos(x1)"][: n - 1]
-    coeff = geometry.CoefficientData(
-        grid=grid,
+    return make_problem(
+        grid,
         k=n,
+        tau=0.25,
+        B=B,
         alpha=fieldexpr.evaluate("0.3*sin(x1)*cos(x2) - 0.1*cos(x3)", grid),
         alpha_l=np.stack([fieldexpr.evaluate(spec, grid) for spec in alpha_l]),
     )
-    return geometry.flat_background(grid, tau=0.25, B=B), coeff
 
 
 @pytest.mark.parametrize("n, N", [(3, 16), (3, 20), (4, 16)])
 def test_injected_problem_is_the_problem_built_on_the_coarse_grid(n, N):
-    coarse_bg, coarse_coeff = solver._coarse_problem(*expression_problem(n, N))
-    bg, coeff = expression_problem(n, N // 2)
-    assert coarse_bg.grid == bg.grid and coarse_coeff.grid == coeff.grid
-    assert coarse_bg.tau == bg.tau and coarse_coeff.k == coeff.k
-    assert coarse_bg.B_planes.tobytes() == bg.B_planes.tobytes()
-    assert coarse_coeff.alpha.tobytes() == coeff.alpha.tobytes()
-    assert coarse_coeff.alpha_l.tobytes() == coeff.alpha_l.tobytes()
+    coarse = solver._coarse_problem(expression_problem(n, N))
+    problem = expression_problem(n, N // 2)
+    assert coarse.grid == problem.grid
+    assert coarse.tau == problem.tau and coarse.k == problem.k
+    assert coarse.B_planes.tobytes() == problem.B_planes.tobytes()
+    assert coarse.alpha.tobytes() == problem.alpha.tobytes()
+    assert coarse.alpha_l.tobytes() == problem.alpha_l.tobytes()
 
 
 def test_continuation_starts_the_whole_path_from_the_coarse_root(march):
     grid = make_grid(3, 32)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
+    problem = default_problem(grid)
     cfg = solver.SolverConfig()
-    log, last, _ = march(bg, coeff, cfg)
+    log, last, _ = march(problem, cfg)
     assert [(rec.t, rec.accepted) for rec in log] == [(0.0, True), (1.0, True)]
     whole = log[1]
     # the coarse record is the N = 16 problem's own whole-path solve, bit
     # for bit, with its root and report dropped
     coarse_grid = make_grid(3, 16)
     direct = solver.newton_solve_at_t(
-        coarse_grid.zeros(), 1.0, geometry.flat_background(coarse_grid, tau=0.0),
-        default_coeff(coarse_grid), cfg,
+        coarse_grid.zeros(), 1.0, default_problem(coarse_grid), cfg,
     )
     assert whole.coarse.accepted and whole.coarse.history == direct.history
     assert (whole.coarse.iterations, whole.coarse.linear_iterations) == (direct.iterations, direct.linear_iterations)
@@ -800,7 +773,7 @@ def test_continuation_starts_the_whole_path_from_the_coarse_root(march):
     assert log[0].coarse is None and whole.coarse.coarse is None
     # from u = 0 this step took 6 Newton iterations
     assert whole.iterations <= 3
-    from_zero = solver.newton_solve_at_t(grid.zeros(), 1.0, bg, coeff, cfg)
+    from_zero = solver.newton_solve_at_t(grid.zeros(), 1.0, problem, cfg)
     assert sup_norm(last.u - from_zero.u) <= 100 * cfg.residual_tol
 
 
@@ -809,9 +782,8 @@ def test_continuation_falls_back_to_the_anchor_when_the_coarse_solve_fails(march
     # whole-path attempt starts from the anchor and the march is the one
     # that runs without a coarse solve
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = hard_coeff(grid)
-    log, last, _ = march(bg, coeff, solver.SolverConfig())
+    problem = hard_problem(grid)
+    log, last, _ = march(problem, solver.SolverConfig())
     assert log[1].coarse.note and log[1].coarse.u is None
     assert all(rec.coarse is None for rec in log[:1] + log[2:])
     accepted = [rec for rec in log if rec.accepted]
@@ -827,10 +799,9 @@ def test_continuation_falls_back_to_the_anchor_when_the_coarse_solve_fails(march
 def test_continuation_without_a_coarse_grid(march, N):
     # N/2 = 4 and 6 are not grids
     grid = make_grid(3, N)
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = default_coeff(grid)
-    assert solver._coarse_problem(bg, coeff) is None
-    log, last, _ = march(bg, coeff, solver.SolverConfig())
+    problem = default_problem(grid)
+    assert solver._coarse_problem(problem) is None
+    log, last, _ = march(problem, solver.SolverConfig())
     assert last.t == 1.0
     assert all(rec.coarse is None for rec in log)
 
@@ -856,15 +827,14 @@ HARD_PANEL = [
 ]
 
 
-@pytest.mark.parametrize("problem, counts", HARD_PANEL, ids=["-".join(map(str, p)) for p, _ in HARD_PANEL])
-def test_hard_panel_counts(monkeypatch, problem, counts):
-    amplitude, cos_x2, tau, n, N = problem
+@pytest.mark.parametrize("case, counts", HARD_PANEL, ids=["-".join(map(str, p)) for p, _ in HARD_PANEL])
+def test_hard_panel_counts(monkeypatch, case, counts):
+    amplitude, cos_x2, tau, n, N = case
     grid = make_grid(n, N)
     alpha = amplitude * np.sin(grid.coordinate(0)) + grid.zeros()
     if cos_x2:
         alpha *= np.cos(grid.coordinate(1))
-    bg = geometry.flat_background(grid, tau=tau)
-    coeff = geometry.CoefficientData(grid=grid, k=n, alpha=alpha, alpha_l=np.ones((n - 1,) + grid.shape))
+    problem = make_problem(grid, k=n, tau=tau, alpha=alpha)
     nodes = []
     evaluate = operator.evaluate
 
@@ -873,7 +843,7 @@ def test_hard_panel_counts(monkeypatch, problem, counts):
         return evaluate(u, *args, **kwargs)
 
     monkeypatch.setattr(operator, "evaluate", counted)
-    log = list(solver.continuation_steps(bg, coeff, solver.SolverConfig()))
+    log = list(solver.continuation_steps(problem, solver.SolverConfig()))
     assert log[-1].accepted and log[-1].t == 1.0
     newton = sum(rec.iterations for rec in log)
     rejected = sum(not rec.accepted for rec in log)
@@ -887,9 +857,8 @@ def test_hard_panel_counts(monkeypatch, problem, counts):
 
 def test_manufacture_trivial_field_gives_zero_alpha():
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
-    coeff = solver.manufacture_alpha(grid.zeros(), bg, trivial_coeff(grid, 3))
-    assert np.array_equal(coeff.alpha, np.zeros(grid.shape))
+    problem = solver.manufacture_alpha(grid.zeros(), trivial_problem(grid, 3))
+    assert np.array_equal(problem.alpha, np.zeros(grid.shape))
 
 
 def test_manufactured_residual_is_stencil_sized():
@@ -898,9 +867,8 @@ def test_manufactured_residual_is_stencil_sized():
     sups = {}
     for N in (8, 16):
         grid = make_grid(3, N)
-        bg = geometry.flat_background(grid, tau=0.0)
-        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
-        sups[N] = sup_norm(residual(u_star, 1.0, bg, coeff))
+        u_star, problem = manufactured("0.1*sin(x1)*cos(x2)", grid)
+        sups[N] = sup_norm(residual(u_star, 1.0, problem))
     assert 1e-6 < sups[16] < sups[8] < 1e-1
     assert 2.0 < sups[8] / sups[16] < 8.0  # about 4x per halving of h
 
@@ -909,37 +877,31 @@ def test_manufacture_with_stencil_jet_is_exact_at_grid_level():
     # same field, but alpha built from the stencil jet: u_star is then an
     # exact discrete root and Newton has nothing to do
     grid = make_grid(3, 8)
-    bg = geometry.flat_background(grid, tau=0.0)
     u_star = analytic_jet("0.1*sin(x1)*cos(x2)", grid).value
-    coeff = solver.manufacture_alpha(u_star, bg, default_coeff(grid))  # jet defaults to stencil
-    assert sup_norm(residual(u_star, 1.0, bg, coeff)) <= 1e-12
+    problem = solver.manufacture_alpha(u_star, default_problem(grid))  # jet defaults to stencil
+    assert sup_norm(residual(u_star, 1.0, problem)) <= 1e-12
 
 
 def test_manufacture_rejects_large_amplitude():
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
     with pytest.raises(cones.InadmissibleStateError, match="node"):
-        manufactured("5*sin(x1)*cos(x2)", bg)
+        manufactured("5*sin(x1)*cos(x2)", grid)
 
 
 def test_manufacture_checks_alpha_l_shape():
-    # manufacture takes its alpha_l from CoefficientData, which refuses a
+    # manufacture takes its alpha_l from the Problem, which refuses a
     # stack of the wrong length
     grid = make_grid()
-    bg = geometry.flat_background(grid, tau=0.0)
     with pytest.raises(ValueError, match="k-1"):
-        bad = geometry.CoefficientData(
-            grid=grid, k=3, alpha=grid.zeros(), alpha_l=np.ones((3,) + grid.shape)
-        )
-        solver.manufacture_alpha(grid.zeros(), bg, bad)
+        bad = make_problem(grid, alpha_l=np.ones((3,) + grid.shape))
+        solver.manufacture_alpha(grid.zeros(), bad)
 
 
 def test_manufactured_newton_from_interpolant():
     grid = make_grid(3, 16)
-    bg = geometry.flat_background(grid, tau=0.0)
-    u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
+    u_star, problem = manufactured("0.1*sin(x1)*cos(x2)", grid)
     cfg = solver.SolverConfig()
-    res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
+    res = solver.newton_solve_at_t(u_star, 1.0, problem, cfg)
     assert res.residual_norm <= cfg.residual_tol
     assert res.iterations <= 6
     assert sup_norm(res.u - u_star) < 5e-3  # discrete root lies O(h^2) away
@@ -952,9 +914,8 @@ def test_manufactured_convergence_order_coarse():
     cfg = solver.SolverConfig()
     for N in (8, 16):
         grid = make_grid(3, N)
-        bg = geometry.flat_background(grid, tau=0.0)
-        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg)
-        res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
+        u_star, problem = manufactured("0.1*sin(x1)*cos(x2)", grid)
+        res = solver.newton_solve_at_t(u_star, 1.0, problem, cfg)
         errs[N] = sup_norm(res.u - u_star)
     order = np.log2(errs[8] / errs[16])
     assert 1.6 <= order <= 2.4, f"order {order:.3f} from errors {errs}"
@@ -980,12 +941,11 @@ def test_manufactured_convergence_order_n4(n, resolutions, k, tau, background):
     for N in resolutions:
         grid = make_grid(n, N)
         if background == "rotated":
-            bg = rotated_background(grid, tau)
+            B = rotated_background(grid)
         else:
             B = geometry.spaceform_schouten(-1.0, n, tau) if background == "spaceform:-1" else None
-            bg = geometry.flat_background(grid, tau=tau, B=B)
-        u_star, coeff = manufactured("0.1*sin(x1)*cos(x2)", bg, k=k)
-        res = solver.newton_solve_at_t(u_star, 1.0, bg, coeff, cfg)
+        u_star, problem = manufactured("0.1*sin(x1)*cos(x2)", grid, k=k, tau=tau, B=B)
+        res = solver.newton_solve_at_t(u_star, 1.0, problem, cfg)
         assert res.residual_norm <= cfg.residual_tol
         errs[N] = sup_norm(res.u - u_star)
     coarse, fine = resolutions
