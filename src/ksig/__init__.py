@@ -7,3 +7,10 @@ verification of the supporting matrix inequalities, and a small batch CLI.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """The input is at fault: a malformed config, field file, expression or
+    monitor CSV, data that breaks a solvability hypothesis, or an output
+    path that cannot be made.  `ksig` exits 2 on it; any other exception is
+    a program error."""

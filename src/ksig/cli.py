@@ -1,10 +1,11 @@
 """Batch front door: solve / verify / manufacture / report.
 
-Exit codes: 0 success; 1 property violation from `verify`, or an exception
-escaping `solve`, with its traceback; 2 invalid configuration, usage,
-hypothesis failure, or an output directory that cannot be created (nothing
-is written); 3 continuation stall; 130 `solve` interrupted.  Stall,
-interrupt and crash persist the last accepted state.
+Exit codes: 0 success; 1 property violation from `verify`, or a program
+error (any exception but ksig.InputError) with its traceback; 2 bad input
+(an InputError, which `main` alone turns into the exit code; each command
+raises it before it writes anything) or invalid usage; 3 continuation stall;
+130 `solve` interrupted.  Stall, interrupt and crash persist the last
+accepted state.
 """
 
 from __future__ import annotations
@@ -17,23 +18,9 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import __version__, cones, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
+from . import InputError, __version__, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
 from .artifacts import replacing
-from .grid import FieldFormatError, sup_norm, write_field
-from .runconfig import ConfigError
-
-# anything wrong with the inputs lands here; nothing may be written first
-_VALIDATION_ERRORS = (
-    ConfigError,
-    geometry.HypothesisViolation,
-    fieldexpr.ExprError,
-    FieldFormatError,
-)
-
-
-def _fail(exc):
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+from .grid import sup_norm, write_field
 
 
 def _make_outdir(outdir):
@@ -41,7 +28,7 @@ def _make_outdir(outdir):
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
+        raise InputError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
 
 
 def _dump_json(path, payload):
@@ -149,11 +136,8 @@ def _load_problem(config_path):
 
 
 def cmd_solve(args):
-    try:
-        cfg, _, problem, outdir = _load_problem(args.config)
-        _make_outdir(outdir)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc)
+    cfg, _, problem, outdir = _load_problem(args.config)
+    _make_outdir(outdir)
     (outdir / "summary.json").unlink(missing_ok=True)
     start = time.perf_counter()
     log = []
@@ -200,17 +184,14 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    try:
-        if not 3 <= args.k <= args.n <= 5:
-            raise ConfigError(f"need 3 <= k <= n <= 5, got n={args.n}, k={args.k}")
-        if args.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if args.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        outdir = runconfig.resolve_output_dir(args.out)
-        _make_outdir(outdir)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc)
+    if not 3 <= args.k <= args.n <= 5:
+        raise InputError(f"need 3 <= k <= n <= 5, got n={args.n}, k={args.k}")
+    if args.samples < 1:
+        raise InputError("samples must be >= 1")
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
+    outdir = runconfig.resolve_output_dir(args.out)
+    _make_outdir(outdir)
     result = monitors.run_lemma_suite(args.n, args.k, samples=args.samples, seed=args.seed)
     _dump_json(outdir / "lemmas.json", result.to_dict())
     if result.all_passed:
@@ -234,27 +215,20 @@ def cmd_verify(args):
 
 
 def cmd_manufacture(args):
-    try:
-        cfg, base, problem, outdir = _load_problem(args.config)
-        grid, p = problem.grid, cfg.problem
-        if p.u_star is None:
-            raise ConfigError("u_star is required for manufacture")
-        spec = p.u_star.strip()
-        if spec.startswith("file:"):
-            u_star = runconfig.field_from_spec(spec, grid, base)
-            jet = None  # stencil jet: u_star becomes an exact discrete root
-        else:
-            jet = fieldexpr.analytic_jet(spec, grid)
-            u_star = jet.value
-        geometry.require_finite("u_star", u_star)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc)
-    # outside the catch above: a plain ValueError from here is a bug, not bad input
-    try:
-        problem = solver.manufacture_alpha(u_star, problem, jet=jet)
-        _make_outdir(outdir)
-    except (cones.InadmissibleStateError, ConfigError) as exc:
-        return _fail(exc)
+    cfg, base, problem, outdir = _load_problem(args.config)
+    grid, p = problem.grid, cfg.problem
+    if p.u_star is None:
+        raise InputError("u_star is required for manufacture")
+    spec = p.u_star.strip()
+    if spec.startswith("file:"):
+        u_star = runconfig.field_from_spec(spec, grid, base)
+        jet = None  # stencil jet: u_star becomes an exact discrete root
+    else:
+        jet = fieldexpr.analytic_jet(spec, grid)
+        u_star = jet.value
+    geometry.require_finite("u_star", u_star)
+    problem = solver.manufacture_alpha(u_star, problem, jet=jet)
+    _make_outdir(outdir)
 
     write_field(outdir / "u_star.ksig", grid, u_star)
     write_field(outdir / "alpha.ksig", grid, problem.alpha)
@@ -291,18 +265,15 @@ def cmd_manufacture(args):
 
 def cmd_report(args):
     rundir = Path(args.rundir)
+    csv_path = rundir / "monitors.csv"
+    if not csv_path.is_file():
+        raise InputError(f"no monitors.csv in {rundir}")
     try:
-        csv_path = rundir / "monitors.csv"
-        if not csv_path.is_file():
-            raise ConfigError(f"no monitors.csv in {rundir}")
-        try:
-            reports = monitors.read_monitor_csv(csv_path)
-        except (ValueError, OSError) as exc:  # the file's own content or access
-            raise ConfigError(str(exc)) from exc
-        if not reports:
-            raise ConfigError(f"{csv_path} contains no data rows")
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc)
+        reports = monitors.read_monitor_csv(csv_path)
+    except (OSError, UnicodeDecodeError) as exc:  # the file's access or encoding
+        raise InputError(str(exc)) from exc
+    if not reports:
+        raise InputError(f"{csv_path} contains no data rows")
     _write_charts(rundir, reports)
     print(f"wrote residual.svg, estimates.svg, cone_margin.svg -> {rundir}")
     return 0
@@ -341,7 +312,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

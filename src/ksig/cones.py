@@ -44,7 +44,6 @@ import numpy as np
 from .grid import mirror
 
 __all__ = [
-    "InadmissibleStateError",
     "all_elementary_symmetric",
     "matrix_sigmas",
     "cone_margin",
@@ -54,10 +53,6 @@ __all__ = [
     "homotopy_constant",
     "newton_maclaurin_constant",
 ]
-
-
-class InadmissibleStateError(ValueError):
-    """An eigenvalue vector or matrix left the required Garding cone."""
 
 
 def _check_order(k, n):

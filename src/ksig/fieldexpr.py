@@ -20,13 +20,10 @@ import re
 
 import numpy as np
 
+from . import InputError
 from .grid import JetField
 
-__all__ = ["ExprError", "evaluate", "analytic_jet"]
-
-
-class ExprError(ValueError):
-    """Unparseable field expression."""
+__all__ = ["evaluate", "analytic_jet"]
 
 
 # the grammar's three pieces, each matched where the one before stopped
@@ -39,19 +36,19 @@ _TIMES = re.compile(r"\s*\*")
 
 
 def _stopped(text, pos):
-    """The ExprError for reading `text` that stopped at `pos`."""
+    """The InputError for reading `text` that stopped at `pos`."""
     rest = text[pos:].strip()
     if rest:
-        return ExprError(f"cannot parse field expression at '{rest[:20]}'")
+        return InputError(f"cannot parse field expression at '{rest[:20]}'")
     if text.strip():
-        return ExprError(f"dangling operator in {text!r}")
-    return ExprError("empty field expression")
+        return InputError(f"dangling operator in {text!r}")
+    return InputError("empty field expression")
 
 
 def _parse(text, grid):
     """The (coeff, factors) terms of `text`: coeff is +-1.0 times each number
     in turn, factors the (kind, axis0) of each sin/cos, axis0 zero-based and
-    on `grid`.  Raises ExprError on anything else."""
+    on `grid`.  Raises InputError on anything else."""
     terms, pos = [], 0
     while not terms or text[pos:].strip():
         signs = _SIGNS.match(text, pos)
@@ -68,7 +65,7 @@ def _parse(text, grid):
             else:
                 axis = int(m["axis"])
                 if not 1 <= axis <= grid.dim:
-                    raise ExprError(f"expression {text!r} uses x{axis}, outside x1..x{grid.dim}")
+                    raise InputError(f"expression {text!r} uses x{axis}, outside x1..x{grid.dim}")
                 factors.append((m["trig"], axis - 1))
             op = _TIMES.match(text, m.end())
         terms.append((coeff, tuple(factors)))

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cones
+from . import InputError, cones
 from .grid import PeriodicGrid, dot_planes, mirror, worst_node
 
 __all__ = [
-    "HypothesisViolation",
     "Problem",
     "spaceform_schouten",
     "background_planes",
@@ -31,10 +30,6 @@ __all__ = [
     "require_finite",
     "validate_hypotheses",
 ]
-
-
-class HypothesisViolation(ValueError):
-    """A solvability hypothesis on the input data fails; nothing was computed."""
 
 
 # an infinite factor leaves nan off the diagonal, which the gating of the inputs names
@@ -142,17 +137,17 @@ def assemble_U(jet, problem, t):
 
 
 def require_finite(name, values):
-    """Raise HypothesisViolation naming the first node where the input field
+    """Raise InputError naming the first node where the input field
     `values` is not finite."""
     node, finite = worst_node(np.isfinite(values))
     if not finite:
-        raise HypothesisViolation(
+        raise InputError(
             f"input data must be finite, but {name} = {values[node]} at node {node}"
         )
 
 
 def validate_hypotheses(problem):
-    """Check the solvability hypotheses; raise HypothesisViolation naming the
+    """Check the solvability hypotheses; raise InputError naming the
     first one that fails.
 
     Checks, in order: tau, alpha, every alpha_l and every entry B_ij finite
@@ -162,19 +157,19 @@ def validate_hypotheses(problem):
     """
     tau = problem.tau
     if not np.isfinite(tau):
-        raise HypothesisViolation(f"input data must be finite, but tau = {tau}")
+        raise InputError(f"input data must be finite, but tau = {tau}")
     n = problem.grid.dim
     named = [("alpha", problem.alpha), *((f"alpha_{l}", a) for l, a in enumerate(problem.alpha_l))]
     named += [(f"B_{i}{j}", problem.B_planes[i, j]) for i in range(n) for j in range(i, n)]
     for name, values in named:
         require_finite(name, values)
     if not tau < 1.0:
-        raise HypothesisViolation(f"hypothesis violated: tau < 1 required, got tau={tau}")
+        raise InputError(f"hypothesis violated: tau < 1 required, got tau={tau}")
     k = problem.k
     for l in range(k - 1):
         node, low = worst_node(problem.alpha_l[l])
         if not low > 0.0:
-            raise HypothesisViolation(
+            raise InputError(
                 f"hypothesis violated: alpha_l > 0 required everywhere, but "
                 f"alpha_{l} = {low} at node {node}"
             )
@@ -183,13 +178,13 @@ def validate_hypotheses(problem):
         skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
     node, finite = worst_node(np.isfinite(sig).all(axis=-1))
     if not finite:
-        raise HypothesisViolation(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
+        raise InputError(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
     node, finite = worst_node(np.isfinite(skm1_squared))
     if not finite:
-        raise HypothesisViolation(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
+        raise InputError(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
     node, worst = worst_node(sig.min(axis=-1))
     if not worst > 0.0:
-        raise HypothesisViolation(
+        raise InputError(
             f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "
             f"worst cone margin {worst} at node {node}"
         )

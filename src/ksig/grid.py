@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .artifacts import replacing
 
 __all__ = [
-    "FieldFormatError",
     "PeriodicGrid",
     "JetField",
     "dot_planes",
@@ -35,10 +35,6 @@ __all__ = [
 _MAGIC = b"KSIG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBBI")  # magic, version, dim, resolution
-
-
-class FieldFormatError(ValueError):
-    """Malformed or mismatched field file."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class PeriodicGrid:
         return self.resolution**self.dim
 
     def coordinate(self, axis):
-        """Node coordinate x_{axis} as a broadcastable array (1-based axis ok via caller)."""
+        """Node coordinate along the 0-based `axis` (fieldexpr's xJ is J-1), broadcastable."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} outside [0, {self.dim})")
         shape = [1] * self.dim
@@ -189,36 +185,39 @@ def write_field(path, grid, values):
 def read_field(path, grid=None):
     """Read a field file; returns (grid, values).
 
-    If `grid` is given the header must match it exactly.  Malformed headers,
-    payload size mismatches and non-finite entries raise FieldFormatError.
+    If `grid` is given the header must match it exactly.  Unreadable files, malformed
+    headers, payload size mismatches and non-finite entries raise InputError.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read field file {path}: {exc}") from exc
     if len(data) < _HEADER.size:
-        raise FieldFormatError(f"{path}: truncated header")
+        raise InputError(f"{path}: truncated header")
     magic, version, dim, resolution = _HEADER.unpack_from(data)
     if magic != _MAGIC:
-        raise FieldFormatError(f"{path}: bad magic {magic!r}, not a field file")
+        raise InputError(f"{path}: bad magic {magic!r}, not a field file")
     if version != _VERSION:
-        raise FieldFormatError(f"{path}: unsupported format version {version}")
+        raise InputError(f"{path}: unsupported format version {version}")
     try:
         file_grid = PeriodicGrid(dim, resolution)
     except ValueError as exc:
-        raise FieldFormatError(f"{path}: invalid header ({exc})") from exc
+        raise InputError(f"{path}: invalid header ({exc})") from exc
     if grid is not None and file_grid != grid:
-        raise FieldFormatError(
+        raise InputError(
             f"{path}: dimension mismatch: file has n={dim}, N={resolution}; "
             f"expected n={grid.dim}, N={grid.resolution}"
         )
     payload = data[_HEADER.size :]
     expected = file_grid.node_count * 8
     if len(payload) != expected:
-        raise FieldFormatError(
+        raise InputError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(file_grid.shape).copy()
     finite = np.isfinite(values)
     if not finite.all():
         bad, _ = worst_node(finite)
-        raise FieldFormatError(f"{path}: non-finite value at node {bad}")
+        raise InputError(f"{path}: non-finite value at node {bad}")
     return file_grid, values
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import cones, sampling
+from . import InputError, cones, sampling
 from .artifacts import replacing
 from .grid import dot_planes, sup_norm
 
@@ -121,6 +121,7 @@ def write_monitor_csv(path, reports):
 
 
 def read_monitor_csv(path):
+    """The MonitorReports of a monitors.csv; malformed content raises InputError."""
     reports = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -128,17 +129,20 @@ def read_monitor_csv(path):
         if header is None:
             return []
         if tuple(header) != CSV_FIELDS:
-            raise ValueError(f"unexpected monitor CSV header: {header}")
+            raise InputError(f"unexpected monitor CSV header: {header}")
         for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_FIELDS):
-                raise ValueError(
+                raise InputError(
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"expected {len(CSV_FIELDS)}"
                 )
-            vals = [float(v) for v in row[:-1]]
-            reports.append(MonitorReport(*vals, newton_iters=int(row[-1])))
+            try:
+                vals = [float(v) for v in row[:-1]]
+                reports.append(MonitorReport(*vals, newton_iters=int(row[-1])))
+            except ValueError as exc:
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     return reports
 
 

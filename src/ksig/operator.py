@@ -127,10 +127,11 @@ def jacobian(state, problem):
 
 
 def admissibility_failure(state, floor, context):
-    """Build the error for a state whose margin dips to `floor` or below."""
+    """The message for a state whose margin dips to `floor` or below: the
+    worst node and the eigenvalues of U there."""
     node, value = worst_node(state.margin)
     eigs = np.linalg.eigvalsh(state.U[node])
-    return cones.InadmissibleStateError(
+    return (
         f"{context}: cone margin {value:.3e} <= {floor:.3e} at node {node}; "
         f"eigenvalues of U there: {eigs.tolist()}"
     )

@@ -42,13 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fieldexpr, geometry
+from . import InputError, fieldexpr, geometry
 from .artifacts import replacing
 from .grid import PeriodicGrid, read_field
 from .solver import SolverConfig
 
 __all__ = [
-    "ConfigError",
     "ProblemConfig",
     "OutputConfig",
     "RunConfig",
@@ -58,10 +57,6 @@ __all__ = [
     "field_from_spec",
     "resolve_output_dir",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed or incomplete run configuration."""
 
 
 @dataclass(frozen=True)
@@ -90,20 +85,13 @@ class RunConfig:
 
 @contextmanager
 def _input_error(context):
-    """Report a ValueError raised by a constructor that checks user input as
-    a ConfigError; wrap only such constructors, never computation."""
+    """Report a ValueError raised inside as an InputError prefixed with `context`.
+    Wrap only what checks input (a validating constructor, a cast of config
+    text), never computation, where a ValueError is a program error."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _read_values(path, grid):
-    try:
-        _, values = read_field(path, grid)
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-    return values
+        raise InputError(f"{context}: {exc}") from exc
 
 
 def _read_section(parser, section, schema):
@@ -112,7 +100,7 @@ def _read_section(parser, section, schema):
     keys = parser.options(section) if parser.has_section(section) else []
     unknown = set(keys) - {f.name for f in fields(schema)}
     if unknown:
-        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+        raise InputError(f"unknown [{section}] keys: {sorted(unknown)}")
     types = typing.get_type_hints(schema)
     values = {}
     for f in fields(schema):
@@ -121,14 +109,12 @@ def _read_section(parser, section, schema):
             # an optional field (`T | None`) casts its text to T
             cast = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
             raw = parser.get(section, f.name)
-            try:
+            with _input_error(f"[{section}] {f.name} = {raw!r}"):
                 values[f.name] = cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {f.name} = {raw!r}: {exc}") from exc
         elif f.default is MISSING:
             if not parser.has_section(section):
-                raise ConfigError(f"missing [{section}] section")
-            raise ConfigError(f"[{section}] {f.name} is required")
+                raise InputError(f"missing [{section}] section")
+            raise InputError(f"[{section}] {f.name} is required")
     with _input_error(f"[{section}]"):
         return schema(**values)
 
@@ -137,7 +123,7 @@ def load_config(path):
     """Parse an INI run configuration; unknown sections or keys are errors."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     # no interpolation: every value is its text, so a `%` is not a syntax error
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -146,11 +132,11 @@ def load_config(path):
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         # configparser lists each bad line on a line of its own; the error is one line
         reason = "; ".join(line.strip() for line in str(exc).splitlines())
-        raise ConfigError(f"cannot parse {path}: {reason}") from exc
+        raise InputError(f"cannot parse {path}: {reason}") from exc
     sections = typing.get_type_hints(RunConfig)
     extra = set(parser.sections()) - set(sections)
     if extra:
-        raise ConfigError(f"unknown sections: {sorted(extra)}")
+        raise InputError(f"unknown sections: {sorted(extra)}")
     return RunConfig(**{name: _read_section(parser, name, schema) for name, schema in sections.items()})
 
 
@@ -178,7 +164,7 @@ def field_from_spec(spec, grid, base):
     expression on the grid."""
     spec = spec.strip()
     if spec.startswith("file:"):
-        return _read_values(Path(base, spec[len("file:"):].strip()), grid)
+        return read_field(Path(base, spec[len("file:"):].strip()), grid)[1]
     return fieldexpr.evaluate(spec, grid)
 
 
@@ -192,24 +178,24 @@ def _background_planes(spec, grid, tau, base):
         try:
             kappa = float(spec[len("spaceform:"):])
         except ValueError as exc:
-            raise ConfigError(f"bad spaceform curvature in {spec!r}") from exc
+            raise InputError(f"bad spaceform curvature in {spec!r}") from exc
         B = geometry.spaceform_schouten(kappa, grid.dim, tau)
     elif spec.startswith("file:"):
         pre = Path(base, spec[len("file:"):].strip())
-        return geometry.background_planes(grid, lambda i, j: _read_values(Path(f"{pre}_B{i}{j}.ksig"), grid))
+        return geometry.background_planes(grid, lambda i, j: read_field(Path(f"{pre}_B{i}{j}.ksig"), grid)[1])
     else:
-        raise ConfigError(f"unknown background spec: {spec!r}")
+        raise InputError(f"unknown background spec: {spec!r}")
     return geometry.background_planes(grid, lambda i, j: B[i, j])
 
 
 def _split_alpha_l(spec, k):
     parts = [p.strip() for p in spec.split(",")]
     if not all(parts):
-        raise ConfigError(f"alpha_l = {spec!r} has an empty entry")
+        raise InputError(f"alpha_l = {spec!r} has an empty entry")
     if len(parts) == 1:
         return parts * (k - 1)
     if len(parts) != k - 1:
-        raise ConfigError(f"alpha_l needs 1 or k-1={k - 1} entries, got {len(parts)}")
+        raise InputError(f"alpha_l needs 1 or k-1={k - 1} entries, got {len(parts)}")
     return parts
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import monitors, operator
+from . import InputError, monitors, operator
 from .grid import PeriodicGrid, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
@@ -243,7 +243,7 @@ def newton_solve_at_t(u0, t, problem, config):
         return f"{reason} at t={t} (residual {rnorm:.3e})"
 
     if not state.margin.min() > _CONE_MARGIN:
-        note = str(operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}"))
+        note = operator.admissibility_failure(state, _CONE_MARGIN, f"initial guess at t={t}")
     elif not math.isfinite(rnorm):
         note = failure("non-finite residual")
 
@@ -396,13 +396,14 @@ def manufacture_alpha(u_star, problem, *, jet=None):
     and its own alpha is ignored.  alpha carries no sign constraint.  Pass the
     analytic `jet` of u_star to manufacture against exact derivatives
     (convergence studies); otherwise the stencil jet is used and the
-    construction residual is identically zero at this resolution.  Rejects
-    u_star whose U* leaves Gamma_{k-1}.
+    construction residual is identically zero at this resolution.  A u_star
+    whose U* leaves Gamma_{k-1} is bad input: InputError names the worst
+    node and the eigenvalues of U* there.
     """
     # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly; a huge
     # u_star may overflow to a NaN margin, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
         state = operator.evaluate(u_star, 1.0, problem, jet=jet)
     if not state.margin.min() > 0.0:
-        raise operator.admissibility_failure(state, 0.0, "u_star rejected")
+        raise InputError(operator.admissibility_failure(state, 0.0, "u_star rejected"))
     return replace(problem, alpha=-np.exp(-2.0 * state.u) * state.value)

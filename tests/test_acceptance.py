@@ -50,7 +50,7 @@ def admissible_state(u, t, problem):
     margin of the cone boundary."""
     state = operator.evaluate(u, t, problem)
     if not state.margin.min() > solver._CONE_MARGIN:
-        raise operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}")
+        pytest.fail(operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}"))
     return state
 
 

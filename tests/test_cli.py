@@ -14,7 +14,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from ksig import geometry, monitors, runconfig, solver
+from ksig import InputError, geometry, monitors, runconfig, solver
 from ksig.cli import main
 from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
@@ -326,7 +326,7 @@ def test_config_defaults_are_the_field_defaults(tmp_path):
 )
 def test_config_errors_name_the_section_and_key(tmp_path, text, message):
     cfg = write_config(tmp_path, text)
-    with pytest.raises(runconfig.ConfigError) as exc:
+    with pytest.raises(InputError) as exc:
         runconfig.load_config(cfg)
     assert str(exc.value) == message
 
@@ -953,12 +953,39 @@ def test_report_malformed_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "row", ["0.0,0.0,0.0,3", ",".join(["0.0"] * len(CSV_FIELDS)) + ",3"], ids=["short", "long"]
+    "row",
+    [
+        "0.0,0.0,0.0,3",
+        ",".join(["0.0"] * len(CSV_FIELDS)) + ",3",
+        ",".join(["x"] + ["0.0"] * (len(CSV_FIELDS) - 2)) + ",3",
+        ",".join(["0.0"] * (len(CSV_FIELDS) - 1)) + ",1.5",
+    ],
+    ids=["short", "long", "float", "int"],
 )
 def test_report_torn_csv_row(tmp_path, capsys, row):
     (tmp_path / "monitors.csv").write_text(f"{','.join(CSV_FIELDS)}\n{row}\n")
     assert main(["report", str(tmp_path)]) == 2
     assert "line 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_report_csv_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "monitors.csv").write_bytes(b"\xff\xfe garbage\n")
+    assert main(["report", str(tmp_path)]) == 2
+    assert "codec can't decode" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_report_does_not_report_a_bug_as_invalid_input(tmp_path, monkeypatch):
+    # only an InputError is bad input; a plain ValueError from the reader
+    # is a programming error and must propagate
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(monitors, "read_monitor_csv", broken)
+    (tmp_path / "monitors.csv").write_text(f"{','.join(CSV_FIELDS)}\n")
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["report", str(tmp_path)])
     assert not list(tmp_path.glob("*.svg"))
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from ksig import cones
+from ksig import InputError, cones
 from ksig.geometry import (
-    HypothesisViolation,
     assemble_U,
     beta_weights,
     spaceform_schouten,
@@ -162,7 +161,7 @@ def test_validate_accepts_default_background():
 
 def test_validate_rejects_tau_at_one():
     grid = PeriodicGrid(3, 8)
-    with pytest.raises(HypothesisViolation, match="tau"):
+    with pytest.raises(InputError, match="tau"):
         validate_hypotheses(default_problem(grid, tau=1.0))
 
 
@@ -171,14 +170,14 @@ def test_validate_rejects_nonpositive_alpha_l():
     alpha_l = np.ones((2,) + grid.shape)
     alpha_l[1, 0, 3, 2] = 0.0
     problem = make_problem(grid, alpha_l=alpha_l)
-    with pytest.raises(HypothesisViolation, match=r"alpha_1.*\(0, 3, 2\)"):
+    with pytest.raises(InputError, match=r"alpha_1.*\(0, 3, 2\)"):
         validate_hypotheses(problem)
 
 
 def test_validate_rejects_cone_failure():
     grid = PeriodicGrid(3, 8)
     problem = default_problem(grid, B=np.eye(3))  # -B = -I, far outside Gamma_3
-    with pytest.raises(HypothesisViolation, match="Gamma_3"):
+    with pytest.raises(InputError, match="Gamma_3"):
         validate_hypotheses(problem)
 
 

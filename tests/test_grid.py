@@ -1,13 +1,13 @@
 """Grid jets against exact-derivative oracles, norms, and field file I/O."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from ksig import fieldexpr
+from ksig import InputError, fieldexpr
 from ksig.grid import (
-    FieldFormatError,
     PeriodicGrid,
     compute_jet,
     dot_planes,
@@ -190,14 +190,20 @@ def test_field_roundtrip_bit_exact(tmp_path):
 def test_field_dimension_mismatch(tmp_path):
     p = tmp_path / "f.ksig"
     write_field(p, PeriodicGrid(3, 16), np.zeros((16, 16, 16)))
-    with pytest.raises(FieldFormatError, match="mismatch"):
+    with pytest.raises(InputError, match="mismatch"):
         read_field(p, PeriodicGrid(3, 32))
+
+
+def test_field_missing_file_names_the_path(tmp_path):
+    p = tmp_path / "absent.ksig"
+    with pytest.raises(InputError, match=f"cannot read field file {re.escape(str(p))}"):
+        read_field(p)
 
 
 def test_field_bad_magic(tmp_path):
     p = tmp_path / "junk.ksig"
     p.write_bytes(b"NOPE" + bytes(100))
-    with pytest.raises(FieldFormatError, match="magic"):
+    with pytest.raises(InputError, match="magic"):
         read_field(p)
 
 
@@ -213,7 +219,7 @@ def test_field_bad_magic(tmp_path):
 def test_field_bad_header(tmp_path, raw, needle):
     p = tmp_path / "f.ksig"
     p.write_bytes(raw)
-    with pytest.raises(FieldFormatError, match=needle):
+    with pytest.raises(InputError, match=needle):
         read_field(p)
 
 
@@ -223,7 +229,7 @@ def test_field_truncated_payload(tmp_path):
     write_field(p, grid, np.zeros(grid.shape))
     raw = p.read_bytes()
     p.write_bytes(raw[:-8])
-    with pytest.raises(FieldFormatError, match="payload"):
+    with pytest.raises(InputError, match="payload"):
         read_field(p)
 
 
@@ -234,7 +240,7 @@ def test_field_nan_names_node(tmp_path):
     p = tmp_path / "f.ksig"
     header = struct.pack("<4sBBI", b"KSIG", 1, 3, 8)
     p.write_bytes(header + np.ascontiguousarray(values, dtype="<f8").tobytes())
-    with pytest.raises(FieldFormatError, match=r"\(1, 2, 3\)"):
+    with pytest.raises(InputError, match=r"\(1, 2, 3\)"):
         read_field(p)
 
 
@@ -270,7 +276,7 @@ def test_expr_rejects_garbage():
         "", "sin(y1)", "sin(x1", "1 +", "2 ** 3", "sin(x1) sin(x2)", "exp(x1)",
         "sin (x1)", "sin(x0)", "cos(2*x3)", "1 2", "1e5e5", "*2", "-", "sin(x1)cos(x2)",
     ):
-        with pytest.raises(fieldexpr.ExprError):
+        with pytest.raises(InputError, match=r"field expression|dangling operator|outside x1\.\.x3"):
             fieldexpr.evaluate(bad, grid)
 
 
@@ -307,14 +313,14 @@ def test_expr_errors_name_where_reading_stopped():
         ("sin(x0)", "uses x0, outside x1..x3"),
         (" ", "empty field expression"),
     ]:
-        with pytest.raises(fieldexpr.ExprError) as err:
+        with pytest.raises(InputError) as err:
             fieldexpr.evaluate(bad, grid)
         assert message in str(err.value), bad
 
 
 def test_expr_axis_out_of_range():
     grid = PeriodicGrid(3, 8)
-    with pytest.raises(fieldexpr.ExprError, match="x4"):
+    with pytest.raises(InputError, match="x4"):
         fieldexpr.evaluate("sin(x4)", grid)
 
 

@@ -1,8 +1,9 @@
 """Module boundaries: no ksig module reaches into another's private names,
 every name a module exports has a caller inside the package, every
 import of a sibling module sits at module level, the third-party
-packages the modules import are exactly the declared dependencies, and no
-module holds an array at module level.
+packages the modules import are exactly the declared dependencies, no
+module holds an array at module level, and `InputError` is the package's
+one exception class.
 
 A name with a leading underscore is an implementation detail of its own
 module; a name in `__all__` that only tests reach is test scaffolding in the
@@ -12,6 +13,7 @@ checked without a linter.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import re
@@ -213,6 +215,41 @@ def test_export_check_tells_globals_from_locals(tmp_path):
         "    return [imported() for _ in range(2)], grid.attribute\n"
     )
     assert unreferenced_exports(tmp_path) == ["grid.shadowed", "grid.recursive", "grid.unused"]
+
+
+def exception_classes(src):
+    """`file:Class` for each class defined under `src` that derives from a
+    built-in exception, directly or through other classes defined there."""
+    bases = {}  # class name -> (label, names of its bases)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = [ast.unparse(base).split(".")[-1] for base in node.bases]
+                bases[node.name] = (f"{path.name}:{node.name}", names)
+
+    def derives(name, seen=()):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return name in bases and name not in seen and any(derives(b, (*seen, name)) for b in bases[name][1])
+
+    return sorted(label for name, (label, _) in bases.items() if derives(name))
+
+
+def test_input_error_is_the_only_exception_class():
+    # one class says "the input is at fault", and cli.main alone maps it to exit 2
+    assert exception_classes(SRC) == ["__init__.py:InputError"]
+
+
+def test_exception_check_sees_subclasses(tmp_path):
+    (tmp_path / "grid.py").write_text(
+        "class Foo(ValueError):\n    pass\n"
+        "class Bar(Foo):\n    pass\n"
+        "class Plain:\n    pass\n"
+        "class Child(Plain):\n    pass\n"
+    )
+    (tmp_path / "cli.py").write_text("import builtins\nclass Stop(builtins.RuntimeError):\n    pass\n")
+    assert exception_classes(tmp_path) == ["cli.py:Stop", "grid.py:Bar", "grid.py:Foo"]
 
 
 def third_party_imports(src):
