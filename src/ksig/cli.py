@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 property violation from `verify`, or a program
 error (any exception but ksig.InputError) with its traceback; 2 bad input
 (an InputError, which `main` alone turns into the exit code; each command
 raises it before it writes anything) or invalid usage; 3 continuation stall;
-130 `solve` interrupted.  Stall, interrupt and crash persist the last
-accepted state.
+130 `solve` interrupted (Ctrl-C); 143 `solve` terminated (SIGTERM).  Stall,
+interrupt, termination and crash persist the last accepted state.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from dataclasses import asdict, replace
@@ -126,12 +127,11 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
 
 
 def _load_problem(config_path):
-    """The front end of solve and manufacture: load_config -> build_problem
-    -> validate_hypotheses -> resolve_output_dir.  Writes nothing."""
+    """The front end of solve and manufacture: load_config -> build_problem,
+    whose Problem meets the hypotheses -> resolve_output_dir.  Writes nothing."""
     cfg = runconfig.load_config(config_path)
     base = Path(config_path).resolve().parent
     problem = runconfig.build_problem(cfg, base)
-    geometry.validate_hypotheses(problem)
     return cfg, base, problem, runconfig.resolve_output_dir(cfg.output.directory)
 
 
@@ -141,29 +141,40 @@ def cmd_solve(args):
     (outdir / "summary.json").unlink(missing_ok=True)
     start = time.perf_counter()
     log = []
-    interrupted = False
+    # what cut the march short, and the exit code: None, Ctrl-C, or SIGTERM,
+    # which the march takes as it takes Ctrl-C
+    interrupted = None
+
+    def on_sigterm(signum, frame):
+        nonlocal interrupted
+        interrupted = ("terminated", 143)
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
     try:
         for rec in solver.continuation_steps(problem, cfg.solver):
             log.append(rec)
     except KeyboardInterrupt:
-        interrupted = True
+        interrupted = interrupted or ("interrupted", 130)
     except Exception:  # a crash keeps what was accepted, then propagates
         if log:
             _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, False)
         raise
-    if not log:  # interrupted before the anchor, which is always accepted
-        print("interrupted before the anchor step; nothing written", file=sys.stderr)
-        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    if not log:  # cut short before the anchor, which is always accepted
+        print(f"{interrupted[0]} before the anchor step; nothing written", file=sys.stderr)
+        return interrupted[1]
     # an uninterrupted march ends on the step that reaches t = 1 or on the
     # rejected step that fell below dt_min
     stalled = not (interrupted or log[-1].accepted)
     summary = _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, stalled)
     if interrupted:
         print(
-            f"interrupted at t={summary['t_final']}; last accepted state written to {outdir}",
+            f"{interrupted[0]} at t={summary['t_final']}; last accepted state written to {outdir}",
             file=sys.stderr,
         )
-        return 130
+        return interrupted[1]
     if stalled:
         print(
             f"error: continuation stalled at t={summary['t_final']}: step below "

@@ -28,7 +28,6 @@ __all__ = [
     "beta_weights",
     "assemble_U",
     "require_finite",
-    "validate_hypotheses",
 ]
 
 
@@ -52,6 +51,14 @@ class Problem:
     B_planes holds B as the exactly symmetric component planes that
     background_planes builds, shape (n, n, *grid.shape); B is their zero-copy
     (*grid.shape, n, n) view.  alpha_l stacks l first: (k-1, *grid.shape).
+
+    Every Problem, one built by dataclasses.replace included, meets the
+    solvability hypotheses; construction raises InputError naming the first
+    that fails, in order: k in [3, n]; tau, alpha, every alpha_l and every
+    entry B_ij finite at every node; tau < 1; alpha_l > 0 at every node for
+    every l; sigma_1..sigma_k of -B and sigma_{k-1}(-B)^2 finite and
+    lambda(-B) in Gamma_k at every node.  A field whose shape does not match
+    the grid is a program error, a plain ValueError.
     """
 
     grid: PeriodicGrid
@@ -62,16 +69,44 @@ class Problem:
     alpha_l: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.dim
-        if not 3 <= self.k <= n:
-            raise ValueError(f"cone index k={self.k} outside [3, n={n}]")
+        n, k, tau = self.grid.dim, self.k, self.tau
+        if not 3 <= k <= n:
+            raise InputError(f"cone index k={k} outside [3, n={n}]")
         if self.B_planes.shape != (n, n) + self.grid.shape:
             raise ValueError(f"background tensor planes {self.B_planes.shape} do not match grid")
         if self.alpha.shape != self.grid.shape:
             raise ValueError("alpha shape does not match grid")
-        if self.alpha_l.shape != (self.k - 1,) + self.grid.shape:
-            raise ValueError(
-                f"alpha_l must stack k-1={self.k - 1} fields, got {self.alpha_l.shape}"
+        if self.alpha_l.shape != (k - 1,) + self.grid.shape:
+            raise ValueError(f"alpha_l must stack k-1={k - 1} fields, got {self.alpha_l.shape}")
+        if not np.isfinite(tau):
+            raise InputError(f"input data must be finite, but tau = {tau}")
+        named = [("alpha", self.alpha), *((f"alpha_{l}", a) for l, a in enumerate(self.alpha_l))]
+        named += [(f"B_{i}{j}", self.B_planes[i, j]) for i in range(n) for j in range(i, n)]
+        for name, values in named:
+            require_finite(name, values)
+        if not tau < 1.0:
+            raise InputError(f"hypothesis violated: tau < 1 required, got tau={tau}")
+        for l in range(k - 1):
+            node, low = worst_node(self.alpha_l[l])
+            if not low > 0.0:
+                raise InputError(
+                    f"hypothesis violated: alpha_l > 0 required everywhere, but "
+                    f"alpha_{l} = {low} at node {node}"
+                )
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
+            sig = cones.matrix_sigmas(-self.B, k)[..., 1:]
+            skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
+        node, finite = worst_node(np.isfinite(sig).all(axis=-1))
+        if not finite:
+            raise InputError(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
+        node, finite = worst_node(np.isfinite(skm1_squared))
+        if not finite:
+            raise InputError(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
+        node, worst = worst_node(sig.min(axis=-1))
+        if not worst > 0.0:
+            raise InputError(
+                f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "
+                f"worst cone margin {worst} at node {node}"
             )
 
     @property
@@ -145,47 +180,3 @@ def require_finite(name, values):
             f"input data must be finite, but {name} = {values[node]} at node {node}"
         )
 
-
-def validate_hypotheses(problem):
-    """Check the solvability hypotheses; raise InputError naming the
-    first one that fails.
-
-    Checks, in order: tau, alpha, every alpha_l and every entry B_ij finite
-    at every node; tau < 1; alpha_l > 0 at every node for every l;
-    sigma_1..sigma_k of -B and sigma_{k-1}(-B)^2 finite and lambda(-B) in
-    Gamma_k at every node.
-    """
-    tau = problem.tau
-    if not np.isfinite(tau):
-        raise InputError(f"input data must be finite, but tau = {tau}")
-    n = problem.grid.dim
-    named = [("alpha", problem.alpha), *((f"alpha_{l}", a) for l, a in enumerate(problem.alpha_l))]
-    named += [(f"B_{i}{j}", problem.B_planes[i, j]) for i in range(n) for j in range(i, n)]
-    for name, values in named:
-        require_finite(name, values)
-    if not tau < 1.0:
-        raise InputError(f"hypothesis violated: tau < 1 required, got tau={tau}")
-    k = problem.k
-    for l in range(k - 1):
-        node, low = worst_node(problem.alpha_l[l])
-        if not low > 0.0:
-            raise InputError(
-                f"hypothesis violated: alpha_l > 0 required everywhere, but "
-                f"alpha_{l} = {low} at node {node}"
-            )
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
-        sig = cones.matrix_sigmas(-problem.B, k)[..., 1:]
-        skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
-    node, finite = worst_node(np.isfinite(sig).all(axis=-1))
-    if not finite:
-        raise InputError(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
-    node, finite = worst_node(np.isfinite(skm1_squared))
-    if not finite:
-        raise InputError(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
-    node, worst = worst_node(sig.min(axis=-1))
-    if not worst > 0.0:
-        raise InputError(
-            f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "
-            f"worst cone margin {worst} at node {node}"
-        )
-    return worst

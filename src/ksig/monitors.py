@@ -120,17 +120,27 @@ def write_monitor_csv(path, reports):
             writer.writerow([repr(float(v)) for v in row[:-1]] + [str(int(row[-1]))])
 
 
+def _csv_rows(reader, path):
+    """The rows of a csv.reader over `path`; a row the reader refuses (e.g.
+    a field longer than csv's size limit) raises InputError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def read_monitor_csv(path):
     """The MonitorReports of a monitors.csv; malformed content raises InputError."""
     reports = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(reader, path)
+        header = next(rows, None)
         if header is None:
             return []
         if tuple(header) != CSV_FIELDS:
             raise InputError(f"unexpected monitor CSV header: {header}")
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(CSV_FIELDS):

@@ -209,8 +209,7 @@ def build_problem(cfg, base):
     alpha = field_from_spec(p.alpha, grid, base)
     parts = _split_alpha_l(p.alpha_l, p.k)
     alpha_l = np.stack([field_from_spec(s, grid, base) for s in parts])
-    with _input_error("[problem]"):
-        return geometry.Problem(grid=grid, k=p.k, tau=p.tau, B_planes=B_planes, alpha=alpha, alpha_l=alpha_l)
+    return geometry.Problem(grid=grid, k=p.k, tau=p.tau, B_planes=B_planes, alpha=alpha, alpha_l=alpha_l)
 
 
 def resolve_output_dir(directory):

@@ -73,6 +73,10 @@ _EW_ETA_MAX = 0.01
 _LINEAR_RTOL = 1e-10
 _LINEAR_MAXITER = 400
 _LINEAR_RESTART = 50
+# The smallest t-step: it moves every float t <= 1 (whose spacing is at most
+# 2.2e-16), so a step can never round back to the t it started from; a step
+# that ends within it of t = 1 lands on 1.
+_DT_FLOOR = 1e-12
 
 __all__ = [
     "SolverConfig",
@@ -101,6 +105,8 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive and finite")
         if not 0.0 < self.dt_min < self.dt_init <= 1.0:
             raise ValueError("need 0 < dt_min < dt_init <= 1")
+        if not self.dt_min >= _DT_FLOOR:
+            raise ValueError(f"dt_min must be >= {_DT_FLOOR}, the smallest step that moves t")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
 
@@ -300,8 +306,7 @@ def newton_solve_at_t(u0, t, problem, config):
 
 def _coarse_problem(problem):
     """The problem injected onto the N/2 grid, or None when N/2 is not a
-    grid.  The coarse nodes are every other fine node, so the data need no
-    validation of their own."""
+    grid.  The coarse nodes are every other fine node."""
     grid = problem.grid
     if grid.resolution % 4 or grid.resolution < 16:
         return None
@@ -332,24 +337,23 @@ def continuation_steps(problem, config):
     """March t from 0 to 1 with adaptive steps, yielding one StepRecord per
     Newton solve, the t = 0 anchor first.
 
-    Callers validate the hypotheses (geometry.validate_hypotheses) first;
-    this routine does not repeat the check.  The first step after the anchor
-    is the whole path, t = 1.  Where N/2 is a grid, it starts from the
-    prolonged root of a Newton solve at t = 1 from u = 0 on the data
-    injected onto N/2, and from the anchor if that solve fails; its record
-    carries that solve's record in `coarse`.  If the whole-path attempt
-    fails, the next step is dt_init, or half the failed step if that is
-    smaller, and from there an accepted step that took at most _GROW_NEWTON
-    Newton iterations doubles dt, unless it is one of the first
-    _HOLD_AFTER_REJECT accepted steps after a later rejection; the last step
-    is clamped to t = 1.  A failed step halves the step it tried.  The march
-    ends after the step that reaches t = 1, or after the rejected step that
-    leaves dt below dt_min: a log that ends on a rejected record is a stall,
-    and its note gives the reason.  Each record is newton_solve_at_t's own
-    with dt, the step actually tried, filled in: the Newton iterations, final
-    residual, damping backtracks and GMRES iterations spent on it, and the
-    note of a rejected step; an accepted record also holds its root u and
-    its MonitorReport.  A failed anchor raises RuntimeError.
+    The first step after the anchor is the whole path, t = 1.  Where N/2 is
+    a grid, it starts from the prolonged root of a Newton solve at t = 1
+    from u = 0 on the data injected onto N/2, and from the anchor if that
+    solve fails; its record carries that solve's record in `coarse`.  If the
+    whole-path attempt fails, the next step is dt_init, or half the failed
+    step if that is smaller, and from there an accepted step that took at
+    most _GROW_NEWTON Newton iterations doubles dt, unless it is one of the
+    first _HOLD_AFTER_REJECT accepted steps after a later rejection; the
+    last step is clamped to t = 1.  A failed step halves the step it tried.
+    The march ends after the step that reaches t = 1, or after the rejected
+    step that leaves dt below dt_min: a log that ends on a rejected record
+    is a stall, and its note gives the reason.  Each record is
+    newton_solve_at_t's own with dt, the step actually tried, filled in: the
+    Newton iterations, final residual, damping backtracks and GMRES
+    iterations spent on it, and the note of a rejected step; an accepted
+    record also holds its root u and its MonitorReport.  A failed anchor
+    raises RuntimeError.
     """
     # the anchor, and from then on the last accepted record
     last = newton_solve_at_t(problem.grid.zeros(), 0.0, problem, config)
@@ -371,7 +375,7 @@ def continuation_steps(problem, config):
     hold = 0  # accepted steps still to take before dt may grow again
     while last.t < 1.0 and dt >= config.dt_min:
         t_try = last.t + dt
-        if t_try >= 1.0 - 1e-12:  # snap: accumulated steps may land at 1 - ulp
+        if t_try >= 1.0 - _DT_FLOOR:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0
         rec = newton_solve_at_t(last.u, t_try, problem, config)
         rec = replace(rec, dt=t_try - last.t)
@@ -398,12 +402,16 @@ def manufacture_alpha(u_star, problem, *, jet=None):
     (convergence studies); otherwise the stencil jet is used and the
     construction residual is identically zero at this resolution.  A u_star
     whose U* leaves Gamma_{k-1} is bad input: InputError names the worst
-    node and the eigenvalues of U* there.
+    node and the eigenvalues of U* there; so is an alpha that is not
+    finite, which the returned Problem refuses as it refuses any input.
     """
-    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly; a huge
-    # u_star may overflow to a NaN margin, which the check below rejects
-    with np.errstate(over="ignore", invalid="ignore"):
+    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly.  A huge
+    # u_star may overflow to a NaN margin, and a U* on the cone's boundary
+    # divides by sigma_{k-1} = 0: the margin check below rejects both.  The
+    # returned Problem rejects an alpha that overflows.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = operator.evaluate(u_star, 1.0, problem, jet=jet)
+        alpha = -np.exp(-2.0 * state.u) * state.value
     if not state.margin.min() > 0.0:
         raise InputError(operator.admissibility_failure(state, 0.0, "u_star rejected"))
-    return replace(problem, alpha=-np.exp(-2.0 * state.u) * state.value)
+    return replace(problem, alpha=alpha)

@@ -2,17 +2,24 @@
 no partial output, and byte-level reproducibility of reruns."""
 
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
+import signal
+import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksig import InputError, geometry, monitors, runconfig, solver
 from ksig.cli import main
@@ -129,7 +136,7 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha_l = 1.0": "alpha_l = 1, 2,"}, "empty entry"),
         ({"alpha_l = 1.0": "alpha_l = 1,"}, "empty entry"),
         # geometry.Problem's own checks reach the user as invalid input
-        ({"k = 3": "k = 2"}, "[problem]: cone index k=2 outside [3, n=3]"),
+        ({"k = 3": "k = 2"}, "cone index k=2 outside [3, n=3]"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -150,8 +157,10 @@ def test_solve_gating_keeps_a_huge_file_background_finite(tmp_path, capsys):
             entry = 1e308 if (i, j) == (0, 1) else -float(i == j)
             write_field(tmp_path / f"bg_B{i}{j}.ksig", grid, np.full(grid.shape, entry))
     cfg = default_config(tmp_path, **{"background = hyperbolic-like": "background = file:bg"})
-    problem = runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
-    assert np.all(problem.B[..., 0, 1] == 1e308) and np.all(problem.B[..., 1, 0] == 1e308)
+    planes = runconfig._background_planes("file:bg", grid, 0.0, tmp_path)
+    assert np.all(planes[0, 1] == 1e308) and np.all(planes[1, 0] == 1e308)
+    with pytest.raises(InputError, match="hypothesis check overflows"):
+        runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
     assert main(["solve", str(cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "hypothesis check overflows" in line
@@ -355,26 +364,44 @@ def test_solve_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(geometry, "validate_hypotheses", broken)
+    monkeypatch.setattr(geometry, "background_planes", broken)
     cfg = default_config(tmp_path)
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(ValueError, match="broadcast") as exc:
+        main(["solve", str(cfg)])
+    assert not isinstance(exc.value, InputError)
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_problem_reports_a_shape_bug_as_a_program_error(tmp_path, monkeypatch):
+    # a field of the wrong shape can only come from a bug: Problem raises a
+    # plain ValueError, which build_problem passes on and main does not turn
+    # into exit 2
+    monkeypatch.setattr(runconfig, "field_from_spec", lambda spec, grid, base: np.zeros((4, 4, 4)))
+    cfg = default_config(tmp_path)
+    with pytest.raises(ValueError, match="alpha shape does not match grid") as exc:
+        runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
+    assert not isinstance(exc.value, InputError)
+    with pytest.raises(ValueError, match="alpha shape does not match grid"):
         main(["solve", str(cfg)])
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_validates_hypotheses_once(tmp_path, monkeypatch):
-    calls = []
-    validate = geometry.validate_hypotheses
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return validate(*args, **kwargs)
-
-    # also any binding the solver may import under the same name
-    monkeypatch.setattr(geometry, "validate_hypotheses", counted)
-    monkeypatch.setattr(solver, "validate_hypotheses", counted, raising=False)
-    assert main(["solve", str(default_config(tmp_path))]) == 0
-    assert len(calls) == 1
+def test_solve_refuses_a_dt_min_that_cannot_move_t(tmp_path, capsys, monkeypatch):
+    # below the float spacing of t a step would round back to the t it came
+    # from and the march would never end; the config is refused before any work
+    monkeypatch.setattr(solver, "continuation_steps", lambda *args: pytest.fail("the march started"))
+    cfg = default_config(
+        tmp_path,
+        **{
+            "tau = 0.0": "tau = -1e154",
+            "alpha = 0.2*sin(x1)": "alpha = 0.1*sin(x1)",
+            "[output]": "[solver]\ndt_min = 1e-30\n\n[output]",
+        },
+    )
+    assert main(["solve", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: [solver]: dt_min must be >= 1e-12, the smallest step that moves t"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
@@ -487,6 +514,42 @@ def test_solve_interrupt_writes_the_last_accepted_state(tmp_path, capsys, monkey
     assert len((out / "monitors.csv").read_text().splitlines()) == 2  # header and anchor
     for name in CHARTS:
         assert (out / name).is_file(), name
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] == 0.0 and summary["stalled"] is False
+    assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
+
+
+def test_solve_sigterm_writes_the_last_accepted_state(tmp_path, capsys, monkeypatch):
+    # SIGTERM during the second Newton solve, the whole-path attempt: solve
+    # takes it as it takes Ctrl-C, keeps the anchor and exits 143, and then
+    # puts back the handler it found
+    newton = solver.newton_solve_at_t
+    calls = []
+
+    def terminated(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return newton(*args, **kwargs)
+
+    def outer(signum, frame):  # stands in for the default, which would end the test session
+        pytest.fail("SIGTERM reached the handler solve should have replaced")
+
+    monkeypatch.setattr(solver, "newton_solve_at_t", terminated)
+    previous = signal.signal(signal.SIGTERM, outer)
+    try:
+        code = main(["solve", str(default_config(tmp_path))])
+        assert signal.getsignal(signal.SIGTERM) is outer
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert code == 143
+    out = tmp_path / "out"
+    assert capsys.readouterr().err == f"terminated at t=0.0; last accepted state written to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ("u_final.ksig", "monitors.csv", "summary.json", *CHARTS)
+    )
+    _, u = read_field(out / "u_final.ksig")
+    assert not u.any()  # the anchor u = 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["t_final"] == 0.0 and summary["stalled"] is False
     assert summary["accepted_steps"] == 1 and summary["rejected_steps"] == 0
@@ -812,6 +875,68 @@ def test_manufacture_rejects_huge_u_star_without_warnings(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_manufacture_rejects_a_u_star_on_the_cone_boundary_without_warnings(tmp_path, capsys):
+    # U* = diag(-1, 0, 0) at x1 = pi/2: sigma_2 = 0 there, and the quotient's
+    # division by it must not warn before the error line
+    outdir = tmp_path / "manu"
+    cfg = write_config(tmp_path, MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", "sin(x1)"))
+    assert main(["manufacture", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: u_star rejected: cone margin -1.000e+00 <= 0.000e+00 at node (2, 0, 0)")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "u_star, alpha_l, value",
+    # e^{-2u*} overflows; e^{6u*} alpha_0 overflows in the back-solve
+    [("-400", "1.0", "-inf"), ("300", "1e300", "inf")],
+)
+def test_manufacture_refuses_an_alpha_that_is_not_finite(tmp_path, capsys, u_star, alpha_l, value):
+    # the manufactured Problem checks its alpha as solve checks its input:
+    # one error line, no warning before it, and no package
+    outdir = tmp_path / "manu"
+    text = MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", u_star)
+    cfg = write_config(tmp_path, text.replace("alpha_l = 1.0", f"alpha_l = {alpha_l}"))
+    assert main(["manufacture", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: input data must be finite, but alpha = {value} at node (0, 0, 0)\n"
+    assert not outdir.exists()
+
+
+def log_uniform(low, high):
+    """Floats from 10**low to 10**high, uniform in the exponent."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    form=st.sampled_from(["{a}", "{a}*sin(x1)"]),
+    amplitude=log_uniform(-3, 3),
+    sign=st.sampled_from([1.0, -1.0]),
+    alpha_l=log_uniform(-300, 300),
+)
+def test_manufacture_ends_in_a_documented_exit_code(form, amplitude, sign, alpha_l):
+    # drawn u_star and alpha_l: manufacture writes its package (exit 0) or
+    # refuses with one error line and nothing written (exit 2), never a
+    # traceback, and raises no warning (the suite turns warnings into errors)
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp, "manu")
+        text = MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", form.format(a=sign * amplitude))
+        cfg = write_config(Path(tmp), text.replace("alpha_l = 1.0", f"alpha_l = {alpha_l!r}"))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["manufacture", str(cfg)])
+        assert time.perf_counter() - start < 5.0
+        assert code in (0, 2)
+        if code == 0:
+            assert (outdir / "manufactured.ini").is_file()
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not outdir.exists()
+
+
 @pytest.mark.parametrize("absolute", [False, True])
 def test_manufacture_package_finds_a_file_background(tmp_path, monkeypatch, absolute):
     # B = -I as component files beside the config; the package lies in
@@ -966,6 +1091,20 @@ def test_report_torn_csv_row(tmp_path, capsys, row):
     (tmp_path / "monitors.csv").write_text(f"{','.join(CSV_FIELDS)}\n{row}\n")
     assert main(["report", str(tmp_path)]) == 2
     assert "line 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_report_csv_field_over_the_csv_size_limit(tmp_path, capsys, line):
+    # csv refuses a field of more than 131072 characters, in the header or
+    # in a row: bad input, named with its file and line
+    huge = "1" * 200_000
+    row = ",".join([huge] + ["0.0"] * (len(CSV_FIELDS) - 1))
+    csv_path = tmp_path / "monitors.csv"
+    csv_path.write_text(f"{huge}\n" if line == 1 else f"{','.join(CSV_FIELDS)}\n{row}\n")
+    assert main(["report", str(tmp_path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"error: {csv_path}: line {line}: field larger than field limit (131072)"
     assert not list(tmp_path.glob("*.svg"))
 
 

@@ -1,5 +1,5 @@
 """Prescribed backgrounds and tensor assembly: space forms, exact
-identities, hypothesis gating."""
+identities, and the hypotheses every Problem meets."""
 
 from dataclasses import replace
 
@@ -8,12 +8,7 @@ import pytest
 
 from conftest import make_problem
 from ksig import InputError, cones
-from ksig.geometry import (
-    assemble_U,
-    beta_weights,
-    spaceform_schouten,
-    validate_hypotheses,
-)
+from ksig.geometry import assemble_U, beta_weights, spaceform_schouten
 from ksig.grid import PeriodicGrid, compute_jet
 
 
@@ -88,11 +83,17 @@ def test_assemble_identity_when_B_is_minus_metric():
         assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
 
 
+def admissible_background(grid, rng):
+    """A per-node B that is not diagonal anywhere, with lambda(-B) in every
+    Gamma_k: -B = I + E + E^T with |E_ij| <= 0.08 is positive definite
+    (Gershgorin)."""
+    E = rng.uniform(-0.08, 0.08, grid.shape + (grid.dim, grid.dim))
+    return -(np.eye(grid.dim) + E + E.swapaxes(-1, -2))
+
+
 def test_assemble_any_B_drops_out_at_t_zero():
     grid = PeriodicGrid(3, 8)
-    rng = np.random.default_rng(2)
-    B = rng.standard_normal(grid.shape + (3, 3))
-    B = 0.5 * (B + B.swapaxes(-1, -2))
+    B = admissible_background(grid, np.random.default_rng(2))
     problem = make_problem(grid, tau=0.3, B=B)
     U = assemble_U(compute_jet(grid, grid.zeros()), problem, t=0.0)
     assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
@@ -100,9 +101,7 @@ def test_assemble_any_B_drops_out_at_t_zero():
 
 def test_assemble_constant_u_reduces_to_background():
     grid = PeriodicGrid(3, 8)
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal(grid.shape + (3, 3))
-    B = 0.5 * (B + B.swapaxes(-1, -2))
+    B = admissible_background(grid, np.random.default_rng(4))
     problem = make_problem(grid, tau=0.1, B=B)
     jet = compute_jet(grid, np.full(grid.shape, 0.8))
     U = assemble_U(jet, problem, t=1.0)
@@ -133,8 +132,7 @@ def test_assemble_flat_matches_hand_formula():
     rng = np.random.default_rng(7)
     for n in (3, 4, 5):
         grid = PeriodicGrid(n, 8)
-        B = rng.standard_normal(grid.shape + (n, n))
-        B = 0.5 * (B + B.swapaxes(-1, -2))
+        B = admissible_background(grid, rng)
         problems = {
             "flat": make_problem(grid, k=3, tau=0.2),
             "per-node": make_problem(grid, k=3, tau=-0.4, B=B),
@@ -150,43 +148,61 @@ def test_assemble_flat_matches_hand_formula():
                 assert np.array_equal(U, stacked_U(jet, problem, t)), (n, name, t)
 
 
-# ---------------------------------------------------------------- gating
+# ---------------------------------------------------------------- hypotheses
+# constructing a Problem, or replacing one of its fields, checks them
 
 
 def test_validate_accepts_default_background():
-    grid = PeriodicGrid(3, 8)
-    margin = validate_hypotheses(default_problem(grid))
-    assert margin == 1.0  # -B = I has sigma = (3, 3, 1)
+    problem = default_problem(PeriodicGrid(3, 8))
+    # -B = I has sigma = (3, 3, 1), well inside Gamma_3
+    assert np.all(cones.matrix_cone_margin(-problem.B, 3) == 1.0)
 
 
 def test_validate_rejects_tau_at_one():
     grid = PeriodicGrid(3, 8)
-    with pytest.raises(InputError, match="tau"):
-        validate_hypotheses(default_problem(grid, tau=1.0))
+    with pytest.raises(InputError, match=r"^hypothesis violated: tau < 1 required, got tau=1.0$"):
+        default_problem(grid, tau=1.0)
+    with pytest.raises(InputError, match="tau < 1"):
+        replace(default_problem(grid), tau=1.0)
 
 
 def test_validate_rejects_nonpositive_alpha_l():
     grid = PeriodicGrid(3, 8)
     alpha_l = np.ones((2,) + grid.shape)
     alpha_l[1, 0, 3, 2] = 0.0
-    problem = make_problem(grid, alpha_l=alpha_l)
-    with pytest.raises(InputError, match=r"alpha_1.*\(0, 3, 2\)"):
-        validate_hypotheses(problem)
+    with pytest.raises(InputError, match=r"alpha_1 = 0.0 at node \(0, 3, 2\)"):
+        make_problem(grid, alpha_l=alpha_l)
+    with pytest.raises(InputError, match=r"alpha_1 = 0.0 at node \(0, 3, 2\)"):
+        replace(make_problem(grid), alpha_l=alpha_l)
 
 
 def test_validate_rejects_cone_failure():
     grid = PeriodicGrid(3, 8)
-    problem = default_problem(grid, B=np.eye(3))  # -B = -I, far outside Gamma_3
-    with pytest.raises(InputError, match="Gamma_3"):
-        validate_hypotheses(problem)
+    with pytest.raises(InputError, match="lambda\\(-B\\) in Gamma_3 required everywhere"):
+        default_problem(grid, B=np.eye(3))  # -B = -I, far outside Gamma_3
+
+
+def test_validate_rejects_non_finite_data():
+    # each non-finite field is named with its node, before any hypothesis
+    grid = PeriodicGrid(3, 8)
+    good = make_problem(grid)
+    alpha = grid.zeros()
+    alpha[1, 2, 3] = np.nan
+    with pytest.raises(InputError, match=r"^input data must be finite, but alpha = nan at node \(1, 2, 3\)$"):
+        replace(good, alpha=alpha)
+    with pytest.raises(InputError, match="^input data must be finite, but tau = inf$"):
+        replace(good, tau=np.inf)
 
 
 def test_coefficient_data_validation():
     grid = PeriodicGrid(3, 8)
-    with pytest.raises(ValueError):
+    # k outside [3, n] is bad input; a field that does not match the grid
+    # is a program error, a plain ValueError
+    with pytest.raises(InputError, match=r"^cone index k=2 outside \[3, n=3\]$"):
         make_problem(grid, k=2, alpha_l=np.ones((1,) + grid.shape))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must stack") as exc:
         make_problem(grid, k=3, alpha_l=np.ones((3,) + grid.shape))
+    assert not isinstance(exc.value, InputError)
     # each field is checked against the grid, B's planes included
     good, other = make_problem(grid), PeriodicGrid(3, 10)
     for field, value in (
@@ -195,5 +211,6 @@ def test_coefficient_data_validation():
         ("B_planes", np.zeros((3, 3) + other.shape)),
         ("B_planes", np.zeros(grid.shape + (3, 3))),  # the per-node layout, not planes
     ):
-        with pytest.raises(ValueError, match="match grid|must stack"):
+        with pytest.raises(ValueError, match="match grid|must stack") as exc:
             replace(good, **{field: value})
+        assert not isinstance(exc.value, InputError), field

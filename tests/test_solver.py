@@ -3,7 +3,7 @@ quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -88,6 +88,11 @@ def test_config_rejects_bad_step_bounds():
         solver.SolverConfig(max_newton=0)
     with pytest.raises(ValueError):
         solver.SolverConfig(residual_tol=math.inf)
+    # the smallest t-step moves every t <= 1, so the march cannot stand still
+    with pytest.raises(ValueError, match="dt_min must be >= 1e-12"):
+        solver.SolverConfig(dt_min=1e-30)
+    assert solver.SolverConfig(dt_min=1e-12).dt_min == 1e-12
+    assert all(t + 1e-12 > t for t in (0.0, 9.09e-10, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +214,6 @@ def test_linearize_is_exact_derivative_of_discrete_residual(n, tau, kind):
     dU = central_dU(u, v, t, make_problem(grid, tau=tau, B=B))
     for k in range(3, n + 1):
         problem = default_problem(grid, k=k, tau=tau, B=B)
-        if kind == "rotated":
-            geometry.validate_hypotheses(problem)
         state = admissible_state(u, t, problem)
         rel = jacobian_error(state, v, dU, problem)
         assert rel <= 1e-12, f"k={k}: relative sup error {rel:.3e}"
@@ -277,7 +280,6 @@ def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, se
         alpha=random_field(grid, rng, 1.0),
         alpha_l=rng.uniform(0.5, 2.0, (k - 1,) + grid.shape),
     )
-    geometry.validate_hypotheses(problem)
     u = random_field(grid, rng, amplitude)
     state = operator.evaluate(u, t, problem)
     assume(state.margin.min() > solver._CONE_MARGIN)
@@ -362,10 +364,18 @@ def test_newton_iteration_limit_reported():
 
 def test_newton_nan_residual_is_not_converged(monkeypatch):
     # NaN compares False against any tolerance: the solve must fail on it,
-    # not report convergence after 0 iterations, and before any linear solve
+    # not report convergence after 0 iterations, and before any linear solve.
+    # A Problem holds finite data only, so the NaN comes from evaluate.
     grid = make_grid()
-    problem = make_problem(grid, alpha=np.full(grid.shape, np.nan))
+    problem = make_problem(grid)
+    evaluate = operator.evaluate
+
+    def nan_residual(*args, **kwargs):
+        state = evaluate(*args, **kwargs)
+        return replace(state, residual=np.full(grid.shape, np.nan))
+
     linear_solves = []
+    monkeypatch.setattr(operator, "evaluate", nan_residual)
     monkeypatch.setattr(solver, "_gmres", lambda *args: linear_solves.append(args))
     res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, solver.SolverConfig())
     assert np.isnan(res.residual_norm)
