@@ -19,7 +19,9 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import InputError, __version__, fieldexpr, geometry, monitors, operator, runconfig, solver, svgplot
+import numpy as np
+
+from . import InputError, __version__, fieldexpr, geometry, monitors, operator, runconfig, solver
 from .artifacts import replacing
 from .grid import sup_norm, write_field
 
@@ -36,46 +38,6 @@ def _dump_json(path, payload):
     with replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# charts, shared by solve and report
-
-
-def _write_charts(rundir, reports):
-    """residual.svg, estimates.svg and cone_margin.svg from the monitor
-    reports, one per accepted step."""
-    ts = tuple(r.t for r in reports)
-    svgplot.write_chart(
-        rundir / "residual.svg",
-        "final Newton residual per accepted step",
-        [svgplot.Series("residual sup-norm", ts, tuple(r.residual for r in reports))],
-        x_label="t",
-        y_label="residual",
-        log_y=True,
-    )
-    svgplot.write_chart(
-        rundir / "estimates.svg",
-        "solution estimates along the homotopy",
-        [
-            svgplot.Series("sup |u|", ts, tuple(r.sup_u for r in reports)),
-            svgplot.Series("sup |grad u|", ts, tuple(r.sup_grad_u for r in reports)),
-            svgplot.Series("sup |lap u|", ts, tuple(r.sup_lap_u for r in reports)),
-        ],
-        x_label="t",
-        y_label="sup-norm",
-    )
-    svgplot.write_chart(
-        rundir / "cone_margin.svg",
-        "admissibility and ellipticity margins",
-        [
-            svgplot.Series("cone margin", ts, tuple(r.cone_margin for r in reports)),
-            svgplot.Series("min eig G^ij", ts, tuple(r.min_eig_Gij for r in reports)),
-        ],
-        x_label="t",
-        y_label="margin",
-        log_y=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +81,7 @@ def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
         },
         "timings": {"total_seconds": elapsed},
     }
-    _write_charts(outdir, reports)
+    monitors.write_charts(outdir, reports)
     # written last: a summary.json on disk means every other artifact is
     # this run's (cmd_solve removes a stale one before the march)
     _dump_json(outdir / "summary.json", summary)
@@ -244,7 +206,7 @@ def cmd_manufacture(args):
     write_field(outdir / "u_star.ksig", grid, u_star)
     write_field(outdir / "alpha.ksig", grid, problem.alpha)
     names = [f"alpha_l_{l}.ksig" for l in range(p.k - 1)]
-    for name, values in zip(names, problem.alpha_l):
+    for name, values in zip(names, np.broadcast_to(problem.alpha_l, (p.k - 1,) + grid.shape)):
         write_field(outdir / name, grid, values)
     # the package resolves file: paths against its own directory
     bg_spec = p.background.strip()
@@ -285,7 +247,7 @@ def cmd_report(args):
         raise InputError(str(exc)) from exc
     if not reports:
         raise InputError(f"{csv_path} contains no data rows")
-    _write_charts(rundir, reports)
+    monitors.write_charts(rundir, reports)
     print(f"wrote residual.svg, estimates.svg, cone_margin.svg -> {rundir}")
     return 0
 
@@ -328,7 +290,3 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

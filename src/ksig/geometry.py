@@ -50,7 +50,8 @@ class Problem:
 
     B_planes holds B as the exactly symmetric component planes that
     background_planes builds, shape (n, n, *grid.shape); B is their zero-copy
-    (*grid.shape, n, n) view.  alpha_l stacks l first: (k-1, *grid.shape).
+    (*grid.shape, n, n) view.  alpha_l stacks l first: (k-1, *grid.shape), or
+    (1, *grid.shape) for one field that is alpha_l for every l.
 
     Every Problem, one built by dataclasses.replace included, meets the
     solvability hypotheses; construction raises InputError naming the first
@@ -76,8 +77,8 @@ class Problem:
             raise ValueError(f"background tensor planes {self.B_planes.shape} do not match grid")
         if self.alpha.shape != self.grid.shape:
             raise ValueError("alpha shape does not match grid")
-        if self.alpha_l.shape != (k - 1,) + self.grid.shape:
-            raise ValueError(f"alpha_l must stack k-1={k - 1} fields, got {self.alpha_l.shape}")
+        if self.alpha_l.shape not in ((1,) + self.grid.shape, (k - 1,) + self.grid.shape):
+            raise ValueError(f"alpha_l must stack 1 or k-1={k - 1} fields, got {self.alpha_l.shape}")
         if not np.isfinite(tau):
             raise InputError(f"input data must be finite, but tau = {tau}")
         named = [("alpha", self.alpha), *((f"alpha_{l}", a) for l, a in enumerate(self.alpha_l))]
@@ -86,8 +87,8 @@ class Problem:
             require_finite(name, values)
         if not tau < 1.0:
             raise InputError(f"hypothesis violated: tau < 1 required, got tau={tau}")
-        for l in range(k - 1):
-            node, low = worst_node(self.alpha_l[l])
+        for l, alpha_l in enumerate(self.alpha_l):
+            node, low = worst_node(alpha_l)
             if not low > 0.0:
                 raise InputError(
                     f"hypothesis violated: alpha_l > 0 required everywhere, but "
@@ -128,7 +129,8 @@ def background_planes(grid, entry):
 
 
 def beta_weights(problem, u, t):
-    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2."""
+    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2;
+    a single alpha_l row broadcasts over l."""
     k = problem.k
     c = cones.homotopy_constant(problem.grid.dim, k)
     al = np.moveaxis(problem.alpha_l, 0, -1)

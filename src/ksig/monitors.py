@@ -3,7 +3,9 @@
 Monitors report the quantities the a priori estimates control (sup-norms,
 cone margins, ellipticity eigenvalues, ratio bounds) once per accepted
 step, in monitors.csv and nowhere else; nothing here asserts the
-non-explicit constants, and nothing here aborts a solve.
+non-explicit constants, and nothing here aborts a solve.  This module alone
+knows the columns: it writes and reads monitors.csv and charts its columns
+against t (write_charts).
 The lemma suite re-checks the cone algebra on random and adversarially
 boundary-biased samples with a counter-based generator so results are
 reproducible from the seed alone.
@@ -17,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import InputError, cones, sampling
+from . import InputError, cones, sampling, svgplot
 from .artifacts import replacing
 from .grid import dot_planes, sup_norm
 
@@ -26,6 +28,7 @@ __all__ = [
     "snapshot_point",
     "write_monitor_csv",
     "read_monitor_csv",
+    "write_charts",
     "PropertyCheck",
     "LemmaSuiteResult",
     "run_lemma_suite",
@@ -156,6 +159,33 @@ def read_monitor_csv(path):
     return reports
 
 
+# file name -> title, y label, log y, and a (legend, MonitorReport field) per line
+_CHARTS = {
+    "residual.svg": ("final Newton residual per accepted step", "residual", True, [("residual sup-norm", "residual")]),
+    "estimates.svg": (
+        "solution estimates along the homotopy",
+        "sup-norm",
+        False,
+        [("sup |u|", "sup_u"), ("sup |grad u|", "sup_grad_u"), ("sup |lap u|", "sup_lap_u")],
+    ),
+    "cone_margin.svg": (
+        "admissibility and ellipticity margins",
+        "margin",
+        True,
+        [("cone margin", "cone_margin"), ("min eig G^ij", "min_eig_Gij")],
+    ),
+}
+
+
+def write_charts(rundir, reports):
+    """residual.svg, estimates.svg and cone_margin.svg in the directory
+    `rundir`: columns of the reports, one row per accepted step, against t."""
+    ts = [r.t for r in reports]
+    for name, (title, y_label, log_y, lines) in _CHARTS.items():
+        series = [(legend, [getattr(r, field) for r in reports]) for legend, field in lines]
+        svgplot.write_chart(rundir / name, title, "t", ts, series, y_label, log_y)
+
+
 # ---------------------------------------------------------------------------
 # randomized property suite
 
@@ -228,7 +258,7 @@ def _shrink_until_admissible(base, probe, k):
     return trial, keep
 
 
-def run_lemma_suite(n, k, samples=10_000, seed=42):
+def run_lemma_suite(n, k, samples, seed):
     """Re-check the cone algebra on `samples` random draws plus adversarial
     near-boundary draws and the equality point e; returns per-property
     maxima, each passing at or below _TOLERANCE.  Failures are recorded in

@@ -192,9 +192,7 @@ def _split_alpha_l(spec, k):
     parts = [p.strip() for p in spec.split(",")]
     if not all(parts):
         raise InputError(f"alpha_l = {spec!r} has an empty entry")
-    if len(parts) == 1:
-        return parts * (k - 1)
-    if len(parts) != k - 1:
+    if len(parts) not in (1, k - 1):
         raise InputError(f"alpha_l needs 1 or k-1={k - 1} entries, got {len(parts)}")
     return parts
 

@@ -107,7 +107,7 @@ def gamma_matrices(rng, count, n, k, margin=0.0):
     return conjugate_by_rotations(rng, lam)
 
 
-def psd_matrices(rng, count, n, eig_low=0.0, eig_high=1.0):
+def psd_matrices(rng, count, n, eig_low, eig_high):
     """Symmetric positive semi-definite matrices with uniform eigenvalues."""
     lam = rng.uniform(eig_low, eig_high, size=(count, n))
     return conjugate_by_rotations(rng, lam)

@@ -1,5 +1,6 @@
 """Tiny self-contained SVG polyline charts.
 
+`write_chart` draws named columns of numbers against one shared x column.
 Rendering is a pure function of the inputs with all coordinates formatted
 to fixed precision, so identical data produces byte-identical files --
 required for reproducible run artifacts.  Deliberately minimal: axes,
@@ -9,12 +10,11 @@ ticks, legend, polylines; nothing interactive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from html import escape
 
 from .artifacts import replacing
 
-__all__ = ["Series", "write_chart"]
+__all__ = ["write_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -28,30 +28,13 @@ TICKS = 5  # per axis, evenly spaced from the low to the high end
 FLAT_PAD = 1.0  # half-width given to an axis whose data are all one value
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("series x and y lengths differ")
-
-
-def _finite_points(series):
-    pts = []
-    for x, y in zip(series.x, series.y):
-        if math.isfinite(x) and math.isfinite(y):
-            pts.append((float(x), float(y)))
-    return pts
-
-
 def _data_range(values):
     lo, hi = min(values), max(values)
     if hi == lo:
-        lo -= FLAT_PAD
-        hi += FLAT_PAD
+        # FLAT_PAD would vanish in rounding from 2**53 on, and the span with it
+        pad = max(FLAT_PAD, math.ulp(lo))
+        lo -= pad
+        hi += pad
     return lo, hi
 
 
@@ -69,21 +52,21 @@ def _tick_label(value, log_y=False):
     return f"{value:.4g}"
 
 
-def write_chart(path, title, series, x_label="", y_label="", log_y=False):
-    """Write a list of Series to `path` as an SVG document."""
+def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
+    """Write to `path` an SVG document that plots each (label, ys) pair of
+    `series` against the shared `xs`, skipping points that are not finite
+    (and, with log_y, those at or below 0)."""
     plotted = []
-    for s in series:
-        pts = _finite_points(s)
+    for label, ys in series:
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
         if log_y:
             pts = [(x, math.log10(y)) for x, y in pts if y > 0.0]
         if pts:
-            plotted.append((s.label, pts))
+            plotted.append((label, pts))
 
     if plotted:
-        xs = [x for _, pts in plotted for x, _ in pts]
-        ys = [y for _, pts in plotted for _, y in pts]
-        x_lo, x_hi = _data_range(xs)
-        y_lo, y_hi = _data_range(ys)
+        x_lo, x_hi = _data_range([x for _, pts in plotted for x, _ in pts])
+        y_lo, y_hi = _data_range([y for _, pts in plotted for _, y in pts])
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
 
@@ -132,17 +115,15 @@ def write_chart(path, title, series, x_label="", y_label="", log_y=False):
             f'<text x="{MARGIN_L - 8}" y="{yp + 3:.2f}" text-anchor="end" '
             f'font-family="monospace" font-size="10">{escape(_tick_label(yv, log_y), quote=False)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{escape(x_label, quote=False)}</text>'
-        )
-    if y_label:
-        label = escape(y_label + (" (log10)" if log_y else ""), quote=False)
-        out.append(
-            f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-family="monospace" '
-            f'font-size="11" transform="rotate(-90 14 {HEIGHT // 2})">{label}</text>'
-        )
+    out.append(
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="monospace" font-size="11">{escape(x_label, quote=False)}</text>'
+    )
+    y_text = escape(y_label + (" (log10)" if log_y else ""), quote=False)
+    out.append(
+        f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-family="monospace" '
+        f'font-size="11" transform="rotate(-90 14 {HEIGHT // 2})">{y_text}</text>'
+    )
     # polylines + legend
     for i, (label, pts) in enumerate(plotted):
         color = PALETTE[i % len(PALETTE)]

@@ -137,6 +137,10 @@ def test_solve_respects_outdir_override(tmp_path, monkeypatch):
         ({"alpha_l = 1.0": "alpha_l = 1,"}, "empty entry"),
         # geometry.Problem's own checks reach the user as invalid input
         ({"k = 3": "k = 2"}, "cone index k=2 outside [3, n=3]"),
+        # alpha_l's one entry is not copied k-1 times first, so k < 2 is refused the same way
+        ({"k = 3": "k = 1"}, "cone index k=1 outside [3, n=3]"),
+        ({"k = 3": "k = 0"}, "cone index k=0 outside [3, n=3]"),
+        ({"k = 3": "k = -3"}, "cone index k=-3 outside [3, n=3]"),
     ],
 )
 def test_solve_gating_rejects_and_writes_nothing(tmp_path, capsys, edit, needle):
@@ -271,6 +275,24 @@ def test_manufacture_then_solve_a_multi_line_value(tmp_path, capsys, monkeypatch
 def expected_planes(n, N, entry):
     """B's planes (n, n, N, ..., N), plane (i, j) filled with entry(i, j)."""
     return np.stack([np.stack([np.full((N,) * n, entry(i, j)) for j in range(n)]) for i in range(n)])
+
+
+def test_build_problem_evaluates_one_alpha_l_entry_once(tmp_path, monkeypatch):
+    # one alpha_l entry is one field that serves every l: at n = k = 5 it is
+    # read once, not k-1 = 4 times
+    specs = []
+    real = runconfig.field_from_spec
+
+    def counting(spec, grid, base):
+        specs.append(spec)
+        return real(spec, grid, base)
+
+    monkeypatch.setattr(runconfig, "field_from_spec", counting)
+    cfg = default_config(tmp_path, **{"n = 3": "n = 5", "k = 3": "k = 5", "alpha_l = 1.0": "alpha_l = 2.0"})
+    problem = runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
+    assert specs.count("2.0") == 1
+    beta = geometry.beta_weights(problem, problem.grid.zeros(), 1.0)
+    assert beta.shape == problem.grid.shape + (4,) and np.all(beta == 2.0)
 
 
 def test_build_problem_builds_B_planes_from_the_spec(tmp_path):
@@ -1126,6 +1148,71 @@ def test_report_does_not_report_a_bug_as_invalid_input(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="broadcast"):
         main(["report", str(tmp_path)])
     assert not list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("value", ["9007199254740996.0", "1e308"])
+def test_report_charts_one_row_of_values_past_the_flat_pad(tmp_path, value):
+    # one row makes every axis flat, and a flat axis is padded by 1 on both
+    # sides; 2**53 + 4 +- 1 rounds back to 2**53 + 4, and the chart divided
+    # by a zero span
+    row = ",".join([value] * (len(CSV_FIELDS) - 1) + ["3"])
+    (tmp_path / "monitors.csv").write_text(f"{','.join(CSV_FIELDS)}\n{row}\n")
+    assert main(["report", str(tmp_path)]) == 0
+    for name in CHARTS:
+        assert "nan" not in (tmp_path / name).read_text(), name
+
+
+# numbers at the edges of the float range and past it; fields that are no
+# number: text, blanks, NUL and digits past int()'s 4300-digit limit
+_csv_number = st.one_of(
+    st.floats().map(repr), st.sampled_from(["1e308", "-1e308", "1e999", "nan", "-inf", "5e-324", "9" * 400])
+)
+_csv_field = st.one_of(
+    _csv_number, st.integers().map(str), st.text(max_size=6), st.sampled_from(["", " ", "\x00", "7" * 5000])
+)
+# the shape of a MonitorReport row, whose numbers may still be anything
+_csv_report_row = st.tuples(*[_csv_number] * (len(CSV_FIELDS) - 1), st.integers(0, 50).map(str)).map(list)
+_csv_any_row = st.lists(_csv_field, max_size=len(CSV_FIELDS) + 1)
+
+
+@st.composite
+def monitor_csv_bytes(draw):
+    """monitors.csv bytes: the header, then rows that may hold the wrong
+    number of fields, NUL bytes, huge numbers or text that is not UTF-8,
+    and the whole maybe torn or spliced with drawn bytes."""
+    row_strategy = _csv_report_row if draw(st.booleans()) else st.one_of(_csv_report_row, _csv_any_row)
+    rows = [list(CSV_FIELDS), *draw(st.lists(row_strategy, max_size=5))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    # a lone surrogate encodes to bytes that are not UTF-8
+    data = newline.join(",".join(row) for row in rows).encode("utf-8", "surrogatepass")
+    damage = draw(st.sampled_from(["none", "none", "tear", "splice"]))
+    if damage == "none":
+        return data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] if damage == "tear" else data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=monitor_csv_bytes())
+def test_report_ends_in_a_documented_exit_code(data):
+    # drawn monitors.csv bytes: report draws its three charts (exit 0) or
+    # refuses with one error line and no chart written (exit 2), never a
+    # traceback, and raises no warning; 150 examples take about 2 s
+    with tempfile.TemporaryDirectory() as tmp:
+        rundir = Path(tmp)
+        (rundir / "monitors.csv").write_bytes(data)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", str(rundir)])
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 2)
+        if code == 0:
+            assert all((rundir / name).is_file() for name in CHARTS)
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not list(rundir.glob("*.svg"))
 
 
 def test_report_without_summary_still_renders(tmp_path):

@@ -71,6 +71,19 @@ def test_beta_weights_nonnegative_on_unit_interval():
         assert np.all(beta_weights(problem, u, t) >= 0.0)
 
 
+def test_beta_weights_one_alpha_l_row_serves_every_l():
+    # a Problem may hold one alpha_l row for every l; its weights equal,
+    # bit for bit, those of the k-1 copies of that row
+    grid = PeriodicGrid(5, 8)
+    rng = np.random.default_rng(6)
+    row = 1.0 + 0.5 * rng.uniform(size=(1,) + grid.shape)
+    u = rng.uniform(-1.0, 1.0, grid.shape)
+    one = make_problem(grid, k=5, alpha_l=row)
+    copies = make_problem(grid, k=5, alpha_l=np.repeat(row, 4, axis=0))
+    for t in (0.0, 0.3, 1.0):
+        assert beta_weights(one, u, t).tobytes() == beta_weights(copies, u, t).tobytes()
+
+
 # ---------------------------------------------------------------- assemble_U
 
 

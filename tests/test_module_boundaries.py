@@ -338,7 +338,7 @@ def test_no_module_holds_an_array(march):
     # first, so a cache filled at run time shows too
     grid = PeriodicGrid(dim=3, resolution=8)
     march(make_problem(grid, alpha=0.2 * np.sin(grid.coordinate(0)) + grid.zeros()), solver.SolverConfig())
-    monitors.run_lemma_suite(3, 3, samples=100)
+    monitors.run_lemma_suite(3, 3, samples=100, seed=42)
     held = {
         name: module_arrays(importlib.import_module(f"ksig.{name}")) for name in sorted(MODULES - {"__main__"})
     }
