@@ -127,9 +127,10 @@ def cmd_solve(args):
     if not log:  # cut short before the anchor, which is always accepted
         print(f"{interrupted[0]} before the anchor step; nothing written", file=sys.stderr)
         return interrupted[1]
-    # an uninterrupted march ends on the step that reaches t = 1 or on the
-    # rejected step that fell below dt_min
-    stalled = not (interrupted or log[-1].accepted)
+    # an uninterrupted march ends on the step that reaches t = 1, or stalls:
+    # on the rejected step that fell below dt_min, or on an accepted step
+    # short of t = 1 when its step budget is spent
+    stalled = not (interrupted or (log[-1].accepted and log[-1].t == 1.0))
     summary = _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, stalled)
     if interrupted:
         print(
@@ -138,11 +139,11 @@ def cmd_solve(args):
         )
         return interrupted[1]
     if stalled:
-        print(
-            f"error: continuation stalled at t={summary['t_final']}: step below "
-            f"dt_min={cfg.solver.dt_min} ({log[-1].note})",
-            file=sys.stderr,
-        )
+        if log[-1].note:
+            reason = f"step below dt_min={cfg.solver.dt_min} ({log[-1].note})"
+        else:
+            reason = f"step budget spent after {len(log)} Newton solves"
+        print(f"error: continuation stalled at t={summary['t_final']}: {reason}", file=sys.stderr)
         print(f"last accepted state written to {outdir}", file=sys.stderr)
         return 3
     print(
@@ -238,15 +239,7 @@ def cmd_manufacture(args):
 
 def cmd_report(args):
     rundir = Path(args.rundir)
-    csv_path = rundir / "monitors.csv"
-    if not csv_path.is_file():
-        raise InputError(f"no monitors.csv in {rundir}")
-    try:
-        reports = monitors.read_monitor_csv(csv_path)
-    except (OSError, UnicodeDecodeError) as exc:  # the file's access or encoding
-        raise InputError(str(exc)) from exc
-    if not reports:
-        raise InputError(f"{csv_path} contains no data rows")
+    reports = monitors.read_monitor_csv(rundir / "monitors.csv")
     monitors.write_charts(rundir, reports)
     print(f"wrote residual.svg, estimates.svg, cone_margin.svg -> {rundir}")
     return 0

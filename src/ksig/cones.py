@@ -61,6 +61,8 @@ def _check_order(k, n):
 
 
 def _square(M):
+    """M as float64; every matrix function refuses a batch that is not
+    square in its trailing two axes, alike."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("expected square matrices in the trailing two axes")

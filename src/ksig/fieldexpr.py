@@ -12,6 +12,8 @@ i.e. sums of signed products of constants and single-coordinate sine/cosine
 waves: "1", "0.2*sin(x1)", "1 + 0.1*cos(x2)*sin(x1) - 3e-2*sin(x3)".  The
 set is closed under the exact first and second derivatives the solver needs,
 so manufactured solutions get analytic jets rather than stencil jets.
+`evaluate` is the one loop that computes values, and `analytic_jet` takes
+its values from it.  A parse error names where reading stopped.
 """
 
 from __future__ import annotations

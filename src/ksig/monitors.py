@@ -123,39 +123,37 @@ def write_monitor_csv(path, reports):
             writer.writerow([repr(float(v)) for v in row[:-1]] + [str(int(row[-1]))])
 
 
-def _csv_rows(reader, path):
-    """The rows of a csv.reader over `path`; a row the reader refuses (e.g.
-    a field longer than csv's size limit) raises InputError naming its line."""
+def read_monitor_csv(path):
+    """The MonitorReports of a monitors.csv, at least one.  The file's one gate:
+    unreadable, not UTF-8, no data rows, a line csv refuses, a foreign header or
+    a bad row each raise InputError naming `path`, and a bad row's line."""
+    reports = []
     try:
-        yield from reader
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)  # None: an empty file, refused below
+            if header not in (None, list(CSV_FIELDS)):
+                raise InputError(f"{path}: unexpected monitor CSV header: {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_FIELDS):
+                    raise InputError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields, "
+                        f"expected {len(CSV_FIELDS)}"
+                    )
+                try:
+                    reports.append(MonitorReport(*map(float, row[:-1]), newton_iters=int(row[-1])))
+                except ValueError as exc:
+                    raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
-
-
-def read_monitor_csv(path):
-    """The MonitorReports of a monitors.csv; malformed content raises InputError."""
-    reports = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = _csv_rows(reader, path)
-        header = next(rows, None)
-        if header is None:
-            return []
-        if tuple(header) != CSV_FIELDS:
-            raise InputError(f"unexpected monitor CSV header: {header}")
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != len(CSV_FIELDS):
-                raise InputError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, "
-                    f"expected {len(CSV_FIELDS)}"
-                )
-            try:
-                vals = [float(v) for v in row[:-1]]
-                reports.append(MonitorReport(*vals, newton_iters=int(row[-1])))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    if not reports:
+        raise InputError(f"{path} contains no data rows")
     return reports
 
 

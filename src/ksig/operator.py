@@ -40,6 +40,9 @@ class PointState:
     grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
 
 
+# a state may leave the float range (a huge forcing, an overshooting trial);
+# callers check the margin, the residual and dF's diagonal for finiteness
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(u, t, problem, jet=None):
     """Assemble U^t from the jet of u and evaluate the quotient operator.
 

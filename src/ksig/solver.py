@@ -77,6 +77,11 @@ _LINEAR_RESTART = 50
 # 2.2e-16), so a step can never round back to the t it started from; a step
 # that ends within it of t = 1 lands on 1.
 _DT_FLOOR = 1e-12
+# The step budget: a march that has made this many Newton solves, the anchor
+# and the whole-path attempt included, stalls at its next accepted step,
+# however far from t = 1 (a cap on steps, like AUTO's NMX).  At dt_min =
+# _DT_FLOOR a march could otherwise creep for up to 1e12 steps.
+_MAX_STEPS = 1000
 
 __all__ = [
     "SolverConfig",
@@ -92,7 +97,8 @@ class SolverConfig:
     """Tolerance and step controls for one continuation run.
 
     k and tau are not settings here: the solver reads problem.k and
-    problem.tau.
+    problem.tau.  dt_min is at least _DT_FLOOR, the smallest step that
+    moves t.
     """
 
     residual_tol: float = 1e-9
@@ -134,6 +140,9 @@ class StepRecord:
         return not self.note
 
 
+# a dF or residual far from 1 overflows here, silently: x has converged only
+# on a finite true residual, and every other end returns a note
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
 def _gmres(apply, diagonal, b, rtol):
     """Restarted GMRES(_LINEAR_RESTART) for apply(x) = b, left-preconditioned
     by the Jacobi `diagonal`, with modified Gram-Schmidt Arnoldi and Givens
@@ -150,8 +159,7 @@ def _gmres(apply, diagonal, b, rtol):
     the true residual at the cycle's start still needs, or on breakdown.
     """
     x = np.zeros_like(b)
-    with np.errstate(over="ignore"):
-        bnorm = np.linalg.norm(b)
+    bnorm = np.linalg.norm(b)
     if not math.isfinite(bnorm):
         return x, 0, "the right-hand side's 2-norm overflows"
     if not np.isfinite(diagonal).all():
@@ -165,9 +173,8 @@ def _gmres(apply, diagonal, b, rtol):
     iters = 0
     r, rnorm = b, bnorm
     while rnorm > target and iters < _LINEAR_MAXITER:
-        with np.errstate(over="ignore", under="ignore"):
-            V[0] = r / d
-            beta = np.linalg.norm(V[0])
+        V[0] = r / d
+        beta = np.linalg.norm(V[0])
         if not 0.0 < beta < math.inf:
             return x, iters, f"the preconditioned residual's 2-norm is {beta} after {iters} iterations"
         V[0] *= 1.0 / beta
@@ -269,13 +276,12 @@ def newton_solve_at_t(u0, t, problem, config):
             trial_u = u + s * delta
             # overshooting trials may overflow exp or leave the cone; NaNs
             # compare False below and the step is simply rejected
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trial = operator.evaluate(trial_u, t, problem)
-                ok = bool(
-                    trial.margin.min() > _CONE_MARGIN
-                    and np.isfinite(trial.residual).all()
-                    and sup_norm(trial.residual) < rnorm
-                )
+            trial = operator.evaluate(trial_u, t, problem)
+            ok = bool(
+                trial.margin.min() > _CONE_MARGIN
+                and np.isfinite(trial.residual).all()
+                and sup_norm(trial.residual) < rnorm
+            )
             if ok:
                 break
             s *= _DAMPING_SHRINK
@@ -346,9 +352,10 @@ def continuation_steps(problem, config):
     most _GROW_NEWTON Newton iterations doubles dt, unless it is one of the
     first _HOLD_AFTER_REJECT accepted steps after a later rejection; the
     last step is clamped to t = 1.  A failed step halves the step it tried.
-    The march ends after the step that reaches t = 1, or after the rejected
-    step that leaves dt below dt_min: a log that ends on a rejected record
-    is a stall, and its note gives the reason.  Each record is
+    The march ends after the step that reaches t = 1, after the rejected
+    step that leaves dt below dt_min, or after the first accepted step once
+    _MAX_STEPS records are out: a log that ends on a rejected record, or on
+    an accepted one short of t = 1, is a stall.  Each record is
     newton_solve_at_t's own with dt, the step actually tried, filled in: the
     Newton iterations, final residual, damping backtracks and GMRES
     iterations spent on it, and the note of a rejected step; an accepted
@@ -373,6 +380,7 @@ def continuation_steps(problem, config):
         return
     dt = min(config.dt_init, 0.5)  # at most half the failed whole path
     hold = 0  # accepted steps still to take before dt may grow again
+    steps = 2  # the records out so far
     while last.t < 1.0 and dt >= config.dt_min:
         t_try = last.t + dt
         if t_try >= 1.0 - _DT_FLOOR:  # snap: accumulated steps may land at 1 - ulp
@@ -380,8 +388,11 @@ def continuation_steps(problem, config):
         rec = newton_solve_at_t(last.u, t_try, problem, config)
         rec = replace(rec, dt=t_try - last.t)
         yield rec
+        steps += 1
         if rec.accepted:
             last = rec
+            if steps >= _MAX_STEPS:
+                return
             if hold:
                 hold -= 1
             elif rec.iterations <= _GROW_NEWTON:

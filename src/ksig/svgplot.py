@@ -4,12 +4,14 @@
 Rendering is a pure function of the inputs with all coordinates formatted
 to fixed precision, so identical data produces byte-identical files --
 required for reproducible run artifacts.  Deliberately minimal: axes,
-ticks, legend, polylines; nothing interactive.
+ticks, legend, polylines; nothing interactive.  Its one caller is
+monitors.write_charts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from html import escape
 
 from .artifacts import replacing
@@ -26,20 +28,28 @@ MARGIN_T = 36
 MARGIN_B = 48
 TICKS = 5  # per axis, evenly spaced from the low to the high end
 FLAT_PAD = 1.0  # half-width given to an axis whose data are all one value
+# an axis reaching past BIG is worked in units of BIG_UNIT, a power of two
+# above twice the plot size: its span, and that times the plot size, stay
+# finite up to the float limit, and data below BIG keep unit 1
+BIG = 2.0**1000
+BIG_UNIT = 2.0**11
 
 
-def _data_range(values):
+def _axis(values):
+    """(lo, hi, unit): the ends of an axis over `values`, in units of `unit`."""
     lo, hi = min(values), max(values)
     if hi == lo:
-        # FLAT_PAD would vanish in rounding from 2**53 on, and the span with it
+        # FLAT_PAD would vanish in rounding from 2**53 on, and the span with
+        # it; the padded ends stay inside the float range
         pad = max(FLAT_PAD, math.ulp(lo))
-        lo -= pad
-        hi += pad
-    return lo, hi
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    unit = 1.0 if max(-lo, hi) < BIG else BIG_UNIT
+    return lo / unit, hi / unit, unit
 
 
 def _tick_values(lo, hi):
-    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
+    # min: lo + (hi - lo) may round one float past hi
+    return [min(hi, lo + (hi - lo) * i / (TICKS - 1)) for i in range(TICKS)]
 
 
 def _tick_label(value, log_y=False):
@@ -65,14 +75,15 @@ def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
             plotted.append((label, pts))
 
     if plotted:
-        x_lo, x_hi = _data_range([x for _, pts in plotted for x, _ in pts])
-        y_lo, y_hi = _data_range([y for _, pts in plotted for _, y in pts])
+        x_lo, x_hi, x_unit = _axis([x for _, pts in plotted for x, _ in pts])
+        y_lo, y_hi, y_unit = _axis([y for _, pts in plotted for _, y in pts])
     else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+        x_lo, x_hi, x_unit, y_lo, y_hi, y_unit = 0.0, 1.0, 1.0, 0.0, 1.0, 1.0
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # px and py take x and y in their axis's unit
     def px(x):
         return MARGIN_L + inner_w * (x - x_lo) / (x_hi - x_lo)
 
@@ -103,7 +114,7 @@ def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
         )
         out.append(
             f'<text x="{xp:.2f}" y="{MARGIN_T + inner_h + 18}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{escape(_tick_label(xv), quote=False)}</text>'
+            f'font-family="monospace" font-size="10">{escape(_tick_label(xv * x_unit), quote=False)}</text>'
         )
     for yv in _tick_values(y_lo, y_hi):
         yp = py(yv)
@@ -113,7 +124,7 @@ def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
         )
         out.append(
             f'<text x="{MARGIN_L - 8}" y="{yp + 3:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{escape(_tick_label(yv, log_y), quote=False)}</text>'
+            f'font-family="monospace" font-size="10">{escape(_tick_label(yv * y_unit, log_y), quote=False)}</text>'
         )
     out.append(
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
@@ -127,7 +138,7 @@ def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
     # polylines + legend
     for i, (label, pts) in enumerate(plotted):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{px(x / x_unit):.2f},{py(y / y_unit):.2f}" for x, y in pts)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -57,6 +57,24 @@ def default_config(tmp_path, **edits):
     return write_config(tmp_path, text)
 
 
+def write_diagonal_background(directory, value):
+    """B = value * I at n = 3, N = 8 as the planes of `file:bg` in `directory`."""
+    grid = PeriodicGrid(dim=3, resolution=8)
+    for i in range(3):
+        for j in range(i, 3):
+            write_field(Path(directory, f"bg_B{i}{j}.ksig"), grid, np.full(grid.shape, value * (i == j)))
+
+
+def log_uniform(low, high):
+    """Floats from 10**low to 10**high, uniform in the exponent."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def signed_log_uniform(low, high):
+    """log_uniform(low, high) with either sign."""
+    return st.tuples(st.sampled_from([1.0, -1.0]), log_uniform(low, high)).map(lambda p: p[0] * p[1])
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -492,6 +510,73 @@ def test_solve_huge_negative_tau_stalls_cleanly(tmp_path, capsys, tau, note):
     assert summary["rejected"] and all(note in rec["note"] for rec in summary["rejected"])
 
 
+def test_solve_huge_alpha_l_over_a_tiny_background_stalls_without_warnings(tmp_path, capsys):
+    # found by test_solve_ends_in_a_documented_exit_code: with -B ~ 1e-53 I
+    # and alpha_l = 5e176, G's gradient at the whole-path attempt's start
+    # overflows (sigma_l alpha_l / sigma_2^2); the step fails on its cone
+    # margin, later steps on an overflowing right-hand side, and no warning
+    cfg = default_config(
+        tmp_path,
+        **{
+            "tau = 0.0": "tau = -1.0",
+            "background = hyperbolic-like": "background = spaceform:-5.812028307355339e-54",
+            "alpha = 0.2*sin(x1)": "alpha = -5.812028307355339e-54*sin(x1)",
+            "alpha_l = 1.0": "alpha_l = 5.0375107398504483e+176",
+        },
+    )
+    assert main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: continuation stalled at t=0.0")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["accepted_steps"] == 1 and summary["stalled"] is True
+
+
+def test_solve_overflowing_linear_residual_stalls_without_warnings(tmp_path, capsys):
+    # found by test_solve_ends_in_a_documented_exit_code: with B = -4e76 I and
+    # alpha = 2e143 sin(x1), a GMRES cycle's update makes b - dF[x] overflow
+    # its 2-norm; the linear solve fails with a note and no warning
+    write_diagonal_background(tmp_path, -3.953663483360433e76)
+    cfg = default_config(
+        tmp_path,
+        **{
+            "tau = 0.0": "tau = -1.2142839080984301e-104",
+            "background = hyperbolic-like": "background = file:bg",
+            "alpha = 0.2*sin(x1)": "alpha = 2.191521181666034e+143*sin(x1)",
+            "[output]": "[solver]\nresidual_tol = 0.08072822825831381\n\n[output]",
+        },
+    )
+    assert main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: continuation stalled at t=0.0")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert any("GMRES residual inf" in rec["note"] for rec in summary["rejected"])
+
+
+def test_solve_creeping_march_stalls_at_the_step_budget(tmp_path, capsys):
+    # found by test_solve_ends_in_a_documented_exit_code: one Newton
+    # iteration per step and dt_min = 1e-12 let the march creep at dt ~ 5e-8,
+    # 5570 accepted steps to t = 4e-4 in 20 s, keeping every step's u; the
+    # step budget ends it as a stall on its last accepted step
+    cfg = default_config(
+        tmp_path,
+        **{
+            "alpha = 0.2*sin(x1)": "alpha = 1.2589254117941673*sin(x1)",
+            "tau = 0.0": "tau = 1.3878107994685834e-242",
+            "[output]": "[solver]\ndt_init = 0.10000000000000002\ndt_min = 1e-12\nmax_newton = 1\n"
+            "residual_tol = 8.826999160014873e-10\n\n[output]",
+        },
+    )
+    start = time.perf_counter()
+    assert main(["solve", str(cfg)]) == 3
+    assert time.perf_counter() - start < 10.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    solves = re.fullmatch(r"error: continuation stalled at t=\S+: step budget spent after (\d+) Newton solves", lines[0])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["stalled"] is True and 0.0 < summary["t_final"] < 1.0
+    assert summary["accepted_steps"] + summary["rejected_steps"] == int(solves[1]) >= solver._MAX_STEPS
+
+
 def test_solve_singular_jacobian_stalls_cleanly(tmp_path, capsys):
     # alpha_l = 1e-20 > 0 passes gating, but dF's zeroth-order weight falls
     # below round-off against the stencil's, so dF maps a constant to 0: the
@@ -684,6 +769,68 @@ def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):
     sa.pop("timings")
     sb.pop("timings")
     assert sa == sb
+
+
+@st.composite
+def solver_section(draw):
+    """A [solver] section of values inside SolverConfig's bounds; each key
+    may be left at its default."""
+    dt_min = draw(log_uniform(-12, -1))
+    values = {
+        "residual_tol": draw(log_uniform(-16, 0)),
+        "max_newton": draw(st.integers(1, 30)),
+        "dt_init": draw(st.floats(dt_min, 1.0, exclude_min=True)),
+        "dt_min": dt_min,
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(values))))
+    if keys & {"dt_min", "dt_init"}:  # either alone may pass the other's default
+        keys |= {"dt_min", "dt_init"}
+    return "".join(f"{key} = {values[key]!r}\n" for key in sorted(keys))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    tau=signed_log_uniform(-300, 300),
+    alpha=signed_log_uniform(-300, 300),
+    alpha_l=signed_log_uniform(-300, 300),
+    background=st.sampled_from(["hyperbolic-like", "spaceform:{b!r}", "file:bg"]),
+    b=signed_log_uniform(-300, 300),
+    solver_text=solver_section(),
+)
+def test_solve_ends_in_a_documented_exit_code(tau, alpha, alpha_l, background, b, solver_text):
+    # drawn problems at n = k = 3, N = 8: solve reaches t = 1 (exit 0) or
+    # stalls (exit 3) with a consistent artifact set, or refuses with one
+    # error line and nothing written (exit 2); never a traceback, no warning,
+    # and each example within 10 s.  About three in four examples are refused
+    # at gating; the 100 take about 5 s, and the slowest of 2 300 scratch
+    # examples, a large-|tau| stall at dt_min = 1e-12, took 4.5 s
+    with tempfile.TemporaryDirectory() as tmp:
+        write_diagonal_background(tmp, b)
+        outdir = Path(tmp, "out")
+        text = BASE_CONFIG.format(outdir=outdir)
+        for old, new in (
+            ("tau = 0.0", f"tau = {tau!r}"),
+            ("alpha = 0.2*sin(x1)", f"alpha = {alpha!r}*sin(x1)"),
+            ("alpha_l = 1.0", f"alpha_l = {alpha_l!r}"),
+            ("background = hyperbolic-like", f"background = {background.format(b=b)}"),
+            ("[output]", f"[solver]\n{solver_text}\n[output]"),
+        ):
+            text = text.replace(old, new)
+        cfg = write_config(Path(tmp), text)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", str(cfg)])
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 2, 3)
+        if code == 2:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not outdir.exists()
+        else:
+            summary = json.loads((outdir / "summary.json").read_text())
+            assert summary["accepted_steps"] == len(monitors.read_monitor_csv(outdir / "monitors.csv"))
+            read_field(outdir / "u_final.ksig", PeriodicGrid(dim=3, resolution=8))
 
 
 ARTIFACTS = ("u_final.ksig", "monitors.csv", *CHARTS, "summary.json")
@@ -925,11 +1072,6 @@ def test_manufacture_refuses_an_alpha_that_is_not_finite(tmp_path, capsys, u_sta
     assert not outdir.exists()
 
 
-def log_uniform(low, high):
-    """Floats from 10**low to 10**high, uniform in the exponent."""
-    return st.floats(low, high).map(lambda e: 10.0**e)
-
-
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     form=st.sampled_from(["{a}", "{a}*sin(x1)"]),
@@ -1093,6 +1235,28 @@ def test_report_empty_csv(tmp_path, capsys):
     assert "no data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "make, needle",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"t,\xff\n"), "codec can't decode"),
+        (lambda path: path.write_text(""), "no data rows"),
+        (lambda path: path.write_text(",".join(CSV_FIELDS) + "\n\n"), "no data rows"),
+    ],
+    ids=["missing", "directory", "not-utf8", "empty", "header-only"],
+)
+def test_report_refuses_an_unreadable_or_empty_monitors_csv(tmp_path, capsys, make, needle):
+    # read_monitor_csv is the one gate on the file: each of these is bad
+    # input, named on one error line, and no chart is written
+    csv_path = tmp_path / "monitors.csv"
+    make(csv_path)
+    assert main(["report", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(csv_path) in line and needle in line
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def test_report_malformed_csv(tmp_path, capsys):
     (tmp_path / "monitors.csv").write_text("bogus,header\n1,2\n")
     assert main(["report", str(tmp_path)]) == 2
@@ -1162,6 +1326,22 @@ def test_report_charts_one_row_of_values_past_the_flat_pad(tmp_path, value):
         assert "nan" not in (tmp_path / name).read_text(), name
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [[["1.7976931348623157e308"]], [["-1e308"], ["1e308"]]],
+    ids=["float-max", "across-the-float-range"],
+)
+def test_report_charts_values_near_the_float_limit_with_finite_coordinates(tmp_path, columns):
+    # an axis span hi - lo, or a flat axis's padded end, past the float range
+    # gave inf / inf = nan coordinates and tick labels
+    rows = [",".join(value * (len(CSV_FIELDS) - 1) + ["3"]) for value in columns]
+    (tmp_path / "monitors.csv").write_text("\n".join([",".join(CSV_FIELDS), *rows]) + "\n")
+    assert main(["report", str(tmp_path)]) == 0
+    for name in CHARTS:
+        text = (tmp_path / name).read_text()
+        assert "nan" not in text and "inf" not in text, name
+
+
 # numbers at the edges of the float range and past it; fields that are no
 # number: text, blanks, NUL and digits past int()'s 4300-digit limit
 _csv_number = st.one_of(
@@ -1197,7 +1377,8 @@ def monitor_csv_bytes(draw):
 def test_report_ends_in_a_documented_exit_code(data):
     # drawn monitors.csv bytes: report draws its three charts (exit 0) or
     # refuses with one error line and no chart written (exit 2), never a
-    # traceback, and raises no warning; 150 examples take about 2 s
+    # traceback, and raises no warning; every coordinate and tick label of
+    # a chart is finite; 150 examples take about 2 s
     with tempfile.TemporaryDirectory() as tmp:
         rundir = Path(tmp)
         (rundir / "monitors.csv").write_bytes(data)
@@ -1208,7 +1389,9 @@ def test_report_ends_in_a_documented_exit_code(data):
         assert time.perf_counter() - start < 2.0
         assert code in (0, 2)
         if code == 0:
-            assert all((rundir / name).is_file() for name in CHARTS)
+            for name in CHARTS:
+                text = (rundir / name).read_text()
+                assert "nan" not in text and "inf" not in text, name
         else:
             (line,) = err.getvalue().splitlines()
             assert line.startswith("error: ")

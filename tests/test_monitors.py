@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from ksig import cones, monitors, operator, sampling, solver
+from ksig import InputError, cones, monitors, operator, sampling, solver
 from ksig.grid import PeriodicGrid
 
 EXPECTED_CHECKS = {
@@ -114,7 +114,8 @@ def test_monitor_csv_rejects_foreign_header(tmp_path):
 def test_monitor_csv_empty_file_gives_no_reports(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert monitors.read_monitor_csv(path) == []
+    with pytest.raises(InputError, match="no data rows"):
+        monitors.read_monitor_csv(path)
 
 
 # ---------------------------------------------------------------------------
