@@ -45,8 +45,9 @@ def _dump_json(path, payload):
 
 
 def _write_run_artifacts(outdir, cfg, grid, log, elapsed, stalled):
-    """The artifact set of the last accepted record of a run's step log;
-    returns the summary.  Every summary value is worked out here, from the log."""
+    """The artifact set of the last accepted record of a run's step log,
+    the only accepted record that must hold its u; returns the summary.
+    Every summary value is worked out here, from the log."""
     accepted = [rec for rec in log if rec.accepted]
     rejected = [rec for rec in log if not rec.accepted]
     reports = [rec.report for rec in accepted]
@@ -113,9 +114,16 @@ def cmd_solve(args):
         raise KeyboardInterrupt
 
     previous = signal.signal(signal.SIGTERM, on_sigterm)
+    newest = None  # the index in log of the newest accepted record
     try:
         for rec in solver.continuation_steps(problem, cfg.solver):
             log.append(rec)
+            # only the newest accepted u is ever written: drop the one before,
+            # after rec is in log, so an interrupt here still finds a u
+            if rec.accepted:
+                if newest is not None:
+                    log[newest] = replace(log[newest], u=None)
+                newest = len(log) - 1
     except KeyboardInterrupt:
         interrupted = interrupted or ("interrupted", 130)
     except Exception:  # a crash keeps what was accepted, then propagates

@@ -242,6 +242,7 @@ def newton_solve_at_t(u0, t, problem, config):
     included, is never converged.  A converged solve returns its root `u`
     and the MonitorReport of its final evaluated state, which does not
     outlive the call; a failed one returns its reason in `note` and neither.
+    At most one evaluated state is alive at a time, and none during GMRES.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     state = operator.evaluate(u, t, problem)
@@ -265,8 +266,13 @@ def newton_solve_at_t(u0, t, problem, config):
             note = failure(f"Newton iteration limit {config.max_newton}")
             break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
-        delta, lin_iters, lin_note = _gmres(*operator.jacobian(state, problem), -state.residual, eta)
-        del state  # the trials need only u and rnorm; free its arrays for theirs
+        apply, diagonal = operator.jacobian(state, problem)
+        b = -state.residual
+        # GMRES and the trials need only dF, b, u and rnorm: at most one
+        # evaluated state is alive at a time, and none while GMRES runs
+        del state
+        delta, lin_iters, lin_note = _gmres(apply, diagonal, b, eta)
+        del apply, diagonal, b
         linear_iters += lin_iters
         if lin_note:
             note = failure(f"linear solve failed: {lin_note}")
@@ -276,14 +282,15 @@ def newton_solve_at_t(u0, t, problem, config):
             trial_u = u + s * delta
             # overshooting trials may overflow exp or leave the cone; NaNs
             # compare False below and the step is simply rejected
-            trial = operator.evaluate(trial_u, t, problem)
+            state = operator.evaluate(trial_u, t, problem)
             ok = bool(
-                trial.margin.min() > _CONE_MARGIN
-                and np.isfinite(trial.residual).all()
-                and sup_norm(trial.residual) < rnorm
+                state.margin.min() > _CONE_MARGIN
+                and np.isfinite(state.residual).all()
+                and sup_norm(state.residual) < rnorm
             )
             if ok:
                 break
+            del state  # a rejected trial goes before the next is evaluated
             s *= _DAMPING_SHRINK
             if s < _DAMPING_FLOOR:
                 note = failure(f"damping below {_DAMPING_FLOOR}")
@@ -291,7 +298,7 @@ def newton_solve_at_t(u0, t, problem, config):
             backtracks += 1
         if note:
             break
-        u, state = trial_u, trial
+        u = trial_u
         prev, rnorm = rnorm, sup_norm(state.residual)
         history.append(rnorm)
         iters += 1

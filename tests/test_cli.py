@@ -12,6 +12,7 @@ import shutil
 import signal
 import tempfile
 import time
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from textwrap import dedent
@@ -751,6 +752,30 @@ def test_solve_summary_counts_the_backtracks_of_rejected_steps(tmp_path):
     assert summary["rejected_newton_iterations"] == sum(rec["newton_iters"] for rec in rejected)
     floored = [rec for rec in rejected if "damping below" in rec["note"]]
     assert floored and summary["damping_trials"] >= 3 * len(floored)
+
+
+def test_solve_keeps_only_the_newest_accepted_u(tmp_path, monkeypatch):
+    # a march of several accepted steps: when it ends, the newest accepted u,
+    # which u_final.ksig holds, is the only one still alive
+    steps = solver.continuation_steps
+    refs, newest, alive_at_end = [], [], []
+
+    def recording(*args):
+        for rec in steps(*args):
+            if rec.accepted:
+                refs.append(weakref.ref(rec.u))
+                newest[:] = [rec.u.copy()]
+            yield rec
+        alive_at_end.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(solver, "continuation_steps", recording)
+    cfg = default_config(tmp_path, **{"alpha = 0.2*sin(x1)": "alpha = 20*sin(x1)*cos(x2)"})
+    assert main(["solve", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["accepted_steps"] == len(refs) >= 3
+    assert alive_at_end == [1]
+    _, u = read_field(tmp_path / "out" / "u_final.ksig")
+    assert u.tobytes() == newest[0].tobytes()
 
 
 def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):

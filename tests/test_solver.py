@@ -3,6 +3,7 @@ quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
 import math
+import weakref
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -651,6 +652,39 @@ def test_continuation_records_hold_no_evaluated_state(march):
         fresh = monitors.snapshot_point(state, problem, rec.iterations)
         assert astuple(rec.report) == astuple(fresh)
         assert rec.report.residual == rec.residual_norm and rec.report.t == rec.t
+
+
+@pytest.mark.parametrize("n, hard", [(5, False), (3, True)], ids=["default-n5", "hard-n3"])
+def test_newton_holds_one_evaluated_state_at_a_time(monkeypatch, n, hard):
+    # an evaluated state is about 24 MiB at n = k = 5, N = 8: each one,
+    # rejected trials included, is gone before the next is evaluated, and
+    # none is alive while GMRES, which reads only dF and b, runs
+    grid = make_grid(n, 8)
+    problem = hard_problem(grid) if hard else default_problem(grid, k=n)
+    states = []
+    evaluate, gmres = operator.evaluate, solver._gmres
+
+    def alive():
+        return sum(ref() is not None for ref in states)
+
+    def tracked_evaluate(*args, **kwargs):
+        assert alive() == 0, "an earlier state is alive at evaluate"
+        state = evaluate(*args, **kwargs)
+        states.append(weakref.ref(state))
+        return state
+
+    def tracked_gmres(*args):
+        assert alive() == 0, "a state is alive during GMRES"
+        return gmres(*args)
+
+    monkeypatch.setattr(operator, "evaluate", tracked_evaluate)
+    monkeypatch.setattr(solver, "_gmres", tracked_gmres)
+    log = list(solver.continuation_steps(problem, solver.SolverConfig()))
+    assert log[-1].accepted and log[-1].t == 1.0
+    assert len(states) > len(log)
+    if hard:
+        assert sum(rec.damping_trials for rec in log) > 0
+
 
 def test_newton_forcing_terms(monkeypatch):
     # inexact Newton: GMRES is asked for eta_0 = 0.01 first, then for
