@@ -65,7 +65,7 @@ def snapshot_point(state, problem, newton_iters):
     """Build a MonitorReport from a PointState (operator.evaluate)."""
     k = problem.k
     sig = state.sigma
-    grad_norm = np.sqrt(dot_planes(state.jet.grad_planes, state.jet.grad_planes))
+    grad_norm = np.sqrt(dot_planes(state.grad_u, state.grad_u))
 
     eigs = np.linalg.eigvalsh(state.grad)
     min_eig = float(eigs[..., 0].min())
@@ -84,7 +84,7 @@ def snapshot_point(state, problem, newton_iters):
         t=float(state.t),
         sup_u=sup_norm(state.u),
         sup_grad_u=float(grad_norm.max()),
-        sup_lap_u=sup_norm(state.jet.laplacian),
+        sup_lap_u=sup_norm(state.lap_u),
         cone_margin=float(state.margin.min()),
         min_eig_Gij=min_eig,
         trace_slack=trace_slack,

@@ -19,18 +19,20 @@ import numpy as np
 
 from . import cones
 from .geometry import assemble_U, beta_weights
-from .grid import JetField, compute_jet, shift, worst_node
+from .grid import compute_jet, shift, worst_node
 
 __all__ = ["PointState", "evaluate", "jacobian", "admissibility_failure"]
 
 
 @dataclass(frozen=True)
 class PointState:
-    """Everything the solver and monitors need at one (u, t)."""
+    """Everything the solver and monitors read at one (u, t); the Hessian of
+    u is gone once U^t is assembled from it."""
 
     u: np.ndarray
     t: float
-    jet: JetField
+    grad_u: np.ndarray  # D_i u as component planes, (n, *shape)
+    lap_u: np.ndarray  # Laplacian of u, the trace of its stencil Hessian
     U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
     beta: np.ndarray  # beta_l per node, (*shape, k-1)
     sigma: np.ndarray  # (*shape, k+1)
@@ -55,6 +57,10 @@ def evaluate(u, t, problem, jet=None):
     if jet is None:
         jet = compute_jet(problem.grid, u)
     U = assemble_U(jet, problem, t)
+    # only the gradient and Laplacian are read from here on: free the
+    # Hessian before quotient_eval allocates G^{ij} and its workspace
+    grad_u, lap_u = jet.grad_planes, jet.laplacian
+    del jet
     beta = beta_weights(problem, u, t)
     ev = cones.quotient_eval(U, k, beta)
     margin = ev.sigma[..., 1:k].min(axis=-1)
@@ -62,7 +68,8 @@ def evaluate(u, t, problem, jet=None):
     return PointState(
         u=u,
         t=t,
-        jet=jet,
+        grad_u=grad_u,
+        lap_u=lap_u,
         U=U,
         beta=beta,
         sigma=ev.sigma,
@@ -85,7 +92,8 @@ def jacobian(state, problem):
     G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
     (apply, diagonal): apply(v) is dF[v] for a grid field v, summed from the
     weights of v(x), of v(x +- h e_i) and of the four-point cross
-    differences; diagonal is the weight of v(x), dF's diagonal.
+    differences; diagonal is the weight of v(x), dF's diagonal.  Of the
+    state it reads G^{ij}, grad u, sigma, beta and u.
     """
     grid = problem.grid
     n = grid.dim
@@ -96,20 +104,27 @@ def jacobian(state, problem):
     # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
     G = np.moveaxis(state.grad, (-2, -1), (0, 1))
     trace_g = np.trace(G)
-    g = state.jet.grad_planes
-    b = (2.0 - tau) * trace_g * g - 2.0 * np.einsum("ij...,j...->i...", G, g)
+    g = state.grad_u
+    b = (2.0 - tau) * trace_g * g
+    b -= 2.0 * np.einsum("ij...,j...->i...", G, g)
     # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
     diag_g = np.moveaxis(np.diagonal(G), -1, 0)
     # weights multiply by the reciprocal of the stencil denominators; dividing
-    # instead rounds differently and moves the stored solutions' last bits
-    axial = (diag_g + c1 * trace_g) * (1.0 / (h * h))
-    drift = b * (1.0 / (2.0 * h))
+    # instead rounds differently and moves the stored solutions' last bits.
+    # Each weight is built in place over what it is built from, and only
+    # centre, plus, minus and cross outlive their build
+    axial = diag_g + c1 * trace_g
+    axial *= 1.0 / (h * h)
+    drift = b
+    drift *= 1.0 / (2.0 * h)
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
     zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * state.beta * gl, axis=-1)
     zeroth += 2.0 * t * problem.alpha * np.exp(2.0 * state.u)
     centre = zeroth - 2.0 * axial.sum(axis=0)
-    plus = axial + drift
     minus = axial - drift
+    plus = axial
+    plus += drift
+    del zeroth, gl, drift, b, axial
     cross = [(i, j, G[i, j] * (1.0 / (2.0 * h * h))) for i in range(n) for j in range(i + 1, n)]
     fwd, back = grid.zeros(), grid.zeros()  # v shifted by +-1 node, reused by every apply
 

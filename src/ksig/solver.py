@@ -382,6 +382,9 @@ def continuation_steps(problem, config):
             start = _prolong(coarse.u)
         coarse = replace(coarse, u=None, report=None)
     rec = replace(newton_solve_at_t(start, 1.0, problem, config), dt=1.0, coarse=coarse)
+    # the anchor's u or the prolonged coarse root, and the N/2 data: freed
+    # here, so a newer accepted record frees the anchor's u
+    del start, coarse_problem
     yield rec
     if rec.accepted:
         return

@@ -3,6 +3,7 @@ quotients of the residual, Newton/damping behavior, adaptive continuation,
 and manufactured problems."""
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import astuple, fields, replace
 
@@ -292,16 +293,24 @@ def test_linearize_is_exact_derivative_on_random_states(n, tau, t, amplitude, se
 @pytest.mark.parametrize("n", [3, 5])
 def test_evaluate_leaves_its_inputs_untouched(n):
     # quotient_eval builds the gradient in its own copy of U's planes; the
-    # stored U and jet must survive it, and G must not alias U
+    # stored U, gradient and Laplacian of u must survive it, G must not
+    # alias U, and the state keeps no Hessian of u beside U and G
     grid = make_grid(n, 8)
     problem = default_problem(grid, k=n, tau=0.3)
     u = smooth_u(grid)
     t = 0.6
     state = operator.evaluate(u, t, problem)
     fresh = compute_jet(grid, u)
-    assert np.array_equal(state.jet.hess_planes, fresh.hess_planes)
+    assert state.grad_u.tobytes() == fresh.grad_planes.tobytes()
+    assert state.lap_u.tobytes() == fresh.laplacian.tobytes()
     assert np.array_equal(state.U, geometry.assemble_U(fresh, problem, t))
     assert not np.shares_memory(state.U, state.grad)
+    hessian_shaped = [
+        f.name
+        for f in fields(state)
+        if np.shape(getattr(state, f.name)) in {fresh.hess_planes.shape, state.U.shape}
+    ]
+    assert sorted(hessian_shaped) == ["U", "grad"]
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +693,43 @@ def test_newton_holds_one_evaluated_state_at_a_time(monkeypatch, n, hard):
     assert len(states) > len(log)
     if hard:
         assert sum(rec.damping_trials for rec in log) > 0
+
+
+def test_march_frees_the_anchor_u_once_replaced():
+    # continuation_steps keeps no field of its start past the whole-path
+    # attempt: in a log that, like cmd_solve's, keeps only the newest
+    # accepted u, the anchor's u is gone once a newer accepted record is in
+    grid = make_grid(3, 8)
+    log, newest, anchor_u, checked = [], None, None, 0
+    for rec in solver.continuation_steps(hard_problem(grid), solver.SolverConfig()):
+        if newest:  # the anchor's record is no longer the newest accepted one
+            assert anchor_u() is None, f"the anchor's u is alive at record {len(log) + 1}"
+            checked += 1
+        log.append(rec)
+        if rec.accepted:
+            if newest is None:
+                anchor_u = weakref.ref(rec.u)
+            else:
+                log[newest] = replace(log[newest], u=None)
+            newest = len(log) - 1
+    assert log[-1].accepted and log[-1].t == 1.0
+    assert checked >= 3 and anchor_u() is None
+
+
+def test_default_n5_march_peak_memory():
+    # numpy reports its buffers to tracemalloc, whose counts, unlike the
+    # resident set, do not depend on the C heap's layout: the n = k = 5,
+    # N = 8 march peaks at about one evaluated state plus dF's weights
+    problem = default_problem(make_grid(5, 8), k=5)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        log = list(solver.continuation_steps(problem, solver.SolverConfig()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log[-1].accepted and log[-1].t == 1.0
+    assert (peak - start) / 2**20 <= 26.0, f"peak {(peak - start) / 2**20:.1f} MiB above the start"
 
 
 def test_newton_forcing_terms(monkeypatch):
