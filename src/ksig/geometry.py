@@ -6,10 +6,10 @@ modified-Schouten role is prescribed: the builtin "hyperbolic-like" choice
 B = -I reproduces the structure of a negatively curved space form, and a
 constant or per-node B may be supplied directly.  Since g0 is the identity
 in the chart, g0^{-1} U is the coordinate matrix of U, so all cone tests and
-sigma evaluations act on plain symmetric matrices.  Per-node tensors (B, U)
-are stored as contiguous component planes (n, n, *grid.shape), entry (i, j)
-of every node in one plane, and handed out as zero-copy (*grid.shape, n, n)
-views.
+sigma evaluations act on plain symmetric matrices.  Tensors (B, U) are
+stored as component planes (n, n, ...), entry (i, j) of every node in one
+plane, and handed out as zero-copy (..., n, n) views; a Problem stores a
+constant B as one (n, n, 1, ..., 1) matrix, not n^2 grid planes.
 """
 
 from __future__ import annotations
@@ -48,18 +48,19 @@ class Problem:
     """One equation of the family on the flat chart: the grid, the cone index
     k, tau, the tensor B, alpha (any sign) and the k-1 positive alpha_l.
 
-    B_planes holds B as the exactly symmetric component planes that
-    background_planes builds, shape (n, n, *grid.shape); B is their zero-copy
-    (*grid.shape, n, n) view.  alpha_l stacks l first: (k-1, *grid.shape), or
-    (1, *grid.shape) for one field that is alpha_l for every l.
+    B_planes holds B as exactly symmetric component planes and alpha_l stacks
+    l first.  Each of B_planes, alpha and alpha_l may have any shape that
+    broadcasts to its full one, (n, n, *grid.shape), grid.shape and
+    (k-1, *grid.shape), axis for axis: a constant B is one (n, n, 1, ..., 1)
+    matrix, and a (1, *grid.shape) alpha_l serves every l.
 
     Every Problem, one built by dataclasses.replace included, meets the
     solvability hypotheses; construction raises InputError naming the first
     that fails, in order: k in [3, n]; tau, alpha, every alpha_l and every
     entry B_ij finite at every node; tau < 1; alpha_l > 0 at every node for
     every l; sigma_1..sigma_k of -B and sigma_{k-1}(-B)^2 finite and
-    lambda(-B) in Gamma_k at every node.  A field whose shape does not match
-    the grid is a program error, a plain ValueError.
+    lambda(-B) in Gamma_k at every node of its own rank.  A field of another
+    shape is a program error, a plain ValueError.
     """
 
     grid: PeriodicGrid
@@ -70,15 +71,13 @@ class Problem:
     alpha_l: np.ndarray
 
     def __post_init__(self):
-        n, k, tau = self.grid.dim, self.k, self.tau
+        n, k, tau, shape = self.grid.dim, self.k, self.tau, self.grid.shape
         if not 3 <= k <= n:
             raise InputError(f"cone index k={k} outside [3, n={n}]")
-        if self.B_planes.shape != (n, n) + self.grid.shape:
-            raise ValueError(f"background tensor planes {self.B_planes.shape} do not match grid")
-        if self.alpha.shape != self.grid.shape:
-            raise ValueError("alpha shape does not match grid")
-        if self.alpha_l.shape not in ((1,) + self.grid.shape, (k - 1,) + self.grid.shape):
-            raise ValueError(f"alpha_l must stack 1 or k-1={k - 1} fields, got {self.alpha_l.shape}")
+        for name, full in (("B_planes", (n, n) + shape), ("alpha", shape), ("alpha_l", (k - 1,) + shape)):
+            got = getattr(self, name).shape
+            if len(got) != len(full) or any(g not in (1, f) for g, f in zip(got, full)):
+                raise ValueError(f"{name} of shape {got} does not broadcast to {full}")
         if not np.isfinite(tau):
             raise InputError(f"input data must be finite, but tau = {tau}")
         named = [("alpha", self.alpha), *((f"alpha_{l}", a) for l, a in enumerate(self.alpha_l))]
@@ -112,6 +111,7 @@ class Problem:
 
     @property
     def B(self):
+        """The (..., n, n) view of B_planes: (1, ..., 1, n, n) for a constant B."""
         return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
 
@@ -130,7 +130,7 @@ def background_planes(grid, entry):
 
 def beta_weights(problem, u, t):
     """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2;
-    a single alpha_l row broadcasts over l."""
+    alpha_l broadcasts from its own rank, a single row over l included."""
     k = problem.k
     c = cones.homotopy_constant(problem.grid.dim, k)
     al = np.moveaxis(problem.alpha_l, 0, -1)

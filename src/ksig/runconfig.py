@@ -169,8 +169,8 @@ def field_from_spec(spec, grid, base):
 
 
 def _background_planes(spec, grid, tau, base):
-    """B's component planes from the background spec, entry by entry for
-    i <= j: -I, the space-form tensor, or the files <prefix>_B<i><j>.ksig."""
+    """B's component planes from the background spec: -I or the space-form
+    tensor at its own rank, or full planes from <prefix>_B<i><j>.ksig."""
     spec = spec.strip()
     if spec == "hyperbolic-like":
         B = -np.eye(grid.dim)
@@ -185,7 +185,7 @@ def _background_planes(spec, grid, tau, base):
         return geometry.background_planes(grid, lambda i, j: read_field(Path(f"{pre}_B{i}{j}.ksig"), grid)[1])
     else:
         raise InputError(f"unknown background spec: {spec!r}")
-    return geometry.background_planes(grid, lambda i, j: B[i, j])
+    return B.reshape((grid.dim, grid.dim) + (1,) * grid.dim)
 
 
 def _split_alpha_l(spec, k):

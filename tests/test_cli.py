@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksig import InputError, geometry, monitors, runconfig, solver
+from ksig import InputError, fieldexpr, geometry, monitors, runconfig, solver
 from ksig.cli import main
 from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
@@ -316,17 +316,26 @@ def test_build_problem_evaluates_one_alpha_l_entry_once(tmp_path, monkeypatch):
 
 def test_build_problem_builds_B_planes_from_the_spec(tmp_path):
     # B's planes are the spec's upper triangle, mirrored; they are compared
-    # as bytes, since array_equal would not see the sign of a zero
+    # as bytes, since array_equal would not see the sign of a zero.  A
+    # constant B is stored at its own rank, one (n, n) matrix, and equals
+    # the full planes once broadcast
     def planes(background, tau="0.0"):
         edits = {"background = hyperbolic-like": f"background = {background}", "tau = 0.0": f"tau = {tau}"}
         return runconfig.build_problem(runconfig.load_config(default_config(tmp_path, **edits)), tmp_path).B_planes
 
+    def full(planes):
+        return np.broadcast_to(planes, (3, 3, 8, 8, 8)).tobytes()
+
     minus_identity = expected_planes(3, 8, lambda i, j: -float(i == j))
     assert np.signbit(minus_identity[0, 1]).all()  # -I is -0.0 off the diagonal
-    assert planes("hyperbolic-like").tobytes() == minus_identity.tobytes()
+    hyperbolic = planes("hyperbolic-like")
+    assert hyperbolic.shape == (3, 3, 1, 1, 1)
+    assert full(hyperbolic) == minus_identity.tobytes()
     factor = (-0.7 / 1.0) * (2.0 - 0.2 * 3 / 2.0)  # spaceform_schouten's, at n = 3
     want = expected_planes(3, 8, lambda i, j: factor * float(i == j))
-    assert planes("spaceform:-0.7", tau="0.2").tobytes() == want.tobytes()
+    spaceform = planes("spaceform:-0.7", tau="0.2")
+    assert spaceform.shape == (3, 3, 1, 1, 1)
+    assert full(spaceform) == want.tobytes()
     grid = PeriodicGrid(dim=3, resolution=8)
     rng = np.random.default_rng(3)
     upper = {(i, j): -float(i == j) + 0.1 * rng.standard_normal(grid.shape) for i in range(3) for j in range(i, 3)}
@@ -334,7 +343,9 @@ def test_build_problem_builds_B_planes_from_the_spec(tmp_path):
     for (i, j), values in upper.items():
         write_field(tmp_path / f"bg_B{i}{j}.ksig", grid, values)
     want = np.stack([np.stack([upper[min(i, j), max(i, j)] for j in range(3)]) for i in range(3)])
-    assert planes("file:bg").tobytes() == want.tobytes()
+    per_node = planes("file:bg")
+    assert per_node.shape == (3, 3) + grid.shape
+    assert per_node.tobytes() == want.tobytes()
 
 
 def test_config_defaults_are_the_field_defaults(tmp_path):
@@ -405,7 +416,7 @@ def test_solve_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(geometry, "background_planes", broken)
+    monkeypatch.setattr(fieldexpr, "evaluate", broken)
     cfg = default_config(tmp_path)
     with pytest.raises(ValueError, match="broadcast") as exc:
         main(["solve", str(cfg)])
@@ -419,10 +430,10 @@ def test_build_problem_reports_a_shape_bug_as_a_program_error(tmp_path, monkeypa
     # into exit 2
     monkeypatch.setattr(runconfig, "field_from_spec", lambda spec, grid, base: np.zeros((4, 4, 4)))
     cfg = default_config(tmp_path)
-    with pytest.raises(ValueError, match="alpha shape does not match grid") as exc:
+    with pytest.raises(ValueError, match=r"^alpha of shape \(4, 4, 4\) does not broadcast") as exc:
         runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
     assert not isinstance(exc.value, InputError)
-    with pytest.raises(ValueError, match="alpha shape does not match grid"):
+    with pytest.raises(ValueError, match=r"^alpha of shape \(4, 4, 4\) does not broadcast"):
         main(["solve", str(cfg)])
     assert not (tmp_path / "out").exists()
 
@@ -1103,15 +1114,29 @@ def test_manufacture_refuses_an_alpha_that_is_not_finite(tmp_path, capsys, u_sta
     amplitude=log_uniform(-3, 3),
     sign=st.sampled_from([1.0, -1.0]),
     alpha_l=log_uniform(-300, 300),
+    tau=signed_log_uniform(-3, 3),
+    background=st.one_of(
+        st.just("hyperbolic-like"),
+        signed_log_uniform(-300, 300).map(lambda kappa: f"spaceform:{kappa!r}"),
+    ),
 )
-def test_manufacture_ends_in_a_documented_exit_code(form, amplitude, sign, alpha_l):
-    # drawn u_star and alpha_l: manufacture writes its package (exit 0) or
-    # refuses with one error line and nothing written (exit 2), never a
-    # traceback, and raises no warning (the suite turns warnings into errors)
+def test_manufacture_ends_in_a_documented_exit_code(form, amplitude, sign, alpha_l, tau, background):
+    # drawn u_star, alpha_l, tau and background: manufacture writes its
+    # package (exit 0) or refuses with one error line and nothing written
+    # (exit 2), never a traceback, and raises no warning (the suite turns
+    # warnings into errors)
+    edits = {
+        "0.1*sin(x1)*cos(x2)": form.format(a=sign * amplitude),
+        "alpha_l = 1.0": f"alpha_l = {alpha_l!r}",
+        "tau = 0.0": f"tau = {tau!r}",
+        "hyperbolic-like": background,
+    }
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp, "manu")
-        text = MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", form.format(a=sign * amplitude))
-        cfg = write_config(Path(tmp), text.replace("alpha_l = 1.0", f"alpha_l = {alpha_l!r}"))
+        text = MANU_CONFIG.format(outdir=outdir)
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = write_config(Path(tmp), text)
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

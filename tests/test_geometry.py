@@ -213,17 +213,28 @@ def test_coefficient_data_validation():
     # is a program error, a plain ValueError
     with pytest.raises(InputError, match=r"^cone index k=2 outside \[3, n=3\]$"):
         make_problem(grid, k=2, alpha_l=np.ones((1,) + grid.shape))
-    with pytest.raises(ValueError, match="must stack") as exc:
+    with pytest.raises(ValueError, match=r"^alpha_l of shape \(3, 8, 8, 8\) does not broadcast") as exc:
         make_problem(grid, k=3, alpha_l=np.ones((3,) + grid.shape))
     assert not isinstance(exc.value, InputError)
-    # each field is checked against the grid, B's planes included
+    # one rule for every field: each axis is its full length or 1, and no
+    # axis is left out, though numpy would broadcast a shorter shape
     good, other = make_problem(grid), PeriodicGrid(3, 10)
     for field, value in (
         ("alpha", other.zeros()),
+        ("alpha", np.zeros(grid.shape[1:])),
         ("alpha_l", np.ones((2,) + other.shape)),
+        ("alpha_l", np.ones(grid.shape)),
         ("B_planes", np.zeros((3, 3) + other.shape)),
         ("B_planes", np.zeros(grid.shape + (3, 3))),  # the per-node layout, not planes
+        ("B_planes", -np.eye(3)),
     ):
-        with pytest.raises(ValueError, match="match grid|must stack") as exc:
+        with pytest.raises(ValueError, match=f"^{field} of shape") as exc:
             replace(good, **{field: value})
         assert not isinstance(exc.value, InputError), field
+    # and a field at a lower rank is accepted as it is
+    for field, value in (
+        ("alpha", np.zeros((8, 1, 1))),
+        ("alpha_l", np.ones((1, 1, 8, 1))),
+        ("B_planes", np.broadcast_to(-np.eye(3)[..., None, None, None], (3, 3, 1, 8, 1))),
+    ):
+        assert getattr(replace(good, **{field: value}), field).shape == value.shape, field
