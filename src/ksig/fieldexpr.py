@@ -93,13 +93,15 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 @_QUIET
 def evaluate(text, grid):
-    """Field values of the expression `text`, shape grid.shape."""
-    out = np.zeros(grid.shape)
+    """Field values of the expression `text` at its own rank: axis i has the
+    grid's length where some factor reads x_{i+1} and length 1 elsewhere, so
+    a constant is one number and the result broadcasts to grid.shape."""
+    out = np.zeros((1,) * grid.dim)
     for coeff, factors in _parse(text, grid):
         acc = np.full((1,) * grid.dim, coeff)
         for factor in factors:
             acc = acc * _factor_tables(factor, grid)[0]
-        out += acc
+        out = out + acc
     return out
 
 
@@ -135,4 +137,6 @@ def analytic_jet(text, grid):
                     continue
                 hess[axes[a], axes[b]] += tables[a][1] * tables[b][1] * product_except((a, b))
     lap = np.trace(hess)
-    return JetField(value=evaluate(text, grid), grad_planes=grad, hess_planes=hess, laplacian=lap)
+    # a copy, not a sum with zeros, which would turn -0.0 into 0.0
+    value = np.broadcast_to(evaluate(text, grid), grid.shape).copy()
+    return JetField(value=value, grad_planes=grad, hess_planes=hess, laplacian=lap)

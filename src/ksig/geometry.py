@@ -24,7 +24,6 @@ from .grid import PeriodicGrid, dot_planes, mirror, worst_node
 __all__ = [
     "Problem",
     "spaceform_schouten",
-    "background_planes",
     "beta_weights",
     "assemble_U",
     "require_finite",
@@ -52,7 +51,8 @@ class Problem:
     l first.  Each of B_planes, alpha and alpha_l may have any shape that
     broadcasts to its full one, (n, n, *grid.shape), grid.shape and
     (k-1, *grid.shape), axis for axis: a constant B is one (n, n, 1, ..., 1)
-    matrix, and a (1, *grid.shape) alpha_l serves every l.
+    matrix, a constant alpha_l one (1, 1, ..., 1) number for every l and
+    node, and an alpha that varies with x1 alone one (N, 1, ..., 1) line.
 
     Every Problem, one built by dataclasses.replace included, meets the
     solvability hypotheses; construction raises InputError naming the first
@@ -113,19 +113,6 @@ class Problem:
     def B(self):
         """The (..., n, n) view of B_planes: (1, ..., 1, n, n) for a constant B."""
         return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
-
-
-def background_planes(grid, entry):
-    """The component planes (n, n, *grid.shape) of a symmetric tensor B:
-    plane (i, j) is entry(i, j), a constant or a grid field, for i <= j, and
-    the lower triangle mirrors the upper one."""
-    n = grid.dim
-    planes = np.empty((n, n) + grid.shape)
-    for i in range(n):
-        for j in range(i, n):
-            planes[i, j] = entry(i, j)
-    mirror(planes)
-    return planes
 
 
 def beta_weights(problem, u, t):

@@ -191,7 +191,7 @@ def read_field(path, grid=None):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise InputError(f"cannot read field file {path}: {exc}") from exc
+        raise InputError(f"cannot read field file {path}: {exc.strerror}") from exc
     if len(data) < _HEADER.size:
         raise InputError(f"{path}: truncated header")
     magic, version, dim, resolution = _HEADER.unpack_from(data)

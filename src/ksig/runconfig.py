@@ -44,7 +44,7 @@ import numpy as np
 
 from . import InputError, fieldexpr, geometry
 from .artifacts import replacing
-from .grid import PeriodicGrid, read_field
+from .grid import PeriodicGrid, mirror, read_field
 from .solver import SolverConfig
 
 __all__ = [
@@ -160,8 +160,8 @@ def write_config(path, cfg):
 
 
 def field_from_spec(spec, grid, base):
-    """Evaluate `file:<path>`, relative to the directory `base`, or a field
-    expression on the grid."""
+    """The field `file:<path>`, read relative to the directory `base` as a
+    full grid, or a field expression evaluated at its own rank."""
     spec = spec.strip()
     if spec.startswith("file:"):
         return read_field(Path(base, spec[len("file:"):].strip()), grid)[1]
@@ -182,7 +182,12 @@ def _background_planes(spec, grid, tau, base):
         B = geometry.spaceform_schouten(kappa, grid.dim, tau)
     elif spec.startswith("file:"):
         pre = Path(base, spec[len("file:"):].strip())
-        return geometry.background_planes(grid, lambda i, j: read_field(Path(f"{pre}_B{i}{j}.ksig"), grid)[1])
+        planes = np.empty((grid.dim, grid.dim) + grid.shape)
+        for i in range(grid.dim):
+            for j in range(i, grid.dim):
+                planes[i, j] = read_field(Path(f"{pre}_B{i}{j}.ksig"), grid)[1]
+        mirror(planes)
+        return planes
     else:
         raise InputError(f"unknown background spec: {spec!r}")
     return B.reshape((grid.dim, grid.dim) + (1,) * grid.dim)
@@ -206,7 +211,7 @@ def build_problem(cfg, base):
     B_planes = _background_planes(p.background, grid, p.tau, base)
     alpha = field_from_spec(p.alpha, grid, base)
     parts = _split_alpha_l(p.alpha_l, p.k)
-    alpha_l = np.stack([field_from_spec(s, grid, base) for s in parts])
+    alpha_l = np.stack(np.broadcast_arrays(*(field_from_spec(s, grid, base) for s in parts)))
     return geometry.Problem(grid=grid, k=p.k, tau=p.tau, B_planes=B_planes, alpha=alpha, alpha_l=alpha_l)
 
 

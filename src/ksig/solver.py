@@ -319,7 +319,8 @@ def newton_solve_at_t(u0, t, problem, config):
 
 def _coarse_problem(problem):
     """The problem injected onto the N/2 grid, or None when N/2 is not a
-    grid.  The coarse nodes are every other fine node."""
+    grid.  The coarse nodes are every other fine node, and the coarse data
+    are views of the fine data there."""
     grid = problem.grid
     if grid.resolution % 4 or grid.resolution < 16:
         return None
@@ -327,9 +328,9 @@ def _coarse_problem(problem):
     return replace(
         problem,
         grid=PeriodicGrid(dim=grid.dim, resolution=grid.resolution // 2),
-        B_planes=np.ascontiguousarray(problem.B_planes[every_other]),
-        alpha=np.ascontiguousarray(problem.alpha[every_other]),
-        alpha_l=np.ascontiguousarray(problem.alpha_l[every_other]),
+        B_planes=problem.B_planes[every_other],
+        alpha=problem.alpha[every_other],
+        alpha_l=problem.alpha_l[every_other],
     )
 
 

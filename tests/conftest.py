@@ -11,24 +11,30 @@ from ksig.grid import mirror
 
 def make_problem(grid, k=3, tau=0.0, B=None, alpha=None, alpha_l=None):
     """geometry.Problem with defaults for what is not given: B = -I,
-    alpha = 0 and alpha_l = 1.  B is a constant (n, n) matrix, stored at its
-    own rank (n, n, 1, ..., 1) as the CLI stores it, or a per-node
+    alpha = 0 and alpha_l = 1, each at its own rank as the CLI builds them.
+    B is a constant (n, n) matrix, stored as (n, n, 1, ..., 1), or a per-node
     (*grid.shape, n, n) field stored as full planes; its upper triangle
     becomes B's planes."""
-    B = -np.eye(grid.dim) if B is None else np.asarray(B)
-    if B.ndim == 2:
-        B_planes = np.array(B, dtype=np.float64).reshape(B.shape + (1,) * grid.dim)
-        mirror(B_planes)
-    else:
-        B_planes = geometry.background_planes(grid, lambda i, j: B[..., i, j])
+    n = grid.dim
+    B = np.asarray(-np.eye(n) if B is None else B, dtype=np.float64)
+    B = B.reshape((B.shape[:-2] or (1,) * n) + B.shape[-2:])
+    # a copy: the moved axes of a (1, ..., 1, n, n) B can be a contiguous
+    # view, and mirroring that would write into the caller's array
+    B_planes = np.moveaxis(B, (-2, -1), (0, 1)).copy()
+    mirror(B_planes)
     return geometry.Problem(
         grid=grid,
         k=k,
         tau=tau,
         B_planes=B_planes,
-        alpha=grid.zeros() if alpha is None else alpha,
-        alpha_l=np.ones((k - 1,) + grid.shape) if alpha_l is None else alpha_l,
+        alpha=np.zeros((1,) * n) if alpha is None else alpha,
+        alpha_l=np.ones((1,) * (n + 1)) if alpha_l is None else alpha_l,
     )
+
+
+def l2_norm(grid, values):
+    """sqrt(h^n * sum f^2): the discrete L2 norm of the torus."""
+    return float(np.sqrt(grid.spacing**grid.dim * np.sum(np.square(values))))
 
 
 class March(NamedTuple):

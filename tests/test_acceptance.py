@@ -9,18 +9,13 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import l2_norm, make_problem
 from ksig import cones, geometry, monitors, operator, solver
 from ksig.cli import main
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, read_field, sup_norm, write_field
 
 CONE_PAIRS = ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5))
-
-
-def l2_norm(grid, values):
-    """sqrt(h^n * sum f^2): the discrete L2 norm of the torus."""
-    return float(np.sqrt(grid.spacing**grid.dim * np.sum(np.square(values))))
 
 
 def verdict(capsys, num, label, ok, detail):

@@ -13,7 +13,7 @@ import signal
 import tempfile
 import time
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from textwrap import dedent
 
@@ -346,6 +346,19 @@ def test_build_problem_builds_B_planes_from_the_spec(tmp_path):
     per_node = planes("file:bg")
     assert per_node.shape == (3, 3) + grid.shape
     assert per_node.tobytes() == want.tobytes()
+
+
+def test_build_problem_holds_each_expression_at_its_own_rank(tmp_path):
+    # an expression keeps the axes its factors read, and alpha_l entries
+    # are stacked at the rank they broadcast to, so a constant is one number
+    (tmp_path / "example.ini").write_text(readme_example())
+    cfg = runconfig.load_config(tmp_path / "example.ini")
+    for alpha_l, shape in (("1", (1, 1, 1, 1)), ("1, 0.5 + 0.1*sin(x3)", (2, 1, 1, 16))):
+        problem = runconfig.build_problem(replace(cfg, problem=replace(cfg.problem, alpha_l=alpha_l)), tmp_path)
+        assert problem.alpha.shape == (16, 1, 1) and problem.alpha_l.shape == shape
+        assert np.array_equal(problem.alpha, fieldexpr.evaluate("0.2*sin(x1)", problem.grid))
+        assert np.all(problem.alpha_l[0] == 1.0)
+    assert np.array_equal(problem.alpha_l[1], fieldexpr.evaluate("0.5 + 0.1*sin(x3)", problem.grid))
 
 
 def test_config_defaults_are_the_field_defaults(tmp_path):
@@ -867,6 +880,116 @@ def test_solve_ends_in_a_documented_exit_code(tau, alpha, alpha_l, background, b
             summary = json.loads((outdir / "summary.json").read_text())
             assert summary["accepted_steps"] == len(monitors.read_monitor_csv(outdir / "monitors.csv"))
             read_field(outdir / "u_final.ksig", PeriodicGrid(dim=3, resolution=8))
+
+
+SPACE = st.sampled_from(["", " ", "  "])
+DIGITS = st.text("0123456789", min_size=1, max_size=3)
+NUMBER = st.tuples(
+    st.one_of(
+        st.tuples(DIGITS, st.sampled_from(["", "."]), st.text("0123456789", max_size=3)).map("".join),
+        DIGITS.map(lambda d: "." + d),
+    ),
+    st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), DIGITS).map("".join)),
+).map("".join)
+
+
+@st.composite
+def field_expression(draw, n, bad=None):
+    """(text, terms) of an expression of the fieldexpr grammar in x1..xn,
+    with the text `bad` in place of one of its factors when given.  terms
+    holds each term's (coeff, factors) as the grammar reads them: coeff is
+    the sign times each number in turn, factors the (sin or cos, 0-based
+    axis) of each wave in turn."""
+    pieces, terms = [], []
+    for index in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=min(index, 1), max_size=3))
+        coeff, factors, texts = -1.0 if signs.count("-") % 2 else 1.0, [], []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                texts.append(draw(NUMBER))
+                coeff *= float(texts[-1])
+            else:
+                kind, axis = draw(st.sampled_from(["sin", "cos"])), draw(st.integers(1, n))
+                texts.append(f"{kind}({draw(SPACE)}x{axis}{draw(SPACE)})")
+                factors.append((kind, axis - 1))
+        pieces.append(("".join(draw(SPACE) + sign for sign in signs), texts))
+        terms.append((coeff, factors))
+    if bad is not None:
+        _, texts = draw(st.sampled_from(pieces))
+        texts[draw(st.integers(0, len(texts) - 1))] = bad
+    text = ""
+    for signs, texts in pieces:
+        text += signs + draw(SPACE) + texts[0]
+        for factor in texts[1:]:
+            text += draw(SPACE) + "*" + draw(SPACE) + factor
+    return text + draw(SPACE), terms
+
+
+@st.composite
+def near_miss_expression(draw, n):
+    """An expression in x1..xn one mistake away from the grammar: a bad
+    factor, a trailing operator, or no term at all."""
+    miss = draw(st.sampled_from(["sin(x0)", f"cos(x{n + 1})", "cos(2*x1)", "sin(x1", "+", "*", ""]))
+    if miss in ("+", "*"):
+        return draw(field_expression(n))[0] + miss + draw(SPACE)
+    if not miss:
+        return draw(SPACE)
+    return draw(field_expression(n, bad=miss))[0]
+
+
+def expression_reference(terms, grid):
+    """The full-grid values of `terms`: each term's coefficient times its
+    waves in turn, the terms summed in turn."""
+    out = np.zeros(grid.shape)
+    for coeff, factors in terms:
+        acc = np.full(grid.shape, coeff)
+        for kind, axis in factors:
+            acc = acc * np.broadcast_to(getattr(np, kind)(grid.coordinate(axis)), grid.shape)
+        out = out + acc
+    return out
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(n=st.integers(3, 5), data=st.data())
+def test_drawn_expressions_evaluate_at_their_own_rank(n, data):
+    # a drawn expression is held on the axes its waves read, and its values
+    # are, bit for bit, those of its terms summed on the full grid, as is
+    # analytic_jet's value; each example within 5 s
+    grid = PeriodicGrid(dim=n, resolution=8)
+    text, terms = data.draw(field_expression(n))
+    start = time.perf_counter()
+    value = fieldexpr.evaluate(text, grid)
+    jet_value = fieldexpr.analytic_jet(text, grid).value
+    assert time.perf_counter() - start < 5.0
+    read = {axis for _, factors in terms for _, axis in factors}
+    assert value.shape == tuple(8 if axis in read else 1 for axis in range(n)), text
+    with np.errstate(over="ignore", invalid="ignore"):  # a number such as 1e400 is inf
+        want = expression_reference(terms, grid).tobytes()
+    assert np.broadcast_to(value, grid.shape).tobytes() == want, text
+    assert jet_value.tobytes() == want, text
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(n=st.integers(3, 5), data=st.data())
+def test_near_miss_expressions_are_refused(n, data):
+    # a near-miss of the grammar raises InputError, and as alpha it makes
+    # solve exit 2 with one error line and nothing written, within 5 s
+    text = data.draw(near_miss_expression(n))
+    with pytest.raises(InputError):
+        fieldexpr.evaluate(text, PeriodicGrid(dim=n, resolution=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp, "out")
+        config = BASE_CONFIG.format(outdir=outdir).replace("n = 3", f"n = {n}").replace("0.2*sin(x1)", text)
+        cfg = write_config(Path(tmp), config)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", str(cfg)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert not outdir.exists()
 
 
 ARTIFACTS = ("u_final.ksig", "monitors.csv", *CHARTS, "summary.json")

@@ -195,9 +195,10 @@ def test_field_dimension_mismatch(tmp_path):
 
 
 def test_field_missing_file_names_the_path(tmp_path):
-    p = tmp_path / "absent.ksig"
-    with pytest.raises(InputError, match=f"cannot read field file {re.escape(str(p))}"):
-        read_field(p)
+    # once: the reason is the OS's message, without the path it repeats
+    for p, reason in ((tmp_path / "absent.ksig", "No such file or directory"), (tmp_path, "Is a directory")):
+        with pytest.raises(InputError, match=f"^cannot read field file {re.escape(str(p))}: {reason}$"):
+            read_field(p)
 
 
 def test_field_bad_magic(tmp_path):
@@ -281,26 +282,28 @@ def test_expr_rejects_garbage():
 
 
 def test_expr_accepts_edge_cases():
-    # every accepted text gives the bits of its plain numpy spelling, through
-    # either entry point
+    # every accepted text gives the bits of its plain numpy spelling at its
+    # own rank, the axes its factors read, and analytic_jet their full grid
     grid = PeriodicGrid(3, 8)
     s1, _, s3 = (np.sin(x) for x in coords(grid))
     _, c2, c3 = (np.cos(x) for x in coords(grid))
     accepted = {
-        "1 - -2": 3.0,
-        "+-1": -1.0,
-        "2*3*sin(x1)*4": 24.0 * s1,
-        "sin(x1)*2": 2.0 * s1,
-        ".5*cos( x3 )": 0.5 * c3,
-        "1.": 1.0,
-        "3E+1": 30.0,
-        "  0.2*sin(x1)  ": 0.2 * s1,
-        "1 + 0.1*cos(x2)*sin(x1) - 3e-2*sin(x3)": 1.0 + 0.1 * c2 * s1 - 3e-2 * s3,
+        "1 - -2": ((1, 1, 1), 3.0),
+        "+-1": ((1, 1, 1), -1.0),
+        "2*3*sin(x1)*4": ((8, 1, 1), 24.0 * s1),
+        "sin(x1)*2": ((8, 1, 1), 2.0 * s1),
+        ".5*cos( x3 )": ((1, 1, 8), 0.5 * c3),
+        "1.": ((1, 1, 1), 1.0),
+        "3E+1": ((1, 1, 1), 30.0),
+        "  0.2*sin(x1)  ": ((8, 1, 1), 0.2 * s1),
+        "1 + 0.1*cos(x2)*sin(x1)": ((8, 8, 1), 1.0 + 0.1 * c2 * s1),
+        "1 + 0.1*cos(x2)*sin(x1) - 3e-2*sin(x3)": ((8, 8, 8), 1.0 + 0.1 * c2 * s1 - 3e-2 * s3),
     }
-    for text, want in accepted.items():
+    for text, (shape, want) in accepted.items():
         value = fieldexpr.evaluate(text, grid)
-        assert np.array_equal(value, np.broadcast_to(want, grid.shape)), text
-        assert np.array_equal(fieldexpr.analytic_jet(text, grid).value, value), text
+        assert value.shape == shape and np.array_equal(value, np.broadcast_to(want, shape)), text
+        full = fieldexpr.analytic_jet(text, grid).value
+        assert np.array_equal(full, np.broadcast_to(value, grid.shape)), text
 
 
 def test_expr_errors_name_where_reading_stopped():

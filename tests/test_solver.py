@@ -12,16 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import l2_norm, make_problem
 from ksig import InputError, cones, geometry, monitors, operator, runconfig, solver
 from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
-from ksig.grid import PeriodicGrid, compute_jet, sup_norm
-
-
-def l2_norm(grid, values):
-    """sqrt(h^n * sum f^2): the discrete L2 norm of the torus."""
-    return float(np.sqrt(grid.spacing**grid.dim * np.sum(np.square(values))))
+from ksig.grid import PeriodicGrid, compute_jet, sup_norm, write_field
 
 
 def make_grid(n=3, N=8):
@@ -835,7 +830,7 @@ def expression_problem(n, N):
         tau=0.25,
         B=B,
         alpha=fieldexpr.evaluate("0.3*sin(x1)*cos(x2) - 0.1*cos(x3)", grid),
-        alpha_l=np.stack([fieldexpr.evaluate(spec, grid) for spec in alpha_l]),
+        alpha_l=np.stack(np.broadcast_arrays(*(fieldexpr.evaluate(spec, grid) for spec in alpha_l))),
     )
 
 
@@ -848,6 +843,23 @@ def test_injected_problem_is_the_problem_built_on_the_coarse_grid(n, N):
     assert coarse.B_planes.tobytes() == problem.B_planes.tobytes()
     assert coarse.alpha.tobytes() == problem.alpha.tobytes()
     assert coarse.alpha_l.tobytes() == problem.alpha_l.tobytes()
+
+
+def test_injected_problem_holds_views_of_the_fine_data(tmp_path):
+    # a file: alpha is a full grid, and the N/2 grid reads every other node
+    # of it in place, as it does B's planes and alpha_l
+    grid = make_grid(3, 16)
+    write_field(tmp_path / "alpha.ksig", grid, analytic_jet("0.1*sin(x1)*cos(x2)", grid).value)
+    cfg = runconfig.RunConfig(
+        problem=runconfig.ProblemConfig(n=3, k=3, resolution=16, alpha="file:alpha.ksig"),
+        solver=solver.SolverConfig(),
+        output=runconfig.OutputConfig(),
+    )
+    problem = runconfig.build_problem(cfg, tmp_path)
+    coarse = solver._coarse_problem(problem)
+    assert problem.alpha.shape == grid.shape and coarse.alpha.shape == (8, 8, 8)
+    for name in ("B_planes", "alpha", "alpha_l"):
+        assert np.shares_memory(getattr(coarse, name), getattr(problem, name)), name
 
 
 def test_continuation_starts_the_whole_path_from_the_coarse_root(march):
