@@ -11,6 +11,7 @@ interrupt, termination and crash persist the last accepted state.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import signal
@@ -255,8 +256,33 @@ def cmd_report(args):
 
 # ---------------------------------------------------------------------------
 
+# glibc's mallopt parameters, and its own ceiling for its dynamic mmap threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_the_heap():
+    """Have glibc keep the heap this process grows.  Each Newton step frees
+    its evaluated state and dF, and the next step allocates them again: with
+    trimming off that memory is reused, not returned to the system and faulted
+    back.  Setting either parameter turns off glibc's dynamic mmap threshold,
+    so the threshold is fixed at its ceiling, which keeps the per-node planes
+    on the heap.  Without glibc's mallopt this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # Windows' CDLL refuses None with a TypeError
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+
 
 def main(argv=None):
+    # the process that runs main is the CLI's own, so its allocator is too;
+    # ksig imported as a library leaves the allocator alone
+    _keep_the_heap()
     parser = argparse.ArgumentParser(
         prog="ksig",
         description="continuation solver and verification suite for "

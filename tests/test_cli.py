@@ -3,15 +3,20 @@ no partial output, and byte-level reproducibility of reruns."""
 
 import configparser
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import time
+import types
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksig import InputError, fieldexpr, geometry, monitors, runconfig, solver
+from ksig import InputError, cli, fieldexpr, geometry, monitors, runconfig, solver
 from ksig.cli import main
 from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
@@ -992,6 +997,49 @@ def test_near_miss_expressions_are_refused(n, data):
         assert not outdir.exists()
 
 
+@st.composite
+def damaged_field(draw, data, header):
+    """`data`, the bytes of a field file whose header is `header` bytes long,
+    damaged in one drawn way: cut at a drawn byte of the header or the
+    payload, one header byte changed, or one payload float set to NaN or
+    +-inf."""
+    damage = draw(st.sampled_from(["cut", "header", "value"]))
+    if damage == "cut":
+        return data[: draw(st.one_of(st.integers(0, header - 1), st.integers(header, len(data) - 1)))]
+    if damage == "header":
+        at = draw(st.integers(0, header - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b != data[at]))
+        return data[:at] + bytes([byte]) + data[at + 1 :]
+    at = header + 8 * draw(st.integers(0, (len(data) - header) // 8 - 1))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return data[:at] + np.array(value, dtype="<f8").tobytes() + data[at + 8 :]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_solve_refuses_a_damaged_file_field(data):
+    # a field file with a torn or altered header, or a non-finite value, as
+    # alpha makes solve exit 2 with one error line that names the file and
+    # nothing written, within 5 s
+    grid = PeriodicGrid(dim=3, resolution=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp).resolve() / "alpha.ksig"
+        write_field(field, grid, np.broadcast_to(0.2 * np.sin(grid.coordinate(0)), grid.shape))
+        valid = field.read_bytes()
+        field.write_bytes(data.draw(damaged_field(valid, len(valid) - 8 * grid.node_count)))
+        outdir = Path(tmp, "out")
+        cfg = write_config(Path(tmp), BASE_CONFIG.format(outdir=outdir).replace("0.2*sin(x1)", "file:alpha.ksig"))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", str(cfg)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith(f"error: {field}")
+        assert not outdir.exists()
+
+
 ARTIFACTS = ("u_final.ksig", "monitors.csv", *CHARTS, "summary.json")
 
 
@@ -1587,3 +1635,100 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "ksig" in capsys.readouterr().out
+
+
+def test_main_keeps_the_heap_before_the_command_runs(tmp_path, monkeypatch):
+    # main first asks the C library for mallopt(M_TRIM_THRESHOLD, -1) and
+    # mallopt(M_MMAP_THRESHOLD, 32 MiB), then runs the command
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name):
+        assert name is None
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append("verify") or 0)
+    assert main(["verify", "--n", "3", "--k", "3", "--out", str(tmp_path)]) == 0
+    assert calls == [(-1, -1), (-3, 32 << 20), "verify"]
+
+
+def library_without_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def library_without_a_name(name):  # as CDLL(None) on Windows
+    raise TypeError("argument of type 'NoneType' is not iterable")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [library_without_mallopt, no_library, library_without_a_name],
+    ids=["no-mallopt", "no-library", "no-name"],
+)
+def test_main_runs_without_glibc_mallopt(tmp_path, capsys, monkeypatch, cdll):
+    # where the C library has no mallopt, main runs as before: the command
+    # succeeds with nothing on stderr, bad input still exits 2, and a
+    # program error still propagates
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["verify", "--n", "3", "--k", "3", "--samples", "50", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "--n", "6", "--k", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: need 3 <= k <= n <= 5")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(monitors, "run_lemma_suite", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["verify", "--n", "3", "--k", "3", "--out", str(tmp_path)])
+
+
+def test_main_lets_other_library_errors_propagate(tmp_path, monkeypatch):
+    # only a library that cannot be opened or has no mallopt is a platform
+    # without it
+    def broken(name):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ctypes, "CDLL", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["verify", "--n", "3", "--k", "3", "--out", str(tmp_path)])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_later_solves_in_one_process_reuse_the_heap(tmp_path):
+    # the README problem at n = k = 3, N = 32, solved three times by main in
+    # a fresh interpreter: the second and third solves reuse the heap the
+    # first grew.  A heap returned to the system after every Newton step and
+    # faulted back by the next reads about 3 500 minor faults a solve (the
+    # second alone can read a dozen, by the layout the first leaves), a kept
+    # one a handful; the whole test takes about 1 s
+    cfg = default_config(tmp_path, **{"resolution = 8": "resolution = 32"})
+    code = (
+        "import contextlib, io, resource\n"
+        "from ksig.cli import main\n"
+        "def solve():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(['solve', {str(cfg)!r}]) == 0\n"
+        "solve()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "solve()\n"
+        "solve()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+    assert int(out.stdout) < 1000
