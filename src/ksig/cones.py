@@ -11,21 +11,19 @@ at most _BLOCK_NODES matrices at a time: each block is copied into a
 contiguous (n, n, block) workspace, so entry (a, b) of every matrix in the
 block is one contiguous plane and each step is a handful of whole-plane
 operations.  One workspace, allocated per call and a block in size, serves
-every block: the planes of M and either the stack T_1..T_{k-1}
-(quotient_eval) or two T buffers that take turns (matrix_sigmas,
-matrix_cone_margin).  No T stack of the whole batch is ever formed: each
-block's sigmas, value and gradient are written straight into full-size
-outputs while its T_j are in the workspace.  A node's arithmetic does not
-depend on its block, so the bits do not either.  Three products of the
-textbook recursion are skipped.  Every T_j is a polynomial in M, so
-M T_{j-1} is symmetric and only its upper triangle is formed
-(n^2 (n+1)/2 multiply-adds instead of n^3) and then mirrored
-(grid.mirror).  M T_0 = M needs no product.  T_k is never formed:
-sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public functions take and
-return (..., n, n) arrays.  On the evaluate path the input U is already a
-view of contiguous planes (geometry.assemble_U), so each block's copy is a
-straight memory copy with no transpose, and quotient_eval's gradient is
-likewise a (..., n, n) view of planes.
+every block and every caller: the planes of M and the stack T_1..T_{k-1}.
+No T stack of the whole batch is ever formed: each block's sigmas, value
+and gradient are written straight into full-size outputs while its T_j are
+in the workspace.  A node's arithmetic does not depend on its block, so
+the bits do not either.  Three products of the textbook recursion are
+skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and
+only its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of
+n^3) and then mirrored (grid.mirror).  M T_0 = M needs no product.  T_k
+is never formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
+functions take and return (..., n, n) arrays.  On the evaluate path the
+input U is already a view of contiguous planes (geometry.assemble_U), so
+each block's copy is a straight memory copy with no transpose, and
+quotient_eval's gradient is likewise a (..., n, n) view of planes.
 
 Conventions:
     sigma_0 = 1 exactly.
@@ -117,69 +115,53 @@ def _transform(out, sj):
     mirror(out)
 
 
-def _recursion(P, kmax, sig, T):
-    """Faddeev-LeVerrier on the component planes P of symmetric M.
+def _blocks(M, kmax, sig):
+    """Faddeev-LeVerrier on M (..., n, n), symmetric, one block of at most
+    _BLOCK_NODES matrices at a time:
 
         T_0 = I,   sigma_j = trace(M T_{j-1}) / j,   T_j = sigma_j I - M T_{j-1}.
 
-    Writes sigma_0..sigma_kmax into sig, shape (kmax+1, ...).  T_j for
-    1 <= j < kmax is formed in T[(j-1) % len(T)]: in T[j-1] of a stack
-    T_1..T_{kmax-1}, or in two buffers that take turns.  M T_0 = M needs no
-    product, and T_kmax is never formed:
-    sigma_kmax = sum_ab M_ab (T_{kmax-1})_ab / kmax.
-    """
-    sig[0] = 1.0
-    prev = None  # T_{j-1}, None for T_0 = I
-    for j in range(1, kmax):
-        out = T[(j - 1) % len(T)]
-        _product(P, prev, out)
-        sig[j] = np.einsum("aa...->...", out) / j
-        _transform(out, sig[j])
-        prev = out
-    if kmax:
-        last = np.einsum("aa...->...", P) if prev is None else np.einsum("ab...,ab...->...", P, prev)
-        sig[kmax] = last / kmax
-
-
-def _blocks(M, kmax, sig, stack):
-    """Run the recursion over M (..., n, n) one block of at most _BLOCK_NODES
-    matrices at a time, writing sigma_0..sigma_kmax into sig (kmax+1, count),
-    count matrices in the batch's row-major order.
-
-    One workspace serves every block: the block's component planes of M and
-    either its stack T_1..T_{kmax-1} (`stack`) or two T buffers.  Yields
-    (nodes, T) after each block's recursion: its slice of the batch and its
-    T buffers, valid until the next block starts.
+    Writes sigma_0..sigma_kmax into sig (kmax+1, count), count matrices in
+    the batch's row-major order.  One workspace serves every block: the
+    block's component planes of M and its stack T_1..T_{kmax-1}, T_j in
+    T[j-1].  M T_0 = M needs no product, and T_kmax is never formed:
+    sigma_kmax = sum_ab M_ab (T_{kmax-1})_ab / kmax.  Yields (nodes, T)
+    after each block's recursion: its slice of the batch and its stack,
+    valid until the next block starts.
     """
     n = M.shape[-1]
     flat = M.reshape((-1, n, n))
     size = min(len(flat), _BLOCK_NODES)
     P = np.empty((n, n, size))
-    depth = max(kmax - 1, 0)  # T_1..T_{kmax-1}
-    T = np.empty((depth if stack else min(depth, 2), n, n, size))
+    T = np.empty((max(kmax - 1, 0), n, n, size))
     for lo in range(0, len(flat), _BLOCK_NODES):
         nodes = slice(lo, min(lo + _BLOCK_NODES, len(flat)))
         width = nodes.stop - lo
-        p, t = P[..., :width], T[..., :width]
+        p, t, s = P[..., :width], T[..., :width], sig[:, nodes]
         np.copyto(p, flat[nodes].transpose(1, 2, 0))
-        _recursion(p, kmax, sig[:, nodes], t)
+        s[0] = 1.0
+        prev = None  # T_{j-1}, None for T_0 = I
+        for j in range(1, kmax):
+            out = t[j - 1]
+            _product(p, prev, out)
+            s[j] = np.einsum("aa...->...", out) / j
+            _transform(out, s[j])
+            prev = out
+        if kmax:
+            last = np.einsum("aa...->...", p) if prev is None else np.einsum("ab...,ab...->...", p, prev)
+            s[kmax] = last / kmax
         yield nodes, t
-
-
-def _sigma_planes(M, kmax):
-    """sigma_0..sigma_kmax of symmetric M as planes (kmax+1, ...)."""
-    M = _square(M)
-    _check_order(kmax, M.shape[-1])
-    batch = M.shape[:-2]
-    sig = np.empty((kmax + 1, math.prod(batch)))
-    for _ in _blocks(M, kmax, sig, stack=False):
-        pass
-    return sig.reshape((kmax + 1,) + batch)
 
 
 def matrix_sigmas(M, kmax):
     """sigma_0..sigma_kmax of symmetric M, shape (..., kmax+1)."""
-    return np.moveaxis(_sigma_planes(M, kmax), 0, -1)
+    M = _square(M)
+    _check_order(kmax, M.shape[-1])
+    batch = M.shape[:-2]
+    sig = np.empty((kmax + 1, math.prod(batch)))
+    for _ in _blocks(M, kmax, sig):
+        pass
+    return np.moveaxis(sig.reshape((kmax + 1,) + batch), 0, -1)
 
 
 def cone_margin(lam, k):
@@ -192,7 +174,7 @@ def cone_margin(lam, k):
 
 def matrix_cone_margin(M, k):
     """min_{1<=j<=k} sigma_j(M) via the trace recursion (inf for k = 0)."""
-    return _sigma_planes(M, k)[1:].min(axis=0, initial=np.inf)
+    return matrix_sigmas(M, k)[..., 1:].min(axis=-1, initial=np.inf)
 
 
 @dataclass(frozen=True)
@@ -238,7 +220,7 @@ def quotient_eval(M, k, beta):
     value = np.empty(count)
     grad = np.empty((n, n, count))
     coef = np.empty((k, min(count, _BLOCK_NODES)))
-    for nodes, T in _blocks(M, k, sig, stack=True):
+    for nodes, T in _blocks(M, k, sig):
         s = sig[:, nodes]
         skm1 = s[k - 1]
         b = beta[nodes]

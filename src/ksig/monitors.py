@@ -105,15 +105,6 @@ def _quotient_trace(sig, n, k):
     return ((n - k + 1) * skm1**2 - (n - k + 2) * sig[..., k] * sig[..., k - 2]) / skm1**2
 
 
-def _newton_maclaurin_excess(sig, n, k, l):
-    """(sigma_l sigma_k^{k-1-l} - K sigma_{k-1}^{k-l}) / max(1, |lhs|, |rhs|)
-    with K = newton_maclaurin_constant(n, k, l): the power bound's excess,
-    normalised per entry of the sigma table."""
-    lhs = sig[..., l] * sig[..., k] ** (k - 1 - l)
-    rhs = cones.newton_maclaurin_constant(n, k, l) * sig[..., k - 1] ** (k - l)
-    return (lhs - rhs) / _norm_scale(lhs, rhs)
-
-
 def write_monitor_csv(path, reports):
     with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -237,6 +228,15 @@ def _power_family(sig, k):
     return np.stack(rows)
 
 
+def _newton_maclaurin_excess(sig, n, k, l):
+    """(sigma_l sigma_k^{k-1-l} - K sigma_{k-1}^{k-l}) / max(1, |lhs|, |rhs|)
+    with K = newton_maclaurin_constant(n, k, l): the power bound's excess,
+    normalised per entry of the sigma table."""
+    lhs = sig[..., l] * sig[..., k] ** (k - 1 - l)
+    rhs = cones.newton_maclaurin_constant(n, k, l) * sig[..., k - 1] ** (k - l)
+    return (lhs - rhs) / _norm_scale(lhs, rhs)
+
+
 def _shrink_until_admissible(base, probe, k):
     """Largest s (by halving from 1) with base - s*probe still in Gamma_k.
 
@@ -307,15 +307,16 @@ def run_lemma_suite(n, k, samples, seed):
     viol = np.abs(sig_mat - sig_enum) / _norm_scale(sig_enum)
     record("sigma_recursion_vs_enumeration", samples, viol.max())
 
-    # --- cone nesting: membership at k implies membership at every j < k
+    # --- cone nesting: lambda in Gamma_kk, with any one entry removed, is in
+    #     Gamma_{kk-1} of dimension n-1
     lam = rng.uniform(-1.0, 2.0, size=(samples, n))
     sig = cones.all_elementary_symmetric(lam)
     worst = 0.0
     for kk in range(2, n + 1):
-        inside = (sig[:, 1:kk + 1] > 0.0).all(axis=1)
-        for j in range(1, kk):
-            lower = (sig[:, 1:j + 1] > 0.0).all(axis=1)
-            if (inside & ~lower).any():
+        inside = lam[(sig[:, 1:kk + 1] > 0.0).all(axis=1)]
+        for i in range(n):
+            reduced = cones.all_elementary_symmetric(np.delete(inside, i, axis=1))
+            if not (reduced[:, 1:kk] > 0.0).all():
                 worst = 1.0
     record("cone_nesting", samples, worst)
 
@@ -368,12 +369,7 @@ def run_lemma_suite(n, k, samples, seed):
     record("newton_maclaurin_bound", lam_k.shape[0], worst)
 
     e_sig = cones.all_elementary_symmetric(np.ones((1, n)))
-    worst = 0.0
-    for l in range(k - 1):
-        const = cones.newton_maclaurin_constant(n, k, l)
-        lhs = float(e_sig[0, l] * e_sig[0, k] ** (k - 1 - l))
-        rhs = float(const * e_sig[0, k - 1] ** (k - l))
-        worst = max(worst, abs(lhs - rhs))
+    worst = max(np.abs(_newton_maclaurin_excess(e_sig, n, k, l)).max() for l in range(k - 1))
     record("newton_maclaurin_equality_at_e", 1, worst)
 
     # --- ellipticity: weighted gradient SPD, quotient trace bound, Euler

@@ -122,8 +122,6 @@ class StepRecord:
     """One Newton solve at fixed t, converged or not: a continuation step."""
 
     t: float
-    iterations: int
-    residual_norm: float
     history: tuple  # residual sup-norms, one per iterate including the start
     damping_trials: int  # trial evaluations at a damping factor below 1
     linear_iterations: int  # GMRES iterations over all its linear solves
@@ -134,6 +132,14 @@ class StepRecord:
     # the whole-path attempt's N/2 solve that chose its start, without its u
     # and report; None on every other record and where N/2 is not a grid
     coarse: StepRecord | None = None
+
+    @property
+    def iterations(self):
+        return len(self.history) - 1
+
+    @property
+    def residual_norm(self):
+        return self.history[-1]
 
     @property
     def accepted(self):
@@ -306,8 +312,6 @@ def newton_solve_at_t(u0, t, problem, config):
             note = failure(f"Newton stalled (contraction {rnorm / prev:.3f})")
     return StepRecord(
         t=t,
-        iterations=iters,
-        residual_norm=rnorm,
         history=tuple(history),
         damping_trials=backtracks,
         linear_iterations=linear_iters,

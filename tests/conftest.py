@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ksig import geometry, solver
+from ksig import cones, geometry, operator, solver
 from ksig.grid import mirror
 
 
@@ -30,6 +30,28 @@ def make_problem(grid, k=3, tau=0.0, B=None, alpha=None, alpha_l=None):
         alpha=np.zeros((1,) * n) if alpha is None else alpha,
         alpha_l=np.ones((1,) * (n + 1)) if alpha_l is None else alpha_l,
     )
+
+
+def trivial_problem(grid, k, **background):
+    """alpha = 0, alpha_l = c: the homotopy is stationary at u = 0."""
+    c = cones.homotopy_constant(grid.dim, k)
+    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c), **background)
+
+
+def admissible_state(u, t, problem):
+    """operator.evaluate at (u, t), refusing a state within the solver's cone
+    margin of the cone boundary."""
+    state = operator.evaluate(u, t, problem)
+    if not state.margin.min() > solver._CONE_MARGIN:
+        pytest.fail(operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}"))
+    return state
+
+
+def linearize(u, t, v, problem):
+    """dF[v] at an admissible (u, t) through operator.jacobian, the operator
+    GMRES applies."""
+    apply, _ = operator.jacobian(admissible_state(u, t, problem), problem)
+    return apply(v)
 
 
 def l2_norm(grid, values):

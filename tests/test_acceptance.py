@@ -7,10 +7,9 @@ import time
 from textwrap import dedent
 
 import numpy as np
-import pytest
 
-from conftest import l2_norm, make_problem
-from ksig import cones, geometry, monitors, operator, solver
+from conftest import admissible_state, l2_norm, linearize, make_problem, trivial_problem
+from ksig import geometry, monitors, solver
 from ksig.cli import main
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, read_field, sup_norm, write_field
@@ -31,28 +30,8 @@ def coordinate_field(grid, axis):
     return grid.coordinate(axis) + np.zeros(grid.shape)
 
 
-def trivial_problem(grid, k, **background):
-    c = cones.homotopy_constant(grid.dim, k)
-    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c), **background)
-
-
 def default_problem(grid, k=3):
     return make_problem(grid, k=k, alpha=0.2 * np.sin(coordinate_field(grid, 0)))
-
-
-def admissible_state(u, t, problem):
-    """operator.evaluate at (u, t), refusing a state within the solver's cone
-    margin of the cone boundary."""
-    state = operator.evaluate(u, t, problem)
-    if not state.margin.min() > solver._CONE_MARGIN:
-        pytest.fail(operator.admissibility_failure(state, solver._CONE_MARGIN, f"test state at t={t}"))
-    return state
-
-
-def linearize(u, t, v, problem):
-    """dF[v] at (u, t) through operator.jacobian, the operator GMRES applies."""
-    apply, _ = operator.jacobian(admissible_state(u, t, problem), problem)
-    return apply(v)
 
 
 def test_criterion_1_inequality_suite(capsys):

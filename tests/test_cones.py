@@ -282,6 +282,12 @@ def test_cone_nesting(lam, data):
     if cones.cone_margin(lam, k) > 0:
         for j in range(1, k):
             assert cones.cone_margin(lam, j) > 0
+    # lambda in Gamma_k with any one entry removed is in Gamma_{k-1}; an
+    # entry near underflow can round sigma_{k-1}(lambda|i) to 0 (lambda =
+    # (1, 1, 2, 0.5, 5e-324), k = 5), so this half asks for a margin
+    if cones.cone_margin(lam, k) > 1e-9:
+        for i in range(n):
+            assert cones.cone_margin(np.delete(lam, i), k - 1) > 0
 
 
 def test_gamma2_pinching():

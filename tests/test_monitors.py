@@ -1,11 +1,13 @@
 """Monitor snapshots, the CSV trace format and the randomized lemma suite."""
 
+import hashlib
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import make_problem, trivial_problem
 from ksig import InputError, cones, monitors, operator, sampling, solver
 from ksig.grid import PeriodicGrid
 
@@ -27,12 +29,6 @@ EXPECTED_CHECKS = {
 }
 
 
-def anchor_setup(n=3, k=3, N=8):
-    grid = PeriodicGrid(dim=n, resolution=N)
-    c = cones.homotopy_constant(n, k)
-    return grid, make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c))
-
-
 # ---------------------------------------------------------------------------
 # snapshot
 
@@ -44,7 +40,8 @@ def test_anchor_snapshot_frozen_values():
     #   quotient gradient trace = (3*3 - 1*6)/9 = 1/3 = (n-k+1)/k -> slack 0
     #   ratios  = {sigma_0, sigma_1}/sigma_2 = {1/3, 1} -> max 1
     #   eq33    = trace(G) + 0 = 3/4
-    grid, problem = anchor_setup()
+    grid = PeriodicGrid(dim=3, resolution=8)
+    problem = trivial_problem(grid, 3)
     state = operator.evaluate(grid.zeros(), 0.0, problem)
     rep = monitors.snapshot_point(state, problem, newton_iters=2)
     assert rep.t == 0.0
@@ -59,7 +56,8 @@ def test_anchor_snapshot_frozen_values():
 
 
 def test_snapshot_no_warning_on_admissible_run():
-    grid, problem = anchor_setup()
+    grid = PeriodicGrid(dim=3, resolution=8)
+    problem = trivial_problem(grid, 3)
     state = operator.evaluate(grid.zeros(), 0.0, problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -158,6 +156,42 @@ def test_lemma_suite_result_serializes():
     assert d["n"] == 3 and d["k"] == 3 and d["seed"] == 5
     assert d["all_passed"] is True
     assert len(d["checks"]) == len(EXPECTED_CHECKS)
-    import json
-
     json.dumps(d)  # must be JSON-clean
+
+
+# the first 16 hex digits of the SHA-256 of lemmas.json at samples=10_000, seed=42
+LEMMA_DIGESTS = {
+    (3, 3): "ed712bee0b14410b",
+    (4, 3): "bfed5c8b70542b0d",
+    (4, 4): "bc459b4e92ca6cf1",
+    (5, 3): "7641018d6f14a971",
+    (5, 4): "06bb239231cd6e82",
+    (5, 5): "9369b00ad5e27eff",
+}
+
+
+@pytest.mark.parametrize("n, k", list(LEMMA_DIGESTS))
+def test_lemma_suite_output_is_pinned(n, k):
+    result = monitors.run_lemma_suite(n, k, samples=10_000, seed=42)
+    text = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == LEMMA_DIGESTS[n, k]
+
+
+def test_cone_nesting_fails_on_a_wrong_reduced_sigma(monkeypatch):
+    # the check reads the sigmas of lambda with one entry removed: negating
+    # sigma_1 of every (n-1)-entry vector puts none of them in Gamma_{kk-1}
+    n = 4
+    real = cones.all_elementary_symmetric
+
+    def negated(lam):
+        sig = real(lam)
+        if sig.shape[-1] == n:  # sigma_0..sigma_{n-1}
+            sig = sig.copy()
+            sig[..., 1] = -sig[..., 1]
+        return sig
+
+    monkeypatch.setattr(cones, "all_elementary_symmetric", negated)
+    result = monitors.run_lemma_suite(n, 3, samples=200, seed=42)
+    nesting = next(c for c in result.checks if c.name == "cone_nesting")
+    assert nesting.max_violation == 1.0 and not nesting.passed
+    assert not result.all_passed

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import l2_norm, make_problem
-from ksig import InputError, cones, geometry, monitors, operator, runconfig, solver
+from conftest import admissible_state, l2_norm, linearize, make_problem, trivial_problem
+from ksig import InputError, geometry, monitors, operator, runconfig, solver
 from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, compute_jet, sup_norm, write_field
@@ -21,12 +21,6 @@ from ksig.grid import PeriodicGrid, compute_jet, sup_norm, write_field
 
 def make_grid(n=3, N=8):
     return PeriodicGrid(dim=n, resolution=N)
-
-
-def trivial_problem(grid, k, **background):
-    """alpha = 0, alpha_l = c: the homotopy is stationary at u = 0."""
-    c = cones.homotopy_constant(grid.dim, k)
-    return make_problem(grid, k=k, alpha_l=np.full((k - 1,) + grid.shape, c), **background)
 
 
 def default_problem(grid, k=3, amplitude=0.2, **background):
@@ -46,22 +40,9 @@ def manufactured(expr, grid, k=3, **background):
     return jet.value, solver.manufacture_alpha(jet.value, make_problem(grid, k=k, **background), jet=jet)
 
 
-def admissible_state(u, t, problem):
-    state = operator.evaluate(u, t, problem)
-    assert state.margin.min() > solver._CONE_MARGIN
-    return state
-
-
 def residual(u, t, problem):
     """F(u; t) per node at an admissible u."""
     return admissible_state(u, t, problem).residual
-
-
-def linearize(u, t, v, problem):
-    """dF[v] at an admissible (u, t) through operator.jacobian, the operator
-    GMRES applies."""
-    apply, _ = operator.jacobian(admissible_state(u, t, problem), problem)
-    return apply(v)
 
 
 def smooth_u(grid, amp=0.05):
