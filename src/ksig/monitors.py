@@ -67,8 +67,7 @@ def snapshot_point(state, problem, newton_iters):
     sig = state.sigma
     grad_norm = np.sqrt(dot_planes(state.grad_u, state.grad_u))
 
-    eigs = np.linalg.eigvalsh(state.grad)
-    min_eig = float(eigs[..., 0].min())
+    min_eig = _min_eigenvalue(state.grad)
 
     n = problem.grid.dim
     trace_slack = float((_quotient_trace(sig, n, k) - (n - k + 1) / k).min())
@@ -93,6 +92,64 @@ def snapshot_point(state, problem, newton_iters):
         residual=sup_norm(state.residual),
         newton_iters=int(newton_iters),
     )
+
+
+# the rounding allowance of _min_eigenvalue's pruning, in units of n * eps
+# times the largest row norm of G (which bounds its 2-norm): it covers the
+# Gershgorin bound's own rounding, under n such units, and LAPACK's backward
+# error on an n <= 5 matrix with room to spare
+_GERSHGORIN_SLACK = 16.0
+
+
+# a non-finite or huge entry may turn a bound into inf - inf; such a node is kept
+@np.errstate(over="ignore", invalid="ignore")
+def _min_eigenvalue(grad):
+    """float(np.linalg.eigvalsh(grad)[..., 0].min()) for the matrices `grad`,
+    (*shape, n, n), with eigvalsh run only on the nodes that can hold it.
+
+    Like eigvalsh, it reads each matrix's lower triangle alone.  Gershgorin
+    bounds a node's smallest eigenvalue below by
+    lb = min_a (G_aa - sum_{b != a} |G_ab|), built one row at a time on
+    component planes.  eigvalsh runs on the node of the smallest lb, giving
+    lam_ref, and then on the nodes that are not bitwise copies of that node
+    and do not have lb > lam_ref + mu, where
+    mu = _GERSHGORIN_SLACK * n * (eps * max_a (|G_aa| + sum_{b != a} |G_ab|)
+    + the smallest subnormal): eigvalsh would give a node left out lam_ref
+    itself, or more.  A non-finite entry makes mu non-finite, and a NaN bound
+    or threshold keeps its nodes.  A minimum of zero is taken from every
+    node, since which sign numpy's min returns depends on where 0.0 and -0.0
+    sit in the grid.
+    """
+    n = grad.shape[-1]
+    # component planes with the nodes flattened: a view of quotient_eval's planes
+    G = np.moveaxis(grad, (-2, -1), (0, 1)).reshape(n, n, -1)
+    lb = np.full(G.shape[-1], np.inf)
+    radius, term = np.empty_like(lb), np.empty_like(lb)
+    row_norms = []
+    for a in range(n):
+        radius.fill(0.0)
+        for b in range(n):
+            if b != a:
+                radius += np.abs(G[max(a, b), min(a, b)], out=term)
+        np.minimum(lb, np.subtract(G[a, a], radius, out=term), out=lb)
+        row_norms.append(np.add(np.abs(G[a, a], out=term), radius, out=term).max())
+    ref = int(np.argmin(lb))
+    lam_ref = np.linalg.eigvalsh(G[:, :, ref])[0]
+    fl = np.finfo(float)
+    mu = _GERSHGORIN_SLACK * n * (fl.eps * np.max(row_norms) + fl.smallest_subnormal)
+    skip = np.greater(lb, lam_ref + mu)  # False at a NaN bound or threshold: the node stays
+    # bits, not ==: -0.0 and 0.0 may give eigenvalues of either sign
+    bits = G.view(np.int64)
+    same, equal = np.ones_like(skip), np.empty_like(skip)
+    for a in range(n):
+        for b in range(a + 1):
+            same &= np.equal(bits[a, b], bits[a, b, ref], out=equal)
+    skip |= same
+    nodes = np.flatnonzero(~skip)
+    lam = np.linalg.eigvalsh(np.moveaxis(G[:, :, nodes], -1, 0))[:, 0].min(initial=lam_ref)
+    if lam == 0.0:  # numpy's min picks 0.0 or -0.0 by their place in the whole grid
+        return float(np.linalg.eigvalsh(grad)[..., 0].min())
+    return float(lam)
 
 
 def _quotient_trace(sig, n, k):

@@ -1322,6 +1322,39 @@ def test_manufacture_ends_in_a_documented_exit_code(form, amplitude, sign, alpha
             assert not outdir.exists()
 
 
+@pytest.mark.parametrize("key", ["alpha_l", "u_star"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(3, 5), data=st.data())
+def test_manufacture_of_drawn_expressions_ends_in_a_documented_exit_code(key, n, data):
+    # alpha_l as one or k-1 = 2 drawn expressions of the fieldexpr grammar,
+    # each perhaps lifted by a constant term so that some are positive, or
+    # u_star as one, at n = 3..5: manufacture writes its package (exit 0) or
+    # refuses with one error line and nothing written (exit 2), within 5 s
+    if key == "alpha_l":
+        entries = [data.draw(field_expression(n))[0] + data.draw(st.sampled_from(["", "+ 1000"]))
+                   for _ in range(data.draw(st.integers(1, 2)))]
+        text = ", ".join(entries)
+    else:
+        text = data.draw(field_expression(n))[0]
+    old = {"alpha_l": "alpha_l = 1.0", "u_star": "u_star = 0.1*sin(x1)*cos(x2)"}[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp, "manu")
+        config = MANU_CONFIG.format(outdir=outdir).replace("n = 3", f"n = {n}").replace(old, f"{key} = {text}")
+        cfg = write_config(Path(tmp), config)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["manufacture", str(cfg)])
+        assert time.perf_counter() - start < 5.0
+        assert code in (0, 2), text
+        if code == 0:
+            assert (outdir / "manufactured.ini").is_file()
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not outdir.exists()
+
+
 @pytest.mark.parametrize("absolute", [False, True])
 def test_manufacture_package_finds_a_file_background(tmp_path, monkeypatch, absolute):
     # B = -I as component files beside the config; the package lies in

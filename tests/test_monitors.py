@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem, trivial_problem
-from ksig import InputError, cones, monitors, operator, sampling, solver
-from ksig.grid import PeriodicGrid
+from ksig import InputError, cones, monitors, operator, runconfig, sampling, solver
+from ksig.grid import PeriodicGrid, mirror
 
 EXPECTED_CHECKS = {
     "sigma_recursion_vs_enumeration",
@@ -73,6 +75,118 @@ def test_quotient_trace_identity_matches_explicit_gradient(n, k):
     explicit = np.trace(ev.grad, axis1=-2, axis2=-1)
     got = monitors._quotient_trace(ev.sigma, n, k)
     assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))
+
+
+# ---------------------------------------------------------------------------
+# the smallest eigenvalue of G^{ij} over the grid
+
+
+def full_min_eigenvalue(grad):
+    """The grid minimum from eigvalsh at every node."""
+    return float(np.linalg.eigvalsh(grad)[..., 0].min())
+
+
+def node_major(planes):
+    """Component planes (n, n, *shape), upper triangle mirrored onto the
+    lower, seen as (*shape, n, n), the layout quotient_eval leaves G in."""
+    mirror(planes)
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+@st.composite
+def matrix_field(draw):
+    """Symmetric n x n matrices on a 4^n grid, n = 3..5, of a drawn kind,
+    scaled by 10^-8..10^8: one constant matrix; the same with one node's
+    entry moved by one ulp; a matrix per x1 slice, so that many nodes are
+    bitwise equal; a diagonally dominant constant plus small noise per node;
+    independent indefinite matrices; or zeros, a few of them -0.0."""
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["constant", "one ulp", "x1 only", "near-constant", "indefinite", "zero"]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, n) + (4,) * n
+    if kind == "zero":
+        planes = np.where(rng.uniform(size=shape) < 0.01, -0.0, 0.0)
+    elif kind == "indefinite":
+        planes = rng.uniform(-1.0, 1.0, shape)
+    elif kind == "x1 only":
+        planes = np.broadcast_to(rng.uniform(-1.0, 1.0, (n, n, 4) + (1,) * (n - 1)), shape).copy()
+    else:
+        base = np.eye(n) + 0.1 * rng.uniform(-1.0, 1.0, (n, n))
+        planes = np.broadcast_to(base.reshape((n, n) + (1,) * n), shape).copy()
+        if kind == "near-constant":
+            planes += 1e-6 * rng.uniform(-1.0, 1.0, shape)
+    planes *= scale
+    if kind == "one ulp":
+        a, b = sorted(rng.integers(0, n, 2))
+        at = (a, b) + tuple(rng.integers(0, 4, n))
+        planes[at] = np.nextafter(planes[at], draw(st.sampled_from([-np.inf, np.inf])))
+    return node_major(planes)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(grad=matrix_field())
+def test_min_eigenvalue_is_the_full_grid_minimum(grad):
+    # eigvalsh on the pruned nodes gives the float eigvalsh on every node gives
+    want = full_min_eigenvalue(grad)
+    got = monitors._min_eigenvalue(grad)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert repr(got) == repr(want)
+
+
+def outcome(min_eigenvalue, grad):
+    """repr of min_eigenvalue(grad), or of the exception it raises."""
+    try:
+        return repr(min_eigenvalue(grad))
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (1, 2), (2, 1)], ids=["diagonal", "upper", "lower"])
+def test_min_eigenvalue_of_a_non_finite_entry_is_the_full_grid_one(value, entry):
+    # one entry, not mirrored, set to NaN or +-inf at one node of a field the
+    # bound would otherwise prune: the same float, or the same LinAlgError
+    # ("Eigenvalues did not converge"), as eigvalsh on every node.  eigvalsh
+    # reads the lower triangle alone, so an upper entry leaves a finite minimum
+    rng = np.random.default_rng(7)
+    planes = np.eye(3)[:, :, None, None, None] + 1e-3 * rng.uniform(-1.0, 1.0, (3, 3, 4, 4, 4))
+    grad = node_major(planes)
+    grad[(2, 3, 1) + entry] = value
+    assert outcome(monitors._min_eigenvalue, grad) == outcome(full_min_eigenvalue, grad)
+    if entry == (1, 2):
+        assert np.isfinite(monitors._min_eigenvalue(grad))
+
+
+def test_default_march_factors_a_handful_of_nodes(monkeypatch):
+    # the README problem at n = k = 3, N = 32, as the CLI builds it: the
+    # constant anchor G needs one matrix factored, and t = 1 no more than
+    # the 1024 of 32768 nodes whose Gershgorin bound is at or below the
+    # grid's smallest diagonal entry (one matrix, as it happens)
+    cfg = runconfig.RunConfig(
+        problem=runconfig.ProblemConfig(n=3, k=3, resolution=32, alpha="0.2*sin(x1)"),
+        solver=solver.SolverConfig(),
+        output=runconfig.OutputConfig(),
+    )
+    problem = runconfig.build_problem(cfg, ".")
+    factored = []  # (t, nodes, matrices handed to eigvalsh) per snapshot
+    eigvalsh, snapshot_point = np.linalg.eigvalsh, monitors.snapshot_point
+
+    def counting_eigvalsh(a):
+        factored[-1][-1] += int(np.prod(a.shape[:-2]))
+        return eigvalsh(a)
+
+    def counted_snapshot(state, *args):
+        factored.append([state.t, state.u.size, 0])
+        return snapshot_point(state, *args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(monitors, "snapshot_point", counted_snapshot)
+    log = list(solver.continuation_steps(problem, cfg.solver))
+    assert log[-1].accepted and log[-1].t == 1.0
+    anchor, *_, final = factored
+    assert anchor == [0.0, 32768, 1]
+    assert final[:2] == [1.0, 32768] and final[2] <= 1024
 
 
 # ---------------------------------------------------------------------------

@@ -931,13 +931,26 @@ def test_hard_panel_counts(monkeypatch, case, counts):
         nodes.append(np.size(u))
         return evaluate(u, *args, **kwargs)
 
+    # every accepted state's min_eig_Gij, coarse ones too, is the float
+    # eigvalsh gives at every node
+    snapshot_point = monitors.snapshot_point
+    reported = []
+
+    def checked(state, *args):
+        report = snapshot_point(state, *args)
+        reported.append((report.min_eig_Gij, float(np.linalg.eigvalsh(state.grad)[..., 0].min())))
+        return report
+
     monkeypatch.setattr(operator, "evaluate", counted)
+    monkeypatch.setattr(monitors, "snapshot_point", checked)
     log = list(solver.continuation_steps(problem, solver.SolverConfig()))
     assert log[-1].accepted and log[-1].t == 1.0
     newton = sum(rec.iterations for rec in log)
     rejected = sum(not rec.accepted for rec in log)
     gmres = sum(rec.linear_iterations for rec in log)
     assert (newton, rejected, gmres, len(nodes), sum(nodes)) == counts
+    assert len(reported) >= sum(rec.accepted for rec in log)
+    assert [repr(pruned) for pruned, _ in reported] == [repr(full) for _, full in reported]
 
 
 # ---------------------------------------------------------------------------
