@@ -3,9 +3,10 @@
 Scalar fields are plain float64 arrays of shape grid.shape; the grid object
 travels alongside them.  Derivatives are second-order central differences
 with periodic wraparound, realized with `shift` (two slice copies per
-shifted field) so the stencil is exact at the wrap seam.  `shift`, `mirror`
-`dot_planes` and `worst_node` are the package's helpers for fields and
-component planes.
+shifted field) so the stencil is exact at the wrap seam, and spelled once:
+a mixed difference is a centred difference of centred differences, here and
+in dF's apply.  `shift`, `mirror`, `dot_planes` and `worst_node` are the
+package's helpers for fields and component planes.
 """
 
 from __future__ import annotations
@@ -136,25 +137,23 @@ def compute_jet(grid, values):
     h = grid.spacing
     grad = np.empty((n,) + values.shape)
     hess = np.empty((n, n) + values.shape)
-    plus = [shift(values, 1, i) for i in range(n)]
-    minus = [shift(values, -1, i) for i in range(n)]
-    twice = 2.0 * values
-    for i in range(n):
-        np.subtract(plus[i], minus[i], out=grad[i])
-        grad[i] /= 2.0 * h
-        d2 = hess[i, i]
-        np.subtract(plus[i], twice, out=d2)
-        d2 += minus[i]
-        d2 /= h * h
     fwd, back = np.empty_like(values), np.empty_like(values)
+    for i in range(n):
+        shift(values, 1, i, fwd)
+        shift(values, -1, i, back)
+        np.subtract(fwd, back, out=grad[i])
+        d2 = np.multiply(values, 2.0, out=hess[i, i])
+        np.subtract(fwd, d2, out=d2)
+        d2 += back
+        d2 /= h * h
+    # as in dF's apply, the cross terms difference grad before it is scaled
     for i in range(n):
         for j in range(i + 1, n):
             cross = hess[i, j]
-            np.subtract(shift(plus[i], 1, j, fwd), shift(plus[i], -1, j, back), out=cross)
-            cross -= shift(minus[i], 1, j, fwd)
-            cross += shift(minus[i], -1, j, back)
+            np.subtract(shift(grad[i], 1, j, fwd), shift(grad[i], -1, j, back), out=cross)
             cross /= 4.0 * h * h
             hess[j, i] = cross
+    grad /= 2.0 * h
     lap = np.trace(hess)
     return JetField(value=values, grad_planes=grad, hess_planes=hess, laplacian=lap)
 

@@ -91,9 +91,9 @@ def jacobian(state, problem):
     and c = sum_l 2(k-l) beta_l G_l + 2 t alpha e^{2u}, where
     G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
     (apply, diagonal): apply(v) is dF[v] for a grid field v, summed from the
-    weights of v(x), of v(x +- h e_i) and of the four-point cross
-    differences; diagonal is the weight of v(x), dF's diagonal.  Of the
-    state it reads G^{ij}, grad u, sigma, beta and u.
+    weights of v(x), of v(x +- h e_i) and of the cross differences, spelled
+    as compute_jet spells them; diagonal is the weight of v(x), dF's
+    diagonal.  Of the state it reads G^{ij}, grad u, sigma, beta and u.
     """
     grid = problem.grid
     n = grid.dim
@@ -146,10 +146,11 @@ def jacobian(state, problem):
 
 def admissibility_failure(state, floor, context):
     """The message for a state whose margin dips to `floor` or below: the
-    worst node and the eigenvalues of U there."""
+    worst node and the eigenvalues of U there, or U's entries where any is
+    not finite, since eigvalsh cannot factor such a U."""
     node, value = worst_node(state.margin)
-    eigs = np.linalg.eigvalsh(state.U[node])
-    return (
-        f"{context}: cone margin {value:.3e} <= {floor:.3e} at node {node}; "
-        f"eigenvalues of U there: {eigs.tolist()}"
-    )
+    U = state.U[node]
+    there = f"U there is not finite: {U.tolist()}"
+    if np.isfinite(U).all():
+        there = f"eigenvalues of U there: {np.linalg.eigvalsh(U).tolist()}"
+    return f"{context}: cone margin {value:.3e} <= {floor:.3e} at node {node}; {there}"

@@ -1251,6 +1251,19 @@ def test_manufacture_rejects_huge_u_star_without_warnings(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_manufacture_rejects_a_u_star_with_a_non_finite_U(tmp_path, capsys):
+    # U* overflows to inf and nan at the worst node, which eigvalsh cannot
+    # factor: the error line reports U's entries there instead
+    outdir = tmp_path / "manu"
+    u_star = "sin(x1)+sin(x1)+sin(x2)*.1e160"
+    cfg = write_config(tmp_path, MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", u_star))
+    assert main(["manufacture", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: u_star rejected: cone margin nan <= 0.000e+00 at node (0, 0, 0); ")
+    assert "U there is not finite: [[inf, " in line
+    assert not outdir.exists()
+
+
 def test_manufacture_rejects_a_u_star_on_the_cone_boundary_without_warnings(tmp_path, capsys):
     # U* = diag(-1, 0, 0) at x1 = pi/2: sigma_2 = 0 there, and the quotient's
     # division by it must not warn before the error line
@@ -1765,3 +1778,58 @@ def test_later_solves_in_one_process_reuse_the_heap(tmp_path):
         timeout=60,
     )
     assert int(out.stdout) < 1000
+
+
+SMOKE = Path(__file__).parents[1] / ".github" / "smoke.sh"
+SMOKE_CALLS = [
+    "--version",
+    "verify --n 3 --k 3 --samples 200 --out {out}/v33",
+    "verify --n 5 --k 5 --samples 200 --out {out}/v55",
+    "solve {out}/spaceform.ini",
+    "report {out}/s",
+    "solve {out}/hard.ini",
+    "report {out}/h",
+    "manufacture {out}/manufacture.ini",
+    "solve manufactured.ini",
+    "report manufactured-run",
+]
+
+
+@pytest.mark.parametrize("failing", [None, "solve"])
+def test_smoke_script_runs_every_step_and_stops_at_a_failing_one(tmp_path, failing):
+    # CI's console-script steps, through a `ksig` on PATH that runs
+    # python -m ksig and logs its arguments; with `failing`, that subcommand
+    # exits 3, and the script must exit non-zero with no later call
+    bin_dir, log, out = tmp_path / "bin", tmp_path / "calls.log", tmp_path / "out"
+    bin_dir.mkdir()
+    shim = bin_dir / "ksig"
+    fail = f'[ "$1" = {failing} ] && exit 3\n' if failing else ""
+    shim.write_text(f'#!/bin/sh\necho "$*" >> "{log}"\n{fail}exec "{sys.executable}" -m ksig "$@"\n')
+    shim.chmod(0o755)
+    env = {
+        **os.environ,
+        "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+    }
+    done = subprocess.run(
+        ["sh", str(SMOKE), str(out)], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    calls = log.read_text().splitlines()
+    expected = [c.format(out=out) for c in SMOKE_CALLS]
+    if failing is None:
+        assert done.returncode == 0, done.stderr
+        assert calls == expected
+        for run in ("s", "h", "m/manufactured-run"):
+            assert json.loads((out / run / "summary.json").read_text())["t_final"] == 1.0
+            assert all((out / run / chart).is_file() for chart in CHARTS)
+    else:
+        assert done.returncode != 0
+        assert calls == expected[: expected.index(f"solve {out}/spaceform.ini") + 1]
+
+
+def test_workflow_runs_ksig_only_through_the_smoke_script():
+    # both CI jobs run the smoke script, and no other step calls ksig
+    workflow = (SMOKE.parent / "workflows" / "tier1.yml").read_text()
+    assert workflow.count('- run: sh .github/smoke.sh "$RUNNER_TEMP/smoke"') == 2
+    steps = [line for line in workflow.splitlines() if not line.lstrip().startswith("#")]
+    assert not [line for line in steps if re.search(r"\bksig\b", line)]

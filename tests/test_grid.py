@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def stacked_jet(grid, values):
             pm = np.roll(plus[i], 1, axis=j)
             mp = np.roll(minus[i], -1, axis=j)
             mm = np.roll(minus[i], 1, axis=j)
-            cross = (pp - pm - mp + mm) / (4.0 * h * h)
+            cross = ((pp - mp) - (pm - mm)) / (4.0 * h * h)
             hess[..., i, j] = cross
             hess[..., j, i] = cross
     return grad, hess, np.trace(hess, axis1=-2, axis2=-1)
@@ -138,6 +139,23 @@ def test_jet_planes_match_stacked_construction_bitwise(n):
     exact = fieldexpr.analytic_jet("0.1*sin(x1)*cos(x2)", grid)
     assert exact.grad_planes.shape == jet.grad_planes.shape
     assert exact.hess_planes.shape == jet.hess_planes.shape
+
+
+def test_jet_transient_memory_is_its_outputs_and_three_fields():
+    # n = 5, N = 8: the outputs are n + n^2 + 1 fields; the stencil itself
+    # needs two neighbour buffers, and 2n shifted copies of u would add ten
+    grid = PeriodicGrid(5, 8)
+    values = np.random.default_rng(5).standard_normal(grid.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        jet = compute_jet(grid, values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert jet.hess_planes.shape == (5, 5) + grid.shape
+    assert peak <= (5 + 25 + 1 + 3) * grid.node_count * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

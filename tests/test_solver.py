@@ -338,6 +338,17 @@ def test_newton_rejects_inadmissible_start():
     assert res.iterations == 0 and res.damping_trials == 0
 
 
+def test_newton_reports_a_non_finite_U_at_an_inadmissible_start():
+    # |grad u|^2 overflows, so U is not finite at the worst node: the note
+    # gives U's entries there, which eigvalsh could not factor
+    grid = make_grid()
+    x1 = grid.coordinate(0) + np.zeros(grid.shape)
+    res = solver.newton_solve_at_t(1e160 * np.sin(x1), 0.0, trivial_problem(grid, 3), solver.SolverConfig())
+    assert res.note.startswith("initial guess at t=0.0: cone margin nan")
+    assert "U there is not finite: [[" in res.note
+    assert res.u is None and res.iterations == 0
+
+
 def test_newton_iteration_limit_reported():
     grid = make_grid()
     problem = default_problem(grid)
