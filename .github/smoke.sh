@@ -35,3 +35,12 @@ ksig manufacture "$out/manufacture.ini"
 cd "$out/m"
 ksig solve manufactured.ini
 ksig report manufactured-run
+
+# the stencil-jet branch: a package from the file: u_star and alpha_l fields of the one
+# above, whose alpha makes u_star an exact discrete root; then a solve of it and charts
+printf '[problem]\nn = 3\nk = 3\nresolution = 8\nalpha_l = file:alpha_l_0.ksig, file:alpha_l_1.ksig\nu_star = file:u_star.ksig\n\n[output]\ndirectory = stencil\n' \
+  > stencil.ini
+ksig manufacture stencil.ini
+cd stencil
+ksig solve manufactured.ini
+ksig report manufactured-run

@@ -210,7 +210,7 @@ def cmd_manufacture(args):
         jet = fieldexpr.analytic_jet(spec, grid)
         u_star = jet.value
     geometry.require_finite("u_star", u_star)
-    problem = solver.manufacture_alpha(u_star, problem, jet=jet)
+    problem = operator.manufacture_alpha(u_star, problem, jet=jet)
     _make_outdir(outdir)
 
     write_field(outdir / "u_star.ksig", grid, u_star)

@@ -21,7 +21,7 @@ only its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of
 n^3) and then mirrored (grid.mirror).  M T_0 = M needs no product.  T_k
 is never formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
 functions take and return (..., n, n) arrays.  On the evaluate path the
-input U is already a view of contiguous planes (geometry.assemble_U), so
+input U is already a view of contiguous planes (operator.assemble_U), so
 each block's copy is a straight memory copy with no transpose, and
 quotient_eval's gradient is likewise a (..., n, n) view of planes.
 

@@ -1,15 +1,14 @@
-"""One problem's data (Problem) and pointwise assembly of the deformed
-conformal tensor.
+"""One problem's data (Problem), checked against the solvability hypotheses.
 
 The reference metric g0 is the flat torus chart and the tensor B playing the
 modified-Schouten role is prescribed: the builtin "hyperbolic-like" choice
 B = -I reproduces the structure of a negatively curved space form, and a
 constant or per-node B may be supplied directly.  Since g0 is the identity
 in the chart, g0^{-1} U is the coordinate matrix of U, so all cone tests and
-sigma evaluations act on plain symmetric matrices.  Tensors (B, U) are
-stored as component planes (n, n, ...), entry (i, j) of every node in one
-plane, and handed out as zero-copy (..., n, n) views; a Problem stores a
-constant B as one (n, n, 1, ..., 1) matrix, not n^2 grid planes.
+sigma evaluations act on plain symmetric matrices.  B is stored as
+component planes (n, n, ...), entry (i, j) of every node in one plane, and
+handed out as a zero-copy (..., n, n) view; a Problem stores a constant B
+as one (n, n, 1, ..., 1) matrix, not n^2 grid planes.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InputError, cones
-from .grid import PeriodicGrid, dot_planes, mirror, worst_node
+from .grid import PeriodicGrid, worst_node
 
 __all__ = [
     "Problem",
     "spaceform_schouten",
-    "beta_weights",
-    "assemble_U",
     "require_finite",
 ]
 
@@ -113,51 +110,6 @@ class Problem:
     def B(self):
         """The (..., n, n) view of B_planes: (1, ..., 1, n, n) for a constant B."""
         return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
-
-
-def beta_weights(problem, u, t):
-    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2;
-    alpha_l broadcasts from its own rank, a single row over l included."""
-    k = problem.k
-    c = cones.homotopy_constant(problem.grid.dim, k)
-    al = np.moveaxis(problem.alpha_l, 0, -1)
-    ls = np.arange(k - 1)
-    u = np.asarray(u, dtype=np.float64)
-    return ((1.0 - t) * c + t * al) * np.exp(2.0 * (k - ls) * u[..., None])
-
-
-def assemble_U(jet, problem, t):
-    """The matrix of U^t at every node, a (*shape, n, n) view of contiguous
-    component planes (n, n, *shape).
-
-    U^t = Hess u + ((1-tau)/(n-2)) Lap u I + ((2-tau)/2) |grad u|^2 I
-          - du (x) du - t B + (1-t) I
-
-    on the flat chart.  Each upper-triangle entry is formed once, the scalar
-    terms are added on the diagonal only, and the lower triangle is a copy,
-    so the result is exactly symmetric.
-    """
-    n = problem.grid.dim
-    tau = problem.tau
-    g = jet.grad_planes
-    hess = jet.hess_planes
-    B = problem.B_planes
-    U = np.empty((n, n) + g.shape[1:])
-    c1_lap = ((1.0 - tau) / (n - 2.0)) * jet.laplacian
-    c2_g2 = 0.5 * (2.0 - tau) * dot_planes(g, g)
-    for a in range(n):
-        diag = U[a, a]
-        np.add(hess[a, a], c1_lap, out=diag)
-        diag += c2_g2
-        diag -= g[a] * g[a]
-        for b in range(a + 1, n):
-            np.subtract(hess[a, b], g[a] * g[b], out=U[a, b])
-    for a in range(n):
-        for b in range(a, n):
-            U[a, b] -= t * B[a, b]
-        U[a, a] += 1.0 - t
-    mirror(U)
-    return np.moveaxis(U, (0, 1), (-2, -1))
 
 
 def require_finite(name, values):

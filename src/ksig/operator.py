@@ -1,10 +1,11 @@
 """The discrete operator F and its exact derivative dF, in one module.
 
-`evaluate` builds F at one (u, t), with the cone margin and the gradient
-G^{ij}; both the solver and the monitors go through it, so residuals,
-gradients, cone margins and inequality slacks always come from the same
-arithmetic.  `jacobian` builds dF at an evaluated state, once per Newton
-step.  The residual convention is
+`evaluate` builds F at one (u, t) from U^t (`assemble_U`) and beta_l
+(`beta_weights`), with the cone margin and the gradient G^{ij}; the solver,
+the monitors and `manufacture_alpha` go through it, so residuals, gradients,
+cone margins and inequality slacks always come from the same arithmetic.
+`jacobian` builds dF at an evaluated state, once per Newton step; F and dF
+read their coefficients from one definition.  The residual convention is
 
     F(u; t) = G(U^t) + t alpha e^{2u},
 
@@ -13,15 +14,16 @@ which vanishes exactly at a solution of the t-member of the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cones
-from .geometry import assemble_U, beta_weights
-from .grid import compute_jet, shift, worst_node
+from . import InputError, cones
+from .grid import compute_jet, dot_planes, mirror, shift, worst_node
 
-__all__ = ["PointState", "evaluate", "jacobian", "admissibility_failure"]
+__all__ = [
+    "PointState", "beta_weights", "assemble_U", "evaluate", "jacobian", "admissibility_failure", "manufacture_alpha"
+]
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,56 @@ class PointState:
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
     residual: np.ndarray  # F(u; t)
     grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
+
+
+def _coefficients(problem):
+    """U^t's c1 = (1-tau)/(n-2) and c2 = (2-tau)/2, and beta_l's exponents 2(k-l), l = 0..k-2."""
+    n, k, tau = problem.grid.dim, problem.k, problem.tau
+    return (1.0 - tau) / (n - 2.0), 0.5 * (2.0 - tau), 2.0 * (k - np.arange(k - 1))
+
+
+def beta_weights(problem, u, t):
+    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2;
+    alpha_l broadcasts from its own rank, a single row over l included."""
+    _, _, exponents = _coefficients(problem)
+    c = cones.homotopy_constant(problem.grid.dim, problem.k)
+    al = np.moveaxis(problem.alpha_l, 0, -1)
+    u = np.asarray(u, dtype=np.float64)
+    return ((1.0 - t) * c + t * al) * np.exp(exponents * u[..., None])
+
+
+def assemble_U(jet, problem, t):
+    """The matrix of U^t at every node, a (*shape, n, n) view of contiguous
+    component planes (n, n, *shape).
+
+    U^t = Hess u + ((1-tau)/(n-2)) Lap u I + ((2-tau)/2) |grad u|^2 I
+          - du (x) du - t B + (1-t) I
+
+    on the flat chart.  Each upper-triangle entry is formed once, the scalar
+    terms are added on the diagonal only, and the lower triangle is a copy,
+    so the result is exactly symmetric.
+    """
+    n = problem.grid.dim
+    c1, c2, _ = _coefficients(problem)
+    g = jet.grad_planes
+    hess = jet.hess_planes
+    B = problem.B_planes
+    U = np.empty((n, n) + g.shape[1:])
+    c1_lap = c1 * jet.laplacian
+    c2_g2 = c2 * dot_planes(g, g)
+    for a in range(n):
+        diag = U[a, a]
+        np.add(hess[a, a], c1_lap, out=diag)
+        diag += c2_g2
+        diag -= g[a] * g[a]
+        for b in range(a + 1, n):
+            np.subtract(hess[a, b], g[a] * g[b], out=U[a, b])
+    for a in range(n):
+        for b in range(a, n):
+            U[a, b] -= t * B[a, b]
+        U[a, a] += 1.0 - t
+    mirror(U)
+    return np.moveaxis(U, (0, 1), (-2, -1))
 
 
 # a state may leave the float range (a huge forcing, an overshooting trial);
@@ -87,7 +139,7 @@ def jacobian(state, problem):
     compute_jet's stencil, built once.
 
     dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
-    b = (2-tau) tr(G) grad u - 2 G grad u, G = G^{ij}, c1 = (1-tau)/(n-2)
+    b = 2 c2 tr(G) grad u - 2 G grad u, G = G^{ij}, c1 and c2 as in U^t
     and c = sum_l 2(k-l) beta_l G_l + 2 t alpha e^{2u}, where
     G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
     (apply, diagonal): apply(v) is dF[v] for a grid field v, summed from the
@@ -98,14 +150,14 @@ def jacobian(state, problem):
     grid = problem.grid
     n = grid.dim
     h = grid.spacing
-    k, t, tau = problem.k, state.t, problem.tau
-    c1 = (1.0 - tau) / (n - 2.0)
+    k, t = problem.k, state.t
+    c1, c2, exponents = _coefficients(problem)
     # G^{ij} as component planes: quotient_eval builds the gradient on
     # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
     G = np.moveaxis(state.grad, (-2, -1), (0, 1))
     trace_g = np.trace(G)
     g = state.grad_u
-    b = (2.0 - tau) * trace_g * g
+    b = 2.0 * c2 * trace_g * g
     b -= 2.0 * np.einsum("ij...,j...->i...", G, g)
     # A^{ii} and A^{ij} (i != j) are the diagonal and off-diagonal of G + c1 tr(G) I
     diag_g = np.moveaxis(np.diagonal(G), -1, 0)
@@ -118,7 +170,7 @@ def jacobian(state, problem):
     drift = b
     drift *= 1.0 / (2.0 * h)
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
-    zeroth = np.sum(2.0 * (k - np.arange(k - 1)) * state.beta * gl, axis=-1)
+    zeroth = np.sum(exponents * state.beta * gl, axis=-1)
     zeroth += 2.0 * t * problem.alpha * np.exp(2.0 * state.u)
     centre = zeroth - 2.0 * axial.sum(axis=0)
     minus = axial - drift
@@ -154,3 +206,30 @@ def admissibility_failure(state, floor, context):
     if np.isfinite(U).all():
         there = f"eigenvalues of U there: {np.linalg.eigvalsh(U).tolist()}"
     return f"{context}: cone margin {value:.3e} <= {floor:.3e} at node {node}; {there}"
+
+
+def manufacture_alpha(u_star, problem, *, jet=None):
+    """Back-solve the t=1 equation for alpha so u_star is its exact root.
+
+        alpha = -e^{-2 u*} [sigma_k/sigma_{k-1}(U*) - sum_l alpha_l e^{2(k-l)u*}
+                            sigma_l/sigma_{k-1}(U*)]
+
+    Returns `problem` with alpha replaced; its alpha_l enter the equation
+    and its own alpha is ignored.  alpha carries no sign constraint.  Pass the
+    analytic `jet` of u_star to manufacture against exact derivatives
+    (convergence studies); otherwise the stencil jet is used and the
+    construction residual is identically zero at this resolution.  A u_star
+    whose U* leaves Gamma_{k-1} is bad input: InputError names the worst
+    node and U*'s eigenvalues there, or its entries where U* is not finite;
+    so is a non-finite alpha, which the returned Problem refuses as any input.
+    """
+    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly.  A huge
+    # u_star may overflow to a NaN margin, and a U* on the cone's boundary
+    # divides by sigma_{k-1} = 0: the margin check below rejects both.  The
+    # returned Problem rejects an alpha that overflows.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = evaluate(u_star, 1.0, problem, jet=jet)
+        alpha = -np.exp(-2.0 * state.u) * state.value
+    if not state.margin.min() > 0.0:
+        raise InputError(admissibility_failure(state, 0.0, "u_star rejected"))
+    return replace(problem, alpha=alpha)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import InputError, monitors, operator
+from . import monitors, operator
 from .grid import PeriodicGrid, sup_norm
 
 # Step-length control from the corrector's iteration count (Allgower &
@@ -88,7 +88,6 @@ __all__ = [
     "StepRecord",
     "newton_solve_at_t",
     "continuation_steps",
-    "manufacture_alpha",
 ]
 
 
@@ -414,30 +413,3 @@ def continuation_steps(problem, config):
                 dt *= 2.0
         else:
             dt, hold = 0.5 * rec.dt, _HOLD_AFTER_REJECT
-
-
-def manufacture_alpha(u_star, problem, *, jet=None):
-    """Back-solve the t=1 equation for alpha so u_star is its exact root.
-
-        alpha = -e^{-2 u*} [sigma_k/sigma_{k-1}(U*) - sum_l alpha_l e^{2(k-l)u*}
-                            sigma_l/sigma_{k-1}(U*)]
-
-    Returns `problem` with alpha replaced; its alpha_l enter the equation
-    and its own alpha is ignored.  alpha carries no sign constraint.  Pass the
-    analytic `jet` of u_star to manufacture against exact derivatives
-    (convergence studies); otherwise the stencil jet is used and the
-    construction residual is identically zero at this resolution.  A u_star
-    whose U* leaves Gamma_{k-1} is bad input: InputError names the worst
-    node and the eigenvalues of U* there; so is an alpha that is not
-    finite, which the returned Problem refuses as it refuses any input.
-    """
-    # at t = 1 the weights (1-t) c + t alpha_l are alpha_l exactly.  A huge
-    # u_star may overflow to a NaN margin, and a U* on the cone's boundary
-    # divides by sigma_{k-1} = 0: the margin check below rejects both.  The
-    # returned Problem rejects an alpha that overflows.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = operator.evaluate(u_star, 1.0, problem, jet=jet)
-        alpha = -np.exp(-2.0 * state.u) * state.value
-    if not state.margin.min() > 0.0:
-        raise InputError(operator.admissibility_failure(state, 0.0, "u_star rejected"))
-    return replace(problem, alpha=alpha)

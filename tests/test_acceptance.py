@@ -9,7 +9,7 @@ from textwrap import dedent
 import numpy as np
 
 from conftest import admissible_state, l2_norm, linearize, make_problem, trivial_problem
-from ksig import geometry, monitors, solver
+from ksig import geometry, monitors, operator, solver
 from ksig.cli import main
 from ksig.fieldexpr import analytic_jet
 from ksig.grid import PeriodicGrid, read_field, sup_norm, write_field
@@ -124,7 +124,7 @@ def test_criterion_4_manufactured_convergence(capsys):
     for N in (16, 32):
         grid = make_grid(3, N)
         jet = analytic_jet("0.1*sin(x1)*cos(x2)", grid)
-        problem = solver.manufacture_alpha(jet.value, make_problem(grid), jet=jet)
+        problem = operator.manufacture_alpha(jet.value, make_problem(grid), jet=jet)
         res = solver.newton_solve_at_t(jet.value, 1.0, problem, cfg)
         errs[N] = sup_norm(res.u - jet.value)
     order = float(np.log2(errs[16] / errs[32]))

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksig import InputError, cli, fieldexpr, geometry, monitors, runconfig, solver
+from ksig import InputError, cli, fieldexpr, monitors, operator, runconfig, solver
 from ksig.cli import main
 from ksig.grid import PeriodicGrid, read_field, write_field
 from ksig.monitors import CSV_FIELDS
@@ -315,7 +315,7 @@ def test_build_problem_evaluates_one_alpha_l_entry_once(tmp_path, monkeypatch):
     cfg = default_config(tmp_path, **{"n = 3": "n = 5", "k = 3": "k = 5", "alpha_l = 1.0": "alpha_l = 2.0"})
     problem = runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
     assert specs.count("2.0") == 1
-    beta = geometry.beta_weights(problem, problem.grid.zeros(), 1.0)
+    beta = operator.beta_weights(problem, problem.grid.zeros(), 1.0)
     assert beta.shape == problem.grid.shape + (4,) and np.all(beta == 2.0)
 
 
@@ -823,6 +823,51 @@ def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):
     sa.pop("timings")
     sb.pop("timings")
     assert sa == sb
+
+
+# The README problem at n = k = 3, N = 32 and at n = k = 5, N = 8, the
+# manufacture-and-solve of the benchmark's u_star at n = k = 3, N = 20, and
+# CI's hard row at n = k = 4, N = 8, each with the first 16 hex digits of the
+# SHA-256 of its artifacts.  A rerun is byte-identical within one tree (test
+# above); these pin the answers across changes to the code
+PINNED_RUNS = {
+    "default-n3-N32": (
+        "n = 3\nk = 3\nresolution = 32\nalpha = 0.2*sin(x1)\nalpha_l = 1.0\n",
+        {"out/u_final.ksig": "1beff05aa6f27026", "out/monitors.csv": "39dfcc35d3aef81f"},
+    ),
+    "default-n5-N8": (
+        "n = 5\nk = 5\nresolution = 8\nalpha = 0.2*sin(x1)\nalpha_l = 1.0\n",
+        {"out/u_final.ksig": "b3ddcedba34b2fc3", "out/monitors.csv": "2c837843dd88ebad"},
+    ),
+    "manufactured-n3-N20": (
+        "n = 3\nk = 3\nresolution = 20\nalpha_l = 1\nu_star = 0.1*sin(x1)*cos(x2) + 0.05*cos(x3)\n",
+        {
+            "out/alpha.ksig": "26f2298744365046",
+            "manufactured-run/u_final.ksig": "707e391c2d03fced",
+            "manufactured-run/monitors.csv": "22fd7cfe0af44fa5",
+        },
+    ),
+    "hard-n4-N8": (
+        "n = 4\nk = 4\nresolution = 8\nalpha = 10*sin(x1)*cos(x2)\n",
+        {"out/u_final.ksig": "67f28a0ed429bdca", "out/monitors.csv": "52c8ae27abbcd6fd"},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_workload_artifacts_are_pinned(tmp_path, monkeypatch, run):
+    # the four take under 1 s together
+    problem, pinned = PINNED_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KSIG_OUTDIR", raising=False)
+    Path("run.ini").write_text(f"[problem]\n{problem}\n[output]\ndirectory = out\n")
+    if "u_star" in problem:
+        assert main(["manufacture", "run.ini"]) == 0
+        assert main(["solve", "out/manufactured.ini"]) == 0
+    else:
+        assert main(["solve", "run.ini"]) == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()[:16] for name in pinned}
+    assert digests == pinned
 
 
 @st.composite
@@ -1418,7 +1463,7 @@ def test_manufacture_does_not_report_a_bug_as_invalid_config(tmp_path, monkeypat
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(solver, "manufacture_alpha", broken)
+    monkeypatch.setattr(operator, "manufacture_alpha", broken)
     outdir = tmp_path / "manu"
     cfg = write_config(tmp_path, MANU_CONFIG.format(outdir=outdir))
     with pytest.raises(ValueError, match="broadcast"):
@@ -1792,6 +1837,9 @@ SMOKE_CALLS = [
     "manufacture {out}/manufacture.ini",
     "solve manufactured.ini",
     "report manufactured-run",
+    "manufacture stencil.ini",
+    "solve manufactured.ini",
+    "report manufactured-run",
 ]
 
 
@@ -1819,7 +1867,7 @@ def test_smoke_script_runs_every_step_and_stops_at_a_failing_one(tmp_path, faili
     if failing is None:
         assert done.returncode == 0, done.stderr
         assert calls == expected
-        for run in ("s", "h", "m/manufactured-run"):
+        for run in ("s", "h", "m/manufactured-run", "m/stencil/manufactured-run"):
             assert json.loads((out / run / "summary.json").read_text())["t_final"] == 1.0
             assert all((out / run / chart).is_file() for chart in CHARTS)
     else:

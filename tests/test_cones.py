@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from ksig import cones, geometry, sampling
+from ksig import cones, operator, sampling
 from ksig.grid import PeriodicGrid, compute_jet
 
 
@@ -562,7 +562,7 @@ BLOCK_SIZES = [0, 1, None, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
 def as_plane_view(M):
     """M (..., n, n) as the view of contiguous planes (n, n, ...) that
-    geometry.assemble_U returns."""
+    operator.assemble_U returns."""
     planes = np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
     return np.moveaxis(planes, (0, 1), (-2, -1))
 
@@ -609,7 +609,7 @@ def test_quotient_eval_transient_memory_is_block_sized():
     # (k-1) n^2 N^n doubles would add 25 MiB
     grid = PeriodicGrid(dim=5, resolution=8)
     u = 0.05 * np.sin(grid.coordinate(0)) * np.cos(grid.coordinate(1)) + grid.zeros()
-    U = geometry.assemble_U(compute_jet(grid, u), make_problem(grid), 0.5)
+    U = operator.assemble_U(compute_jet(grid, u), make_problem(grid), 0.5)
     beta = np.full(grid.shape + (4,), 0.3)
     tracemalloc.start()
     try:

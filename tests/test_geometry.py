@@ -8,8 +8,9 @@ import pytest
 
 from conftest import make_problem
 from ksig import InputError, cones
-from ksig.geometry import assemble_U, beta_weights, spaceform_schouten
+from ksig.geometry import spaceform_schouten
 from ksig.grid import PeriodicGrid, compute_jet
+from ksig.operator import assemble_U, beta_weights
 
 
 # ---------------------------------------------------------------- space forms

@@ -37,7 +37,7 @@ def manufactured(expr, grid, k=3, **background):
     """u_star from `expr` and the problem built around it from its analytic
     jet, with alpha_l = 1."""
     jet = analytic_jet(expr, grid)
-    return jet.value, solver.manufacture_alpha(jet.value, make_problem(grid, k=k, **background), jet=jet)
+    return jet.value, operator.manufacture_alpha(jet.value, make_problem(grid, k=k, **background), jet=jet)
 
 
 def residual(u, t, problem):
@@ -202,8 +202,8 @@ def central_dU(u, v, t, problem):
     stencil jet, so this is its exact derivative for any step."""
     grid = problem.grid
     return 0.5 * (
-        geometry.assemble_U(compute_jet(grid, u + v), problem, t)
-        - geometry.assemble_U(compute_jet(grid, u - v), problem, t)
+        operator.assemble_U(compute_jet(grid, u + v), problem, t)
+        - operator.assemble_U(compute_jet(grid, u - v), problem, t)
     )
 
 
@@ -212,7 +212,7 @@ def jacobian_error(state, v, dU, problem):
     contracted with G^{ij}, plus the pointwise derivative in u of
     beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
     k, u, t = problem.k, state.u, state.t
-    dbeta = 2.0 * (k - np.arange(k - 1)) * geometry.beta_weights(problem, u, t)
+    dbeta = 2.0 * (k - np.arange(k - 1)) * operator.beta_weights(problem, u, t)
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]
     pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * problem.alpha * np.exp(2.0 * u)
     exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
@@ -279,7 +279,7 @@ def test_evaluate_leaves_its_inputs_untouched(n):
     fresh = compute_jet(grid, u)
     assert state.grad_u.tobytes() == fresh.grad_planes.tobytes()
     assert state.lap_u.tobytes() == fresh.laplacian.tobytes()
-    assert np.array_equal(state.U, geometry.assemble_U(fresh, problem, t))
+    assert np.array_equal(state.U, operator.assemble_U(fresh, problem, t))
     assert not np.shares_memory(state.U, state.grad)
     hessian_shaped = [
         f.name
@@ -970,7 +970,7 @@ def test_hard_panel_counts(monkeypatch, case, counts):
 
 def test_manufacture_trivial_field_gives_zero_alpha():
     grid = make_grid()
-    problem = solver.manufacture_alpha(grid.zeros(), trivial_problem(grid, 3))
+    problem = operator.manufacture_alpha(grid.zeros(), trivial_problem(grid, 3))
     assert np.array_equal(problem.alpha, np.zeros(grid.shape))
 
 
@@ -991,7 +991,7 @@ def test_manufacture_with_stencil_jet_is_exact_at_grid_level():
     # exact discrete root and Newton has nothing to do
     grid = make_grid(3, 8)
     u_star = analytic_jet("0.1*sin(x1)*cos(x2)", grid).value
-    problem = solver.manufacture_alpha(u_star, default_problem(grid))  # jet defaults to stencil
+    problem = operator.manufacture_alpha(u_star, default_problem(grid))  # jet defaults to stencil
     assert sup_norm(residual(u_star, 1.0, problem)) <= 1e-12
 
 
@@ -1007,7 +1007,7 @@ def test_manufacture_checks_alpha_l_shape():
     grid = make_grid()
     with pytest.raises(ValueError, match="^alpha_l of shape") as exc:
         bad = make_problem(grid, alpha_l=np.ones((3,) + grid.shape))
-        solver.manufacture_alpha(grid.zeros(), bad)
+        operator.manufacture_alpha(grid.zeros(), bad)
     assert not isinstance(exc.value, InputError)
 
 
