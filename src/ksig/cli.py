@@ -212,6 +212,7 @@ def cmd_manufacture(args):
     geometry.require_finite("u_star", u_star)
     problem = operator.manufacture_alpha(u_star, problem, jet=jet)
     _make_outdir(outdir)
+    (outdir / "manufactured.ini").unlink(missing_ok=True)
 
     write_field(outdir / "u_star.ksig", grid, u_star)
     write_field(outdir / "alpha.ksig", grid, problem.alpha)

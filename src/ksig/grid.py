@@ -1,11 +1,8 @@
-"""Periodic uniform grids on the 2*pi torus: discrete jets, norms, field I/O.
+"""Periodic uniform grids on the 2*pi torus: the grid, the jet layout, norms, field I/O.
 
 Scalar fields are plain float64 arrays of shape grid.shape; the grid object
-travels alongside them.  Derivatives are second-order central differences
-with periodic wraparound, realized with `shift` (two slice copies per
-shifted field) so the stencil is exact at the wrap seam, and spelled once:
-a mixed difference is a centred difference of centred differences, here and
-in dF's apply.  `shift`, `mirror`, `dot_planes` and `worst_node` are the
+travels alongside them.  `JetField` lays out a field's value and derivatives
+as component planes; `mirror`, `dot_planes` and `worst_node` are the
 package's helpers for fields and component planes.
 """
 
@@ -25,8 +22,6 @@ __all__ = [
     "JetField",
     "dot_planes",
     "mirror",
-    "shift",
-    "compute_jet",
     "sup_norm",
     "worst_node",
     "write_field",
@@ -110,52 +105,6 @@ def mirror(P):
     lower one, in place."""
     for a in range(1, P.shape[0]):
         P[a, :a] = P[:a, a]
-
-
-def shift(a, steps, axis, out=None):
-    """a(x + steps h e_axis) with periodic wraparound, by two slice copies.
-
-    The result, written into `out` (a new array when None; it must not
-    share memory with `a`), equals numpy's roll of `a` by -steps along axis.
-    """
-    if out is None:
-        out = np.empty_like(a)
-    size = a.shape[axis]
-    s = steps % size
-    lead = (slice(None),) * axis
-    out[lead + (slice(0, size - s),)] = a[lead + (slice(s, size),)]
-    out[lead + (slice(size - s, size),)] = a[lead + (slice(0, s),)]
-    return out
-
-
-def compute_jet(grid, values):
-    """Second-order central-difference jet with periodic wraparound."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    n = grid.dim
-    h = grid.spacing
-    grad = np.empty((n,) + values.shape)
-    hess = np.empty((n, n) + values.shape)
-    fwd, back = np.empty_like(values), np.empty_like(values)
-    for i in range(n):
-        shift(values, 1, i, fwd)
-        shift(values, -1, i, back)
-        np.subtract(fwd, back, out=grad[i])
-        d2 = np.multiply(values, 2.0, out=hess[i, i])
-        np.subtract(fwd, d2, out=d2)
-        d2 += back
-        d2 /= h * h
-    # as in dF's apply, the cross terms difference grad before it is scaled
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = hess[i, j]
-            np.subtract(shift(grad[i], 1, j, fwd), shift(grad[i], -1, j, back), out=cross)
-            cross /= 4.0 * h * h
-            hess[j, i] = cross
-    grad /= 2.0 * h
-    lap = np.trace(hess)
-    return JetField(value=values, grad_planes=grad, hess_planes=hess, laplacian=lap)
 
 
 def sup_norm(values):

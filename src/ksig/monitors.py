@@ -2,10 +2,10 @@
 
 Monitors report the quantities the a priori estimates control (sup-norms,
 cone margins, ellipticity eigenvalues, ratio bounds) once per accepted
-step, in monitors.csv and nowhere else; nothing here asserts the
-non-explicit constants, and nothing here aborts a solve.  This module alone
-knows the columns: it writes and reads monitors.csv and charts its columns
-against t (write_charts).
+step, read off an operator.evaluate state and F's operator.forcing term, in
+monitors.csv and nowhere else; nothing here asserts the non-explicit
+constants, and nothing here aborts a solve.  This module alone knows the
+columns: it writes and reads monitors.csv and charts them (write_charts).
 The lemma suite re-checks the cone algebra on random and adversarially
 boundary-biased samples with a counter-based generator so results are
 reproducible from the seed alone.
@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import InputError, cones, sampling, svgplot
+from . import InputError, cones, operator, sampling, svgplot
 from .artifacts import replacing
 from .grid import dot_planes, sup_norm
 
@@ -76,8 +76,7 @@ def snapshot_point(state, problem, newton_iters):
     max_ratio = float(ratios.max())
 
     contraction = np.einsum("...ij,...ij->...", state.grad, state.U)
-    forcing = state.t * problem.alpha * np.exp(2.0 * state.u)
-    eq33 = float((contraction + forcing).min())
+    eq33 = float((contraction + operator.forcing(problem, state.u, state.t)).min())
 
     return MonitorReport(
         t=float(state.t),

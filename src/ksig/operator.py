@@ -1,11 +1,15 @@
 """The discrete operator F and its exact derivative dF, in one module.
 
-`evaluate` builds F at one (u, t) from U^t (`assemble_U`) and beta_l
-(`beta_weights`), with the cone margin and the gradient G^{ij}; the solver,
-the monitors and `manufacture_alpha` go through it, so residuals, gradients,
-cone margins and inequality slacks always come from the same arithmetic.
-`jacobian` builds dF at an evaluated state, once per Newton step; F and dF
-read their coefficients from one definition.  The residual convention is
+`compute_jet` takes a field's second-order central-difference jet with
+periodic wraparound, by `_shift`'s two slice copies, so the stencil is
+exact at the wrap seam; dF's apply differences v the same way.  `evaluate`
+builds F at one (u, t) from U^t (`assemble_U`), beta_l (`beta_weights`)
+and the forcing term (`forcing`), with the cone margin and the gradient
+G^{ij}; the solver, the monitors and `manufacture_alpha` go through it, so
+residuals, gradients, cone margins and inequality slacks always come from
+the same arithmetic.  `jacobian` builds dF at an evaluated state, once per
+Newton step; F and dF read their coefficients and their stencil from one
+definition.  The residual convention is
 
     F(u; t) = G(U^t) + t alpha e^{2u},
 
@@ -19,10 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import InputError, cones
-from .grid import compute_jet, dot_planes, mirror, shift, worst_node
+from .grid import JetField, dot_planes, mirror, worst_node
 
 __all__ = [
-    "PointState", "beta_weights", "assemble_U", "evaluate", "jacobian", "admissibility_failure", "manufacture_alpha"
+    "PointState", "beta_weights", "forcing", "compute_jet", "assemble_U", "evaluate", "jacobian",
+    "admissibility_failure", "manufacture_alpha",
 ]
 
 
@@ -58,6 +63,52 @@ def beta_weights(problem, u, t):
     al = np.moveaxis(problem.alpha_l, 0, -1)
     u = np.asarray(u, dtype=np.float64)
     return ((1.0 - t) * c + t * al) * np.exp(exponents * u[..., None])
+
+
+def forcing(problem, u, t):
+    """F's forcing term t alpha e^{2u}."""
+    return t * problem.alpha * np.exp(2.0 * u)
+
+
+def _shift(a, steps, axis, out):
+    """a(x + steps h e_axis), numpy's roll of `a` by -steps along axis, as two
+    slice copies into `out`, which must not share memory with `a`."""
+    size = a.shape[axis]
+    s = steps % size
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, size - s),)] = a[lead + (slice(s, size),)]
+    out[lead + (slice(size - s, size),)] = a[lead + (slice(0, s),)]
+    return out
+
+
+def compute_jet(grid, values):
+    """Second-order central-difference jet with periodic wraparound."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != grid.shape:
+        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
+    n = grid.dim
+    h = grid.spacing
+    grad = np.empty((n,) + values.shape)
+    hess = np.empty((n, n) + values.shape)
+    fwd, back = np.empty_like(values), np.empty_like(values)
+    for i in range(n):
+        _shift(values, 1, i, fwd)
+        _shift(values, -1, i, back)
+        np.subtract(fwd, back, out=grad[i])
+        d2 = np.multiply(values, 2.0, out=hess[i, i])
+        np.subtract(fwd, d2, out=d2)
+        d2 += back
+        d2 /= h * h
+    # as in dF's apply, the cross terms difference grad before it is scaled
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross = hess[i, j]
+            np.subtract(_shift(grad[i], 1, j, fwd), _shift(grad[i], -1, j, back), out=cross)
+            cross /= 4.0 * h * h
+            hess[j, i] = cross
+    grad /= 2.0 * h
+    lap = np.trace(hess)
+    return JetField(value=values, grad_planes=grad, hess_planes=hess, laplacian=lap)
 
 
 def assemble_U(jet, problem, t):
@@ -116,7 +167,7 @@ def evaluate(u, t, problem, jet=None):
     beta = beta_weights(problem, u, t)
     ev = cones.quotient_eval(U, k, beta)
     margin = ev.sigma[..., 1:k].min(axis=-1)
-    residual = ev.value + t * problem.alpha * np.exp(2.0 * u)
+    residual = ev.value + forcing(problem, u, t)
     return PointState(
         u=u,
         t=t,
@@ -140,12 +191,12 @@ def jacobian(state, problem):
 
     dF[v] = A^{ij} D_ij v + b^i D_i v + c v with A = G + c1 tr(G) I,
     b = 2 c2 tr(G) grad u - 2 G grad u, G = G^{ij}, c1 and c2 as in U^t
-    and c = sum_l 2(k-l) beta_l G_l + 2 t alpha e^{2u}, where
-    G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
+    and c = sum_l 2(k-l) beta_l G_l + 2 t alpha e^{2u}, twice the forcing,
+    where G_l = -sigma_l/sigma_{k-1}; all on the flat chart.  Returns
     (apply, diagonal): apply(v) is dF[v] for a grid field v, summed from the
-    weights of v(x), of v(x +- h e_i) and of the cross differences, spelled
-    as compute_jet spells them; diagonal is the weight of v(x), dF's
-    diagonal.  Of the state it reads G^{ij}, grad u, sigma, beta and u.
+    weights of v(x), of v(x +- h e_i) and of compute_jet's cross
+    differences; diagonal is the weight of v(x), dF's diagonal.  Of the
+    state it reads G^{ij}, grad u, sigma, beta and u.
     """
     grid = problem.grid
     n = grid.dim
@@ -171,7 +222,7 @@ def jacobian(state, problem):
     drift *= 1.0 / (2.0 * h)
     gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
     zeroth = np.sum(exponents * state.beta * gl, axis=-1)
-    zeroth += 2.0 * t * problem.alpha * np.exp(2.0 * state.u)
+    zeroth += 2.0 * forcing(problem, state.u, t)
     centre = zeroth - 2.0 * axial.sum(axis=0)
     minus = axial - drift
     plus = axial
@@ -184,12 +235,12 @@ def jacobian(state, problem):
         out = centre * v
         diffs = []
         for i in range(n):
-            shift(v, 1, i, fwd)
-            shift(v, -1, i, back)
+            _shift(v, 1, i, fwd)
+            _shift(v, -1, i, back)
             out += plus[i] * fwd + minus[i] * back
             diffs.append(fwd - back)
         for i, j, w in cross:
-            np.subtract(shift(diffs[i], 1, j, fwd), shift(diffs[i], -1, j, back), out=fwd)
+            np.subtract(_shift(diffs[i], 1, j, fwd), _shift(diffs[i], -1, j, back), out=fwd)
             out += np.multiply(w, fwd, out=fwd)
         return out
 

@@ -827,8 +827,10 @@ def test_solve_rerun_is_bit_identical(tmp_path, monkeypatch):
 
 # The README problem at n = k = 3, N = 32 and at n = k = 5, N = 8, the
 # manufacture-and-solve of the benchmark's u_star at n = k = 3, N = 20, and
-# CI's hard row at n = k = 4, N = 8, each with the first 16 hex digits of the
-# SHA-256 of its artifacts.  A rerun is byte-identical within one tree (test
+# CI's hard row at n = k = 4, N = 8, and a row at tau = -0.5, k = 3 < n = 4,
+# N = 16 with a per-l alpha_l on the space form B = -I, so that how c1, c2
+# and beta read tau and alpha_l moves a digest; each with the first 16 hex
+# digits of the SHA-256 of its artifacts.  A rerun is byte-identical within one tree (test
 # above); these pin the answers across changes to the code
 PINNED_RUNS = {
     "default-n3-N32": (
@@ -851,12 +853,17 @@ PINNED_RUNS = {
         "n = 4\nk = 4\nresolution = 8\nalpha = 10*sin(x1)*cos(x2)\n",
         {"out/u_final.ksig": "67f28a0ed429bdca", "out/monitors.csv": "52c8ae27abbcd6fd"},
     ),
+    "tau-n4k3-N16": (
+        "n = 4\nk = 3\ntau = -0.5\nresolution = 16\nbackground = spaceform:-1\n"
+        "alpha = 0.3*sin(x1)*cos(x3)\nalpha_l = 1, 0.5 + 0.1*sin(x2)\n",
+        {"out/u_final.ksig": "1f8a0a88e03fc916", "out/monitors.csv": "d95934a3593bcacd"},
+    ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
 def test_workload_artifacts_are_pinned(tmp_path, monkeypatch, run):
-    # the four take under 1 s together
+    # the five take about 1 s together
     problem, pinned = PINNED_RUNS[run]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("KSIG_OUTDIR", raising=False)
@@ -1238,6 +1245,28 @@ def test_manufacture_writes_solvable_package(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(outdir / "manufactured.ini")]) == 0
     summary = json.loads((tmp_path / "solved" / "summary.json").read_text())
     assert summary["residual_sup"] <= 1e-9
+
+
+def test_manufactured_ini_marks_a_complete_package(tmp_path, monkeypatch):
+    # manufacture one u_star into pkg, then another whose write of
+    # alpha_l_0.ksig fails: the first run's manufactured.ini must not stay
+    # beside the second run's u_star.ksig and alpha.ksig
+    outdir = tmp_path / "pkg"
+    assert main(["manufacture", str(write_config(tmp_path, MANU_CONFIG.format(outdir=outdir)))]) == 0
+    first = (outdir / "u_star.ksig").read_bytes()
+    real_write = cli.write_field
+
+    def failing(path, grid, values):
+        if Path(path).name == "alpha_l_0.ksig":
+            raise OSError("write failed")
+        return real_write(path, grid, values)
+
+    monkeypatch.setattr(cli, "write_field", failing)
+    text = MANU_CONFIG.format(outdir=outdir).replace("0.1*sin(x1)*cos(x2)", "0.05*cos(x3)")
+    with pytest.raises(OSError, match="write failed"):
+        main(["manufacture", str(write_config(tmp_path, text, "other.ini"))])
+    assert (outdir / "u_star.ksig").read_bytes() != first
+    assert not (outdir / "manufactured.ini").exists()
 
 
 def test_manufacture_from_a_file_u_star_is_an_exact_discrete_root(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from ksig import cones, operator, sampling
-from ksig.grid import PeriodicGrid, compute_jet
+from ksig.grid import PeriodicGrid
+from ksig.operator import compute_jet
 
 
 def sigma_enum(lam, k):

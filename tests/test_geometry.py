@@ -9,8 +9,8 @@ import pytest
 from conftest import make_problem
 from ksig import InputError, cones
 from ksig.geometry import spaceform_schouten
-from ksig.grid import PeriodicGrid, compute_jet
-from ksig.operator import assemble_U, beta_weights
+from ksig.grid import PeriodicGrid
+from ksig.operator import assemble_U, beta_weights, compute_jet
 
 
 # ---------------------------------------------------------------- space forms

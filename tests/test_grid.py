@@ -10,12 +10,12 @@ import pytest
 from ksig import InputError, fieldexpr
 from ksig.grid import (
     PeriodicGrid,
-    compute_jet,
     dot_planes,
     read_field,
     sup_norm,
     write_field,
 )
+from ksig.operator import compute_jet
 
 
 def coords(grid):

@@ -2,8 +2,9 @@
 every name a module exports has a caller inside the package, every
 import of a sibling module sits at module level, the third-party
 packages the modules import are exactly the declared dependencies, no
-module holds an array at module level, and `InputError` is the package's
-one exception class.
+module holds an array at module level, `InputError` is the package's
+one exception class, and the sources and CI hold to the Python floor that
+pyproject.toml declares.
 
 A name with a leading underscore is an implementation detail of its own
 module; a name in `__all__` that only tests reach is test scaffolding in the
@@ -33,6 +34,7 @@ from ksig.grid import PeriodicGrid
 
 SRC = Path(ksig.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+WORKFLOW = PYPROJECT.parent / ".github" / "workflows" / "tier1.yml"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -269,6 +271,36 @@ def test_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     assert third_party_imports(SRC) == {re.match(r"[\w.-]+", spec).group() for spec in declared} == {"numpy"}
+
+
+def version(text):
+    """(major, minor) of a version string such as "3.10"."""
+    return tuple(int(part) for part in text.split("."))
+
+
+def python_floor():
+    """The oldest Python that pyproject.toml's requires-python admits."""
+    tomllib = pytest.importorskip("tomllib")
+    spec = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    return version(re.fullmatch(r">=\s*(\d+\.\d+)", spec).group(1))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sources_parse_at_the_python_floor(path):
+    # only one Python may be at hand where the tests run: the parser's
+    # feature_version still refuses syntax newer than the floor CI runs
+    ast.parse(path.read_text(), filename=str(path), feature_version=python_floor())
+
+
+def test_ci_workflow_runs_the_declared_floor():
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    assert sorted(jobs) == ["macos-smoke", "tests"]
+    for name, job in jobs.items():
+        for step in job["steps"]:
+            assert ("uses" in step) != ("run" in step), (name, step)
+    versions = jobs["tests"]["strategy"]["matrix"]["python-version"]
+    assert min(map(version, versions)) == python_floor()
 
 
 def test_import_check_sees_every_import_form(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, trivial_problem
+from conftest import admissible_state, make_problem, trivial_problem
 from ksig import InputError, cones, monitors, operator, runconfig, sampling, solver
 from ksig.grid import PeriodicGrid, mirror
 
@@ -55,6 +55,20 @@ def test_anchor_snapshot_frozen_values():
     assert abs(rep.eq33_slack - 0.75) <= 1e-14
     assert rep.residual == 0.0
     assert rep.newton_iters == 2
+
+
+def test_residual_and_eq33_add_the_forcing_term():
+    # at t > 0 both F and eq33's contraction G^{ij} U_ij gain t alpha e^{2u},
+    # written out here for eq33
+    grid = PeriodicGrid(dim=3, resolution=8)
+    x1 = grid.coordinate(0)
+    alpha = 0.3 * np.sin(x1)
+    problem = make_problem(grid, alpha=alpha)
+    u = grid.zeros() + 0.1 * np.sin(x1) * np.cos(grid.coordinate(1))
+    state = admissible_state(u, 0.5, problem)
+    assert state.residual.tobytes() == (state.value + operator.forcing(problem, u, 0.5)).tobytes()
+    eq33 = np.einsum("...ij,...ij->...", state.grad, state.U) + 0.5 * alpha * np.exp(2.0 * u)
+    assert monitors.snapshot_point(state, problem, 0).eq33_slack == float(eq33.min())
 
 
 def test_snapshot_no_warning_on_admissible_run():

@@ -16,7 +16,8 @@ from conftest import admissible_state, l2_norm, linearize, make_problem, trivial
 from ksig import InputError, geometry, monitors, operator, runconfig, solver
 from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
-from ksig.grid import PeriodicGrid, compute_jet, sup_norm, write_field
+from ksig.grid import PeriodicGrid, sup_norm, write_field
+from ksig.operator import compute_jet
 
 
 def make_grid(n=3, N=8):
