@@ -137,8 +137,8 @@ def cmd_solve(args):
         print(f"{interrupted[0]} before the anchor step; nothing written", file=sys.stderr)
         return interrupted[1]
     # an uninterrupted march ends on the step that reaches t = 1, or stalls:
-    # on the rejected step that fell below dt_min, or on an accepted step
-    # short of t = 1 when its step budget is spent
+    # on the rejected step that fell below the minimum step, or on an
+    # accepted step short of t = 1 when its step budget is spent
     stalled = not (interrupted or (log[-1].accepted and log[-1].t == 1.0))
     summary = _write_run_artifacts(outdir, cfg, problem.grid, log, time.perf_counter() - start, stalled)
     if interrupted:
@@ -149,7 +149,7 @@ def cmd_solve(args):
         return interrupted[1]
     if stalled:
         if log[-1].note:
-            reason = f"step below dt_min={cfg.solver.dt_min} ({log[-1].note})"
+            reason = f"step below the minimum step ({log[-1].note})"
         else:
             reason = f"step budget spent after {len(log)} Newton solves"
         print(f"error: continuation stalled at t={summary['t_final']}: {reason}", file=sys.stderr)

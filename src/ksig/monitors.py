@@ -65,8 +65,6 @@ def snapshot_point(state, problem, newton_iters):
     """Build a MonitorReport from a PointState (operator.evaluate)."""
     k = problem.k
     sig = state.sigma
-    grad_norm = np.sqrt(dot_planes(state.grad_u, state.grad_u))
-
     min_eig = _min_eigenvalue(state.grad)
 
     n = problem.grid.dim
@@ -81,7 +79,8 @@ def snapshot_point(state, problem, newton_iters):
     return MonitorReport(
         t=float(state.t),
         sup_u=sup_norm(state.u),
-        sup_grad_u=float(grad_norm.max()),
+        # sqrt is monotone and correctly rounded: the root of the sup is the sup of the roots
+        sup_grad_u=float(np.sqrt(dot_planes(state.grad_u, state.grad_u).max())),
         sup_lap_u=sup_norm(state.lap_u),
         cone_margin=float(state.margin.min()),
         min_eig_Gij=min_eig,
@@ -228,7 +227,7 @@ def write_charts(rundir, reports):
     ts = [r.t for r in reports]
     for name, (title, y_label, log_y, lines) in _CHARTS.items():
         series = [(legend, [getattr(r, field) for r in reports]) for legend, field in lines]
-        svgplot.write_chart(rundir / name, title, "t", ts, series, y_label, log_y)
+        svgplot.write_chart(rundir / name, title, ts, series, y_label, log_y)
 
 
 # ---------------------------------------------------------------------------

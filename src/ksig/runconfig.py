@@ -21,10 +21,7 @@ The keys, at their defaults:
     u_star                # manufacture only, no default
 
     [solver]
-    residual_tol = 1e-9
-    max_newton = 30
-    dt_init = 0.1
-    dt_min = 1e-4
+    residual_tol = 1e-9   # the Newton limit and the step controls are solver constants
 
     [output]
     directory = ksig-out  # overridden by $KSIG_OUTDIR when set

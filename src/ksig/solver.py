@@ -23,18 +23,18 @@ its own contraction shows the step has left the convergence region
 (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004, ch. 5):
 when damping needs a factor below _DAMPING_FLOOR, or when an iteration
 after the first cuts the residual by less than 1 - _STALL_RATIO.  If the
-whole-path attempt fails, the march restarts from t = 0 with dt_init (at
-most half the failed step) and an adaptive controller: the t-step doubles
-after every step that Newton takes in few iterations and halves on a
-failure.  A run that needs a step below dt_min stalls: its last record is
-that rejected step, and its last accepted state has t < 1, the same way a
-finished run ends on its accepted step at t = 1.
+whole-path attempt fails, the march restarts from t = 0 with a step of
+_DT_INIT and an adaptive controller: the t-step doubles after every step
+that Newton takes in few iterations and halves on a failure.  A run that
+needs a step below _DT_MIN stalls: its last record is that rejected step,
+and its last accepted state has t < 1, the same way a finished run ends on
+its accepted step at t = 1.
 A failed Newton solve is an expected outcome of the march, not an error: it
 returns a StepRecord whose note gives the reason.
 
-A run sets only the residual tolerance, the Newton limit and the step
-controls (SolverConfig); damping, the cone margin and the GMRES limits are
-the module constants below.
+A run sets only the residual tolerance (SolverConfig); the Newton limit,
+the step controls, damping, the cone margin and the GMRES limits are the
+module constants below.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ import numpy as np
 from . import monitors, operator
 from .grid import PeriodicGrid, sup_norm
 
+# One Newton solve takes at most _MAX_NEWTON iterations.  After a failed
+# whole-path attempt the march steps by _DT_INIT, and it stalls on a
+# rejected step that leaves dt below _DT_MIN.
+_MAX_NEWTON = 30
+_DT_INIT = 0.1
+_DT_MIN = 1e-4
 # Step-length control from the corrector's iteration count (Allgower &
 # Georg, Introduction to Numerical Continuation Methods, SIAM 2003): an
 # accepted step that took at most this many Newton iterations doubles dt,
@@ -73,14 +79,12 @@ _EW_ETA_MAX = 0.01
 _LINEAR_RTOL = 1e-10
 _LINEAR_MAXITER = 400
 _LINEAR_RESTART = 50
-# The smallest t-step: it moves every float t <= 1 (whose spacing is at most
-# 2.2e-16), so a step can never round back to the t it started from; a step
-# that ends within it of t = 1 lands on 1.
+# A step that ends within this of t = 1 lands on 1.
 _DT_FLOOR = 1e-12
 # The step budget: a march that has made this many Newton solves, the anchor
 # and the whole-path attempt included, stalls at its next accepted step,
-# however far from t = 1 (a cap on steps, like AUTO's NMX).  At dt_min =
-# _DT_FLOOR a march could otherwise creep for up to 1e12 steps.
+# however far from t = 1 (a cap on steps, like AUTO's NMX).  At dt =
+# _DT_MIN a march could otherwise take about 1e4 steps.
 _MAX_STEPS = 1000
 
 __all__ = [
@@ -93,27 +97,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance and step controls for one continuation run.
+    """The residual tolerance of one continuation run.
 
-    k and tau are not settings here: the solver reads problem.k and
-    problem.tau.  dt_min is at least _DT_FLOOR, the smallest step that
-    moves t.
+    A run sets only the residual tolerance: k and tau are the problem's
+    (problem.k, problem.tau), and the Newton limit and the step controls
+    are the module constants _MAX_NEWTON, _DT_INIT and _DT_MIN.
     """
 
     residual_tol: float = 1e-9
-    max_newton: int = 30
-    dt_init: float = 0.1
-    dt_min: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.residual_tol < math.inf:
             raise ValueError("residual_tol must be positive and finite")
-        if not 0.0 < self.dt_min < self.dt_init <= 1.0:
-            raise ValueError("need 0 < dt_min < dt_init <= 1")
-        if not self.dt_min >= _DT_FLOOR:
-            raise ValueError(f"dt_min must be >= {_DT_FLOOR}, the smallest step that moves t")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -267,8 +262,8 @@ def newton_solve_at_t(u0, t, problem, config):
         note = failure("non-finite residual")
 
     while not (note or rnorm <= config.residual_tol):
-        if iters >= config.max_newton:
-            note = failure(f"Newton iteration limit {config.max_newton}")
+        if iters >= _MAX_NEWTON:
+            note = failure(f"Newton iteration limit {_MAX_NEWTON}")
             break
         eta = _forcing_term(rnorm, history[-2] if iters else None, config)
         apply, diagonal = operator.jacobian(state, problem)
@@ -358,20 +353,19 @@ def continuation_steps(problem, config):
     a grid, it starts from the prolonged root of a Newton solve at t = 1
     from u = 0 on the data injected onto N/2, and from the anchor if that
     solve fails; its record carries that solve's record in `coarse`.  If the
-    whole-path attempt fails, the next step is dt_init, or half the failed
-    step if that is smaller, and from there an accepted step that took at
-    most _GROW_NEWTON Newton iterations doubles dt, unless it is one of the
-    first _HOLD_AFTER_REJECT accepted steps after a later rejection; the
-    last step is clamped to t = 1.  A failed step halves the step it tried.
-    The march ends after the step that reaches t = 1, after the rejected
-    step that leaves dt below dt_min, or after the first accepted step once
-    _MAX_STEPS records are out: a log that ends on a rejected record, or on
-    an accepted one short of t = 1, is a stall.  Each record is
-    newton_solve_at_t's own with dt, the step actually tried, filled in: the
-    Newton iterations, final residual, damping backtracks and GMRES
-    iterations spent on it, and the note of a rejected step; an accepted
-    record also holds its root u and its MonitorReport.  A failed anchor
-    raises RuntimeError.
+    whole-path attempt fails, the next step is _DT_INIT, and from there an
+    accepted step that took at most _GROW_NEWTON Newton iterations doubles
+    dt, unless it is one of the first _HOLD_AFTER_REJECT accepted steps
+    after a later rejection; the last step is clamped to t = 1.  A failed
+    step halves the step it tried.  The march ends after the step that
+    reaches t = 1, after the rejected step that leaves dt below _DT_MIN,
+    or after the first accepted step once _MAX_STEPS records are out: a log
+    that ends on a rejected record, or on an accepted one short of t = 1, is
+    a stall.  Each record is newton_solve_at_t's own with dt, the step
+    actually tried, filled in: the Newton iterations, final residual,
+    damping backtracks and GMRES iterations spent on it, and the note of a
+    rejected step; an accepted record also holds its root u and its
+    MonitorReport.  A failed anchor raises RuntimeError.
     """
     # the anchor, and from then on the last accepted record
     last = newton_solve_at_t(problem.grid.zeros(), 0.0, problem, config)
@@ -392,10 +386,10 @@ def continuation_steps(problem, config):
     yield rec
     if rec.accepted:
         return
-    dt = min(config.dt_init, 0.5)  # at most half the failed whole path
+    dt = _DT_INIT
     hold = 0  # accepted steps still to take before dt may grow again
     steps = 2  # the records out so far
-    while last.t < 1.0 and dt >= config.dt_min:
+    while last.t < 1.0 and dt >= _DT_MIN:
         t_try = last.t + dt
         if t_try >= 1.0 - _DT_FLOOR:  # snap: accumulated steps may land at 1 - ulp
             t_try = 1.0

@@ -1,11 +1,11 @@
 """Tiny self-contained SVG polyline charts.
 
-`write_chart` draws named columns of numbers against one shared x column.
-Rendering is a pure function of the inputs with all coordinates formatted
-to fixed precision, so identical data produces byte-identical files --
-required for reproducible run artifacts.  Deliberately minimal: axes,
-ticks, legend, polylines; nothing interactive.  Its one caller is
-monitors.write_charts.
+`write_chart` draws named columns of numbers against one shared column of
+t, the continuation parameter.  Rendering is a pure function of the inputs
+with all coordinates formatted to fixed precision, so identical data
+produces byte-identical files -- required for reproducible run artifacts.
+Deliberately minimal: axes, ticks, legend, polylines; nothing interactive.
+Its one caller is monitors.write_charts.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ MARGIN_L = 64
 MARGIN_R = 16
 MARGIN_T = 36
 MARGIN_B = 48
+X_LABEL = "t"
 TICKS = 5  # per axis, evenly spaced from the low to the high end
 FLAT_PAD = 1.0  # half-width given to an axis whose data are all one value
 # an axis reaching past BIG is worked in units of BIG_UNIT, a power of two
@@ -62,10 +63,10 @@ def _tick_label(value, log_y=False):
     return f"{value:.4g}"
 
 
-def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
+def write_chart(path, title, xs, series, y_label, log_y):
     """Write to `path` an SVG document that plots each (label, ys) pair of
-    `series` against the shared `xs`, skipping points that are not finite
-    (and, with log_y, those at or below 0)."""
+    `series` against the shared `xs`, values of t, skipping points that are
+    not finite (and, with log_y, those at or below 0)."""
     plotted = []
     for label, ys in series:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
@@ -128,7 +129,7 @@ def write_chart(path, title, x_label, xs, series, y_label, log_y=False):
         )
     out.append(
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="monospace" font-size="11">{escape(x_label, quote=False)}</text>'
+        f'font-family="monospace" font-size="11">{X_LABEL}</text>'
     )
     y_text = escape(y_label + (" (log10)" if log_y else ""), quote=False)
     out.append(

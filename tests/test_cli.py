@@ -21,6 +21,7 @@ import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from textwrap import dedent
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_solve_default_problem(tmp_path, capsys):
     assert set(config["problem"]) == {
         "n", "k", "tau", "resolution", "background", "alpha", "alpha_l", "u_star"
     }
-    assert set(config["solver"]) == {"residual_tol", "max_newton", "dt_init", "dt_min"}
+    assert set(config["solver"]) == {"residual_tol"}
     assert set(config["output"]) == {"directory"}
     # the keys README lists; the per-step estimates live in monitors.csv only
     assert set(summary) == {
@@ -241,9 +242,6 @@ u_star = 0.1*sin(x1)*cos(x2)
 
 [solver]
 residual_tol = 1.5e-11
-max_newton = 7
-dt_init = 0.3
-dt_min = 0.001
 
 [output]
 directory = elsewhere/run
@@ -382,6 +380,7 @@ def test_config_defaults_are_the_field_defaults(tmp_path):
         ("[problem]\nn = 3\nk = 3\nalhpa = 1\n", "unknown [problem] keys: ['alhpa']"),
         ("[problem]\nn = 3\nk = 3\n[solver]\ntol = 1\n", "unknown [solver] keys: ['tol']"),
         ("[problem]\nn = 3\nk = 3\n[output]\ndir = x\n", "unknown [output] keys: ['dir']"),
+        # a missing [problem] is reported before an unknown [solver] key
         ("[solver]\nmax_newton = 3\n", "missing [problem] section"),
         ("[problem]\nk = 3\n", "[problem] n is required"),
         ("[problem]\nn = 3\n", "[problem] k is required"),
@@ -394,12 +393,12 @@ def test_config_defaults_are_the_field_defaults(tmp_path):
             "[problem] tau = 'x': could not convert string to float: 'x'",
         ),
         (
-            "[problem]\nn = 3\nk = 3\n[solver]\nmax_newton = 2.5\n",
-            "[solver] max_newton = '2.5': invalid literal for int() with base 10: '2.5'",
+            "[problem]\nn = 3\nk = 3\n[solver]\nresidual_tol = tiny\n",
+            "[solver] residual_tol = 'tiny': could not convert string to float: 'tiny'",
         ),
         (
-            "[problem]\nn = 3\nk = 3\n[solver]\ndt_init = 1e-5\n",
-            "[solver]: need 0 < dt_min < dt_init <= 1",
+            "[problem]\nn = 3\nk = 3\n[solver]\nresidual_tol = 0\n",
+            "[solver]: residual_tol must be positive and finite",
         ),
     ],
 )
@@ -456,34 +455,26 @@ def test_build_problem_reports_a_shape_bug_as_a_program_error(tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_refuses_a_dt_min_that_cannot_move_t(tmp_path, capsys, monkeypatch):
-    # below the float spacing of t a step would round back to the t it came
-    # from and the march would never end; the config is refused before any work
+@pytest.mark.parametrize("key", ["max_newton", "dt_init", "dt_min"])
+def test_solve_refuses_a_removed_solver_key(tmp_path, capsys, monkeypatch, key):
+    # the Newton limit and the step controls are solver constants, not
+    # settings: a config that still sets one is refused before any work
     monkeypatch.setattr(solver, "continuation_steps", lambda *args: pytest.fail("the march started"))
-    cfg = default_config(
-        tmp_path,
-        **{
-            "tau = 0.0": "tau = -1e154",
-            "alpha = 0.2*sin(x1)": "alpha = 0.1*sin(x1)",
-            "[output]": "[solver]\ndt_min = 1e-30\n\n[output]",
-        },
-    )
+    cfg = default_config(tmp_path, **{"[output]": f"[solver]\n{key} = 1\n\n[output]"})
     assert main(["solve", str(cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == "error: [solver]: dt_min must be >= 1e-12, the smallest step that moves t"
+    assert line == f"error: unknown [solver] keys: ['{key}']"
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
-    cfg = default_config(
-        tmp_path,
-        **{
-            "[output]": "[solver]\nmax_newton = 1\ndt_init = 0.2\ndt_min = 0.15\n\n[output]",
-        },
-    )
+def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    monkeypatch.setattr(solver, "_DT_INIT", 0.2)
+    monkeypatch.setattr(solver, "_DT_MIN", 0.15)
+    cfg = default_config(tmp_path)
     assert main(["solve", str(cfg)]) == 3
     err = capsys.readouterr().err
-    assert "continuation stalled at t=0.0: step below dt_min=0.15" in err
+    assert "continuation stalled at t=0.0: step below the minimum step (" in err
     assert "iteration limit 1 at t=0.2" in err  # the last rejected step's note
     out = tmp_path / "out"
     assert (out / "u_final.ksig").is_file()  # the anchor state was kept
@@ -492,8 +483,8 @@ def test_solve_stall_exits_3_and_persists_state(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stalled"] is True
     assert summary["t_final"] == 0.0
-    # the whole-path attempt, then one step of dt_init, each spending its
-    # one allowed Newton iteration
+    # the whole-path attempt, then the first step, each spending its one
+    # allowed Newton iteration
     assert summary["rejected_steps"] == 2
     assert summary["rejected_newton_iterations"] == 2
     assert [(rec["t"], rec["dt"], rec["newton_iters"]) for rec in summary["rejected"]] == [
@@ -515,7 +506,7 @@ def test_solve_overflowing_residual_stalls_cleanly(tmp_path, capsys):
     out = tmp_path / "out"
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("error: continuation stalled at t=0.0: step below dt_min=0.0001")
+    assert lines[0].startswith("error: continuation stalled at t=0.0: step below the minimum step (")
     assert "2-norm overflows" in lines[0]
     assert lines[1] == f"last accepted state written to {out}"
     _, u = read_field(out / "u_final.ksig")
@@ -582,18 +573,20 @@ def test_solve_overflowing_linear_residual_stalls_without_warnings(tmp_path, cap
     assert any("GMRES residual inf" in rec["note"] for rec in summary["rejected"])
 
 
-def test_solve_creeping_march_stalls_at_the_step_budget(tmp_path, capsys):
+def test_solve_creeping_march_stalls_at_the_step_budget(tmp_path, capsys, monkeypatch):
     # found by test_solve_ends_in_a_documented_exit_code: one Newton
-    # iteration per step and dt_min = 1e-12 let the march creep at dt ~ 5e-8,
-    # 5570 accepted steps to t = 4e-4 in 20 s, keeping every step's u; the
-    # step budget ends it as a stall on its last accepted step
+    # iteration per step and a minimum step of 1e-12 let the march creep at
+    # dt ~ 5e-8, 5570 accepted steps to t = 4e-4 in 20 s, keeping every
+    # step's u; the step budget ends it as a stall on its last accepted step
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    monkeypatch.setattr(solver, "_DT_INIT", 0.10000000000000002)
+    monkeypatch.setattr(solver, "_DT_MIN", 1e-12)
     cfg = default_config(
         tmp_path,
         **{
             "alpha = 0.2*sin(x1)": "alpha = 1.2589254117941673*sin(x1)",
             "tau = 0.0": "tau = 1.3878107994685834e-242",
-            "[output]": "[solver]\ndt_init = 0.10000000000000002\ndt_min = 1e-12\nmax_newton = 1\n"
-            "residual_tol = 8.826999160014873e-10\n\n[output]",
+            "[output]": "[solver]\nresidual_tol = 8.826999160014873e-10\n\n[output]",
         },
     )
     start = time.perf_counter()
@@ -877,10 +870,15 @@ def test_workload_artifacts_are_pinned(tmp_path, monkeypatch, run):
     assert digests == pinned
 
 
+# the solver constants that solver_section may patch, by the name it draws
+SOLVER_CONSTANTS = {"max_newton": "_MAX_NEWTON", "dt_init": "_DT_INIT", "dt_min": "_DT_MIN"}
+
+
 @st.composite
 def solver_section(draw):
-    """A [solver] section of values inside SolverConfig's bounds; each key
-    may be left at its default."""
+    """(text, constants): a [solver] section, and a value for each solver
+    constant of SOLVER_CONSTANTS, with 0 < minimum step < first step <= 1;
+    each key may be left at its default."""
     dt_min = draw(log_uniform(-12, -1))
     values = {
         "residual_tol": draw(log_uniform(-16, 0)),
@@ -891,7 +889,10 @@ def solver_section(draw):
     keys = draw(st.sets(st.sampled_from(sorted(values))))
     if keys & {"dt_min", "dt_init"}:  # either alone may pass the other's default
         keys |= {"dt_min", "dt_init"}
-    return "".join(f"{key} = {values[key]!r}\n" for key in sorted(keys))
+    text = f"residual_tol = {values['residual_tol']!r}\n" if "residual_tol" in keys else ""
+    # a constant that is not drawn keeps its value
+    constants = {name: values[key] if key in keys else getattr(solver, name) for key, name in SOLVER_CONSTANTS.items()}
+    return text, constants
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -901,15 +902,17 @@ def solver_section(draw):
     alpha_l=signed_log_uniform(-300, 300),
     background=st.sampled_from(["hyperbolic-like", "spaceform:{b!r}", "file:bg"]),
     b=signed_log_uniform(-300, 300),
-    solver_text=solver_section(),
+    solver_draw=solver_section(),
 )
-def test_solve_ends_in_a_documented_exit_code(tau, alpha, alpha_l, background, b, solver_text):
-    # drawn problems at n = k = 3, N = 8: solve reaches t = 1 (exit 0) or
-    # stalls (exit 3) with a consistent artifact set, or refuses with one
-    # error line and nothing written (exit 2); never a traceback, no warning,
-    # and each example within 10 s.  About three in four examples are refused
-    # at gating; the 100 take about 5 s, and the slowest of 2 300 scratch
-    # examples, a large-|tau| stall at dt_min = 1e-12, took 4.5 s
+def test_solve_ends_in_a_documented_exit_code(tau, alpha, alpha_l, background, b, solver_draw):
+    # drawn problems at n = k = 3, N = 8, each under drawn solver constants:
+    # solve reaches t = 1 (exit 0) or stalls (exit 3) with a consistent
+    # artifact set, or refuses with one error line and nothing written
+    # (exit 2); never a traceback, no warning, and each example within 10 s.
+    # About three in four examples are refused at gating; the 100 take
+    # about 5 s, and the slowest of 2 300 examples, a large-|tau| stall at a
+    # minimum step of 1e-12, took 4.5 s
+    solver_text, constants = solver_draw
     with tempfile.TemporaryDirectory() as tmp:
         write_diagonal_background(tmp, b)
         outdir = Path(tmp, "out")
@@ -925,7 +928,11 @@ def test_solve_ends_in_a_documented_exit_code(tau, alpha, alpha_l, background, b
         cfg = write_config(Path(tmp), text)
         err = io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with (
+            mock.patch.multiple(solver, **constants),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
             code = main(["solve", str(cfg)])
         assert time.perf_counter() - start < 10.0
         assert code in (0, 2, 3)

@@ -3,6 +3,7 @@ fractions, eigendecomposition, and finite differences."""
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -297,6 +298,15 @@ def test_gamma2_pinching():
     for n in (3, 4, 5):
         lam = sampling.gamma_eigenvalues(rng, 2000, n, 2)
         assert np.all(np.abs(lam).max(axis=-1) < sigma(lam, 1))
+
+
+def test_gamma_eigenvalues_reports_a_starved_sampler(monkeypatch):
+    # no vector of [-1, 2]^3 has every sigma_j above 1e9: after its rounds
+    # the sampler gives up with a message naming the cone and the count
+    monkeypatch.setattr(sampling, "_MAX_ROUNDS", 1)
+    message = "cone rejection sampler starved: Gamma_3 in dimension 3 with margin 1000000000.0 accepted 0/5"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        sampling.gamma_eigenvalues(sampling.generator(0), 5, 3, 3, margin=1e9)
 
 
 # ---------------------------------------------------------------- operator G

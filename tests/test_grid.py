@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksig import InputError, fieldexpr
+from ksig import InputError, cones, fieldexpr
 from ksig.grid import (
     PeriodicGrid,
     dot_planes,
@@ -32,6 +32,29 @@ def test_grid_validation():
     g = PeriodicGrid(3, 16)
     assert g.spacing * g.resolution == pytest.approx(2 * np.pi)
     assert g.node_count == 16**3
+
+
+GRID = PeriodicGrid(3, 8)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: cones.quotient_eval(np.eye(3), 4, 0.0), "quotient order k=4 outside [1, 3]"),
+        (lambda path: cones.homotopy_constant(3, 2), "homotopy constant needs 3 <= k <= n, got k=2, n=3"),
+        (lambda path: cones.newton_maclaurin_constant(3, 3, 2), "need 0 <= l <= k-2 <= n-2, got n=3, k=3, l=2"),
+        (lambda path: GRID.coordinate(3), "axis 3 outside [0, 3)"),
+        (lambda path: write_field(path, GRID, np.zeros((4, 4, 4))), "field shape (4, 4, 4) does not match grid (8, 8, 8)"),
+        (lambda path: compute_jet(GRID, np.zeros((8, 8))), "field shape (8, 8) does not match grid (8, 8, 8)"),
+    ],
+    ids=["quotient_eval", "homotopy_constant", "newton_maclaurin_constant", "coordinate", "write_field", "compute_jet"],
+)
+def test_guards_refuse_arguments_out_of_range(tmp_path, call, message):
+    # each is a program error, never input: a plain ValueError naming the
+    # argument, raised before any work, so write_field leaves no file
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path / "f.ksig")
+    assert not any(tmp_path.iterdir())
 
 
 def test_jet_of_constant_field():

@@ -297,6 +297,8 @@ def test_ci_workflow_runs_the_declared_floor():
     jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
     assert sorted(jobs) == ["macos-smoke", "tests"]
     for name, job in jobs.items():
+        # a hung job fails at its own bound, not at GitHub's default of 360 minutes
+        assert isinstance(job.get("timeout-minutes"), int) and 0 < job["timeout-minutes"] <= 30, name
         for step in job["steps"]:
             assert ("uses" in step) != ("run" in step), (name, step)
     versions = jobs["tests"]["strategy"]["matrix"]["python-version"]

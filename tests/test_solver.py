@@ -58,20 +58,9 @@ def smooth_u(grid, amp=0.05):
 
 def test_config_rejects_bad_step_bounds():
     with pytest.raises(ValueError):
-        solver.SolverConfig(dt_init=0.1, dt_min=0.1)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(dt_init=1.5)
-    with pytest.raises(ValueError):
         solver.SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
-        solver.SolverConfig(max_newton=0)
-    with pytest.raises(ValueError):
         solver.SolverConfig(residual_tol=math.inf)
-    # the smallest t-step moves every t <= 1, so the march cannot stand still
-    with pytest.raises(ValueError, match="dt_min must be >= 1e-12"):
-        solver.SolverConfig(dt_min=1e-30)
-    assert solver.SolverConfig(dt_min=1e-12).dt_min == 1e-12
-    assert all(t + 1e-12 > t for t in (0.0, 9.09e-10, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +339,11 @@ def test_newton_reports_a_non_finite_U_at_an_inadmissible_start():
     assert res.u is None and res.iterations == 0
 
 
-def test_newton_iteration_limit_reported():
+def test_newton_iteration_limit_reported(monkeypatch):
     grid = make_grid()
     problem = default_problem(grid)
-    cfg = solver.SolverConfig(max_newton=1)
-    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, cfg)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    res = solver.newton_solve_at_t(grid.zeros(), 0.6, problem, solver.SolverConfig())
     assert "limit" in res.note
     assert res.residual_norm is not None and res.residual_norm > 0
     assert res.u is None and res.report is None
@@ -548,7 +537,7 @@ def test_continuation_default_problem(march):
     # on this problem, the doubling controller 16, the t = 1 attempt 6
     assert ts == [0.0, 1.0]
     assert len(accepted) == len(log)
-    assert any(rec.dt > cfg.dt_init for rec in accepted)
+    assert any(rec.dt > solver._DT_INIT for rec in accepted)
     assert sum(rec.iterations for rec in accepted) <= 8
     # each record holds the step taken, the last one clamped to t = 1
     assert [rec.dt for rec in accepted[1:]] == [b - a for a, b in zip(ts, ts[1:])]
@@ -558,13 +547,16 @@ def test_continuation_default_problem(march):
         assert rep.eq33_slack >= -1e-8
 
 
-def test_continuation_stall_carries_last_state(march):
+def test_continuation_stall_carries_last_state(march, monkeypatch):
     grid = make_grid()
     problem = default_problem(grid)
     # one Newton iteration is never enough at t = 1 nor at t = 0.2, and
-    # dt_min forbids halving below 0.15, so the march stalls at the anchor
-    cfg = solver.SolverConfig(max_newton=1, dt_init=0.2, dt_min=0.15)
-    log, last, reports = march(problem, cfg)
+    # the minimum step forbids halving below 0.15, so the march stalls at
+    # the anchor
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    monkeypatch.setattr(solver, "_DT_INIT", 0.2)
+    monkeypatch.setattr(solver, "_DT_MIN", 0.15)
+    log, last, reports = march(problem, solver.SolverConfig())
     assert last is not None
     assert last.t == 0.0
     assert np.array_equal(last.u, np.zeros(grid.shape))
@@ -573,25 +565,36 @@ def test_continuation_stall_carries_last_state(march):
     assert log[0] is last and (last.t, last.dt, last.accepted) == (0.0, 0.0, True)
     assert last.report is reports[0]
     rejected = [rec for rec in log if not rec.accepted]
-    # the whole-path attempt, then dt_init
+    # the whole-path attempt, then the first step
     assert [(rec.t, rec.dt) for rec in rejected] == [(1.0, 1.0), (0.2, 0.2)]
     assert all(rec.note for rec in rejected)
     # a rejected step logs the Newton iterations it spent, not zero
     assert all(rec.iterations == 1 for rec in rejected)
     # a rejected record holds neither a state nor a report
     assert all(rec.u is None and rec.report is None for rec in rejected)
-    # the run ends on the step that fell below dt_min: nothing is yielded
-    # after the stall record
+    # the run ends on the step that fell below the minimum step: nothing is
+    # yielded after the stall record
     assert log[-1] is rejected[-1]
-    assert [rec.t for rec in log] == [0.0, 1.0, 0.2] and 0.5 * log[-1].dt < cfg.dt_min
+    assert [rec.t for rec in log] == [0.0, 1.0, 0.2] and 0.5 * log[-1].dt < solver._DT_MIN
 
 
-def test_continuation_recovers_after_rejected_enlarged_step(march):
+def test_continuation_raises_on_a_failed_anchor(monkeypatch):
+    # u = 0 is the exact root at t = 0, so a failed anchor is a program
+    # error, not a stall: the march raises before it yields any record
+    failed = solver.StepRecord(t=0.0, history=(1.0,), damping_trials=0, linear_iterations=0, note="broken anchor")
+    monkeypatch.setattr(solver, "newton_solve_at_t", lambda *args: failed)
+    steps = solver.continuation_steps(default_problem(make_grid()), solver.SolverConfig())
+    with pytest.raises(RuntimeError, match="^broken anchor$"):
+        next(steps)
+
+
+def test_continuation_recovers_after_rejected_enlarged_step(march, monkeypatch):
     # with three Newton iterations allowed, a doubled step fails and has to
     # be halved again, more than once along the path
     grid = make_grid(3, 8)
     problem = default_problem(grid)
-    cfg = solver.SolverConfig(max_newton=3)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 3)
+    cfg = solver.SolverConfig()
     log, last, _ = march(problem, cfg)
     assert last.t == 1.0
     assert last.residual_norm <= cfg.residual_tol
@@ -600,11 +603,11 @@ def test_continuation_recovers_after_rejected_enlarged_step(march):
     ts = [rec.t for rec in accepted]
     assert ts[-1] == 1.0 and all(a < b for a, b in zip(ts, ts[1:]))
     assert rejected and all(rec.note for rec in rejected)
-    assert all(rec.iterations == cfg.max_newton for rec in rejected)
-    # the whole path is tried first and hands over to dt_init
+    assert all(rec.iterations == 3 for rec in rejected)
+    # the whole path is tried first and hands over to the first step
     whole, after = log[1:3]
     assert (whole.t, whole.dt, whole.accepted) == (1.0, 1.0, False)
-    assert after.dt == cfg.dt_init
+    assert after.dt == solver._DT_INIT
     # doubling after every accepted step oscillates between a failing step
     # and its half: 12 rejections here, 7 when only the first accepted step
     # after a rejection keeps dt, 6 with the two steps of the controller
@@ -626,10 +629,10 @@ def test_continuation_falls_back_after_the_whole_path_fails(march):
     assert last.residual_norm <= cfg.residual_tol
     rejected = [rec for rec in log if not rec.accepted]
     assert (rejected[0].t, rejected[0].dt) == (1.0, 1.0)
-    assert log[2].dt == cfg.dt_init
+    assert log[2].dt == solver._DT_INIT
     # Newton iterations, accepted + rejected: 28 + 0 with the doubling
     # controller alone; 36 + 5 measured with the whole-path attempt, whose
-    # damping floor also rejects the first step of dt_init
+    # damping floor also rejects the first step of 0.1
     assert sum(rec.iterations for rec in log) <= 41
 
 
