@@ -392,6 +392,15 @@ def test_config_defaults_are_the_field_defaults(tmp_path):
             "[problem]\nn = 3\nk = 3\ntau = x\n",
             "[problem] tau = 'x': could not convert string to float: 'x'",
         ),
+        # the Newton limit and the step controls are solver constants now
+        (
+            "[problem]\nn = 3\nk = 3\n[solver]\nmax_newton = 2.5\n",
+            "unknown [solver] keys: ['max_newton']",
+        ),
+        (
+            "[problem]\nn = 3\nk = 3\n[solver]\ndt_init = 1e-5\n",
+            "unknown [solver] keys: ['dt_init']",
+        ),
         (
             "[problem]\nn = 3\nk = 3\n[solver]\nresidual_tol = tiny\n",
             "[solver] residual_tol = 'tiny': could not convert string to float: 'tiny'",
