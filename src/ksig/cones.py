@@ -1,7 +1,8 @@
 """Elementary symmetric polynomials, Garding cones, and Newton transforms.
 
-Everything here is batched: eigenvalue arrays have shape (..., n), symmetric
-matrices have shape (..., n, n), and results carry the batch shape (...).
+Everything here is batched: eigenvalue vectors are rows (..., n), a batch
+of symmetric matrices is its component planes (n, n, ...), and a table over
+a batch, sigma or beta, is stacked first, (kmax+1, ...) or (k-1, ...).
 Matrix invariants sigma_k are computed with the Faddeev-LeVerrier trace
 recursion rather than eigendecomposition, so repeated eigenvalues need no
 special treatment and the gradient tensors fall out of the same recursion.
@@ -19,11 +20,8 @@ the bits do not either.  Three products of the textbook recursion are
 skipped.  Every T_j is a polynomial in M, so M T_{j-1} is symmetric and
 only its upper triangle is formed (n^2 (n+1)/2 multiply-adds instead of
 n^3) and then mirrored (grid.mirror).  M T_0 = M needs no product.  T_k
-is never formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  The public
-functions take and return (..., n, n) arrays.  On the evaluate path the
-input U is already a view of contiguous planes (operator.assemble_U), so
-each block's copy is a straight memory copy with no transpose, and
-quotient_eval's gradient is likewise a (..., n, n) view of planes.
+is never formed: sigma_k = sum_ab M_ab (T_{k-1})_ab / k.  Inputs and
+outputs share the workspace's layout: a block is a slice of every plane.
 
 Conventions:
     sigma_0 = 1 exactly.
@@ -59,11 +57,11 @@ def _check_order(k, n):
 
 
 def _square(M):
-    """M as float64; every matrix function refuses a batch that is not
-    square in its trailing two axes, alike."""
+    """Planes M (n, n, ...) as float64; every matrix function refuses a
+    batch that is not square in its leading two axes, alike."""
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
-        raise ValueError("expected square matrices in the trailing two axes")
+    if M.ndim < 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expected square matrices in the leading two axes")
     return M
 
 
@@ -81,13 +79,13 @@ def _symmetric_planes(lam, kmax):
 
 
 def all_elementary_symmetric(lam):
-    """All sigma_0..sigma_n of the last axis of `lam`, shape (..., n+1).
+    """All sigma_0..sigma_n of the last axis of `lam`, shape (n+1, ...).
 
-    A (..., n+1) view of the recurrence's planes; exact in floating point
-    for small-integer inputs, which the enumeration-oracle tests rely on.
+    Exact in floating point for small-integer inputs, which the
+    enumeration-oracle tests rely on.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    return np.moveaxis(_symmetric_planes(lam, lam.shape[-1]), 0, -1)
+    return _symmetric_planes(lam, lam.shape[-1])
 
 
 _BLOCK_NODES = 4096  # matrices per block; at n = k = 5 the workspace is 3.9 MiB
@@ -116,7 +114,7 @@ def _transform(out, sj):
 
 
 def _blocks(M, kmax, sig):
-    """Faddeev-LeVerrier on M (..., n, n), symmetric, one block of at most
+    """Faddeev-LeVerrier on the planes M (n, n, ...), symmetric, one block of at most
     _BLOCK_NODES matrices at a time:
 
         T_0 = I,   sigma_j = trace(M T_{j-1}) / j,   T_j = sigma_j I - M T_{j-1}.
@@ -129,16 +127,17 @@ def _blocks(M, kmax, sig):
     after each block's recursion: its slice of the batch and its stack,
     valid until the next block starts.
     """
-    n = M.shape[-1]
-    flat = M.reshape((-1, n, n))
-    size = min(len(flat), _BLOCK_NODES)
+    n = M.shape[0]
+    flat = M.reshape((n, n, -1))
+    count = flat.shape[-1]
+    size = min(count, _BLOCK_NODES)
     P = np.empty((n, n, size))
     T = np.empty((max(kmax - 1, 0), n, n, size))
-    for lo in range(0, len(flat), _BLOCK_NODES):
-        nodes = slice(lo, min(lo + _BLOCK_NODES, len(flat)))
+    for lo in range(0, count, _BLOCK_NODES):
+        nodes = slice(lo, min(lo + _BLOCK_NODES, count))
         width = nodes.stop - lo
         p, t, s = P[..., :width], T[..., :width], sig[:, nodes]
-        np.copyto(p, flat[nodes].transpose(1, 2, 0))
+        np.copyto(p, flat[..., nodes])
         s[0] = 1.0
         prev = None  # T_{j-1}, None for T_0 = I
         for j in range(1, kmax):
@@ -154,14 +153,14 @@ def _blocks(M, kmax, sig):
 
 
 def matrix_sigmas(M, kmax):
-    """sigma_0..sigma_kmax of symmetric M, shape (..., kmax+1)."""
+    """sigma_0..sigma_kmax of the symmetric planes M (n, n, ...), shape (kmax+1, ...)."""
     M = _square(M)
-    _check_order(kmax, M.shape[-1])
-    batch = M.shape[:-2]
+    _check_order(kmax, M.shape[0])
+    batch = M.shape[2:]
     sig = np.empty((kmax + 1, math.prod(batch)))
     for _ in _blocks(M, kmax, sig):
         pass
-    return np.moveaxis(sig.reshape((kmax + 1,) + batch), 0, -1)
+    return sig.reshape((kmax + 1,) + batch)
 
 
 def cone_margin(lam, k):
@@ -174,16 +173,16 @@ def cone_margin(lam, k):
 
 def matrix_cone_margin(M, k):
     """min_{1<=j<=k} sigma_j(M) via the trace recursion (inf for k = 0)."""
-    return matrix_sigmas(M, k)[..., 1:].min(axis=-1, initial=np.inf)
+    return matrix_sigmas(M, k)[1:].min(axis=0, initial=np.inf)
 
 
 @dataclass(frozen=True)
 class QuotientEval:
     """One batched evaluation of G and its matrix gradient.
 
-    sigma : (..., k+1) sigma_0..sigma_k, from which G_l = -sigma_l/sigma_{k-1}
+    sigma : (k+1, ...) sigma_0..sigma_k, from which G_l = -sigma_l/sigma_{k-1}
     value : (...) G(M)
-    grad : (..., n, n) dG/dM
+    grad : (n, n, ...) dG/dM, as component planes
     """
 
     sigma: np.ndarray
@@ -194,9 +193,9 @@ class QuotientEval:
 def quotient_eval(M, k, beta):
     """Evaluate G(M) = sigma_k/sigma_{k-1} + sum_l beta_l G_l and its gradient.
 
-    beta is broadcastable to (..., k-1); entries are the nonnegative weights
-    multiplying G_l = -sigma_l/sigma_{k-1}, and beta = 0 gives the plain
-    quotient sigma_k/sigma_{k-1}.  Admissibility is not checked here:
+    M is planes (n, n, ...); beta broadcasts to (k-1, ...), row l the
+    nonnegative weight of G_l = -sigma_l/sigma_{k-1}, and beta = 0 gives the
+    plain quotient sigma_k/sigma_{k-1}.  Admissibility is not checked here:
     callers keep their own margins and read the returned sigmas.
 
     The gradient uses dsigma_a/dM = T_{a-1}(M) and the quotient rule
@@ -204,18 +203,18 @@ def quotient_eval(M, k, beta):
         d(sigma_a/sigma_{k-1}) = [T_{a-1} sigma_{k-1} - sigma_a T_{k-2}] / sigma_{k-1}^2
 
     with T_{-1} = 0, assembled once for the weighted numerator as one sum over
-    T_0..T_{k-1} on the upper triangle of the component planes, then mirrored,
+    T_0..T_{k-1} on the upper triangle of the gradient's planes, then mirrored,
     so it is exactly symmetric.  Each block of matrices is finished, value
     and gradient included, while its T stack is in the workspace.
     """
     M = _square(M)
-    n = M.shape[-1]
+    n = M.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"quotient order k={k} outside [1, {n}]")
-    batch = M.shape[:-2]
+    batch = M.shape[2:]
     count = math.prod(batch)
-    beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), batch + (k - 1,))
-    beta = beta.reshape(count, k - 1)
+    beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), (k - 1,) + batch)
+    beta = beta.reshape(k - 1, count)
     sig = np.empty((k + 1, count))
     value = np.empty(count)
     grad = np.empty((n, n, count))
@@ -223,8 +222,8 @@ def quotient_eval(M, k, beta):
     for nodes, T in _blocks(M, k, sig):
         s = sig[:, nodes]
         skm1 = s[k - 1]
-        b = beta[nodes]
-        num = s[k] - sum(b[:, l] * s[l] for l in range(k - 1))
+        b = beta[:, nodes]
+        num = s[k] - sum(b[l] * s[l] for l in range(k - 1))
         np.divide(num, skm1, out=value[nodes])
         # grad = sum_j c_j T_j over j = 0..k-1, written into the planes of grad
         c = coef[:, : nodes.stop - nodes.start]
@@ -233,7 +232,7 @@ def quotient_eval(M, k, beta):
         if k >= 2:
             c[k - 2] = -num / skm1**2
         for l in range(1, k - 1):
-            c[l - 1] = -b[:, l] / skm1
+            c[l - 1] = -b[l] / skm1
         G = grad[:, :, nodes]
         for a in range(n):
             row = G[a, a:]
@@ -241,9 +240,9 @@ def quotient_eval(M, k, beta):
             row[0] += c[0]
         mirror(G)
     return QuotientEval(
-        sigma=np.moveaxis(sig.reshape((k + 1,) + batch), 0, -1),
+        sigma=sig.reshape((k + 1,) + batch),
         value=value.reshape(batch),
-        grad=np.moveaxis(grad.reshape((n, n) + batch), (0, 1), (-2, -1)),
+        grad=grad.reshape((n, n) + batch),
     )
 
 

@@ -6,9 +6,9 @@ B = -I reproduces the structure of a negatively curved space form, and a
 constant or per-node B may be supplied directly.  Since g0 is the identity
 in the chart, g0^{-1} U is the coordinate matrix of U, so all cone tests and
 sigma evaluations act on plain symmetric matrices.  B is stored as
-component planes (n, n, ...), entry (i, j) of every node in one plane, and
-handed out as a zero-copy (..., n, n) view; a Problem stores a constant B
-as one (n, n, 1, ..., 1) matrix, not n^2 grid planes.
+component planes (n, n, ...), entry (i, j) of every node in one plane, the
+layout `cones` reads; a Problem stores a constant B as one (n, n, 1, ..., 1)
+matrix, not n^2 grid planes.
 """
 
 from __future__ import annotations
@@ -91,25 +91,20 @@ class Problem:
                     f"alpha_{l} = {low} at node {node}"
                 )
         with np.errstate(over="ignore", invalid="ignore"):  # a huge -B overflows; named below
-            sig = cones.matrix_sigmas(-self.B, k)[..., 1:]
-            skm1_squared = sig[..., k - 2] ** 2  # F's gradient divides by it
-        node, finite = worst_node(np.isfinite(sig).all(axis=-1))
+            sig = cones.matrix_sigmas(-self.B_planes, k)[1:]
+            skm1_squared = sig[k - 2] ** 2  # F's gradient divides by it
+        node, finite = worst_node(np.isfinite(sig).all(axis=0))
         if not finite:
             raise InputError(f"hypothesis check overflows: sigma_j(-B) is not finite at node {node}")
         node, finite = worst_node(np.isfinite(skm1_squared))
         if not finite:
             raise InputError(f"hypothesis check overflows: sigma_{k - 1}(-B)^2 is not finite at node {node}")
-        node, worst = worst_node(sig.min(axis=-1))
+        node, worst = worst_node(sig.min(axis=0))
         if not worst > 0.0:
             raise InputError(
                 f"hypothesis violated: lambda(-B) in Gamma_{k} required everywhere, "
                 f"worst cone margin {worst} at node {node}"
             )
-
-    @property
-    def B(self):
-        """The (..., n, n) view of B_planes: (1, ..., 1, n, n) for a constant B."""
-        return np.moveaxis(self.B_planes, (0, 1), (-2, -1))
 
 
 def require_finite(name, values):

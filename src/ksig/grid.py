@@ -45,6 +45,12 @@ class PeriodicGrid:
             raise ValueError(f"grid dimension {self.dim} outside [3, 5]")
         if self.resolution < 8 or self.resolution % 2 != 0:
             raise ValueError(f"grid resolution {self.resolution} must be even and >= 8")
+        # a jet's n^2 Hessian planes are the largest array on a grid
+        if self.dim**2 * self.node_count * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"grid resolution {self.resolution} is too large at n = {self.dim}: its n^2 Hessian "
+                f"planes would exceed numpy's largest array, {np.iinfo(np.intp).max} bytes"
+            )
 
     @property
     def spacing(self):

@@ -70,10 +70,10 @@ def snapshot_point(state, problem, newton_iters):
     n = problem.grid.dim
     trace_slack = float((_quotient_trace(sig, n, k) - (n - k + 1) / k).min())
 
-    ratios = sig[..., :k - 1] / sig[..., k - 1:k]
+    ratios = sig[:k - 1] / sig[k - 1]
     max_ratio = float(ratios.max())
 
-    contraction = np.einsum("...ij,...ij->...", state.grad, state.U)
+    contraction = np.einsum("ij...,ij...->...", state.grad, state.U)
     eq33 = float((contraction + operator.forcing(problem, state.u, state.t)).min())
 
     return MonitorReport(
@@ -102,13 +102,13 @@ _GERSHGORIN_SLACK = 16.0
 # a non-finite or huge entry may turn a bound into inf - inf; such a node is kept
 @np.errstate(over="ignore", invalid="ignore")
 def _min_eigenvalue(grad):
-    """float(np.linalg.eigvalsh(grad)[..., 0].min()) for the matrices `grad`,
-    (*shape, n, n), with eigvalsh run only on the nodes that can hold it.
+    """float(eigvalsh(G)[..., 0].min()) for G^{ij} as planes `grad` (n, n,
+    *shape), with eigvalsh run only on the nodes that can hold it.
 
     Like eigvalsh, it reads each matrix's lower triangle alone.  Gershgorin
     bounds a node's smallest eigenvalue below by
-    lb = min_a (G_aa - sum_{b != a} |G_ab|), built one row at a time on
-    component planes.  eigvalsh runs on the node of the smallest lb, giving
+    lb = min_a (G_aa - sum_{b != a} |G_ab|), built one row at a time on the
+    planes.  eigvalsh runs on the node of the smallest lb, giving
     lam_ref, and then on the nodes that are not bitwise copies of that node
     and do not have lb > lam_ref + mu, where
     mu = _GERSHGORIN_SLACK * n * (eps * max_a (|G_aa| + sum_{b != a} |G_ab|)
@@ -116,11 +116,10 @@ def _min_eigenvalue(grad):
     itself, or more.  A non-finite entry makes mu non-finite, and a NaN bound
     or threshold keeps its nodes.  A minimum of zero is taken from every
     node, since which sign numpy's min returns depends on where 0.0 and -0.0
-    sit in the grid.
+    sit in the grid.  eigvalsh reads a (nodes, n, n) view of the planes.
     """
-    n = grad.shape[-1]
-    # component planes with the nodes flattened: a view of quotient_eval's planes
-    G = np.moveaxis(grad, (-2, -1), (0, 1)).reshape(n, n, -1)
+    n = grad.shape[0]
+    G = grad.reshape(n, n, -1)  # the nodes flattened: a view of quotient_eval's planes
     lb = np.full(G.shape[-1], np.inf)
     radius, term = np.empty_like(lb), np.empty_like(lb)
     row_norms = []
@@ -146,7 +145,7 @@ def _min_eigenvalue(grad):
     nodes = np.flatnonzero(~skip)
     lam = np.linalg.eigvalsh(np.moveaxis(G[:, :, nodes], -1, 0))[:, 0].min(initial=lam_ref)
     if lam == 0.0:  # numpy's min picks 0.0 or -0.0 by their place in the whole grid
-        return float(np.linalg.eigvalsh(grad)[..., 0].min())
+        return float(np.linalg.eigvalsh(np.moveaxis(G, -1, 0))[:, 0].min())
     return float(lam)
 
 
@@ -156,8 +155,8 @@ def _quotient_trace(sig, n, k):
     With tr T_j = (n-j) sigma_j the quotient rule gives
     [(n-k+1) sigma_{k-1}^2 - (n-k+2) sigma_k sigma_{k-2}] / sigma_{k-1}^2.
     """
-    skm1 = sig[..., k - 1]
-    return ((n - k + 1) * skm1**2 - (n - k + 2) * sig[..., k] * sig[..., k - 2]) / skm1**2
+    skm1 = sig[k - 1]
+    return ((n - k + 1) * skm1**2 - (n - k + 2) * sig[k] * sig[k - 2]) / skm1**2
 
 
 def write_monitor_csv(path, reports):
@@ -272,14 +271,14 @@ def _norm_scale(*arrays):
 
 def _quotient_values(mats, k):
     sig = cones.matrix_sigmas(mats, k)
-    return sig[..., k] / sig[..., k - 1], sig
+    return sig[k] / sig[k - 1], sig
 
 
 def _power_family(sig, k):
     """(sigma_{k-1}/sigma_l)^{1/(k-1-l)} for l = 0..k-2, stacked on axis 0."""
     rows = []
     for l in range(k - 1):
-        rows.append((sig[..., k - 1] / sig[..., l]) ** (1.0 / (k - 1 - l)))
+        rows.append((sig[k - 1] / sig[l]) ** (1.0 / (k - 1 - l)))
     return np.stack(rows)
 
 
@@ -287,8 +286,8 @@ def _newton_maclaurin_excess(sig, n, k, l):
     """(sigma_l sigma_k^{k-1-l} - K sigma_{k-1}^{k-l}) / max(1, |lhs|, |rhs|)
     with K = newton_maclaurin_constant(n, k, l): the power bound's excess,
     normalised per entry of the sigma table."""
-    lhs = sig[..., l] * sig[..., k] ** (k - 1 - l)
-    rhs = cones.newton_maclaurin_constant(n, k, l) * sig[..., k - 1] ** (k - l)
+    lhs = sig[l] * sig[k] ** (k - 1 - l)
+    rhs = cones.newton_maclaurin_constant(n, k, l) * sig[k - 1] ** (k - l)
     return (lhs - rhs) / _norm_scale(lhs, rhs)
 
 
@@ -298,15 +297,15 @@ def _shrink_until_admissible(base, probe, k):
     Each round re-checks only the rows that were still outside the cone:
     a row that was inside keeps its s, so its margin cannot change.
     """
-    s = np.ones(base.shape[0])
-    active = np.arange(base.shape[0])
+    s = np.ones(base.shape[-1])
+    active = np.arange(base.shape[-1])
     for _ in range(_SHRINK_ROUNDS):
-        trial = base[active] - s[active, None, None] * probe[active]
+        trial = base[..., active] - s[active] * probe[..., active]
         active = active[cones.matrix_cone_margin(trial, k) <= _ADMISSIBLE_FLOOR]
         if not active.size:
             break
         s[active] *= 0.5
-    trial = base - s[:, None, None] * probe
+    trial = base - s * probe
     keep = cones.matrix_cone_margin(trial, k) > _ADMISSIBLE_FLOOR
     return trial, keep
 
@@ -334,15 +333,10 @@ def run_lemma_suite(n, k, samples, seed):
         )
 
     def matrix_pool(j):
-        """`samples` matrices in Gamma_j, then `n_boundary` near its boundary."""
-        return np.concatenate(
-            [
-                sampling.gamma_matrices(rng, samples, n, j),
-                sampling.conjugate_by_rotations(
-                    rng, sampling.boundary_biased_eigenvalues(rng, n_boundary, n, j)
-                ),
-            ]
-        )
+        """`samples` matrices in Gamma_j, then `n_boundary` near its boundary, as planes."""
+        inner = sampling.gamma_matrices(rng, samples, n, j)
+        near = sampling.boundary_biased_eigenvalues(rng, n_boundary, n, j)
+        return np.concatenate([inner, sampling.conjugate_by_rotations(rng, near)], axis=-1)
 
     def record(name, count, violation):
         violation = float(violation)
@@ -352,13 +346,13 @@ def run_lemma_suite(n, k, samples, seed):
     lam = rng.uniform(-2.0, 2.0, size=(samples, n))
     mats = sampling.conjugate_by_rotations(rng, lam)
     sig_mat = cones.matrix_sigmas(mats, n)
-    sig_enum = np.zeros((samples, n + 1))
-    sig_enum[:, 0] = 1.0
+    sig_enum = np.zeros((n + 1, samples))
+    sig_enum[0] = 1.0
     for j in range(1, n + 1):
         acc = np.zeros(samples)
         for combo in combinations(range(n), j):
             acc += np.prod(lam[:, combo], axis=1)
-        sig_enum[:, j] = acc
+        sig_enum[j] = acc
     viol = np.abs(sig_mat - sig_enum) / _norm_scale(sig_enum)
     record("sigma_recursion_vs_enumeration", samples, viol.max())
 
@@ -368,10 +362,10 @@ def run_lemma_suite(n, k, samples, seed):
     sig = cones.all_elementary_symmetric(lam)
     worst = 0.0
     for kk in range(2, n + 1):
-        inside = lam[(sig[:, 1:kk + 1] > 0.0).all(axis=1)]
+        inside = lam[(sig[1:kk + 1] > 0.0).all(axis=0)]
         for i in range(n):
             reduced = cones.all_elementary_symmetric(np.delete(inside, i, axis=1))
-            if not (reduced[:, 1:kk] > 0.0).all():
+            if not (reduced[1:kk] > 0.0).all():
                 worst = 1.0
     record("cone_nesting", samples, worst)
 
@@ -383,7 +377,7 @@ def run_lemma_suite(n, k, samples, seed):
     # --- monotonicity along PSD perturbations (base pool includes
     #     near-boundary draws; probes stay O(1) so the true gap dominates)
     base = matrix_pool(k - 1)
-    total = base.shape[0]
+    total = base.shape[-1]
     probe = sampling.psd_matrices(rng, total, n, eig_low=0.1, eig_high=1.0)
     up = base + probe
     q_base, sig_base = _quotient_values(base, k)
@@ -410,10 +404,10 @@ def run_lemma_suite(n, k, samples, seed):
     q_r, _ = _quotient_values(right, k)
     q_mid, _ = _quotient_values(0.5 * (left + right), k)
     viol = (0.5 * (q_l + q_r) - q_mid) / _norm_scale(q_l, q_r, q_mid)
-    record("quotient_midpoint_concavity", left.shape[0], viol.max())
+    record("quotient_midpoint_concavity", left.shape[-1], viol.max())
     q_sum, _ = _quotient_values(left + right, k)
     viol = (q_l + q_r - q_sum) / _norm_scale(q_l, q_r, q_sum)
-    record("quotient_superadditivity", left.shape[0], viol.max())
+    record("quotient_superadditivity", left.shape[-1], viol.max())
 
     # --- Newton-MacLaurin power bound on Gamma_k, polynomial form
     lam_k = eigenvalue_pool(k)
@@ -429,22 +423,22 @@ def run_lemma_suite(n, k, samples, seed):
 
     # --- ellipticity: weighted gradient SPD, quotient trace bound, Euler
     mats = matrix_pool(k - 1)
-    total = mats.shape[0]
+    total = mats.shape[-1]
     beta = rng.uniform(0.0, 2.0, size=(total, k - 1))
-    ev = cones.quotient_eval(mats, k, beta)
-    eigs = np.linalg.eigvalsh(ev.grad)
-    scale = np.abs(ev.grad).max(axis=(-2, -1))
+    ev = cones.quotient_eval(mats, k, beta.T)
+    eigs = np.linalg.eigvalsh(np.moveaxis(ev.grad, -1, 0))
+    scale = np.abs(ev.grad).max(axis=(0, 1))
     viol = -eigs[:, 0] / _norm_scale(scale)
     record("weighted_gradient_spd", total, viol.max())
 
     quot = cones.quotient_eval(mats, k, 0.0)
-    trace = np.trace(quot.grad, axis1=-2, axis2=-1)
+    trace = np.trace(quot.grad)
     bound = (n - k + 1) / k
     viol = (bound - trace) / _norm_scale(trace)
     record("quotient_trace_lower_bound", total, viol.max())
 
-    contraction = np.einsum("...ij,...ij->...", quot.grad, mats)
-    inner_scale = np.einsum("...ij,...ij->...", np.abs(quot.grad), np.abs(mats))
+    contraction = np.einsum("ij...,ij...->...", quot.grad, mats)
+    inner_scale = np.einsum("ij...,ij...->...", np.abs(quot.grad), np.abs(mats))
     viol = np.abs(contraction - quot.value) / _norm_scale(quot.value, inner_scale)
     record("quotient_euler_identity", total, viol.max())
 

@@ -40,29 +40,28 @@ class PointState:
     t: float
     grad_u: np.ndarray  # D_i u as component planes, (n, *shape)
     lap_u: np.ndarray  # Laplacian of u, the trace of its stencil Hessian
-    U: np.ndarray  # U^t per node, (*shape, n, n) view of planes
-    beta: np.ndarray  # beta_l per node, (*shape, k-1)
-    sigma: np.ndarray  # (*shape, k+1)
+    U: np.ndarray  # U^t as component planes, (n, n, *shape)
+    beta: np.ndarray  # beta_l, one plane per l, (k-1, *shape)
+    sigma: np.ndarray  # sigma_0..sigma_k(U^t), one plane per order, (k+1, *shape)
     value: np.ndarray  # G(U^t)
     margin: np.ndarray  # min_{1<=j<=k-1} sigma_j(U^t)
     residual: np.ndarray  # F(u; t)
-    grad: np.ndarray  # G^{ij}, (*shape, n, n) view of planes
+    grad: np.ndarray  # G^{ij} as component planes, (n, n, *shape)
 
 
 def _coefficients(problem):
-    """U^t's c1 = (1-tau)/(n-2) and c2 = (2-tau)/2, and beta_l's exponents 2(k-l), l = 0..k-2."""
+    """U^t's c1 = (1-tau)/(n-2) and c2 = (2-tau)/2, and beta_l's exponents 2(k-l), l = 0..k-2, as (k-1, 1, ..., 1)."""
     n, k, tau = problem.grid.dim, problem.k, problem.tau
-    return (1.0 - tau) / (n - 2.0), 0.5 * (2.0 - tau), 2.0 * (k - np.arange(k - 1))
+    return (1.0 - tau) / (n - 2.0), 0.5 * (2.0 - tau), 2.0 * (k - np.arange(k - 1)).reshape((-1,) + (1,) * n)
 
 
 def beta_weights(problem, u, t):
-    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, last axis l = 0..k-2;
-    alpha_l broadcasts from its own rank, a single row over l included."""
+    """beta_l = [(1-t) c + t alpha_l(x)] e^{2(k-l) u}, planes l = 0..k-2 as in
+    alpha_l, which broadcasts from its own rank, a single row over l included."""
     _, _, exponents = _coefficients(problem)
     c = cones.homotopy_constant(problem.grid.dim, problem.k)
-    al = np.moveaxis(problem.alpha_l, 0, -1)
     u = np.asarray(u, dtype=np.float64)
-    return ((1.0 - t) * c + t * al) * np.exp(exponents * u[..., None])
+    return ((1.0 - t) * c + t * problem.alpha_l) * np.exp(exponents * u)
 
 
 def forcing(problem, u, t):
@@ -112,8 +111,8 @@ def compute_jet(grid, values):
 
 
 def assemble_U(jet, problem, t):
-    """The matrix of U^t at every node, a (*shape, n, n) view of contiguous
-    component planes (n, n, *shape).
+    """The matrix of U^t at every node as contiguous component planes
+    (n, n, *shape).
 
     U^t = Hess u + ((1-tau)/(n-2)) Lap u I + ((2-tau)/2) |grad u|^2 I
           - du (x) du - t B + (1-t) I
@@ -142,7 +141,7 @@ def assemble_U(jet, problem, t):
             U[a, b] -= t * B[a, b]
         U[a, a] += 1.0 - t
     mirror(U)
-    return np.moveaxis(U, (0, 1), (-2, -1))
+    return U
 
 
 # a state may leave the float range (a huge forcing, an overshooting trial);
@@ -166,7 +165,7 @@ def evaluate(u, t, problem, jet=None):
     del jet
     beta = beta_weights(problem, u, t)
     ev = cones.quotient_eval(U, k, beta)
-    margin = ev.sigma[..., 1:k].min(axis=-1)
+    margin = ev.sigma[1:k].min(axis=0)
     residual = ev.value + forcing(problem, u, t)
     return PointState(
         u=u,
@@ -203,9 +202,9 @@ def jacobian(state, problem):
     h = grid.spacing
     k, t = problem.k, state.t
     c1, c2, exponents = _coefficients(problem)
-    # G^{ij} as component planes: quotient_eval builds the gradient on
-    # contiguous planes and mirrors its upper triangle, so it is exactly symmetric
-    G = np.moveaxis(state.grad, (-2, -1), (0, 1))
+    # quotient_eval mirrors the upper triangle of G^{ij}'s planes, so
+    # G is exactly symmetric
+    G = state.grad
     trace_g = np.trace(G)
     g = state.grad_u
     b = 2.0 * c2 * trace_g * g
@@ -220,8 +219,8 @@ def jacobian(state, problem):
     axial *= 1.0 / (h * h)
     drift = b
     drift *= 1.0 / (2.0 * h)
-    gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]  # G_l, l = 0..k-2
-    zeroth = np.sum(exponents * state.beta * gl, axis=-1)
+    gl = -state.sigma[: k - 1] / state.sigma[k - 1]  # G_l, l = 0..k-2
+    zeroth = np.sum(exponents * state.beta * gl, axis=0)
     zeroth += 2.0 * forcing(problem, state.u, t)
     centre = zeroth - 2.0 * axial.sum(axis=0)
     minus = axial - drift
@@ -252,7 +251,7 @@ def admissibility_failure(state, floor, context):
     worst node and the eigenvalues of U there, or U's entries where any is
     not finite, since eigvalsh cannot factor such a U."""
     node, value = worst_node(state.margin)
-    U = state.U[node]
+    U = state.U[(...,) + node]
     there = f"U there is not finite: {U.tolist()}"
     if np.isfinite(U).all():
         there = f"eigenvalues of U there: {np.linalg.eigvalsh(U).tolist()}"

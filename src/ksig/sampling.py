@@ -4,11 +4,12 @@ All samplers take an explicit numpy Generator; `generator(seed)` builds one
 on the counter-based Philox engine so identical seeds give identical streams
 regardless of how many draws other code has made.
 
-Batches of small matrices are built on component planes, as in `cones`:
-rotations come from Gram-Schmidt run over the columns of a whole batch at
-once, conjugation forms the upper triangle of Q diag(lambda) Q^T and mirrors
-it, and the boundary bisection keeps its eigenvalue vectors as contiguous
-rows.  Each step is a handful of whole-plane operations over the batch.
+A batch of small matrices is its component planes (n, n, count), as in
+`cones`; eigenvalue vectors are rows (count, n), as drawn.  Rotations come
+from Gram-Schmidt run over the columns of a whole batch at once,
+conjugation forms the upper triangle of Q diag(lambda) Q^T and mirrors it,
+and the boundary bisection keeps each lambda_i of the batch as one
+contiguous row.  Each step is a handful of whole-plane operations.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def gamma_eigenvalues(rng, count, n, k, margin=0.0):
 
 
 def orthogonal_matrices(rng, count, n):
-    """Haar rotations, shape (count, n, n): the Q of Gaussian matrices with a
-    positive R diagonal, by classical Gram-Schmidt run twice.
+    """Haar rotations as planes (n, n, count): the Q of Gaussian matrices with
+    a positive R diagonal, by classical Gram-Schmidt run twice.
 
     The columns are orthonormalised on contiguous planes: the returned array
-    is a view of C with C[j, i] = Q[:, i, j], so column j of every matrix in
+    is a view of C with C[j, i] = Q[i, j], so column j of every matrix in
     the batch is one contiguous (n, count) block and each projection is a
     whole-plane operation.  Gram-Schmidt yields the R diagonal positive, so
     this is the sign-fixed QR factor of the same draws (QR with a positive R
@@ -81,34 +82,34 @@ def orthogonal_matrices(rng, count, n):
                 r = np.einsum("jib,ib->jb", c[:j], v)
                 v -= np.einsum("jb,jib->ib", r, c[:j])
         v /= np.sqrt(np.einsum("ib,ib->b", v, v))
-    return c.transpose(2, 1, 0)
+    return c.transpose(1, 0, 2)
 
 
 def conjugate_by_rotations(rng, lam):
-    """Q diag(lam) Q^T for a fresh rotation per row; exactly symmetric.
+    """Q diag(lam) Q^T for a fresh rotation per row of `lam` (count, n), as
+    planes (n, n, count); exactly symmetric.
 
-    Only the upper triangle is formed, on the component planes of the
-    result, and then mirrored (grid.mirror); the result is a (count, n, n)
-    view of those planes.
+    Only the upper triangle is formed, on the planes of the result, and then
+    mirrored (grid.mirror).
     """
     count, n = lam.shape
-    c = orthogonal_matrices(rng, count, n).transpose(2, 1, 0)  # the column planes
+    c = orthogonal_matrices(rng, count, n).transpose(1, 0, 2)  # the column planes
     scaled = c * lam.T[:, None, :]
     m = np.empty((n, n, count))
     for i in range(n):
         np.einsum("jb,jlb->lb", scaled[:, i], c[:, i:], out=m[i, i:])
     mirror(m)
-    return np.moveaxis(m, (0, 1), (-2, -1))
+    return m
 
 
 def gamma_matrices(rng, count, n, k, margin=0.0):
-    """Symmetric matrices with eigenvalues sampled from Gamma_k."""
+    """Symmetric matrices as planes (n, n, count), eigenvalues sampled from Gamma_k."""
     lam = gamma_eigenvalues(rng, count, n, k, margin=margin)
     return conjugate_by_rotations(rng, lam)
 
 
 def psd_matrices(rng, count, n, eig_low, eig_high):
-    """Symmetric positive semi-definite matrices with uniform eigenvalues."""
+    """Symmetric positive semi-definite planes (n, n, count) with uniform eigenvalues."""
     lam = rng.uniform(eig_low, eig_high, size=(count, n))
     return conjugate_by_rotations(rng, lam)
 

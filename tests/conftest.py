@@ -9,6 +9,18 @@ from ksig import cones, geometry, operator, solver
 from ksig.grid import mirror
 
 
+def as_planes(M):
+    """Matrices (*batch, n, n) as the component planes (n, n, *batch) that
+    ksig computes on: a view."""
+    return np.moveaxis(M, (-2, -1), (0, 1))
+
+
+def as_matrices(P):
+    """Component planes (n, n, *batch) as the matrices (*batch, n, n) that
+    the oracles' numpy.linalg and matmul read: a view."""
+    return np.moveaxis(P, (0, 1), (-2, -1))
+
+
 def make_problem(grid, k=3, tau=0.0, B=None, alpha=None, alpha_l=None):
     """geometry.Problem with defaults for what is not given: B = -I,
     alpha = 0 and alpha_l = 1, each at its own rank as the CLI builds them.
@@ -20,7 +32,7 @@ def make_problem(grid, k=3, tau=0.0, B=None, alpha=None, alpha_l=None):
     B = B.reshape((B.shape[:-2] or (1,) * n) + B.shape[-2:])
     # a copy: the moved axes of a (1, ..., 1, n, n) B can be a contiguous
     # view, and mirroring that would write into the caller's array
-    B_planes = np.moveaxis(B, (-2, -1), (0, 1)).copy()
+    B_planes = as_planes(B).copy()
     mirror(B_planes)
     return geometry.Problem(
         grid=grid,

@@ -196,6 +196,18 @@ def test_solve_gating_keeps_a_huge_file_background_finite(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "manufacture"])
+def test_a_grid_numpy_cannot_hold_is_refused_as_input(tmp_path, capsys, command):
+    # at n = 5, N = 2152 the 25 Hessian planes exceed numpy's largest array:
+    # the grid is refused before any field is built or directory made
+    edits = {"n = 3": "n = 5", "k = 3": "k = 5", "resolution = 8": "resolution = 2152"}
+    cfg = default_config(tmp_path, **edits, **{"alpha_l = 1.0": "alpha_l = 1.0\nu_star = 0.1*sin(x1)"})
+    assert main([command, str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: [problem]: grid resolution 2152 is too large at n = 5: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_spaceform_negative_curvature(tmp_path):
     cfg = default_config(
         tmp_path,
@@ -314,7 +326,7 @@ def test_build_problem_evaluates_one_alpha_l_entry_once(tmp_path, monkeypatch):
     problem = runconfig.build_problem(runconfig.load_config(cfg), tmp_path)
     assert specs.count("2.0") == 1
     beta = operator.beta_weights(problem, problem.grid.zeros(), 1.0)
-    assert beta.shape == problem.grid.shape + (4,) and np.all(beta == 2.0)
+    assert beta.shape == (4,) + problem.grid.shape and np.all(beta == 2.0)
 
 
 def test_build_problem_builds_B_planes_from_the_spec(tmp_path):

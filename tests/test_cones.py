@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import as_matrices, as_planes, make_problem
 from ksig import cones, operator, sampling
 from ksig.grid import PeriodicGrid
 from ksig.operator import compute_jet
@@ -30,11 +30,11 @@ def packed_indices(n):
 
 
 def sigma(lam, k):
-    return cones.all_elementary_symmetric(lam)[..., k]
+    return cones.all_elementary_symmetric(lam)[k]
 
 
 def matrix_sigma(M, k):
-    return cones.matrix_sigmas(M, k)[..., k]
+    return cones.matrix_sigmas(M, k)[k]
 
 
 def transform(M, k):
@@ -117,28 +117,28 @@ def test_elementary_symmetric_planes_match_reference_bitwise(n, batch):
     rng = np.random.default_rng(n + len(batch))
     for lam in (rng.uniform(-2.0, 2.0, batch + (n,)), rng.integers(-9, 10, batch + (n,)).astype(float)):
         out = cones.all_elementary_symmetric(lam)
-        assert out.shape == batch + (n + 1,)
-        assert np.array_equal(out, reference_elementary_symmetric(lam))
+        assert out.shape == (n + 1,) + batch
+        assert np.array_equal(out, np.moveaxis(reference_elementary_symmetric(lam), -1, 0))
         # the margin's recurrence stops at sigma_k with the same bits
         for k in range(1, n + 1):
-            assert np.array_equal(cones.cone_margin(lam, k), out[..., 1 : k + 1].min(-1))
+            assert np.array_equal(cones.cone_margin(lam, k), out[1 : k + 1].min(0))
 
 
 def test_sigma_batched_shape():
     lam = np.arange(24.0).reshape(2, 4, 3)
     out = cones.all_elementary_symmetric(lam)
-    assert out.shape == (2, 4, 4)
-    assert np.all(out[..., 0] == 1.0)
-    assert np.allclose(out[1, 2], [1.0] + [sigma_enum(list(lam[1, 2]), k) for k in (1, 2, 3)])
+    assert out.shape == (4, 2, 4)
+    assert np.all(out[0] == 1.0)
+    assert np.allclose(out[:, 1, 2], [1.0] + [sigma_enum(list(lam[1, 2]), k) for k in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------- matrix path
 
 
 def test_matrix_functions_reject_a_non_square_batch():
-    M = np.ones((4, 3, 2))
+    M = as_planes(np.ones((4, 3, 2)))
     for call in (lambda: cones.matrix_sigmas(M, 2), lambda: cones.quotient_eval(M, 2, 0.0)):
-        with pytest.raises(ValueError, match="expected square matrices in the trailing two axes"):
+        with pytest.raises(ValueError, match="expected square matrices in the leading two axes"):
             call()
 
 
@@ -170,7 +170,7 @@ def test_matrix_sigma_vs_eigendecomposition():
         lam = np.linalg.eigvalsh(M)
         for k in range(n + 1):
             want = sigma(lam, k)
-            got = matrix_sigma(M, k)
+            got = matrix_sigma(as_planes(M), k)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -206,13 +206,13 @@ def test_newton_transform_trace_identities():
     for n in (3, 4, 5):
         A = rng.standard_normal((20, n, n))
         M = 0.5 * (A + A.swapaxes(-1, -2))
-        sig = cones.matrix_sigmas(M, n)
+        sig = cones.matrix_sigmas(as_planes(M), n)
         _, T = reference_sigma_and_transforms(M, n)
         for k in range(1, n + 1):
             tr_TM = np.trace(M @ T[k - 1], axis1=-2, axis2=-1)
-            assert np.allclose(tr_TM, k * sig[..., k], rtol=1e-10, atol=1e-10)
+            assert np.allclose(tr_TM, k * sig[k], rtol=1e-10, atol=1e-10)
             tr_T = np.trace(T[k - 1], axis1=-2, axis2=-1)
-            assert np.allclose(tr_T, (n - k + 1) * sig[..., k - 1], rtol=1e-10, atol=1e-10)
+            assert np.allclose(tr_T, (n - k + 1) * sig[k - 1], rtol=1e-10, atol=1e-10)
 
 
 def test_newton_transform_is_sigma_gradient():
@@ -334,7 +334,7 @@ def test_operator_G_batched_beta_fields():
     rng = sampling.generator(3)
     M = sampling.gamma_matrices(rng, 50, 3, 2, margin=1e-3)
     beta = rng.uniform(0.0, 2.0, size=(50, 2))
-    got = g_value(M, 3, beta)
+    got = g_value(M, 3, beta.T)
     sig = np.stack([matrix_sigma(M, j) for j in range(4)], axis=-1)
     want = sig[:, 3] / sig[:, 2] - (beta[:, 0] * sig[:, 0] + beta[:, 1] * sig[:, 1]) / sig[:, 2]
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
@@ -360,9 +360,9 @@ def test_grad_G_identity_trace_equality_beta_zero():
 def test_grad_G_matches_finite_differences():
     rng = sampling.generator(91)
     for n, k in [(3, 3), (4, 3), (5, 4)]:
-        M = sampling.gamma_matrices(rng, 6, n, k - 1, margin=0.2)
+        M = as_matrices(sampling.gamma_matrices(rng, 6, n, k - 1, margin=0.2))
         beta = rng.uniform(0.0, 1.5, size=(6, k - 1))
-        grad = g_grad(M, k, beta)
+        grad = as_matrices(g_grad(as_planes(M), k, beta.T))
         eps = 1e-6
         for b in range(6):
             for i, j in packed_indices(n):
@@ -378,7 +378,7 @@ def test_grad_G_positive_definite_on_samples():
     for n, k in [(3, 3), (4, 4), (5, 3)]:
         M = sampling.gamma_matrices(rng, 300, n, k - 1, margin=1e-6)
         beta = rng.uniform(0.0, 2.0, size=(300, k - 1))
-        grad = g_grad(M, k, beta)
+        grad = as_matrices(g_grad(M, k, beta.T))
         assert np.allclose(grad, grad.swapaxes(-1, -2), atol=1e-12)
         eig = np.linalg.eigvalsh(grad)
         scale = np.maximum(1.0, np.abs(eig[..., -1]))
@@ -390,7 +390,7 @@ def test_operator_G_concavity_fd_hessian():
     # FD Hessian of G over packed coordinates stays below roundoff scale
     rng = sampling.generator(13)
     n, k = 3, 3
-    M = sampling.gamma_matrices(rng, 10, n, k - 1, margin=0.3)
+    M = as_matrices(sampling.gamma_matrices(rng, 10, n, k - 1, margin=0.3))
     beta = rng.uniform(0.0, 1.0, size=(10, k - 1))
     idx = packed_indices(n)
     h = 1e-3
@@ -416,7 +416,7 @@ def test_euler_homogeneity_identity():
     for n, k in [(3, 3), (4, 3), (5, 5)]:
         M = sampling.gamma_matrices(rng, 100, n, k - 1, margin=1e-4)
         ev = cones.quotient_eval(M, k, 0.0)
-        contraction = np.einsum("bij,bij->b", ev.grad, M)
+        contraction = np.einsum("bij,bij->b", as_matrices(ev.grad), as_matrices(M))
         assert np.all(np.abs(contraction - ev.value) <= 1e-10 * np.maximum(1.0, np.abs(ev.value)))
 
 
@@ -429,10 +429,10 @@ def test_euler_homogeneity_per_gl():
     for l in range(k - 1):
         onehot = np.zeros(k - 1)
         onehot[l] = 1.0
-        withl = cones.quotient_eval(M, k, onehot)
+        withl = cones.quotient_eval(M, k, onehot[:, None])
         grad_gl = withl.grad - base.grad
-        gl = -base.sigma[..., l] / base.sigma[..., k - 1]
-        contraction = np.einsum("bij,bij->b", grad_gl, M)
+        gl = -base.sigma[l] / base.sigma[k - 1]
+        contraction = np.einsum("bij,bij->b", as_matrices(grad_gl), as_matrices(M))
         want = (l - k + 1) * gl
         assert np.all(np.abs(contraction - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -494,26 +494,27 @@ def symmetric_batch(rng, batch, n):
 def admissible_batch(rng, batch, n, k):
     """Matrices in Gamma_{k-1} with sigma_1..sigma_{k-1} > 0.1."""
     count = math.prod(batch)
-    return sampling.gamma_matrices(rng, count, n, k - 1, margin=0.1).reshape(batch + (n, n))
+    return as_matrices(sampling.gamma_matrices(rng, count, n, k - 1, margin=0.1)).reshape(batch + (n, n))
 
 
 def check_sigmas(M, kmax):
-    sig = cones.matrix_sigmas(M, kmax)
-    want = reference_sigma_and_transforms(M, kmax)[0]
+    sig = cones.matrix_sigmas(as_planes(M), kmax)
+    want = np.moveaxis(reference_sigma_and_transforms(M, kmax)[0], -1, 0)
     assert sig.shape == want.shape
     for j in range(kmax + 1):
-        assert_oracle_close(sig[..., j], want[..., j])
+        assert_oracle_close(sig[j], want[j])
 
 
 def check_quotient(M, k, beta):
     before = M.copy()
-    ev = cones.quotient_eval(M, k, beta)
+    rows = np.moveaxis(np.broadcast_to(beta, M.shape[:-2] + (k - 1,)), -1, 0)
+    ev = cones.quotient_eval(as_planes(M), k, rows)
     assert np.array_equal(M, before)  # the gradient is built in a copy
     sig, value, grad = reference_quotient(M, k, beta)
     for j in range(k + 1):
-        assert_oracle_close(ev.sigma[..., j], sig[..., j])
+        assert_oracle_close(ev.sigma[j], sig[..., j])
     assert_oracle_close(ev.value, value)
-    assert_oracle_close(ev.grad, grad)
+    assert_oracle_close(as_matrices(ev.grad), grad)
 
 
 @pytest.mark.parametrize("batch", ORACLE_BATCHES, ids=str)
@@ -546,7 +547,7 @@ def test_plane_kernel_reads_noncontiguous_inputs(n):
     moved = np.ascontiguousarray(M.swapaxes(0, 1)).swapaxes(0, 1)
     views = [(moved, beta), (M.swapaxes(-1, -2), beta), (M[::2], beta[::2])]
     for view, b in views:
-        assert not view.flags.c_contiguous
+        assert not as_planes(view).flags.c_contiguous
         for kmax in range(n + 1):
             check_sigmas(view, kmax)
         for k in range(1, n + 1):
@@ -559,7 +560,7 @@ def test_quotient_gradient_is_exactly_symmetric(n):
     for k in range(3, n + 1):
         M = sampling.gamma_matrices(rng, 500, n, k - 1, margin=1e-3)
         beta = rng.uniform(0.0, 2.0, size=(500, k - 1))
-        grad = cones.quotient_eval(M, k, beta).grad
+        grad = as_matrices(cones.quotient_eval(M, k, beta.T).grad)
         assert np.array_equal(grad, grad.swapaxes(-1, -2))
         assert np.any(grad != np.diagonal(grad, axis1=-2, axis2=-1)[..., None] * np.eye(n))
 
@@ -571,13 +572,6 @@ BLOCK = cones._BLOCK_NODES
 BLOCK_SIZES = [0, 1, None, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
 
-def as_plane_view(M):
-    """M (..., n, n) as the view of contiguous planes (n, n, ...) that
-    operator.assemble_U returns."""
-    planes = np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
-    return np.moveaxis(planes, (0, 1), (-2, -1))
-
-
 def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -587,7 +581,7 @@ def blocked_and_unblocked(monkeypatch, fn, M, *args):
     """fn(M, *args) as blocked, and again as one block holding the whole batch."""
     blocked = fn(M, *args)
     with monkeypatch.context() as patch:
-        patch.setattr(cones, "_BLOCK_NODES", max(math.prod(M.shape[:-2]), 1))
+        patch.setattr(cones, "_BLOCK_NODES", max(math.prod(M.shape[2:]), 1))
         return blocked, fn(M, *args)
 
 
@@ -598,9 +592,9 @@ def test_node_blocks_match_one_unblocked_pass_bitwise(monkeypatch, n, layout):
     for size in BLOCK_SIZES:
         batch = () if size is None else (size,)
         A = rng.standard_normal(batch + (n, n))
-        M = A @ A.swapaxes(-1, -2) / n + 0.5 * np.eye(n)  # positive definite: every k is admissible
+        M = as_planes(A @ A.swapaxes(-1, -2) / n + 0.5 * np.eye(n))  # positive definite: every k is admissible
         if layout == "planes":
-            M = as_plane_view(M)
+            M = np.ascontiguousarray(M)
         for kmax in range(n + 1):
             got, want = blocked_and_unblocked(monkeypatch, cones.matrix_sigmas, M, kmax)
             assert same_bits(got, want), (size, kmax)
@@ -608,11 +602,12 @@ def test_node_blocks_match_one_unblocked_pass_bitwise(monkeypatch, n, layout):
             assert same_bits(got, want), (size, kmax)
         for k in range(1, n + 1):
             for beta in (0.0, rng.uniform(0.0, 2.0, size=k - 1), rng.uniform(0.0, 2.0, size=batch + (k - 1,))):
+                beta = np.moveaxis(np.broadcast_to(beta, batch + (k - 1,)), -1, 0)
                 got, want = blocked_and_unblocked(monkeypatch, cones.quotient_eval, M, k, beta)
                 for name in ("sigma", "value", "grad"):
                     assert same_bits(getattr(got, name), getattr(want, name)), (size, k, name)
-                # the gradient stays a view of contiguous component planes
-                assert np.moveaxis(got.grad, (-2, -1), (0, 1)).flags.c_contiguous
+                # the gradient is contiguous component planes
+                assert got.grad.flags.c_contiguous
 
 
 def test_quotient_eval_transient_memory_is_block_sized():
@@ -621,7 +616,7 @@ def test_quotient_eval_transient_memory_is_block_sized():
     grid = PeriodicGrid(dim=5, resolution=8)
     u = 0.05 * np.sin(grid.coordinate(0)) * np.cos(grid.coordinate(1)) + grid.zeros()
     U = operator.assemble_U(compute_jet(grid, u), make_problem(grid), 0.5)
-    beta = np.full(grid.shape + (4,), 0.3)
+    beta = np.full((4,) + grid.shape, 0.3)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -630,8 +625,29 @@ def test_quotient_eval_transient_memory_is_block_sized():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert ev.grad.shape == grid.shape + (5, 5)
+    assert ev.grad.shape == (5, 5) + grid.shape
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_batches_of_matrices_are_component_planes():
+    # one layout end to end: a batch of n x n matrices is its planes
+    # (n, n, *batch), and a table over a batch, sigma or beta, is stacked first
+    grid = PeriodicGrid(dim=4, resolution=8)
+    n, k, shape = 4, 3, grid.shape
+    problem = make_problem(grid, k=k, alpha=0.1 * np.sin(grid.coordinate(0)) + grid.zeros())
+    state = operator.evaluate(0.05 * np.cos(grid.coordinate(1)) + grid.zeros(), 0.5, problem)
+    for name in ("U", "grad"):
+        planes = getattr(state, name)
+        assert planes.shape == (n, n) + shape and planes.flags.c_contiguous, name
+    assert state.sigma.shape == (k + 1,) + shape and state.beta.shape == (k - 1,) + shape
+    rng = sampling.generator(0)
+    M = sampling.conjugate_by_rotations(rng, rng.uniform(0.5, 1.5, (6, n)))
+    assert M.shape == (n, n, 6)
+    ev = cones.quotient_eval(M.reshape(n, n, 2, 3), k, np.ones((k - 1, 2, 3)))
+    assert (ev.sigma.shape, ev.value.shape, ev.grad.shape) == ((k + 1, 2, 3), (2, 3), (n, n, 2, 3))
+    assert cones.matrix_sigmas(M, 2).shape == (3, 6)
+    assert cones.all_elementary_symmetric(np.ones((6, n))).shape == (n + 1, 6)
+    assert not hasattr(problem, "B")
 
 
 # ---------------------------------------------------------------- constants
@@ -675,8 +691,8 @@ def test_newton_maclaurin_bound_on_gamma_k_samples():
         sig = cones.all_elementary_symmetric(lam)
         for l in range(k - 1):
             K = cones.newton_maclaurin_constant(n, k, l)
-            lhs = sig[:, l] * sig[:, k] ** (k - 1 - l)
-            rhs = K * sig[:, k - 1] ** (k - l)
+            lhs = sig[l] * sig[k] ** (k - 1 - l)
+            rhs = K * sig[k - 1] ** (k - l)
             scale = np.maximum.reduce([np.ones_like(lhs), np.abs(lhs), np.abs(rhs)])
             assert np.all((lhs - rhs) / scale <= 1e-12)
 
@@ -692,8 +708,8 @@ def test_quotient_increases_when_adding_psd():
     S = A + B
     ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
     assert ok.mean() > 0.95  # adding PSD should essentially never leave the cone
-    fB = g_value(B[ok], k)
-    fS = g_value(S[ok], k)
+    fB = g_value(B[..., ok], k)
+    fS = g_value(S[..., ok], k)
     scale = np.maximum.reduce([np.ones_like(fB), np.abs(fB), np.abs(fS)])
     assert np.all((fB - fS) / scale <= 1e-10)
 
@@ -706,12 +722,12 @@ def test_quotient_powers_increase_when_adding_psd():
     A = sampling.psd_matrices(rng, 300, n, 0.0, 1.0)
     S = A + B
     ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
-    sigB = cones.matrix_sigmas(B[ok], k)
-    sigS = cones.matrix_sigmas(S[ok], k)
+    sigB = cones.matrix_sigmas(B[..., ok], k)
+    sigS = cones.matrix_sigmas(S[..., ok], k)
     for l in range(k - 1):
         p = 1.0 / (k - 1 - l)
-        qB = (sigB[:, k - 1] / sigB[:, l]) ** p
-        qS = (sigS[:, k - 1] / sigS[:, l]) ** p
+        qB = (sigB[k - 1] / sigB[l]) ** p
+        qS = (sigS[k - 1] / sigS[l]) ** p
         scale = np.maximum.reduce([np.ones_like(qB), qB, qS])
         assert np.all((qB - qS) / scale <= 1e-10)
 
@@ -724,8 +740,8 @@ def test_quotient_decreases_when_subtracting_psd():
     S = A + B
     ok = cones.matrix_cone_margin(S, k - 1) > 1e-12
     assert ok.mean() > 0.3
-    fB = g_value(B[ok], k)
-    fS = g_value(S[ok], k)
+    fB = g_value(B[..., ok], k)
+    fS = g_value(S[..., ok], k)
     scale = np.maximum.reduce([np.ones_like(fB), np.abs(fB), np.abs(fS)])
     assert np.all((fS - fB) / scale <= 1e-10)
 
@@ -808,7 +824,7 @@ def sign_fixed_qr(a):
 @pytest.mark.parametrize("count", [1, 7, 1000])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rotations_are_sign_fixed_qr_of_the_same_draws(n, count):
-    q = sampling.orthogonal_matrices(sampling.generator(5), count, n)
+    q = as_matrices(sampling.orthogonal_matrices(sampling.generator(5), count, n))
     a = sampling.generator(5).standard_normal((count, n, n))
     assert q.shape == (count, n, n)
     assert np.abs(q - sign_fixed_qr(a)).max() <= 1e-12
@@ -819,7 +835,7 @@ def test_rotations_are_sign_fixed_qr_of_the_same_draws(n, count):
 def test_conjugation_is_exactly_symmetric_with_the_drawn_spectrum(n):
     rng = sampling.generator(6)
     lam = rng.uniform(-2.0, 2.0, (1000, n))
-    M = sampling.conjugate_by_rotations(rng, lam)
+    M = as_matrices(sampling.conjugate_by_rotations(rng, lam))
     assert M.shape == (1000, n, n)
     assert np.array_equal(M, M.swapaxes(-1, -2))
     eig = np.linalg.eigvalsh(M)
@@ -833,7 +849,7 @@ def test_conjugation_of_an_empty_batch_draws_nothing(n):
     # their window
     rng = sampling.generator(7)
     M = sampling.conjugate_by_rotations(rng, np.empty((0, n)))
-    assert M.shape == (0, n, n)
+    assert M.shape == (n, n, 0)
     assert rng.random() == sampling.generator(7).random()
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import as_matrices, make_problem
 from ksig import InputError, cones
 from ksig.geometry import spaceform_schouten
 from ksig.grid import PeriodicGrid
@@ -59,8 +59,8 @@ def test_beta_weights_midpoint_example():
     grid = PeriodicGrid(3, 8)
     problem = default_problem(grid, alpha_l_value=2.0)
     b = beta_weights(problem, np.full(grid.shape, 0.1), t=0.5)
-    assert np.allclose(b[..., 1], 1.125 * np.exp(0.4), rtol=1e-15)
-    assert np.allclose(b[..., 0], 1.125 * np.exp(0.6), rtol=1e-15)
+    assert np.allclose(b[1], 1.125 * np.exp(0.4), rtol=1e-15)
+    assert np.allclose(b[0], 1.125 * np.exp(0.6), rtol=1e-15)
 
 
 def test_beta_weights_nonnegative_on_unit_interval():
@@ -93,7 +93,7 @@ def test_assemble_identity_when_B_is_minus_metric():
     problem = make_problem(grid)  # B = -I
     jet = compute_jet(grid, grid.zeros())
     for t in (0.0, 0.3, 1.0):
-        U = assemble_U(jet, problem, t)
+        U = as_matrices(assemble_U(jet, problem, t))
         assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
 
 
@@ -109,7 +109,7 @@ def test_assemble_any_B_drops_out_at_t_zero():
     grid = PeriodicGrid(3, 8)
     B = admissible_background(grid, np.random.default_rng(2))
     problem = make_problem(grid, tau=0.3, B=B)
-    U = assemble_U(compute_jet(grid, grid.zeros()), problem, t=0.0)
+    U = as_matrices(assemble_U(compute_jet(grid, grid.zeros()), problem, t=0.0))
     assert np.array_equal(U, np.broadcast_to(np.eye(3), U.shape))
 
 
@@ -118,7 +118,7 @@ def test_assemble_constant_u_reduces_to_background():
     B = admissible_background(grid, np.random.default_rng(4))
     problem = make_problem(grid, tau=0.1, B=B)
     jet = compute_jet(grid, np.full(grid.shape, 0.8))
-    U = assemble_U(jet, problem, t=1.0)
+    U = as_matrices(assemble_U(jet, problem, t=1.0))
     assert np.array_equal(U, -B)
 
 
@@ -135,7 +135,7 @@ def stacked_U(jet, problem, t):
         + ((1.0 - tau) / (n - 2.0)) * jet.laplacian[..., None, None] * eye
         + 0.5 * (2.0 - tau) * g2[..., None, None] * eye
         - g[..., :, None] * g[..., None, :]
-        - t * problem.B
+        - t * as_matrices(problem.B_planes)
         + (1.0 - t) * eye
     )
 
@@ -151,12 +151,12 @@ def test_assemble_flat_matches_hand_formula():
             "flat": make_problem(grid, k=3, tau=0.2),
             "per-node": make_problem(grid, k=3, tau=-0.4, B=B),
         }
-        assert np.array_equal(problems["per-node"].B, B)
+        assert np.array_equal(as_matrices(problems["per-node"].B_planes), B)
         u = 0.1 * rng.standard_normal(grid.shape)
         jet = compute_jet(grid, u)
         for name, problem in problems.items():
             for t in (0.0, 0.6, 1.0):
-                U = assemble_U(jet, problem, t)
+                U = as_matrices(assemble_U(jet, problem, t))
                 assert U.shape == grid.shape + (n, n)
                 assert np.array_equal(U, U.swapaxes(-1, -2)), (n, name, t)
                 assert np.array_equal(U, stacked_U(jet, problem, t)), (n, name, t)
@@ -169,7 +169,7 @@ def test_assemble_flat_matches_hand_formula():
 def test_validate_accepts_default_background():
     problem = default_problem(PeriodicGrid(3, 8))
     # -B = I has sigma = (3, 3, 1), well inside Gamma_3
-    assert np.all(cones.matrix_cone_margin(-problem.B, 3) == 1.0)
+    assert np.all(cones.matrix_cone_margin(-problem.B_planes, 3) == 1.0)
 
 
 def test_validate_rejects_tau_at_one():

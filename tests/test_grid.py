@@ -34,6 +34,16 @@ def test_grid_validation():
     assert g.node_count == 16**3
 
 
+@pytest.mark.parametrize("n,first", [(3, 504104), (4, 16384), (5, 2152)])
+def test_grid_refuses_hessian_planes_numpy_cannot_hold(n, first):
+    # n^2 N^n doubles must fit numpy's intp: the largest even N below the
+    # bound is a grid, and the first one above it is refused
+    assert n * n * (first - 2) ** n * 8 <= np.iinfo(np.intp).max < n * n * first**n * 8
+    assert PeriodicGrid(n, first - 2).resolution == first - 2
+    with pytest.raises(ValueError, match=f"^grid resolution {first} is too large at n = {n}: "):
+        PeriodicGrid(n, first)
+
+
 GRID = PeriodicGrid(3, 8)
 
 

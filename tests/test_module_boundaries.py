@@ -3,7 +3,8 @@ every name a module exports has a caller inside the package, every
 import of a sibling module sits at module level, the third-party
 packages the modules import are exactly the declared dependencies, no
 module holds an array at module level, `InputError` is the package's
-one exception class, and the sources and CI hold to the Python floor that
+one exception class, no module moves a batch of matrices out of its
+component planes, and the sources and CI hold to the Python floor that
 pyproject.toml declares.
 
 A name with a leading underscore is an implementation detail of its own
@@ -217,6 +218,48 @@ def test_export_check_tells_globals_from_locals(tmp_path):
         "    return [imported() for _ in range(2)], grid.attribute\n"
     )
     assert unreferenced_exports(tmp_path) == ["grid.shadowed", "grid.recursive", "grid.unused"]
+
+
+# np.moveaxis sources and destinations that turn component planes (n, n, ...)
+# into (..., n, n) matrices or back, or put a table's leading axis last; a
+# batch of small matrices has one layout, its planes
+LAYOUT_MOVES = {"(0, 1), (-2, -1)", "(-2, -1), (0, 1)", "0, -1"}
+
+
+def layout_conversions(path):
+    """`file:line: call` for each np.moveaxis call in the file at `path`
+    whose axes are one of LAYOUT_MOVES."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "moveaxis":
+            axes = ", ".join(ast.unparse(arg) for arg in [*node.args[1:], *(kw.value for kw in node.keywords)])
+            if axes in LAYOUT_MOVES:
+                hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_converts_a_batch_between_layouts(path):
+    assert layout_conversions(path) == []
+
+
+def test_layout_check_sees_every_conversion(tmp_path):
+    # the (-1, 0) move that hands eigvalsh its (nodes, n, n) view is allowed
+    probe = tmp_path / "monitors.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy import moveaxis\n"
+        "a = np.moveaxis(G, (0, 1), (-2, -1))\n"
+        "b = moveaxis(G, (-2, -1), (0, 1))\n"
+        "c = np.moveaxis(sig, source=0, destination=-1)\n"
+        "d = np.linalg.eigvalsh(np.moveaxis(G, -1, 0))\n"
+    )
+    assert layout_conversions(probe) == [
+        "monitors.py:3: np.moveaxis(G, (0, 1), (-2, -1))",
+        "monitors.py:4: moveaxis(G, (-2, -1), (0, 1))",
+        "monitors.py:5: np.moveaxis(sig, source=0, destination=-1)",
+    ]
 
 
 def exception_classes(src):

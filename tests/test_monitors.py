@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_state, make_problem, trivial_problem
+from conftest import admissible_state, as_matrices, make_problem, trivial_problem
 from ksig import InputError, cones, monitors, operator, runconfig, sampling, solver
 from ksig.grid import PeriodicGrid, mirror
 
@@ -67,7 +67,7 @@ def test_residual_and_eq33_add_the_forcing_term():
     u = grid.zeros() + 0.1 * np.sin(x1) * np.cos(grid.coordinate(1))
     state = admissible_state(u, 0.5, problem)
     assert state.residual.tobytes() == (state.value + operator.forcing(problem, u, 0.5)).tobytes()
-    eq33 = np.einsum("...ij,...ij->...", state.grad, state.U) + 0.5 * alpha * np.exp(2.0 * u)
+    eq33 = np.einsum("...ij,...ij->...", as_matrices(state.grad), as_matrices(state.U)) + 0.5 * alpha * np.exp(2.0 * u)
     assert monitors.snapshot_point(state, problem, 0).eq33_slack == float(eq33.min())
 
 
@@ -86,7 +86,7 @@ def test_quotient_trace_identity_matches_explicit_gradient(n, k):
     rng = sampling.generator(900 + 10 * n + k)
     M = sampling.gamma_matrices(rng, 2000, n, k - 1, margin=1e-6)
     ev = cones.quotient_eval(M, k, 0.0)
-    explicit = np.trace(ev.grad, axis1=-2, axis2=-1)
+    explicit = np.trace(as_matrices(ev.grad), axis1=-2, axis2=-1)
     got = monitors._quotient_trace(ev.sigma, n, k)
     assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))
 
@@ -97,14 +97,14 @@ def test_quotient_trace_identity_matches_explicit_gradient(n, k):
 
 def full_min_eigenvalue(grad):
     """The grid minimum from eigvalsh at every node."""
-    return float(np.linalg.eigvalsh(grad)[..., 0].min())
+    return float(np.linalg.eigvalsh(as_matrices(grad))[..., 0].min())
 
 
-def node_major(planes):
+def mirrored(planes):
     """Component planes (n, n, *shape), upper triangle mirrored onto the
-    lower, seen as (*shape, n, n), the layout quotient_eval leaves G in."""
+    lower, the layout quotient_eval leaves G in."""
     mirror(planes)
-    return np.moveaxis(planes, (0, 1), (-2, -1))
+    return planes
 
 
 @st.composite
@@ -135,7 +135,7 @@ def matrix_field(draw):
         a, b = sorted(rng.integers(0, n, 2))
         at = (a, b) + tuple(rng.integers(0, 4, n))
         planes[at] = np.nextafter(planes[at], draw(st.sampled_from([-np.inf, np.inf])))
-    return node_major(planes)
+    return mirrored(planes)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -165,8 +165,8 @@ def test_min_eigenvalue_of_a_non_finite_entry_is_the_full_grid_one(value, entry)
     # reads the lower triangle alone, so an upper entry leaves a finite minimum
     rng = np.random.default_rng(7)
     planes = np.eye(3)[:, :, None, None, None] + 1e-3 * rng.uniform(-1.0, 1.0, (3, 3, 4, 4, 4))
-    grad = node_major(planes)
-    grad[(2, 3, 1) + entry] = value
+    grad = mirrored(planes)
+    grad[entry + (2, 3, 1)] = value
     assert outcome(monitors._min_eigenvalue, grad) == outcome(full_min_eigenvalue, grad)
     if entry == (1, 2):
         assert np.isfinite(monitors._min_eigenvalue(grad))
@@ -313,9 +313,9 @@ def test_cone_nesting_fails_on_a_wrong_reduced_sigma(monkeypatch):
 
     def negated(lam):
         sig = real(lam)
-        if sig.shape[-1] == n:  # sigma_0..sigma_{n-1}
+        if sig.shape[0] == n:  # sigma_0..sigma_{n-1}
             sig = sig.copy()
-            sig[..., 1] = -sig[..., 1]
+            sig[1] = -sig[1]
         return sig
 
     monkeypatch.setattr(cones, "all_elementary_symmetric", negated)

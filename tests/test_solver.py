@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_state, l2_norm, linearize, make_problem, trivial_problem
+from conftest import admissible_state, as_matrices, l2_norm, linearize, make_problem, trivial_problem
 from ksig import InputError, geometry, monitors, operator, runconfig, solver
 from ksig import fieldexpr
 from ksig.fieldexpr import analytic_jet
@@ -202,10 +202,11 @@ def jacobian_error(state, v, dU, problem):
     contracted with G^{ij}, plus the pointwise derivative in u of
     beta_l = w_l e^{2(k-l)u} and t alpha e^{2u}."""
     k, u, t = problem.k, state.u, state.t
-    dbeta = 2.0 * (k - np.arange(k - 1)) * operator.beta_weights(problem, u, t)
-    gl = -state.sigma[..., : k - 1] / state.sigma[..., k - 1 : k]
+    dbeta = 2.0 * (k - np.arange(k - 1)) * np.moveaxis(operator.beta_weights(problem, u, t), 0, -1)
+    sigma = np.moveaxis(state.sigma, 0, -1)
+    gl = -sigma[..., : k - 1] / sigma[..., k - 1 : k]
     pointwise = np.sum(dbeta * gl, axis=-1) + 2.0 * t * problem.alpha * np.exp(2.0 * u)
-    exact = np.einsum("...ij,...ij->...", state.grad, dU) + pointwise * v
+    exact = np.einsum("...ij,...ij->...", as_matrices(state.grad), as_matrices(dU)) + pointwise * v
     apply, _ = operator.jacobian(state, problem)
     return sup_norm(apply(v) - exact) / sup_norm(exact)
 
@@ -953,7 +954,7 @@ def test_hard_panel_counts(monkeypatch, case, counts):
 
     def checked(state, *args):
         report = snapshot_point(state, *args)
-        reported.append((report.min_eig_Gij, float(np.linalg.eigvalsh(state.grad)[..., 0].min())))
+        reported.append((report.min_eig_Gij, float(np.linalg.eigvalsh(as_matrices(state.grad))[..., 0].min())))
         return report
 
     monkeypatch.setattr(operator, "evaluate", counted)
